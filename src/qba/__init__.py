@@ -1,7 +1,7 @@
 """Workbench for finite quasi-Boolean algebras."""
 
 from .algebra import (FiniteAlgebra, ValidationReport, axiom_holds_at,
-                      algebra_from_dict, algebra_to_dict, cloud_of,
+                      algebra_from_dict, algebra_to_dict, cloud_map, cloud_of,
                       dump_algebra, is_flat, load_algebra, quasi_leq,
                       regular_elements, validate)
 from .congruences import (CongruenceDecomposition, all_congruences,

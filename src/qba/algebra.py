@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterator
 
-from .errors import AlgebraParseError, AlgebraSemanticError
+from .errors import (AlgebraParseError, AlgebraSemanticError,
+                     PreconditionViolated)
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,22 @@ class FiniteAlgebra:
             raise AlgebraSemanticError("empty carrier")
         if len(set(self.names)) != n:
             raise AlgebraSemanticError("duplicate names")
-        if any(not nm or any(c.isspace() for c in nm) for nm in self.names):
+        # str.split() cuts at exactly the characters for which isspace() is
+        # true, so a name survives it unchanged iff it is non-empty and
+        # free of whitespace.
+        if any(nm.split() != [nm] for nm in self.names):
             raise AlgebraSemanticError("names must be non-empty and free of whitespace")
         for table, what in ((self.join, "join"), (self.meet, "meet")):
-            if len(table) != n or any(len(row) != n for row in table):
+            if len(table) != n or set(map(len, table)) != {n}:
                 raise AlgebraSemanticError(f"wrong table dimensions for {what}")
-            if any(not (0 <= v < n) for row in table for v in row):
+            # Each distinct entry is range-checked once; enumerated
+            # algebras share rows, so the union is small.
+            entries = set().union(*table)
+            if min(entries) < 0 or max(entries) >= n:
                 raise AlgebraSemanticError(f"{what} entry out of range")
         if len(self.star) != n:
             raise AlgebraSemanticError("wrong table dimensions for star")
-        if any(not (0 <= v < n) for v in self.star):
+        if min(self.star) < 0 or max(self.star) >= n:
             raise AlgebraSemanticError("star entry out of range")
         for c, what in ((self.zero, "zero"), (self.one, "one")):
             if not (0 <= c < n):
@@ -206,7 +213,10 @@ def quasi_leq(a: FiniteAlgebra, x: int, y: int) -> bool:
     """
     by_join = a.join[x][y] == a.join[y][y]
     by_meet = a.meet[x][y] == a.meet[x][x]
-    assert by_join == by_meet, "quasi-order characterizations disagree"
+    if by_join != by_meet:
+        raise PreconditionViolated(
+            f"quasi-order characterizations disagree at ({x}, {y}); "
+            "the algebra fails the axioms")
     return by_join
 
 
@@ -218,6 +228,20 @@ def cloud_of(a: FiniteAlgebra, x: int) -> frozenset[int]:
     """
     r = a.join[x][x]
     return frozenset(y for y in a.elements() if a.join[y][y] == r)
+
+
+def cloud_map(a: FiniteAlgebra) -> dict[int, frozenset[int]]:
+    """Every value of x v x mapped to its class {y : y v y = x v x}, in one
+    pass over the carrier. Keys appear in order of first occurrence.
+
+    ``cloud_map(a)[a.join[x][x]] == cloud_of(a, x)`` for every x; in a
+    valid algebra the keys are the regular elements and the values the
+    clouds.
+    """
+    groups: dict[int, list[int]] = {}
+    for x, row in enumerate(a.join):
+        groups.setdefault(row[x], []).append(x)
+    return {r: frozenset(members) for r, members in groups.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .algebra import (FiniteAlgebra, algebra_to_dict, cloud_of, dump_algebra,
+from .algebra import (FiniteAlgebra, algebra_to_dict, cloud_map, dump_algebra,
                       is_flat, load_algebra, regular_elements, validate)
 from .congruences import (CongruenceDecomposition, all_congruences,
                           compose_flat, compose_nonflat, decompose,
@@ -84,8 +84,7 @@ def _cmd_info(args) -> CommandResult:
     a = _load(args.algebra)
     report = validate(a)
     regs = sorted(regular_elements(a))
-    clouds = sorted({cloud_of(a, x) for x in a.elements()},
-                    key=lambda c: min(c))
+    clouds = sorted(cloud_map(a).values(), key=min)
     irreducible = (not is_flat(a)
                    and regular_elements(a) == frozenset((a.zero, a.one)))
     lines = [

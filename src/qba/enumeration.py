@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator
 
-from .algebra import (FiniteAlgebra, cloud_of, is_flat, regular_elements,
+from .algebra import (FiniteAlgebra, cloud_map, is_flat, regular_elements,
                       validate)
 from .errors import TooLarge
 from .quotients import (boolean_algebra, direct_product, find_isomorphism,
@@ -68,13 +68,17 @@ def _generic_names(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(f"x{i}" for i in range(1, n))
 
 
-def _flat_from_involution(n: int, inv: dict[int, int], label: str = "") -> FiniteAlgebra:
-    star = [0] * n
-    for x, y in inv.items():
-        star[x] = y
+def _flat_labeled(n: int) -> Iterator[FiniteAlgebra]:
+    """Every flat algebra on {0..n-1}, one per involution of 1..n-1. All of
+    them share one names tuple and one all-zero table."""
+    names = _generic_names(n)
     zeros = ((0,) * n,) * n
-    return FiniteAlgebra(names=_generic_names(n), join=zeros, meet=zeros,
-                         star=tuple(star), zero=0, one=0, label=label)
+    for inv in _involutions(tuple(range(1, n))):
+        star = [0] * n
+        for x, y in inv.items():
+            star[x] = y
+        yield FiniteAlgebra(names=names, join=zeros, meet=zeros,
+                            star=tuple(star), zero=0, one=0)
 
 
 def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
@@ -92,9 +96,7 @@ def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
         algebras = tuple(make_flat(n, k)
                          for k in range(1 if n % 2 else 2, n + 1, 2))
     else:
-        algebras = tuple(
-            _flat_from_involution(n, inv)
-            for inv in _involutions(tuple(range(1, n))))
+        algebras = tuple(_flat_labeled(n))
     violations = _collect_violations(algebras)
     return EnumerationReport(size=n, flat_only=True, up_to_iso=up_to_iso,
                              total_labeled=total, iso_classes=algebras,
@@ -121,13 +123,13 @@ def _boolean_tables(regs: list[int], zero: int, one: int):
         join, meet = {}, {}
         for x in rset:
             for y in rset:
-                join[(x, y)] = _b4_join(x, y, zero, one, s, t)
-                meet[(x, y)] = _b4_meet(x, y, zero, one, s, t)
+                join[(x, y)] = _b4_join(x, y, zero, one)
+                meet[(x, y)] = _b4_meet(x, y, zero, one)
         return join, meet, {zero: one, one: zero, s: t, t: s}
     return None
 
 
-def _b4_join(x, y, zero, one, s, t):
+def _b4_join(x, y, zero, one):
     if x == zero:
         return y
     if y == zero:
@@ -137,7 +139,7 @@ def _b4_join(x, y, zero, one, s, t):
     return one
 
 
-def _b4_meet(x, y, zero, one, s, t):
+def _b4_meet(x, y, zero, one):
     if x == one:
         return y
     if y == one:
@@ -195,12 +197,13 @@ def _nonflat_labeled(n: int) -> Iterator[FiniteAlgebra]:
 def iso_signature(a: FiniteAlgebra) -> tuple:
     """Cheap invariants used to bucket algebras before isomorphism search."""
     regs = regular_elements(a)
+    clouds = cloud_map(a)
     return (
         a.size,
         is_flat(a),
         len(regs),
         sum(1 for x in a.elements() if a.star[x] == x),
-        tuple(sorted(len(cloud_of(a, r)) for r in regs)),
+        tuple(sorted(len(clouds[r]) for r in regs)),
     )
 
 
@@ -223,11 +226,7 @@ def enumerate_all(n: int, up_to_iso: bool = True) -> EnumerationReport:
         raise ValueError("size must be positive")
     if n > MAX_ALL:
         raise TooLarge(f"general enumeration is guarded at {MAX_ALL}")
-    labeled = [
-        _flat_from_involution(n, inv)
-        for inv in _involutions(tuple(range(1, n)))
-        if validate(_flat_from_involution(n, inv)).passed
-    ]
+    labeled = [a for a in _flat_labeled(n) if validate(a).passed]
     labeled.extend(_nonflat_labeled(n))
     labeled.sort(key=lambda a: (a.one, a.join, a.meet, a.star))
     total = len(labeled)
@@ -273,7 +272,9 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     results: list[tuple[str, bool]] = []
     regs = regular_elements(a)
     reps = [a.join[x][x] for x in a.elements()]
-    clouds = {r: cloud_of(a, r) for r in regs}
+    by_rep = cloud_map(a)
+    clouds = {r: by_rep[r] for r in regs}
+    star_clouds = {r: by_rep[reps[a.star[r]]] for r in regs}
 
     covered = set()
     for members in clouds.values():
@@ -281,22 +282,20 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     results.append(("cloud-partition",
                     covered == set(a.elements())
                     and sum(len(m) for m in clouds.values()) == a.size
-                    and all(r in regs for r in reps)))
+                    and regs.issuperset(reps)))
     results.append(("cloud-single-regular",
                     all(len(members & regs) == 1 for members in clouds.values())))
     results.append(("star-cloud-image",
                     all(frozenset(a.star[y] for y in clouds[r])
-                        == cloud_of(a, a.star[r]) for r in regs)))
+                        == star_clouds[r] for r in regs)))
     results.append(("star-cloud-size",
-                    all(len(clouds[r]) == len(cloud_of(a, a.star[r]))
-                        for r in regs)))
+                    all(len(clouds[r]) == len(star_clouds[r]) for r in regs)))
 
     if not is_flat(a):
         results.append(("nonflat-star-free",
                         all(a.star[x] != x for x in a.elements())))
         results.append(("nonflat-complement-clouds-disjoint",
-                        all(not (clouds[r] & cloud_of(a, a.star[r]))
-                            for r in regs)))
+                        all(not (clouds[r] & star_clouds[r]) for r in regs)))
         results.append(("nonflat-regular-even", len(regs) % 2 == 0))
         results.append(("nonflat-order-even", a.size % 2 == 0))
         if is_irreducible(a) and a.size % 2 == 0:
@@ -314,10 +313,11 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     else:
         results.append(("flat-regulars-trivial", regs == frozenset((a.zero,))))
         results.append(("flat-cloud-zero-whole",
-                        cloud_of(a, a.zero) == frozenset(a.elements())))
+                        by_rep[reps[a.zero]] == frozenset(a.elements())))
+        zero_row = (a.zero,) * a.size
         results.append(("flat-ops-zero",
-                        all(v == a.zero for row in a.join for v in row)
-                        and all(v == a.zero for row in a.meet for v in row)))
+                        all(tuple(row) == zero_row for row in a.join)
+                        and all(tuple(row) == zero_row for row in a.meet)))
         fixed = sum(1 for x in a.elements() if a.star[x] == x)
         results.append(("flat-size-parity", (a.size - fixed) % 2 == 0))
     return results

@@ -37,6 +37,11 @@ class IllDefinedQuotient(QbaError):
     compatibility-check bug cannot produce a silently wrong algebra."""
 
 
+class InvariantViolation(QbaError):
+    """A property that holds by construction failed its check. Signals an
+    implementation bug."""
+
+
 class EmbeddingFailure(QbaError):
     """The canonical map into the product of the two quotients failed to be
     an injective homomorphism. Signals an implementation bug."""

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (FiniteAlgebra, cloud_of, is_flat, regular_elements,
-                      validate)
+from .algebra import FiniteAlgebra, cloud_map, is_flat, regular_elements
 from .errors import (EmbeddingFailure, FlatInput, IllDefinedQuotient,
-                     InvalidShape, NotACongruence)
+                     InvalidShape, InvariantViolation, NotACongruence,
+                     PreconditionViolated)
 from .partitions import Partition, is_congruence
 
 
@@ -51,10 +51,7 @@ def chi(a: FiniteAlgebra) -> Partition:
 
     Blocks are exactly the clouds; the quotient is Boolean.
     """
-    groups: dict[int, list[int]] = {}
-    for x in a.elements():
-        groups.setdefault(a.join[x][x], []).append(x)
-    return Partition.from_blocks(a.size, groups.values())
+    return Partition.from_blocks(a.size, cloud_map(a).values())
 
 
 def tau(a: FiniteAlgebra) -> Partition:
@@ -148,7 +145,9 @@ def is_homomorphism(a: FiniteAlgebra, b: FiniteAlgebra, f: ElementMap) -> bool:
             if m[a.meet[x][y]] != b.meet[m[x]][m[y]]:
                 return False
     # Preservation of 1 follows: f(1) = f(0*) = f(0)* = 0* = 1.
-    assert m[a.one] == b.one
+    if m[a.one] != b.one:
+        raise PreconditionViolated(
+            "map preserves 0 and star but not 1, so 0* = 1 fails in an input")
     return True
 
 
@@ -164,14 +163,12 @@ def embed_into_product(a: FiniteAlgebra) -> ElementMap:
     return emb
 
 
-def _signature(a: FiniteAlgebra, regs: frozenset[int], x: int) -> tuple:
-    return (
-        x == a.zero,
-        x == a.one,
-        x in regs,
-        a.star[x] == x,
-        len(cloud_of(a, x)),
-    )
+def _signatures(a: FiniteAlgebra) -> list[tuple]:
+    regs = regular_elements(a)
+    clouds = cloud_map(a)
+    return [(x == a.zero, x == a.one, x in regs, a.star[x] == x,
+             len(clouds[a.join[x][x]]))
+            for x in a.elements()]
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
@@ -184,9 +181,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
     n = a.size
     if n != b.size:
         return None
-    regs_a, regs_b = regular_elements(a), regular_elements(b)
-    sig_a = [_signature(a, regs_a, x) for x in a.elements()]
-    sig_b = [_signature(b, regs_b, x) for x in b.elements()]
+    sig_a, sig_b = _signatures(a), _signatures(b)
     if sorted(sig_a) != sorted(sig_b):
         return None
 
@@ -228,7 +223,8 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
     if not extend(0):
         return None
     f = ElementMap(n, n, tuple(image))
-    assert f.is_bijective
+    if not f.is_bijective:
+        raise InvariantViolation("isomorphism search produced a non-bijective map")
     return f
 
 
@@ -276,7 +272,5 @@ def boolean_algebra(num_atoms: int) -> FiniteAlgebra:
     join = tuple(tuple(i | j for j in range(n)) for i in range(n))
     meet = tuple(tuple(i & j for j in range(n)) for i in range(n))
     star = tuple(i ^ (n - 1) for i in range(n))
-    a = FiniteAlgebra(names=names, join=join, meet=meet, star=star,
-                      zero=0, one=n - 1, label=f"B{n}")
-    assert validate(a).passed
-    return a
+    return FiniteAlgebra(names=names, join=join, meet=meet, star=star,
+                         zero=0, one=n - 1, label=f"B{n}")

@@ -10,6 +10,11 @@ binds tightest, then meet, then join; both binaries are left associative.
     atom   := base { "'" }
     base   := "0" | "1" | ident | "(" term ")"
 
+A term may nest at most MAX_DEPTH levels: both its parenthesis nesting
+and the depth of its term tree (each operator adds a level) are bounded,
+so parsing, evaluation and formatting stay well inside the interpreter's
+recursion limit. Deeper input is an EquationParseError.
+
 An equation holds in an algebra when both sides evaluate equally under
 every assignment; it holds in a whole variety exactly when it holds in the
 variety's small generating algebra (4, F3 and 2 respectively), which is
@@ -87,6 +92,8 @@ class Verdict:
         assert self.valid == (self.witness is None)
 
 
+MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\\/|/\\|[()'=]|[01]|[a-z][a-zA-Z0-9_]*")
 
 
@@ -106,10 +113,14 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _Parser:
+    """Recursive descent. Each method returns the parsed node with the
+    depth of its tree, and refuses input nested deeper than MAX_DEPTH."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.parens = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -125,50 +136,66 @@ class _Parser:
     def fail(self, message: str):
         raise EquationParseError(message, self.pos())
 
-    def term(self) -> Term:
-        node = self.factor()
+    def deeper(self, depth: int, at: int) -> int:
+        """Depth of a new operator node at position ``at`` whose deepest
+        child has the given depth."""
+        if depth >= MAX_DEPTH:
+            raise EquationParseError(f"term nested deeper than {MAX_DEPTH} levels", at)
+        return depth + 1
+
+    def term(self) -> tuple[Term, int]:
+        node, depth = self.factor()
         while self.peek() == "\\/":
+            at = self.pos()
             self.advance()
-            node = Join(node, self.factor())
-        return node
+            right, right_depth = self.factor()
+            node, depth = Join(node, right), self.deeper(max(depth, right_depth), at)
+        return node, depth
 
-    def factor(self) -> Term:
-        node = self.atom()
+    def factor(self) -> tuple[Term, int]:
+        node, depth = self.atom()
         while self.peek() == "/\\":
+            at = self.pos()
             self.advance()
-            node = Meet(node, self.atom())
-        return node
+            right, right_depth = self.atom()
+            node, depth = Meet(node, right), self.deeper(max(depth, right_depth), at)
+        return node, depth
 
-    def atom(self) -> Term:
-        node = self.base()
+    def atom(self) -> tuple[Term, int]:
+        node, depth = self.base()
         while self.peek() == "'":
+            depth = self.deeper(depth, self.pos())
             self.advance()
             node = Star(node)
-        return node
+        return node, depth
 
-    def base(self) -> Term:
+    def base(self) -> tuple[Term, int]:
         tok = self.peek()
         if tok is None:
             self.fail("unexpected end of input")
         if tok == "(":
+            if self.parens >= MAX_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_DEPTH} levels")
+            self.parens += 1
             self.advance()
-            node = self.term()
+            node, depth = self.term()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.advance()
-            return node
+            self.parens -= 1
+            return node, depth
         if tok in ("0", "1"):
             self.advance()
-            return Const(int(tok))
+            return Const(int(tok)), 0
         if tok[0].isalpha():
             self.advance()
-            return Var(tok)
+            return Var(tok), 0
         self.fail(f"unexpected token {tok!r}")
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    node = p.term()
+    node, _ = p.term()
     if p.peek() is not None:
         p.fail(f"unexpected token {p.peek()!r}")
     return node
@@ -176,11 +203,11 @@ def parse_term(text: str) -> Term:
 
 def parse_equation(text: str) -> Equation:
     p = _Parser(text)
-    lhs = p.term()
+    lhs, _ = p.term()
     if p.peek() != "=":
         p.fail("expected '='")
     p.advance()
-    rhs = p.term()
+    rhs, _ = p.term()
     if p.peek() is not None:
         p.fail(f"unexpected token {p.peek()!r}")
     return Equation(lhs, rhs)

@@ -3,7 +3,8 @@ import pytest
 
 import qba
 from qba.algebra import AXIOM_LABELS, axiom_holds_at
-from qba.errors import AlgebraParseError, AlgebraSemanticError
+from qba.errors import (AlgebraParseError, AlgebraSemanticError,
+                        PreconditionViolated)
 
 TRIVIAL = """
 size 1
@@ -161,6 +162,16 @@ class TestQueries:
             assert all((x, x) in leq for x in a.elements())
             assert all((x, z) in leq
                        for (x, y) in leq for (y2, z) in leq if y == y2)
+
+    def test_quasi_leq_disagreement_is_typed_error(self, fx):
+        a = fx["4"]
+        ia = a.index_of("a")
+        meet = [list(row) for row in a.meet]
+        meet[a.zero][ia] = a.one  # 0 ^ a no longer equals 0 ^ 0
+        mutant = qba.FiniteAlgebra(a.names, a.join, tuple(map(tuple, meet)),
+                                   a.star, a.zero, a.one)
+        with pytest.raises(PreconditionViolated):
+            qba.quasi_leq(mutant, a.zero, ia)
 
     def test_quasi_leq_bounds(self, fx):
         for a in fx.values():

@@ -1,0 +1,237 @@
+"""The whole-row well-formedness checks in FiniteAlgebra and the one-pass
+cloud map in verify_structure against the per-element scans they replaced.
+
+The scans are kept here verbatim as oracles: every input must give the same
+exception type and message, and the same (claim, bool) list.
+"""
+import pytest
+
+import qba
+from qba.algebra import FiniteAlgebra, cloud_of, is_flat, regular_elements
+from qba.enumeration import enumerate_all, enumerate_flat, verify_structure
+from qba.errors import AlgebraSemanticError
+from qba.quotients import (boolean_algebra, direct_product, find_isomorphism,
+                           is_irreducible, make_flat, make_irreducible)
+
+
+def scan_well_formed(names, join, meet, star, zero, one):
+    """The per-element range and shape scan of FiniteAlgebra.__post_init__."""
+    n = len(names)
+    if n == 0:
+        raise AlgebraSemanticError("empty carrier")
+    if len(set(names)) != n:
+        raise AlgebraSemanticError("duplicate names")
+    if any(not nm or any(c.isspace() for c in nm) for nm in names):
+        raise AlgebraSemanticError("names must be non-empty and free of whitespace")
+    for table, what in ((join, "join"), (meet, "meet")):
+        if len(table) != n or any(len(row) != n for row in table):
+            raise AlgebraSemanticError(f"wrong table dimensions for {what}")
+        if any(not (0 <= v < n) for row in table for v in row):
+            raise AlgebraSemanticError(f"{what} entry out of range")
+    if len(star) != n:
+        raise AlgebraSemanticError("wrong table dimensions for star")
+    if any(not (0 <= v < n) for v in star):
+        raise AlgebraSemanticError("star entry out of range")
+    for c, what in ((zero, "zero"), (one, "one")):
+        if not (0 <= c < n):
+            raise AlgebraSemanticError(f"{what} out of range")
+
+
+def verify_structure_by_scan(a):
+    """verify_structure as it was, with cloud_of rescanning per call."""
+    results = []
+    regs = regular_elements(a)
+    reps = [a.join[x][x] for x in a.elements()]
+    clouds = {r: cloud_of(a, r) for r in regs}
+
+    covered = set()
+    for members in clouds.values():
+        covered |= members
+    results.append(("cloud-partition",
+                    covered == set(a.elements())
+                    and sum(len(m) for m in clouds.values()) == a.size
+                    and all(r in regs for r in reps)))
+    results.append(("cloud-single-regular",
+                    all(len(members & regs) == 1 for members in clouds.values())))
+    results.append(("star-cloud-image",
+                    all(frozenset(a.star[y] for y in clouds[r])
+                        == cloud_of(a, a.star[r]) for r in regs)))
+    results.append(("star-cloud-size",
+                    all(len(clouds[r]) == len(cloud_of(a, a.star[r]))
+                        for r in regs)))
+
+    if not is_flat(a):
+        results.append(("nonflat-star-free",
+                        all(a.star[x] != x for x in a.elements())))
+        results.append(("nonflat-complement-clouds-disjoint",
+                        all(not (clouds[r] & cloud_of(a, a.star[r]))
+                            for r in regs)))
+        results.append(("nonflat-regular-even", len(regs) % 2 == 0))
+        results.append(("nonflat-order-even", a.size % 2 == 0))
+        if is_irreducible(a) and a.size % 2 == 0:
+            half = a.size // 2
+            flat_factor = make_flat(half, 1 if half % 2 else 2)
+            two = boolean_algebra(1)
+            results.append((
+                "irreducible-product-form",
+                find_isomorphism(a, direct_product(two, flat_factor)) is not None))
+            if a.size % 4 == 2:
+                results.append((
+                    "irreducible-odd-flat-form",
+                    find_isomorphism(a, make_irreducible((a.size - 2) // 4))
+                    is not None))
+    else:
+        results.append(("flat-regulars-trivial", regs == frozenset((a.zero,))))
+        results.append(("flat-cloud-zero-whole",
+                        cloud_of(a, a.zero) == frozenset(a.elements())))
+        results.append(("flat-ops-zero",
+                        all(v == a.zero for row in a.join for v in row)
+                        and all(v == a.zero for row in a.meet for v in row)))
+        fixed = sum(1 for x in a.elements() if a.star[x] == x)
+        results.append(("flat-size-parity", (a.size - fixed) % 2 == 0))
+    return results
+
+
+def outcome(fn, *args):
+    try:
+        fn(*args)
+    except AlgebraSemanticError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def fields(a):
+    return [a.names, a.join, a.meet, a.star, a.zero, a.one]
+
+
+def with_cell(table, i, j, v):
+    rows = [list(row) for row in table]
+    rows[i][j] = v
+    return tuple(map(tuple, rows))
+
+
+def with_entry(row, j, v):
+    out = list(row)
+    out[j] = v
+    return tuple(out)
+
+
+def assert_same_outcome(args):
+    expected = outcome(scan_well_formed, *args)
+    assert outcome(FiniteAlgebra, *args) == expected, args
+
+
+def malformed_variants(a):
+    """Argument lists with one entry, row, name or constant broken."""
+    n = a.size
+    base = fields(a)
+    for bad in (-1, n, -5, n + 3):
+        for k in (1, 2):
+            for i in range(n):
+                for j in range(n):
+                    args = list(base)
+                    args[k] = with_cell(base[k], i, j, bad)
+                    yield args
+        for j in range(n):
+            args = list(base)
+            args[3] = with_entry(a.star, j, bad)
+            yield args
+        for k in (4, 5):
+            args = list(base)
+            args[k] = bad
+            yield args
+    for k in (1, 2):
+        table = base[k]
+        for i in range(n):
+            for row in (table[i][:-1], table[i] + (0,), ()):
+                args = list(base)
+                args[k] = table[:i] + (row,) + table[i + 1:]
+                yield args
+        for rows in (table[:-1], table + (table[0],)):
+            args = list(base)
+            args[k] = rows
+            yield args
+    for star in (a.star[:-1], a.star + (0,)):
+        args = list(base)
+        args[3] = star
+        yield args
+    for i in range(n):
+        args = list(base)
+        args[0] = a.names[:i] + ("",) + a.names[i + 1:]
+        yield args
+    # Two faults at once: the first check in order must win in both.
+    args = list(base)
+    args[1] = with_cell(a.join, 0, 0, -1)
+    args[2] = a.meet[:-1]
+    args[3] = with_entry(a.star, 0, n)
+    yield args
+
+
+class TestWellFormedness:
+    def test_fixtures_construct_in_both(self, fx):
+        for a in fx.values():
+            assert outcome(scan_well_formed, *fields(a)) is None
+
+    def test_malformed_tables_same_error(self, fx):
+        for a in fx.values():
+            for args in malformed_variants(a):
+                assert_same_outcome(args)
+
+    def test_every_whitespace_code_point_same_error(self, fx):
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+        assert len(spaces) > 20
+        base = fields(fx["4"])
+        for c in spaces:
+            for nm in (c, f"a{c}", f"{c}a", f"a{c}b", c * 3):
+                args = list(base)
+                args[0] = ("0", nm) + base[0][2:]
+                assert_same_outcome(args)
+
+    def test_no_other_code_point_is_whitespace_to_split(self):
+        # One name holding every code point for which isspace() is false
+        # (lone surrogates included) is accepted by both checks.
+        name = "".join(c for c in map(chr, range(0x110000)) if not c.isspace())
+        args = [(name,), ((0,),), ((0,),), (0,), 0, 0]
+        assert outcome(scan_well_formed, *args) is None
+        assert outcome(FiniteAlgebra, *args) is None
+
+
+def single_cell_mutants(a):
+    n = a.size
+    for k in (1, 2):
+        for i in range(n):
+            for j in range(n):
+                for v in range(n):
+                    if v != fields(a)[k][i][j]:
+                        args = fields(a)
+                        args[k] = with_cell(args[k], i, j, v)
+                        yield FiniteAlgebra(*args)
+    for j in range(n):
+        for v in range(n):
+            if v != a.star[j]:
+                args = fields(a)
+                args[3] = with_entry(a.star, j, v)
+                yield FiniteAlgebra(*args)
+
+
+class TestVerifyStructure:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_labeled_enumerate_all(self, n):
+        for a in enumerate_all(n, up_to_iso=False).iso_classes:
+            assert verify_structure(a) == verify_structure_by_scan(a)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_labeled_enumerate_flat(self, n):
+        for a in enumerate_flat(n, up_to_iso=False).iso_classes:
+            assert verify_structure(a) == verify_structure_by_scan(a)
+
+    def test_single_cell_mutants_of_fixtures(self, fx):
+        failing = 0
+        for name in qba.FIXTURE_NAMES:
+            for m in single_cell_mutants(fx[name]):
+                expected = verify_structure_by_scan(m)
+                assert verify_structure(m) == expected, (name, m.join, m.meet, m.star)
+                failing += not all(ok for _, ok in expected)
+        # The mutants reach the failing side of the claims, not only the
+        # passing one.
+        assert failing > 100

@@ -5,7 +5,7 @@ from pathlib import Path
 import qba
 from qba.cli import run
 
-FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+FIXDIR = Path(__file__).resolve().parent.parent / "src" / "qba" / "data"
 
 
 def fpath(name):
@@ -46,6 +46,14 @@ class TestExitCodes:
 
     def test_bad_equation_exits_2(self):
         assert run(["check", fpath("4"), "x \\/ = y"]).exit_code == 2
+
+    def test_deep_nesting_exits_2(self):
+        for term in ("(" * 1200 + "x" + ")" * 1200, "x" + "'" * 1200,
+                     " \\/ ".join(["x"] * 1200)):
+            for argv in (["decide", "--variety", "qb"], ["check", fpath("4")]):
+                result = run(argv + [f"{term} = x"])
+                assert result.exit_code == 2
+                assert result.output.startswith("error: ") and "nested deeper" in result.output
 
     def test_usage_error_exits_2(self):
         assert run(["quotient", fpath("4")]).exit_code == 2
@@ -215,15 +223,6 @@ class TestFileOutputs:
         assert files == [f"qba_n4_{i}.alg" for i in range(4)]
         for p in out.glob("*.alg"):
             assert qba.validate(qba.load_algebra(p.read_text())).passed
-
-
-class TestFixtureFiles:
-    def test_repo_copies_match_package_data(self):
-        from importlib import resources
-        for name in qba.FIXTURE_NAMES:
-            packaged = resources.files("qba.data").joinpath(f"{name}.alg")
-            assert (FIXDIR / f"{name}.alg").read_text() == \
-                packaged.read_text("utf-8")
 
 
 class TestMainEntry:

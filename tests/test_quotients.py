@@ -4,7 +4,8 @@ from itertools import permutations
 import pytest
 
 import qba
-from qba.errors import FlatInput, InvalidShape, NotACongruence
+from qba.errors import (FlatInput, InvalidShape, InvariantViolation,
+                        NotACongruence, PreconditionViolated)
 from qba.quotients import ElementMap, boolean_algebra
 
 
@@ -146,6 +147,15 @@ class TestIsHomomorphism:
         with pytest.raises(ValueError):
             qba.is_homomorphism(fx["4"], fx["4"], ElementMap(3, 4, (0, 1, 2)))
 
+    def test_one_not_preserved_is_typed_error(self, fx):
+        two = fx["2"]
+        # Claims 1 = 0 although 0* is the other element: the identity
+        # preserves join, meet, star and 0 into 2, but not 1.
+        broken = qba.FiniteAlgebra(two.names, two.join, two.meet, two.star,
+                                   zero=0, one=0)
+        with pytest.raises(PreconditionViolated):
+            qba.is_homomorphism(broken, two, ElementMap(2, 2, (0, 1)))
+
 
 class TestFindIsomorphism:
     def test_4_isomorphic_to_4bar(self, fx):
@@ -168,6 +178,11 @@ class TestFindIsomorphism:
 
     def test_size_mismatch(self, fx):
         assert qba.find_isomorphism(fx["4"], fx["6"]) is None
+
+    def test_non_bijective_result_is_typed_error(self, fx, monkeypatch):
+        monkeypatch.setattr(ElementMap, "is_bijective", property(lambda self: False))
+        with pytest.raises(InvariantViolation):
+            qba.find_isomorphism(fx["4"], fx["4bar"])
 
 
 class TestIrreducibility:
@@ -195,6 +210,11 @@ class TestConstructors:
         a = qba.make_flat(7, 3)
         assert a.star == (0, 1, 2, 4, 3, 6, 5)
         assert qba.validate(a).passed
+
+    @pytest.mark.parametrize("atoms", range(5))
+    def test_boolean_algebra_validates(self, atoms):
+        b = boolean_algebra(atoms)
+        assert b.size == 1 << atoms and qba.validate(b).passed
 
     def test_make_irreducible_1_is_fixture_6(self, fx):
         assert qba.find_isomorphism(qba.make_irreducible(1), fx["6"]) is not None

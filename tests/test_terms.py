@@ -3,8 +3,8 @@ import pytest
 
 import qba
 from qba.errors import EquationParseError, UnboundVariable
-from qba.terms import (Const, Equation, Join, Meet, Star, Var, decide,
-                       equation_corpus, eval_term, format_equation,
+from qba.terms import (MAX_DEPTH, Const, Equation, Join, Meet, Star, Var,
+                       decide, equation_corpus, eval_term, format_equation,
                        format_term, holds_in, parse_equation, parse_term,
                        variables)
 
@@ -76,6 +76,51 @@ class TestParser:
         assert parse_term("foo_Bar1") == Var("foo_Bar1")
         with pytest.raises(EquationParseError):
             parse_term("Foo")  # identifiers start lower-case
+
+
+def nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+def starred(depth):
+    return "x" + "'" * depth
+
+
+def chained(depth, op="\\/"):
+    return f" {op} ".join(["x"] * (depth + 1))
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("make", [nested, starred, chained])
+    def test_at_the_limit_parses_and_evaluates(self, make, fx):
+        t = parse_term(make(MAX_DEPTH))
+        assert parse_term(format_term(t)) == t
+        assert 0 <= eval_term(fx["4"], t, {"x": 1}) < 4
+
+    def test_parentheses_and_tree_depth_at_the_limit_together(self, fx):
+        text = "(" * MAX_DEPTH + starred(MAX_DEPTH) + ")" * MAX_DEPTH
+        t = parse_term(text)
+        assert eval_term(fx["4"], t, {"x": 1}) == 1
+
+    def test_one_past_the_limit_is_refused_at_the_offender(self):
+        cases = [
+            (nested(MAX_DEPTH + 1), MAX_DEPTH, "parentheses"),
+            (starred(MAX_DEPTH + 1), MAX_DEPTH + 1, "term"),
+            (chained(MAX_DEPTH + 1), 5 * MAX_DEPTH + 2, "term"),
+            (chained(MAX_DEPTH + 1, "/\\"), 5 * MAX_DEPTH + 2, "term"),
+            # The deep operand sits on the right of a shallow join.
+            ("x \\/ " + starred(MAX_DEPTH), 2, "term"),
+        ]
+        for text, position, what in cases:
+            with pytest.raises(EquationParseError) as err:
+                parse_term(text)
+            assert err.value.position == position, text[:20]
+            assert str(err.value).startswith(f"{what}") and str(MAX_DEPTH) in str(err.value)
+
+    @pytest.mark.parametrize("make", [nested, starred, chained])
+    def test_far_past_the_limit_is_a_parse_error(self, make):
+        with pytest.raises(EquationParseError):
+            parse_equation(make(1200) + " = x")
 
 
 class TestFormatting:
