@@ -18,12 +18,17 @@ from .errors import (AlgebraParseError, AlgebraSemanticError,
                      PreconditionViolated)
 
 
+def _all_ints(values) -> bool:
+    """isinstance(v, int) for every v, without a Python-level loop."""
+    return all(map(int.__instancecheck__, values))
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """Immutable operation tables over the carrier {0, ..., n-1}.
 
-    Construction checks well-formedness (entry ranges, distinct names) but
-    not the axioms; run :func:`validate` for those.
+    Construction checks well-formedness (integer entries in range, distinct
+    names) but not the axioms; run :func:`validate` for those.
     """
 
     names: tuple[str, ...]
@@ -48,16 +53,26 @@ class FiniteAlgebra:
         for table, what in ((self.join, "join"), (self.meet, "meet")):
             if len(table) != n or set(map(len, table)) != {n}:
                 raise AlgebraSemanticError(f"wrong table dimensions for {what}")
-            # Each distinct entry is range-checked once; enumerated
-            # algebras share rows, so the union is small.
-            entries = set().union(*table)
+            # Each distinct entry is type- and range-checked once;
+            # enumerated algebras share rows, so the union is small.
+            try:
+                entries = set().union(*table)
+            except TypeError:  # an unhashable entry
+                raise AlgebraSemanticError(
+                    f"{what} entry is not an integer") from None
+            if not _all_ints(entries):
+                raise AlgebraSemanticError(f"{what} entry is not an integer")
             if min(entries) < 0 or max(entries) >= n:
                 raise AlgebraSemanticError(f"{what} entry out of range")
         if len(self.star) != n:
             raise AlgebraSemanticError("wrong table dimensions for star")
+        if not _all_ints(self.star):
+            raise AlgebraSemanticError("star entry is not an integer")
         if min(self.star) < 0 or max(self.star) >= n:
             raise AlgebraSemanticError("star entry out of range")
         for c, what in ((self.zero, "zero"), (self.one, "one")):
+            if not isinstance(c, int):
+                raise AlgebraSemanticError(f"{what} is not an integer")
             if not (0 <= c < n):
                 raise AlgebraSemanticError(f"{what} out of range")
 

@@ -19,12 +19,13 @@ from .algebra import (FiniteAlgebra, algebra_to_dict, cloud_map, dump_algebra,
 from .congruences import (CongruenceDecomposition, all_congruences,
                           compose_flat, compose_nonflat, decompose,
                           extend_from_subalgebra, generated_congruence,
-                          subalgebra)
+                          split_congruence, subalgebra)
 from .enumeration import enumerate_all, enumerate_flat
 from .errors import QbaError
 from .partitions import (Partition, format_partition, pair_closure_gaps,
                          parse_partition)
-from .quotients import (chi, direct_product, find_isomorphism, quotient, tau)
+from .quotients import (chi, direct_product, find_isomorphism, is_irreducible,
+                        quotient, tau)
 from .terms import Verdict, decide, holds_in, parse_equation
 
 
@@ -85,8 +86,7 @@ def _cmd_info(args) -> CommandResult:
     report = validate(a)
     regs = sorted(regular_elements(a))
     clouds = sorted(cloud_map(a).values(), key=min)
-    irreducible = (not is_flat(a)
-                   and regular_elements(a) == frozenset((a.zero, a.one)))
+    irreducible = None if is_flat(a) else is_irreducible(a)
     lines = [
         f"algebra {a.label or '(unnamed)'}: {a.size} elements",
         f"names: {' '.join(a.names)}",
@@ -107,7 +107,7 @@ def _cmd_info(args) -> CommandResult:
                "passed": report.passed, "flat": is_flat(a),
                "regular": [a.names[x] for x in regs],
                "clouds": [[a.names[x] for x in sorted(c)] for c in clouds],
-               "irreducible": None if is_flat(a) else irreducible,
+               "irreducible": irreducible,
                "trivial": a.size == 1}
     return CommandResult(0, _emit(payload, "\n".join(lines), args.json))
 
@@ -216,7 +216,6 @@ def _cmd_extend(args) -> CommandResult:
 
 
 def _cmd_split(args) -> CommandResult:
-    from .congruences import split_congruence
     a = _load(args.algebra)
     theta = parse_partition(a, args.cong)
     t1, t2 = split_congruence(a, theta)

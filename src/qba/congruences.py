@@ -10,14 +10,14 @@ parts reassemble into a congruence.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, cloud_of, is_flat, regular_elements
 from .errors import (ConditionC1Violated, ConditionC2Violated,
-                     ConditionC3Violated, FlatInput, LemmaViolation,
-                     NoExtensionFound, NotACongruence, NotASubalgebra,
-                     NotFlat, PreconditionViolated, NotStarClosed, TooLarge)
+                     ConditionC3Violated, FlatInput, InvariantViolation,
+                     LemmaViolation, NoExtensionFound, NotACongruence,
+                     NotASubalgebra, NotFlat, PreconditionViolated,
+                     NotStarClosed, TooLarge)
 from .partitions import (Partition, UnionFind, is_congruence,
                          pair_closure_gaps)
 from .quotients import chi, quotient, tau
@@ -165,10 +165,9 @@ def extend_from_subalgebra(a: FiniteAlgebra, q0, theta0: Partition) -> Partition
     """Extend a congruence on a subalgebra to the whole algebra.
 
     Returns the minimal extension (the generated closure of the pairs) and
-    checks that its restriction to the subalgebra gives back theta0. If the
-    minimal closure ever failed to restrict correctly, the congruence list
-    would be searched for an extension; finding none would refute the
-    congruence extension property.
+    checks that its restriction to the subalgebra gives back theta0. Any
+    congruence restricting to theta0 contains the seed and hence the
+    closure, so if the closure fails to restrict, no congruence does.
     """
     subset = sorted(set(q0))
     sub = subalgebra(a, subset)
@@ -178,13 +177,9 @@ def extend_from_subalgebra(a: FiniteAlgebra, q0, theta0: Partition) -> Partition
         raise NotACongruence("theta0 is not a congruence on the subalgebra")
     seed = [(subset[x], subset[y]) for x, y in theta0.as_pairs() if x < y]
     ext = generated_congruence(a, seed)
-    if ext.restrict(subset) == theta0:
-        return ext
-    warnings.warn("minimal closure failed to restrict; searching all congruences")
-    for cand in all_congruences(a):
-        if cand.restrict(subset) == theta0:
-            return cand
-    raise NoExtensionFound("no congruence restricts to the given one")
+    if ext.restrict(subset) != theta0:
+        raise NoExtensionFound("no congruence restricts to the given one")
+    return ext
 
 
 def split_congruence(a: FiniteAlgebra, theta: Partition
@@ -204,7 +199,8 @@ def split_congruence(a: FiniteAlgebra, theta: Partition
     pairs = [(x, y) for x, y in theta.as_pairs() if x < y]
     theta1 = Partition.from_pairs(qchi.size, [(pchi(x), pchi(y)) for x, y in pairs])
     theta2 = Partition.from_pairs(qtau.size, [(ptau(x), ptau(y)) for x, y in pairs])
-    assert is_congruence(qchi, theta1) and is_congruence(qtau, theta2)
+    if not (is_congruence(qchi, theta1) and is_congruence(qtau, theta2)):
+        raise NotACongruence("a projection of theta is not a congruence")
     for x in a.elements():
         for y in a.elements():
             both = (theta1.relates(pchi(x), pchi(y))
@@ -247,9 +243,12 @@ def principal_congruence_nonflat(a: FiniteAlgebra, theta_r: Partition,
     extra = {(x, y), (y, x), (a.star[x], a.star[y]), (a.star[y], a.star[x])}
     union = diag | reg_pairs | extra
     result = Partition.from_pairs(a.size, union)
-    assert result.as_pairs() == frozenset(union), "stated union is not transitive"
-    assert is_congruence(a, result)
-    assert result == generated_congruence(a, list(reg_pairs) + [(x, y)])
+    if result.as_pairs() != frozenset(union):
+        raise InvariantViolation("stated union is not transitive")
+    if not is_congruence(a, result):
+        raise NotACongruence("stated union is not a congruence")
+    if result != generated_congruence(a, list(reg_pairs) + [(x, y)]):
+        raise InvariantViolation("stated union is not the least congruence")
     return result
 
 
@@ -282,12 +281,15 @@ def principal_congruence_flat(a: FiniteAlgebra, x: int, y: int) -> Partition:
     union.update(extra)
     union.update((q, p) for p, q in extra)
     result = Partition.from_pairs(a.size, union)
-    assert result.as_pairs() == frozenset(union), "stated union is not transitive"
-    assert is_congruence(a, result)
+    if result.as_pairs() != frozenset(union):
+        raise InvariantViolation("stated union is not transitive")
+    if not is_congruence(a, result):
+        raise NotACongruence("stated union is not a congruence")
     gen = generated_congruence(a, [(x, y)])
-    assert gen.refines(result)
-    if len({x, y, sx, sy}) < 4:
-        assert result == gen
+    if not gen.refines(result):
+        raise InvariantViolation("least congruence is not below the union")
+    if len({x, y, sx, sy}) < 4 and result != gen:
+        raise InvariantViolation("stated union is not the least congruence")
     return result
 
 
@@ -307,7 +309,8 @@ def compose_flat(a: FiniteAlgebra, theta_ir: Partition) -> Partition:
             raise NotStarClosed(f"star image of block {block} is not a block")
     blocks = [[a.zero]] + [[irs[i] for i in block] for block in theta_ir.blocks]
     result = Partition.from_blocks(a.size, blocks)
-    assert is_congruence(a, result)
+    if not is_congruence(a, result):
+        raise NotACongruence("composed partition is not a congruence")
     return result
 
 
@@ -417,9 +420,11 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
     union.update((regs[p], regs[q]) for p, q in d.theta_r.as_pairs())
     union.update((irs[p], irs[q]) for p, q in d.theta_ir.as_pairs())
     union.update(expected)
-    assert not pair_closure_gaps(a.size, union), "assembled union not transitive"
+    if pair_closure_gaps(a.size, union):
+        raise InvariantViolation("assembled union not transitive")
     result = Partition.from_pairs(a.size, union)
-    assert is_congruence(a, result)
+    if not is_congruence(a, result):
+        raise NotACongruence("assembled union is not a congruence")
     return result
 
 
@@ -460,7 +465,8 @@ def decompose(a: FiniteAlgebra, theta: Partition) -> CongruenceDecomposition:
         f=tuple(sorted(fmap.items())),
         cross=cross,
     )
-    assert compose_nonflat(a, d) == theta, "decomposition failed to round-trip"
+    if compose_nonflat(a, d) != theta:
+        raise InvariantViolation("decomposition failed to round-trip")
     return d
 
 

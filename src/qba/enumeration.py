@@ -1,12 +1,12 @@
 """Exhaustive generation of small QB-algebras and structure verification.
 
-Flat algebras on a labeled carrier are exactly: all joins and meets zero,
-1 = 0, star an involution fixing 0, so they are enumerated as involutions.
-General algebras are assembled from their forced shape: a Boolean algebra
-on the regular elements, an assignment of irregulars to clouds, and a star
-pairing between complementary clouds. The binary tables follow from
-x v y = (x v x) v (y v y), and every emitted algebra still has to pass the
-full axiom check.
+Every algebra is built from its structure, not searched for: a Boolean
+algebra on 2^k regular elements, an assignment of the irregulars
+to clouds (complementary clouds of equal size), and a star mapping each
+cloud bijectively onto the complementary one. The binary tables follow
+from x v y = (x v x) v (y v y). Flat algebras are the case k = 0, where
+the star is an involution of the one cloud. The construction yields only
+valid algebras, so no axiom check runs here; the tests check that.
 """
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator
 
-from .algebra import (FiniteAlgebra, cloud_map, is_flat, regular_elements,
-                      validate)
+from .algebra import FiniteAlgebra, cloud_map, is_flat, regular_elements
 from .errors import TooLarge
 from .quotients import (boolean_algebra, direct_product, find_isomorphism,
                         is_irreducible, make_flat, make_irreducible)
@@ -68,17 +67,64 @@ def _generic_names(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(f"x{i}" for i in range(1, n))
 
 
-def _flat_labeled(n: int) -> Iterator[FiniteAlgebra]:
-    """Every flat algebra on {0..n-1}, one per involution of 1..n-1. All of
-    them share one names tuple and one all-zero table."""
+def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
+    """Every algebra on {0..n-1} with zero at index 0 and 2^k regular
+    elements, each once.
+
+    img[i] is the regular element for the subset i of the k atoms; the
+    atoms img[1], img[2], img[4], ... increase, which keeps one labeling
+    per permutation of the atoms. Each irregular x gets a cloud rep[x],
+    clouds s and s ^ top have equal sizes, and the tables follow from
+    x v y = (x v x) v (y v y). For k = 0 (the flat case) the stars come
+    in the order of _involutions on 1..n-1.
+    """
     names = _generic_names(n)
-    zeros = ((0,) * n,) * n
-    for inv in _involutions(tuple(range(1, n))):
+    top = (1 << k) - 1
+    for p in permutations(range(1, n), top):
+        img = (0,) + p
+        if any(img[1 << i] > img[2 << i] for i in range(k - 1)):
+            continue
+        rep = [0] * n
         star = [0] * n
-        for x, y in inv.items():
-            star[x] = y
-        yield FiniteAlgebra(names=names, join=zeros, meet=zeros,
-                            star=tuple(star), zero=0, one=0)
+        for s, r in enumerate(img):
+            rep[r], star[r] = s, img[s ^ top]
+        irregulars = [x for x in range(n) if x not in img]
+        for clouds in product(range(top + 1), repeat=len(irregulars)):
+            members: list[list[int]] = [[] for _ in range(top + 1)]
+            for x, s in zip(irregulars, clouds):
+                rep[x] = s
+                members[s].append(x)
+            if any(len(members[s]) != len(members[s ^ top])
+                   for s in range(top + 1)):
+                continue
+            joins = [tuple(img[s | t] for t in rep) for s in range(top + 1)]
+            meets = [tuple(img[s & t] for t in rep) for s in range(top + 1)]
+            join = tuple(joins[s] for s in rep)
+            meet = tuple(meets[s] for s in rep)
+            for st in _stars(star, members, top, 0):
+                yield FiniteAlgebra(names=names, join=join, meet=meet,
+                                    star=st, zero=0, one=img[top])
+
+
+def _stars(star: list[int], members: list[list[int]], top: int,
+           s: int) -> Iterator[tuple[int, ...]]:
+    """Fill the star on the irregulars one cloud pair (s, s ^ top) at a
+    time, from s to the last pair top >> 1: an involution of the cloud when
+    s ^ top == s, else a bijection onto the complementary cloud."""
+    src, dst = members[s], members[s ^ top]
+    if s == s ^ top:
+        maps = _involutions(tuple(src))
+    else:
+        maps = (dict(zip((*src, *perm), (*perm, *src)))
+                for perm in permutations(dst))
+    last = s == top >> 1
+    for m in maps:
+        for u, v in m.items():
+            star[u] = v
+        if last:
+            yield tuple(star)
+        else:
+            yield from _stars(star, members, top, s + 1)
 
 
 def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
@@ -96,102 +142,11 @@ def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
         algebras = tuple(make_flat(n, k)
                          for k in range(1 if n % 2 else 2, n + 1, 2))
     else:
-        algebras = tuple(_flat_labeled(n))
+        algebras = tuple(_labeled(n, 0))
     violations = _collect_violations(algebras)
     return EnumerationReport(size=n, flat_only=True, up_to_iso=up_to_iso,
                              total_labeled=total, iso_classes=algebras,
                              violations=violations)
-
-
-def _boolean_tables(regs: list[int], zero: int, one: int):
-    """Join/meet/star tables on a regular set that admits a Boolean
-    structure with the given bounds, or None.
-
-    For sizes 2 and 4 (all that fit under the guard) the structure is
-    unique: with four elements the two non-bound elements are complementary
-    atoms.
-    """
-    rset = set(regs)
-    if len(rset) == 2:
-        join = {(zero, zero): zero, (zero, one): one,
-                (one, zero): one, (one, one): one}
-        meet = {(zero, zero): zero, (zero, one): zero,
-                (one, zero): zero, (one, one): one}
-        return join, meet, {zero: one, one: zero}
-    if len(rset) == 4:
-        s, t = sorted(rset - {zero, one})
-        join, meet = {}, {}
-        for x in rset:
-            for y in rset:
-                join[(x, y)] = _b4_join(x, y, zero, one)
-                meet[(x, y)] = _b4_meet(x, y, zero, one)
-        return join, meet, {zero: one, one: zero, s: t, t: s}
-    return None
-
-
-def _b4_join(x, y, zero, one):
-    if x == zero:
-        return y
-    if y == zero:
-        return x
-    if x == y:
-        return x
-    return one
-
-
-def _b4_meet(x, y, zero, one):
-    if x == one:
-        return y
-    if y == one:
-        return x
-    if x == y:
-        return x
-    return zero
-
-
-def _nonflat_labeled(n: int) -> Iterator[FiniteAlgebra]:
-    """All valid non-flat algebras on {0..n-1} with the zero constant at
-    index 0."""
-    names = _generic_names(n)
-    carrier = list(range(n))
-    for one in range(1, n):
-        fixed = {0, one}
-        others = [x for x in carrier if x not in fixed]
-        for mask in range(1 << len(others)):
-            regs = sorted(fixed | {x for i, x in enumerate(others) if mask >> i & 1})
-            tables = _boolean_tables(regs, 0, one)
-            if tables is None:
-                continue
-            join_r, meet_r, star_r = tables
-            irregulars = [x for x in carrier if x not in set(regs)]
-            for assignment in product(regs, repeat=len(irregulars)):
-                rep = {x: x for x in regs}
-                rep.update(zip(irregulars, assignment))
-                members: dict[int, list[int]] = {r: [] for r in regs}
-                for x, r in zip(irregulars, assignment):
-                    members[r].append(x)
-                if any(len(members[r]) != len(members[star_r[r]]) for r in regs):
-                    continue
-                pairs = [(r, star_r[r]) for r in regs if r < star_r[r]]
-                choices = [list(permutations(members[rb])) for _, rb in pairs]
-                for combo in product(*choices):
-                    star = {r: star_r[r] for r in regs}
-                    for (ra, _), perm in zip(pairs, combo):
-                        for u, v in zip(members[ra], perm):
-                            star[u] = v
-                            star[v] = u
-                    join = tuple(
-                        tuple(join_r[(rep[x], rep[y])] for y in carrier)
-                        for x in carrier)
-                    meet = tuple(
-                        tuple(meet_r[(rep[x], rep[y])] for y in carrier)
-                        for x in carrier)
-                    alg = FiniteAlgebra(
-                        names=names, join=join, meet=meet,
-                        star=tuple(star[x] for x in carrier),
-                        zero=0, one=one)
-                    if validate(alg).passed:
-                        yield alg
 
 
 def iso_signature(a: FiniteAlgebra) -> tuple:
@@ -226,8 +181,7 @@ def enumerate_all(n: int, up_to_iso: bool = True) -> EnumerationReport:
         raise ValueError("size must be positive")
     if n > MAX_ALL:
         raise TooLarge(f"general enumeration is guarded at {MAX_ALL}")
-    labeled = [a for a in _flat_labeled(n) if validate(a).passed]
-    labeled.extend(_nonflat_labeled(n))
+    labeled = [a for k in range(n.bit_length()) for a in _labeled(n, k)]
     labeled.sort(key=lambda a: (a.one, a.join, a.meet, a.star))
     total = len(labeled)
     if up_to_iso:

@@ -29,7 +29,7 @@ from itertools import product
 from typing import Mapping, Union
 
 from .algebra import FiniteAlgebra
-from .errors import EquationParseError, UnboundVariable
+from .errors import EquationParseError, InvariantViolation, UnboundVariable
 from .fixtures import fixture
 
 
@@ -89,7 +89,8 @@ class Verdict:
     witness: Witness | None = None
 
     def __post_init__(self):
-        assert self.valid == (self.witness is None)
+        if self.valid != (self.witness is None):
+            raise InvariantViolation("a verdict has a witness iff it is invalid")
 
 
 MAX_DEPTH = 100

@@ -92,6 +92,26 @@ class TestLoading:
         assert qba.is_flat(a)
 
 
+class TestEntryTypes:
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", None, [1]])
+    @pytest.mark.parametrize("where", ["join", "meet", "star", "zero", "one"])
+    def test_non_integer_is_semantic_error(self, fx, where, bad):
+        a = fx["4"]
+        args = {"names": a.names, "join": a.join, "meet": a.meet,
+                "star": a.star, "zero": a.zero, "one": a.one}
+        if where in ("join", "meet"):
+            row = args[where][1]
+            args[where] = ((args[where][0], row[:2] + (bad,) + row[3:])
+                           + args[where][2:])
+        elif where == "star":
+            args["star"] = a.star[:2] + (bad,) + a.star[3:]
+        else:
+            args[where] = bad
+        with pytest.raises(AlgebraSemanticError,
+                           match=f"^{where}( entry)? is not an integer$"):
+            qba.FiniteAlgebra(**args)
+
+
 class TestValidate:
     def test_all_fixtures_pass(self, fx):
         for name, a in fx.items():

@@ -1,14 +1,21 @@
-"""The whole-row well-formedness checks in FiniteAlgebra and the one-pass
-cloud map in verify_structure against the per-element scans they replaced.
+"""The whole-row well-formedness checks in FiniteAlgebra, the one-pass
+cloud map in verify_structure and the structure-built labeled generator
+against the code they replaced.
 
-The scans are kept here verbatim as oracles: every input must give the same
-exception type and message, and the same (claim, bool) list.
+The old scans and generators are kept here verbatim as oracles: every input
+must give the same exception type and message, the same (claim, bool) list
+and the same labeled algebras.
 """
+from itertools import permutations, product
+from typing import Iterator
+
 import pytest
 
 import qba
-from qba.algebra import FiniteAlgebra, cloud_of, is_flat, regular_elements
-from qba.enumeration import enumerate_all, enumerate_flat, verify_structure
+from qba.algebra import (FiniteAlgebra, cloud_of, is_flat, regular_elements,
+                         validate)
+from qba.enumeration import (_generic_names, _involutions, _labeled,
+                             enumerate_all, enumerate_flat, verify_structure)
 from qba.errors import AlgebraSemanticError
 from qba.quotients import (boolean_algebra, direct_product, find_isomorphism,
                            is_irreducible, make_flat, make_irreducible)
@@ -235,3 +242,135 @@ class TestVerifyStructure:
         # The mutants reach the failing side of the claims, not only the
         # passing one.
         assert failing > 100
+
+
+# The labeled generators that _labeled replaced, verbatim.
+
+def _flat_labeled(n: int) -> Iterator[FiniteAlgebra]:
+    """Every flat algebra on {0..n-1}, one per involution of 1..n-1. All of
+    them share one names tuple and one all-zero table."""
+    names = _generic_names(n)
+    zeros = ((0,) * n,) * n
+    for inv in _involutions(tuple(range(1, n))):
+        star = [0] * n
+        for x, y in inv.items():
+            star[x] = y
+        yield FiniteAlgebra(names=names, join=zeros, meet=zeros,
+                            star=tuple(star), zero=0, one=0)
+
+
+def _boolean_tables(regs: list[int], zero: int, one: int):
+    """Join/meet/star tables on a regular set that admits a Boolean
+    structure with the given bounds, or None.
+
+    For sizes 2 and 4 (all that fit under the guard) the structure is
+    unique: with four elements the two non-bound elements are complementary
+    atoms.
+    """
+    rset = set(regs)
+    if len(rset) == 2:
+        join = {(zero, zero): zero, (zero, one): one,
+                (one, zero): one, (one, one): one}
+        meet = {(zero, zero): zero, (zero, one): zero,
+                (one, zero): zero, (one, one): one}
+        return join, meet, {zero: one, one: zero}
+    if len(rset) == 4:
+        s, t = sorted(rset - {zero, one})
+        join, meet = {}, {}
+        for x in rset:
+            for y in rset:
+                join[(x, y)] = _b4_join(x, y, zero, one)
+                meet[(x, y)] = _b4_meet(x, y, zero, one)
+        return join, meet, {zero: one, one: zero, s: t, t: s}
+    return None
+
+
+def _b4_join(x, y, zero, one):
+    if x == zero:
+        return y
+    if y == zero:
+        return x
+    if x == y:
+        return x
+    return one
+
+
+def _b4_meet(x, y, zero, one):
+    if x == one:
+        return y
+    if y == one:
+        return x
+    if x == y:
+        return x
+    return zero
+
+
+def _nonflat_labeled(n: int) -> Iterator[FiniteAlgebra]:
+    """All valid non-flat algebras on {0..n-1} with the zero constant at
+    index 0."""
+    names = _generic_names(n)
+    carrier = list(range(n))
+    for one in range(1, n):
+        fixed = {0, one}
+        others = [x for x in carrier if x not in fixed]
+        for mask in range(1 << len(others)):
+            regs = sorted(fixed | {x for i, x in enumerate(others) if mask >> i & 1})
+            tables = _boolean_tables(regs, 0, one)
+            if tables is None:
+                continue
+            join_r, meet_r, star_r = tables
+            irregulars = [x for x in carrier if x not in set(regs)]
+            for assignment in product(regs, repeat=len(irregulars)):
+                rep = {x: x for x in regs}
+                rep.update(zip(irregulars, assignment))
+                members: dict[int, list[int]] = {r: [] for r in regs}
+                for x, r in zip(irregulars, assignment):
+                    members[r].append(x)
+                if any(len(members[r]) != len(members[star_r[r]]) for r in regs):
+                    continue
+                pairs = [(r, star_r[r]) for r in regs if r < star_r[r]]
+                choices = [list(permutations(members[rb])) for _, rb in pairs]
+                for combo in product(*choices):
+                    star = {r: star_r[r] for r in regs}
+                    for (ra, _), perm in zip(pairs, combo):
+                        for u, v in zip(members[ra], perm):
+                            star[u] = v
+                            star[v] = u
+                    join = tuple(
+                        tuple(join_r[(rep[x], rep[y])] for y in carrier)
+                        for x in carrier)
+                    meet = tuple(
+                        tuple(meet_r[(rep[x], rep[y])] for y in carrier)
+                        for x in carrier)
+                    alg = FiniteAlgebra(
+                        names=names, join=join, meet=meet,
+                        star=tuple(star[x] for x in carrier),
+                        zero=0, one=one)
+                    if validate(alg).passed:
+                        yield alg
+
+
+def tables(a):
+    return (a.names, a.join, a.meet, a.star, a.zero, a.one)
+
+
+class TestLabeledGenerator:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_algebras_as_old_generators(self, n):
+        old = [a for a in _flat_labeled(n) if validate(a).passed]
+        old.extend(_nonflat_labeled(n))
+        new = [a for k in range(n.bit_length()) for a in _labeled(n, k)]
+        assert sorted(map(tables, new)) == sorted(map(tables, old))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_flat_order_as_old_generator(self, n):
+        assert (list(map(tables, _labeled(n, 0)))
+                == list(map(tables, _flat_labeled(n))))
+
+    def test_three_atoms_beyond_the_oracle(self):
+        # One labeling per Boolean algebra on 8 points with zero at 0:
+        # 7! placements of the nonzero elements over 3! atom orders.
+        algebras = list(_labeled(8, 3))
+        assert len(algebras) == 840
+        assert len(set(map(tables, algebras))) == 840
+        assert all(validate(a).passed for a in algebras)

@@ -1,13 +1,16 @@
 """Congruence enumeration, generation, extension, splitting and the
 regular/irregular decomposition."""
+import warnings
+
 import pytest
 
 import qba
+import qba.congruences
 from qba.congruences import CongruenceDecomposition
 from qba.errors import (ConditionC1Violated, ConditionC2Violated,
-                        ConditionC3Violated, FlatInput, NotACongruence,
-                        NotASubalgebra, NotFlat, PreconditionViolated,
-                        NotStarClosed, TooLarge)
+                        ConditionC3Violated, FlatInput, InvariantViolation,
+                        NoExtensionFound, NotACongruence, NotASubalgebra,
+                        NotFlat, PreconditionViolated, NotStarClosed, TooLarge)
 from qba.partitions import Partition
 
 
@@ -160,6 +163,25 @@ class TestExtendFromSubalgebra:
             return
         # "0,a;b;1" is not a congruence of the copy of 4, so we must not get here
         raise AssertionError(f"expected rejection, got {ext}")
+
+    def test_no_extension_raises_without_search(self, fx):
+        # A mutant of 6 (join[0][a] = f) on which the closure of the pairs
+        # of theta0 does not restrict back to theta0; then no congruence
+        # does, so the error comes straight from the closure.
+        a = fx["6"]
+        row = a.join[0][:1] + (3,) + a.join[0][2:]
+        m = qba.FiniteAlgebra(a.names, (row,) + a.join[1:], a.meet, a.star,
+                              a.zero, a.one)
+        subset = [0, 2, 3, 5]  # 0, e, f, 1
+        theta0 = Partition.from_blocks(4, [[0, 1], [2, 3]])
+        assert qba.generated_congruence(
+            m, [(0, 2), (3, 5)]).restrict(subset) != theta0
+        assert not any(c.restrict(subset) == theta0
+                       for c in qba.all_congruences(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoExtensionFound):
+                qba.extend_from_subalgebra(m, subset, theta0)
 
     def test_cep_on_all_fixtures(self, fx, congruence_cache):
         for a in fx.values():
@@ -459,3 +481,19 @@ class TestDecompose:
         a = fx["4"]
         with pytest.raises(NotACongruence):
             qba.decompose(a, part(a, "0,a;b;1"))
+
+
+class TestConstructionChecks:
+    """The re-checks of results that hold by construction raise typed
+    errors; a stand-in for a faulty helper makes them fire."""
+
+    def test_compose_flat_rechecks_compatibility(self, fx, monkeypatch):
+        monkeypatch.setattr(qba.congruences, "is_congruence", lambda a, p: False)
+        with pytest.raises(NotACongruence):
+            qba.compose_flat(fx["F3"], Partition.singletons(2))
+
+    def test_decompose_rechecks_the_round_trip(self, fx, monkeypatch):
+        monkeypatch.setattr(qba.congruences, "compose_nonflat",
+                            lambda a, d: Partition.whole(a.size))
+        with pytest.raises(InvariantViolation):
+            qba.decompose(fx["6"], Partition.singletons(6))

@@ -2,8 +2,9 @@
 import pytest
 
 import qba
-from qba.enumeration import (dedupe_up_to_iso, enumerate_all, enumerate_flat,
-                             involution_count, iso_signature, verify_structure)
+from qba.enumeration import (MAX_ALL, dedupe_up_to_iso, enumerate_all,
+                             enumerate_flat, involution_count, iso_signature,
+                             verify_structure)
 from qba.errors import TooLarge
 from qba.quotients import boolean_algebra
 
@@ -103,7 +104,9 @@ class TestEnumerateAll:
         assert found_6 and found_A
 
     def test_every_emit_validates(self):
-        for n in range(1, 6):
+        # enumerate_all runs no axiom check; this one covers every size
+        # its guard admits.
+        for n in range(1, MAX_ALL + 1):
             for a in enumerate_all(n, up_to_iso=False).iso_classes:
                 assert qba.validate(a).passed
 

@@ -2,11 +2,11 @@
 import pytest
 
 import qba
-from qba.errors import EquationParseError, UnboundVariable
+from qba.errors import EquationParseError, InvariantViolation, UnboundVariable
 from qba.terms import (MAX_DEPTH, Const, Equation, Join, Meet, Star, Var,
-                       decide, equation_corpus, eval_term, format_equation,
-                       format_term, holds_in, parse_equation, parse_term,
-                       variables)
+                       Verdict, Witness, decide, equation_corpus, eval_term,
+                       format_equation, format_term, holds_in, parse_equation,
+                       parse_term, variables)
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -182,6 +182,15 @@ class TestHoldsIn:
     def test_closed_equation(self, fx):
         v = holds_in(fx["4"], parse_equation("0 = 1"))
         assert not v.valid and v.witness.assignment == ()
+
+
+class TestVerdict:
+    def test_witness_exactly_when_invalid(self):
+        w = Witness((("x", "a"),), "a", "1", "4")
+        with pytest.raises(InvariantViolation):
+            Verdict(valid=True, witness=w)
+        with pytest.raises(InvariantViolation):
+            Verdict(valid=False)
 
 
 class TestDecide:
