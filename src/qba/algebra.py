@@ -40,18 +40,30 @@ class FiniteAlgebra:
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
-        n = len(self.names)
+        try:
+            n = len(self.names)
+            distinct = len(set(self.names))
+        except TypeError:  # not a sequence, or an unhashable name
+            raise AlgebraSemanticError("names must be strings") from None
         if n == 0:
             raise AlgebraSemanticError("empty carrier")
-        if len(set(self.names)) != n:
+        if distinct != n:
             raise AlgebraSemanticError("duplicate names")
         # str.split() cuts at exactly the characters for which isspace() is
         # true, so a name survives it unchanged iff it is non-empty and
         # free of whitespace.
-        if any(nm.split() != [nm] for nm in self.names):
+        try:
+            spaced = any(nm.split() != [nm] for nm in self.names)
+        except AttributeError:  # a name that is not a string
+            raise AlgebraSemanticError("names must be strings") from None
+        if spaced:
             raise AlgebraSemanticError("names must be non-empty and free of whitespace")
         for table, what in ((self.join, "join"), (self.meet, "meet")):
-            if len(table) != n or set(map(len, table)) != {n}:
+            try:
+                shaped = len(table) == n and set(map(len, table)) == {n}
+            except TypeError:  # a table or a row without a length
+                shaped = False
+            if not shaped:
                 raise AlgebraSemanticError(f"wrong table dimensions for {what}")
             # Each distinct entry is type- and range-checked once;
             # enumerated algebras share rows, so the union is small.
@@ -64,7 +76,11 @@ class FiniteAlgebra:
                 raise AlgebraSemanticError(f"{what} entry is not an integer")
             if min(entries) < 0 or max(entries) >= n:
                 raise AlgebraSemanticError(f"{what} entry out of range")
-        if len(self.star) != n:
+        try:
+            shaped = len(self.star) == n
+        except TypeError:  # a star without a length
+            shaped = False
+        if not shaped:
             raise AlgebraSemanticError("wrong table dimensions for star")
         if not _all_ints(self.star):
             raise AlgebraSemanticError("star entry is not an integer")

@@ -8,6 +8,7 @@ All element references on the command line use names, never indices.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -282,8 +283,8 @@ def _cmd_compose(args) -> CommandResult:
                 left, sep, right = chunk.partition(">")
                 if not sep:
                     raise QbaError(f"link {chunk!r} is not of the form reg>irr")
-                rb = theta_r.block_index(local_r[a.index_of(left.strip())])
-                ib = theta_ir.block_index(local_ir[a.index_of(right.strip())])
+                rb = theta_r.block_index(_local_index(a, local_r, left.strip()))
+                ib = theta_ir.block_index(_local_index(a, local_ir, right.strip()))
                 linked.add(rb)
                 fpairs.append((rb, ib))
         cross: set[tuple[int, int]] = set()
@@ -300,6 +301,13 @@ def _cmd_compose(args) -> CommandResult:
     return CommandResult(0, _emit({"congruence": text}, text, args.json))
 
 
+def _local_index(a: FiniteAlgebra, local: dict[int, int], name: str) -> int:
+    g = a.index_of(name)
+    if g not in local:
+        raise QbaError(f"element {name!r} is outside this part")
+    return local[g]
+
+
 def _local_partition(a: FiniteAlgebra, subset: list[int], text: str) -> Partition:
     local = {g: i for i, g in enumerate(subset)}
     blocks: list[list[int]] = []
@@ -310,19 +318,19 @@ def _local_partition(a: FiniteAlgebra, subset: list[int], text: str) -> Partitio
             continue
         block = []
         for nm in chunk.split(","):
-            g = a.index_of(nm.strip())
-            if g not in local:
-                raise QbaError(f"element {nm.strip()!r} is outside this part")
-            if g in seen:
+            i = _local_index(a, local, nm.strip())
+            if i in seen:
                 raise QbaError(f"element {nm.strip()!r} appears twice")
-            seen.add(g)
-            block.append(local[g])
+            seen.add(i)
+            block.append(i)
         blocks.append(block)
-    blocks.extend([i] for g, i in local.items() if g not in seen)
+    blocks.extend([i] for i in range(len(subset)) if i not in seen)
     return Partition.from_blocks(len(subset), blocks)
 
 
 def _cmd_enumerate(args) -> CommandResult:
+    if args.size < 1:
+        raise QbaError("--size must be positive")
     report = (enumerate_flat(args.size, args.up_to_iso) if args.flat
               else enumerate_all(args.size, args.up_to_iso))
     lines = [f"size {report.size} flat_only={report.flat_only} "
@@ -410,10 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process for run(); parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> CommandResult:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return CommandResult(int(exc.code or 0), "")
     try:

@@ -19,6 +19,16 @@ An equation holds in an algebra when both sides evaluate equally under
 every assignment; it holds in a whole variety exactly when it holds in the
 variety's small generating algebra (4, F3 and 2 respectively), which is
 what `decide` exploits.
+
+`holds_in` scans all n^k assignments of the k variables (sorted by name)
+a block at a time: the innermost variables, as many as keep n^m within
+BLOCK assignments, are columns holding all their values in lexicographic
+order, and the outer ones run through their values one by one. A subterm
+that depends on no inner variable is one element per block; the others
+are columns, built by mapping over table rows. The witness is the first
+failing assignment in lexicographic order, as in a scan one assignment at
+a time. More than MAX_ASSIGNMENTS assignments raise TooLarge before any
+evaluation, which the CLI reports with exit code 2.
 """
 from __future__ import annotations
 
@@ -26,10 +36,12 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import product
+from operator import getitem
 from typing import Mapping, Union
 
 from .algebra import FiniteAlgebra
-from .errors import EquationParseError, InvariantViolation, UnboundVariable
+from .errors import (EquationParseError, InvariantViolation, TooLarge,
+                     UnboundVariable)
 from .fixtures import fixture
 
 
@@ -263,8 +275,13 @@ def variables(t: Term) -> frozenset[str]:
     return variables(t.left) | variables(t.right)
 
 
-def eval_term(a: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
-    """Evaluate by table lookup. env maps variable names to element indices."""
+def eval_term(a: FiniteAlgebra, t: Term,
+              env: Mapping[str, int | list[int]]) -> int | list[int]:
+    """Evaluate by table lookup. env maps variable names to element indices
+    or to columns: lists of element indices of one common length, one entry
+    per assignment. The value is an element when t depends on no column,
+    else the column of its values; a subterm free of columns is computed
+    once, not once per entry."""
     if isinstance(t, Var):
         try:
             return env[t.name]
@@ -273,28 +290,63 @@ def eval_term(a: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
     if isinstance(t, Const):
         return a.zero if t.value == 0 else a.one
     if isinstance(t, Star):
-        return a.star[eval_term(a, t.inner, env)]
+        inner = eval_term(a, t.inner, env)
+        if isinstance(inner, list):
+            return list(map(a.star.__getitem__, inner))
+        return a.star[inner]
     left = eval_term(a, t.left, env)
     right = eval_term(a, t.right, env)
     table = a.join if isinstance(t, Join) else a.meet
+    if isinstance(left, list):
+        if isinstance(right, list):
+            return list(map(getitem, map(table.__getitem__, left), right))
+        return list(map([row[right] for row in table].__getitem__, left))
+    if isinstance(right, list):
+        return list(map(table[left].__getitem__, right))
     return table[left][right]
+
+
+MAX_ASSIGNMENTS = 10**7
+
+# Largest number of assignments holds_in evaluates as one block of columns.
+BLOCK = 4096
 
 
 def holds_in(a: FiniteAlgebra, eq: Equation) -> Verdict:
     """Exhaustive check over all assignments; the first counterexample in
-    lexicographic order (variables sorted by name) becomes the witness."""
+    lexicographic order (variables sorted by name) becomes the witness.
+    The scan runs a block of assignments at a time (see the module
+    docstring); more than MAX_ASSIGNMENTS raise TooLarge up front."""
     names = sorted(variables(eq.lhs) | variables(eq.rhs))
-    for values in product(range(a.size), repeat=len(names)):
-        env = dict(zip(names, values))
+    n, k = a.size, len(names)
+    if n ** k > MAX_ASSIGNMENTS:
+        raise TooLarge(f"{k} variables over {n} elements give {n ** k:,} "
+                       f"assignments, above the guard of {MAX_ASSIGNMENTS:,}")
+    m = 0
+    while m < k and n ** (m + 1) <= BLOCK:
+        m += 1
+    outer, inner = names[:k - m], names[k - m:]
+    size = n ** m
+    # Entry i of a column holds the i-th assignment of the inner variables
+    # in lexicographic order: variable j repeats each value n^(m-1-j) times.
+    columns = {nm: [v for v in range(n) for _ in range(n ** (m - 1 - j))] * n ** j
+               for j, nm in enumerate(inner)}
+    for values in product(range(n), repeat=k - m):
+        env = dict(zip(outer, values), **columns)
         lv = eval_term(a, eq.lhs, env)
         rv = eval_term(a, eq.rhs, env)
-        if lv != rv:
-            return Verdict(valid=False, witness=Witness(
-                assignment=tuple((nm, a.names[v]) for nm, v in zip(names, values)),
-                lhs_value=a.names[lv],
-                rhs_value=a.names[rv],
-                algebra=a.label or f"{a.size}-element algebra",
-            ))
+        lv = lv if isinstance(lv, list) else [lv] * size
+        rv = rv if isinstance(rv, list) else [rv] * size
+        if lv == rv:
+            continue
+        i = next(i for i, pair in enumerate(zip(lv, rv)) if pair[0] != pair[1])
+        values += tuple(column[i] for column in columns.values())
+        return Verdict(valid=False, witness=Witness(
+            assignment=tuple((nm, a.names[v]) for nm, v in zip(names, values)),
+            lhs_value=a.names[lv[i]],
+            rhs_value=a.names[rv[i]],
+            algebra=a.label or f"{a.size}-element algebra",
+        ))
     return Verdict(valid=True)
 
 

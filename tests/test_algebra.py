@@ -112,6 +112,32 @@ class TestEntryTypes:
             qba.FiniteAlgebra(**args)
 
 
+class TestMalformedShapes:
+    """Inputs only the Python API can pass; each was a bare TypeError or
+    AttributeError."""
+
+    ONE = {"names": ("0",), "join": ((0,),), "meet": ((0,),), "star": (0,),
+           "zero": 0, "one": 0}
+
+    def test_row_without_length(self):
+        with pytest.raises(AlgebraSemanticError, match="^wrong table dimensions for join$"):
+            qba.FiniteAlgebra(**{**self.ONE, "join": (0,)})
+
+    def test_star_without_length(self):
+        with pytest.raises(AlgebraSemanticError, match="^wrong table dimensions for star$"):
+            qba.FiniteAlgebra(**{**self.ONE, "star": 5})
+
+    def test_name_not_a_string(self, fx):
+        a = fx["2"]
+        with pytest.raises(AlgebraSemanticError, match="^names must be strings$"):
+            qba.FiniteAlgebra((0, "1"), a.join, a.meet, a.star, a.zero, a.one)
+
+    @pytest.mark.parametrize("names", [5, (["0"],)])
+    def test_names_not_a_sequence_of_hashables(self, names):
+        with pytest.raises(AlgebraSemanticError, match="^names must be strings$"):
+            qba.FiniteAlgebra(**{**self.ONE, "names": names})
+
+
 class TestValidate:
     def test_all_fixtures_pass(self, fx):
         for name, a in fx.items():

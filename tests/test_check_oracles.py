@@ -1,13 +1,14 @@
 """The whole-row well-formedness checks in FiniteAlgebra, the one-pass
-cloud map in verify_structure and the structure-built labeled generator
-against the code they replaced.
+cloud map in verify_structure, the structure-built labeled generator and
+the block-of-columns equation check against the code they replaced.
 
-The old scans and generators are kept here verbatim as oracles: every input
-must give the same exception type and message, the same (claim, bool) list
-and the same labeled algebras.
+The old scans, generators and the per-assignment check are kept here
+verbatim as oracles: every input must give the same exception type and
+message, the same (claim, bool) list, the same labeled algebras and the
+same verdict, witness included.
 """
 from itertools import permutations, product
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import pytest
 
@@ -16,9 +17,12 @@ from qba.algebra import (FiniteAlgebra, cloud_of, is_flat, regular_elements,
                          validate)
 from qba.enumeration import (_generic_names, _involutions, _labeled,
                              enumerate_all, enumerate_flat, verify_structure)
-from qba.errors import AlgebraSemanticError
+from qba.errors import AlgebraSemanticError, UnboundVariable
 from qba.quotients import (boolean_algebra, direct_product, find_isomorphism,
                            is_irreducible, make_flat, make_irreducible)
+from qba.terms import (BLOCK, Const, Equation, Join, Star, Term, Var, Verdict,
+                       Witness, equation_corpus, holds_in, parse_equation,
+                       variables)
 
 
 def scan_well_formed(names, join, meet, star, zero, one):
@@ -374,3 +378,126 @@ class TestLabeledGenerator:
         assert len(algebras) == 840
         assert len(set(map(tables, algebras))) == 840
         assert all(validate(a).passed for a in algebras)
+
+
+# The per-assignment equation check that holds_in replaced, verbatim, with
+# the recursive evaluator it walked.
+
+def eval_term(a: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
+    """Evaluate by table lookup. env maps variable names to element indices."""
+    if isinstance(t, Var):
+        try:
+            return env[t.name]
+        except KeyError:
+            raise UnboundVariable(f"variable {t.name!r} is not assigned") from None
+    if isinstance(t, Const):
+        return a.zero if t.value == 0 else a.one
+    if isinstance(t, Star):
+        return a.star[eval_term(a, t.inner, env)]
+    left = eval_term(a, t.left, env)
+    right = eval_term(a, t.right, env)
+    table = a.join if isinstance(t, Join) else a.meet
+    return table[left][right]
+
+
+def holds_in_by_walk(a: FiniteAlgebra, eq: Equation) -> Verdict:
+    """Exhaustive check over all assignments; the first counterexample in
+    lexicographic order (variables sorted by name) becomes the witness."""
+    names = sorted(variables(eq.lhs) | variables(eq.rhs))
+    for values in product(range(a.size), repeat=len(names)):
+        env = dict(zip(names, values))
+        lv = eval_term(a, eq.lhs, env)
+        rv = eval_term(a, eq.rhs, env)
+        if lv != rv:
+            return Verdict(valid=False, witness=Witness(
+                assignment=tuple((nm, a.names[v]) for nm, v in zip(names, values)),
+                lhs_value=a.names[lv],
+                rhs_value=a.names[rv],
+                algebra=a.label or f"{a.size}-element algebra",
+            ))
+    return Verdict(valid=True)
+
+
+def assert_same_verdicts(a, equations):
+    for eq in equations:
+        assert holds_in(a, eq) == holds_in_by_walk(a, eq), qba.format_equation(eq)
+
+
+MEET, JOIN = "/\\", "\\/"
+
+
+def chain(op, k):
+    return f" {op} ".join(f"x{i:02}" for i in range(k))
+
+
+class TestHoldsIn:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_corpus_on_fixtures(self, fx, seed):
+        for k, count in ((3, 40), (4, 12), (5, 30)):
+            eqs = equation_corpus(count, seed=seed * 10 + k, max_depth=5,
+                                  names=("u", "v", "x", "y", "z")[:k])
+            for a in fx.values():
+                assert_same_verdicts(a, eqs)
+
+    def test_corpus_on_every_class(self):
+        eqs = equation_corpus(30, seed=5, max_depth=5)
+        for n in range(1, 6):
+            for a in enumerate_all(n, True).iso_classes:
+                assert_same_verdicts(a, eqs)
+
+    def test_corpus_on_single_cell_mutants(self, fx):
+        # Mutants break commutativity, so an operand order swapped between
+        # element and column would show.
+        eqs = equation_corpus(15, seed=9, max_depth=4)
+        for name in ("4", "F3"):
+            for a in single_cell_mutants(fx[name]):
+                assert_same_verdicts(a, eqs)
+
+    def test_closed_equations(self, fx):
+        eqs = [parse_equation(t) for t in ("0 = 1", "1 = 1", "0' = 1",
+                                           "1 /\\ 0' = 1 \\/ 0")]
+        for a in fx.values():
+            assert_same_verdicts(a, eqs)
+
+    def test_one_element_algebra(self):
+        (a,) = enumerate_all(1, True).iso_classes
+        eqs = equation_corpus(20, seed=7, max_depth=5)
+        eqs.append(parse_equation(chain(JOIN, 20) + " = 0"))
+        assert_same_verdicts(a, eqs)
+        assert all(holds_in(a, eq).valid for eq in eqs)
+
+    def test_constant_against_column(self, fx):
+        eqs = [parse_equation(t) for t in ("x /\\ y = 0", "0 = x /\\ y",
+                                           "1 = (x /\\ y)' \\/ z",
+                                           "x \\/ x' = 1")]
+        for a in fx.values():
+            assert_same_verdicts(a, eqs)
+
+    @pytest.mark.parametrize("name, k", [("2", 12), ("2", 13), ("4", 6), ("4", 7)])
+    def test_block_boundary(self, fx, name, k):
+        # 2^12 and 4^6 fill one block exactly; one more variable makes n blocks.
+        a = fx[name]
+        assert a.size ** k in (BLOCK, BLOCK * a.size)
+        eqs = [parse_equation(f"{chain(op, k)} = {side}")
+               for op in (MEET, JOIN) for side in ("0", "1", "x00")]
+        assert_same_verdicts(a, eqs)
+
+    def test_witness_in_the_last_block(self, fx):
+        # In 2 the meet of 13 variables is 1 only when every one is 1: the
+        # last assignment of the second block of 4,096.
+        a, eq = fx["2"], parse_equation(chain(MEET, 13) + " = 0")
+        v = holds_in(a, eq)
+        assert v == holds_in_by_walk(a, eq)
+        assert v.witness.assignment == tuple((f"x{i:02}", "1") for i in range(13))
+
+    def test_late_witness_on_6(self, fx):
+        # The meet of k variables on 6 is 0 unless all lie in the top cloud,
+        # which comes last: the witness sits late in the scan, past the first
+        # block when k = 5.
+        a = fx["6"]
+        eqs = []
+        for k in (4, 5):
+            meet = chain(MEET, k)
+            eqs += [parse_equation(f"{meet} = 0"), parse_equation(f"({meet})' = 1")]
+        assert_same_verdicts(a, eqs)
+        assert all(holds_in(a, eq).witness.assignment[0][1] != "0" for eq in eqs)

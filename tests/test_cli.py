@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output shapes, JSON round trips."""
 import json
+import time
 from pathlib import Path
 
 import qba
-from qba.cli import run
+from qba import cli
+from qba.cli import CommandResult, run
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src" / "qba" / "data"
 
@@ -60,6 +62,25 @@ class TestExitCodes:
 
     def test_too_large_exits_2(self):
         assert run(["enumerate", "--size", "9"]).exit_code == 2
+
+    def test_size_below_one_exits_2(self):
+        for argv in (["enumerate", "--size", "0"], ["enumerate", "--size", "-1", "--flat"]):
+            assert run(argv) == CommandResult(2, "error: --size must be positive")
+
+    def test_link_outside_its_part_exits_2(self):
+        base = ["compose", fpath("6"), "--theta-r", "0", "--theta-ir", "a"]
+        for link, name in (("a>e", "a"), ("0>1", "1")):
+            result = run(base + ["--link", link])
+            assert result == CommandResult(2, f"error: element {name!r} is outside this part")
+
+    def test_too_many_assignments_exits_2(self):
+        twelve = " \\/ ".join(f"x{i}" for i in range(12))
+        for argv in (["check", fpath("6")], ["decide", "--variety", "qb"]):
+            start = time.perf_counter()
+            result = run(argv + [f"{twelve} = x0"])
+            assert time.perf_counter() - start < 0.5
+            assert result.exit_code == 2
+            assert result.output.startswith("error: 12 variables over ")
 
     def test_iso_absent_exits_1(self, tmp_path):
         b4 = tmp_path / "b4.alg"
@@ -204,6 +225,22 @@ class TestEverySubcommandEmitsJson:
             result = run(argv + ["--json"])
             assert result.exit_code == 0, argv
             json.loads(result.output)
+
+
+class TestSharedParser:
+    def test_results_match_a_fresh_parser(self, monkeypatch, capsys):
+        # Every subcommand, each followed by a usage error, its --json form
+        # and --version, so any state a parse left behind would show.
+        argvs = []
+        for argv in TestEverySubcommandEmitsJson.COMMANDS:
+            argvs += [argv, ["quotient", fpath("4")], argv + ["--json"], ["--version"]]
+        assert cli._shared_parser() is cli._shared_parser()
+        shared = [run(argv) for argv in argvs]
+        shared_streams = capsys.readouterr()
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [run(argv) for argv in argvs]
+        assert shared == fresh
+        assert shared_streams == capsys.readouterr()
 
 
 class TestFileOutputs:

@@ -1,0 +1,118 @@
+"""Fuzzing qba.cli.run: any argv drawn from the subcommands, the bundled
+fixtures (six elements or fewer) and random equation and partition text
+ends in exit code 0, 1 or 2, never in an exception.
+
+The options that write files (-o/--out, --emit) are never drawn, and no
+drawn text contains '-', so argparse cannot expand a prefix into one.
+"""
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qba
+from qba.cli import run
+from qba.terms import Const, Equation, Join, Meet, Star, Var, format_equation
+
+FIXDIR = Path(__file__).resolve().parent.parent / "src" / "qba" / "data"
+FIXTURES = {str(FIXDIR / f"{name}.alg"): a.names for name, a in qba.all_fixtures().items()}
+MISSING = str(FIXDIR / "missing.alg")
+
+path = st.sampled_from(sorted(FIXTURES) + [MISSING])
+term = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("z"), Const(0), Const(1)]),
+    lambda inner: st.one_of(st.builds(Join, inner, inner), st.builds(Meet, inner, inner),
+                            st.builds(Star, inner)),
+    max_leaves=8,
+)
+equation = st.one_of(
+    st.builds(Equation, term, term).map(format_equation),
+    st.text(alphabet="xy01()'=\\/ ", max_size=20),
+    st.lists(st.sampled_from(["x", "y", "z", "0", "1", "'", "(", ")", " \\/ ",
+                              " /\\ ", " = "]), max_size=12).map("".join),
+)
+size = st.integers(-1, 6).map(str)
+
+
+def partition(names):
+    """Element names joined by the separators of partitions, pairs and
+    links: distinct names, so that some of them parse, or any names with
+    any separators."""
+    def joined(parts):  # no separator after the last name
+        return "".join(nm + sep for nm, sep in parts[:-1]) + "".join(nm for nm, _ in parts[-1:])
+
+    return st.one_of(
+        st.lists(st.sampled_from(names), unique=True, max_size=4).flatmap(
+            lambda picked: st.tuples(*(st.tuples(st.just(nm), st.sampled_from(",;=>"))
+                                       for nm in picked))).map(joined),
+        st.lists(st.tuples(st.sampled_from(names),
+                           st.sampled_from([",", ";", "=", ">", " ", ""])),
+                 max_size=6).map(joined),
+    )
+
+
+def pairs(names, sep):
+    """The form of --pairs (sep '=') and --link (sep '>'): name pairs
+    joined by ';'."""
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names)).map(sep.join)
+    return st.lists(pair, min_size=1, max_size=3).map(";".join)
+
+
+def one_in(k, value):
+    """value with probability 1/k, else its negation."""
+    return st.sampled_from([not value] * (k - 1) + [value])
+
+
+def opt(flag, value):
+    return st.tuples(st.just(flag), value)
+
+
+def shapes(main, names):
+    """Each subcommand with the arguments it takes, on the algebra file
+    main whose element names are names."""
+    part = partition(names)
+    return {
+        "validate": [main],
+        "info": [main],
+        "quotient": [main, opt("--rel", st.sampled_from(["chi", "tau", "rho"]))],
+        "product": [main, path],
+        "iso": [main, path],
+        "check": [main, equation],
+        "decide": [opt("--variety", st.sampled_from(["qb", "fqb", "b", "mv"])), equation],
+        "congruences": [main],
+        "generate": [main, st.one_of(opt("--seed", part),
+                                     opt("--pairs", st.one_of(pairs(names, "="), part)))],
+        "extend": [main, opt("--sub", part), opt("--cong", part)],
+        "split": [main, opt("--cong", part)],
+        "decompose": [main, opt("--cong", part)],
+        "compose": [main, opt("--theta-r", part), opt("--theta-ir", part),
+                    opt("--link", st.one_of(pairs(names, ">"), part))],
+        "enumerate": [opt("--size", size), st.just("--flat"), st.just("--up-to-iso")],
+        "frobnicate": [],
+    }
+
+
+@st.composite
+def argv(draw):
+    main = draw(path)
+    names = list(FIXTURES.get(main, ())) + ["zz"]
+    table = shapes(st.just(main), names)
+    command = draw(st.sampled_from(sorted(table)))
+    # Each argument is dropped with probability 1/10, a stray one joins
+    # them with probability 1/4, and one draw in four is shuffled, so usage
+    # errors are drawn as well as commands that run. Each choice shrinks
+    # towards the well-formed command.
+    parts = [draw(part) for part in table[command] if draw(one_in(10, False))]
+    if draw(one_in(4, True)):
+        parts.append(draw(st.one_of(path, equation, partition(names), size,
+                                    st.sampled_from(["--json", "--version"]))))
+    if draw(one_in(4, True)):
+        parts = draw(st.permutations(parts))
+    return [command] + [tok for part in parts
+                        for tok in (part if isinstance(part, tuple) else (part,))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv())
+def test_run_never_raises(args):
+    assert run(args).exit_code in (0, 1, 2)

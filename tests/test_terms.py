@@ -1,9 +1,12 @@
 """Parser, evaluator, per-algebra checking and variety decision procedures."""
+import time
+
 import pytest
 
 import qba
-from qba.errors import EquationParseError, InvariantViolation, UnboundVariable
-from qba.terms import (MAX_DEPTH, Const, Equation, Join, Meet, Star, Var,
+from qba.errors import (EquationParseError, InvariantViolation, TooLarge,
+                        UnboundVariable)
+from qba.terms import (MAX_ASSIGNMENTS, MAX_DEPTH, Const, Equation, Join, Meet, Star, Var,
                        Verdict, Witness, decide, equation_corpus, eval_term,
                        format_equation, format_term, holds_in, parse_equation,
                        parse_term, variables)
@@ -182,6 +185,32 @@ class TestHoldsIn:
     def test_closed_equation(self, fx):
         v = holds_in(fx["4"], parse_equation("0 = 1"))
         assert not v.valid and v.witness.assignment == ()
+
+    def test_eval_over_columns(self, fx):
+        a = fx["4"]
+        t = parse_term("(x /\\ y)' \\/ x")
+        xs, ys = [0, 1, 2, 3, 1], [3, 3, 1, 0, 2]
+        column = eval_term(a, t, {"x": xs, "y": ys})
+        assert column == [eval_term(a, t, {"x": x, "y": y}) for x, y in zip(xs, ys)]
+        # A subterm free of columns stays an element.
+        t = parse_term("x' \\/ 0")
+        assert eval_term(a, t, {"x": 1, "y": ys}) == eval_term(a, t, {"x": 1}) == 3
+
+
+class TestAssignmentGuard:
+    TWELVE = " \\/ ".join(f"x{i}" for i in range(12))
+
+    def test_twelve_variables_on_6_refused_at_once(self, fx):
+        eq = parse_equation(f"{self.TWELVE} = x0")
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="12 variables over 6 elements"):
+            holds_in(fx["6"], eq)
+        assert time.perf_counter() - start < 0.5
+
+    def test_decide_refuses_twelve_variables_on_4(self):
+        assert 4 ** 11 <= MAX_ASSIGNMENTS < 4 ** 12
+        with pytest.raises(TooLarge):
+            decide("qb", parse_equation(f"{self.TWELVE} = x0"))
 
 
 class TestVerdict:
