@@ -18,13 +18,14 @@ from . import __version__
 from .algebra import (FiniteAlgebra, algebra_to_dict, cloud_map, dump_algebra,
                       is_flat, load_algebra, regular_elements, validate)
 from .congruences import (CongruenceDecomposition, all_congruences,
-                          compose_flat, compose_nonflat, decompose,
-                          extend_from_subalgebra, generated_congruence,
+                          compose_flat, compose_nonflat, cross_pairs,
+                          decompose, extend_from_subalgebra,
+                          generated_congruence, regular_split,
                           split_congruence, subalgebra)
 from .enumeration import enumerate_all, enumerate_flat
 from .errors import QbaError
-from .partitions import (Partition, format_partition, pair_closure_gaps,
-                         parse_partition)
+from .partitions import (format_blocks, format_partition, pair_closure_gaps,
+                         parse_part, parse_partition, position_in_part)
 from .quotients import (chi, direct_product, find_isomorphism, is_irreducible,
                         quotient, tau)
 from .terms import Verdict, decide, holds_in, parse_equation
@@ -85,7 +86,7 @@ def _cmd_validate(args) -> CommandResult:
 def _cmd_info(args) -> CommandResult:
     a = _load(args.algebra)
     report = validate(a)
-    regs = sorted(regular_elements(a))
+    regs, _ = regular_split(a)
     clouds = sorted(cloud_map(a).values(), key=min)
     irreducible = None if is_flat(a) else is_irreducible(a)
     lines = [
@@ -170,17 +171,17 @@ def _cmd_congruences(args) -> CommandResult:
                                   "\n".join(strings), args.json))
 
 
-def _parse_pairs(a: FiniteAlgebra, text: str) -> list[tuple[int, int]]:
-    pairs = []
+def _name_pairs(text: str, sep: str, kind: str, form: str):
+    """The two names of each non-empty ';'-chunk 'left<sep>right', one
+    chunk at a time, so the caller resolves them in text order."""
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        left, sep, right = chunk.partition("=")
-        if not sep:
-            raise QbaError(f"pair {chunk!r} is not of the form name=name")
-        pairs.append((a.index_of(left.strip()), a.index_of(right.strip())))
-    return pairs
+        left, found, right = chunk.partition(sep)
+        if not found:
+            raise QbaError(f"{kind} {chunk!r} is not of the form {form}")
+        yield left.strip(), right.strip()
 
 
 def _cmd_generate(args) -> CommandResult:
@@ -192,7 +193,8 @@ def _cmd_generate(args) -> CommandResult:
         seed = [(b[0], x) for b in parse_partition(a, args.seed).blocks
                 for x in b[1:]]
     else:
-        seed = _parse_pairs(a, args.pairs)
+        seed = [(a.index_of(x), a.index_of(y))
+                for x, y in _name_pairs(args.pairs, "=", "pair", "name=name")]
         gaps = pair_closure_gaps(a.size, seed)
         if gaps:
             note = ("input pairs are not transitively closed; closure added: "
@@ -232,18 +234,13 @@ def _cmd_decompose(args) -> CommandResult:
     a = _load(args.algebra)
     theta = parse_partition(a, args.cong)
     d = decompose(a, theta)
-    regs = sorted(regular_elements(a))
-    irs = [x for x in a.elements() if x not in set(regs)]
-    fmt_r = format_partition(subalgebra(a, regs), d.theta_r)
-    ir_names = [a.names[x] for x in irs]
-    fmt_ir = ";".join(",".join(ir_names[i] for i in b)
-                      for b in d.theta_ir.blocks)
-    linked = sorted(
-        ",".join(a.names[regs[i]] for i in d.theta_r.blocks[b])
-        for b in d.linked)
-    fmap = {",".join(a.names[regs[i]] for i in d.theta_r.blocks[b]):
-            ",".join(ir_names[i] for i in d.theta_ir.blocks[img])
-            for b, img in d.f}
+    regs, irs = regular_split(a)
+    r_blocks, ir_blocks = d.theta_r.blocks, d.theta_ir.blocks
+    fmt_r = format_blocks(a, r_blocks, regs)
+    fmt_ir = format_blocks(a, ir_blocks, irs)
+    linked = sorted(format_blocks(a, r_blocks[b:b + 1], regs) for b in d.linked)
+    fmap = {format_blocks(a, r_blocks[b:b + 1], regs):
+            format_blocks(a, ir_blocks[img:img + 1], irs) for b, img in d.f}
     cross = sorted(f"{a.names[p]}={a.names[q]}" for p, q in d.cross if p < q)
     human = "\n".join([
         f"theta_r (regular part): {fmt_r}",
@@ -260,72 +257,26 @@ def _cmd_decompose(args) -> CommandResult:
 
 def _cmd_compose(args) -> CommandResult:
     a = _load(args.algebra)
-    regs = sorted(regular_elements(a))
-    irs = [x for x in a.elements() if x not in set(regs)]
+    regs, irs = regular_split(a)
     if is_flat(a):
         if args.theta_ir is None:
             raise QbaError("flat composition needs --theta-ir")
-        theta_ir = _local_partition(a, irs, args.theta_ir)
-        result = compose_flat(a, theta_ir)
+        result = compose_flat(a, parse_part(a, args.theta_ir, irs))
     else:
         if args.theta_r is None or args.theta_ir is None:
             raise QbaError("non-flat composition needs --theta-r and --theta-ir")
-        theta_r = _local_partition(a, regs, args.theta_r)
-        theta_ir = _local_partition(a, irs, args.theta_ir)
-        local_r = {g: i for i, g in enumerate(regs)}
-        local_ir = {g: i for i, g in enumerate(irs)}
-        linked, fpairs = set(), []
-        if args.link:
-            for chunk in args.link.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                left, sep, right = chunk.partition(">")
-                if not sep:
-                    raise QbaError(f"link {chunk!r} is not of the form reg>irr")
-                rb = theta_r.block_index(_local_index(a, local_r, left.strip()))
-                ib = theta_ir.block_index(_local_index(a, local_ir, right.strip()))
-                linked.add(rb)
-                fpairs.append((rb, ib))
-        cross: set[tuple[int, int]] = set()
-        for rb, ib in fpairs:
-            for i in theta_r.blocks[rb]:
-                for j in theta_ir.blocks[ib]:
-                    cross.add((regs[i], irs[j]))
-                    cross.add((irs[j], regs[i]))
+        theta_r = parse_part(a, args.theta_r, regs)
+        theta_ir = parse_part(a, args.theta_ir, irs)
+        links = [(theta_r.block_index(position_in_part(a, x, regs)),
+                  theta_ir.block_index(position_in_part(a, y, irs)))
+                 for x, y in _name_pairs(args.link or "", ">", "link", "reg>irr")]
         d = CongruenceDecomposition(
-            theta_r=theta_r, theta_ir=theta_ir, linked=frozenset(linked),
-            f=tuple(sorted(fpairs)), cross=frozenset(cross))
+            theta_r=theta_r, theta_ir=theta_ir,
+            linked=frozenset(rb for rb, _ in links), f=tuple(sorted(links)),
+            cross=cross_pairs(a, theta_r, theta_ir, links))
         result = compose_nonflat(a, d)
     text = format_partition(a, result)
     return CommandResult(0, _emit({"congruence": text}, text, args.json))
-
-
-def _local_index(a: FiniteAlgebra, local: dict[int, int], name: str) -> int:
-    g = a.index_of(name)
-    if g not in local:
-        raise QbaError(f"element {name!r} is outside this part")
-    return local[g]
-
-
-def _local_partition(a: FiniteAlgebra, subset: list[int], text: str) -> Partition:
-    local = {g: i for i, g in enumerate(subset)}
-    blocks: list[list[int]] = []
-    seen: set[int] = set()
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        block = []
-        for nm in chunk.split(","):
-            i = _local_index(a, local, nm.strip())
-            if i in seen:
-                raise QbaError(f"element {nm.strip()!r} appears twice")
-            seen.add(i)
-            block.append(i)
-        blocks.append(block)
-    blocks.extend([i] for i in range(len(subset)) if i not in seen)
-    return Partition.from_blocks(len(subset), blocks)
 
 
 def _cmd_enumerate(args) -> CommandResult:
@@ -386,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p = add("check", _cmd_check, "check an equation in one algebra")
     p.add_argument("equation")
-    p = sub.add_parser("decide", help="decide an equation in a variety")
-    p.set_defaults(fn=_cmd_decide)
-    p.add_argument("--json", action="store_true")
+    p = add("decide", _cmd_decide, "decide an equation in a variety",
+            algebra=False)
     p.add_argument("--variety", choices=("qb", "fqb", "b"), required=True)
     p.add_argument("equation")
     add("congruences", _cmd_congruences, "list all congruences")
@@ -408,9 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-r", help="partition of the regular elements")
     p.add_argument("--theta-ir", help="partition of the irregular elements")
     p.add_argument("--link", help="block map, e.g. '0>a;1>b'")
-    p = sub.add_parser("enumerate", help="enumerate small algebras")
-    p.set_defaults(fn=_cmd_enumerate)
-    p.add_argument("--json", action="store_true")
+    p = add("enumerate", _cmd_enumerate, "enumerate small algebras",
+            algebra=False)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--flat", action="store_true")
     p.add_argument("--up-to-iso", action="store_true")

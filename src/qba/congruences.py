@@ -66,7 +66,7 @@ def all_congruences(a: FiniteAlgebra) -> list[Partition]:
     found: list[Partition] = []
 
     def prefix_ok(m: int) -> bool:
-        # Constraints decidable from elements 0..m that involve m.
+        # Constraints on the related pairs (x, m) that elements 0..m decide.
         g = assign[m]
         for x in range(m):
             if assign[x] == g:
@@ -78,16 +78,6 @@ def all_congruences(a: FiniteAlgebra) -> list[Partition]:
                     if u <= m and v <= m and assign[u] != assign[v]:
                         return False
                     u, v = meet[x][c], meet[m][c]
-                    if u <= m and v <= m and assign[u] != assign[v]:
-                        return False
-            else:
-                for y in range(x + 1, m):
-                    if assign[y] != assign[x]:
-                        continue
-                    u, v = join[x][m], join[y][m]
-                    if u <= m and v <= m and assign[u] != assign[v]:
-                        return False
-                    u, v = meet[x][m], meet[y][m]
                     if u <= m and v <= m and assign[u] != assign[v]:
                         return False
         return True
@@ -212,7 +202,8 @@ def split_congruence(a: FiniteAlgebra, theta: Partition
     return theta1, theta2
 
 
-def _regular_split(a: FiniteAlgebra) -> tuple[list[int], list[int]]:
+def regular_split(a: FiniteAlgebra) -> tuple[list[int], list[int]]:
+    """The regular and the irregular elements, each sorted."""
     regs = regular_elements(a)
     return (sorted(regs), [x for x in a.elements() if x not in regs])
 
@@ -227,7 +218,7 @@ def principal_congruence_nonflat(a: FiniteAlgebra, theta_r: Partition,
     """
     if is_flat(a):
         raise FlatInput("the construction needs a non-flat algebra")
-    regs, _ = _regular_split(a)
+    regs, _ = regular_split(a)
     rset = set(regs)
     if theta_r.size != len(regs):
         raise ValueError("partition size does not match the regular part")
@@ -298,7 +289,7 @@ def compose_flat(a: FiniteAlgebra, theta_ir: Partition) -> Partition:
     irregular elements: singleton {0} plus the given blocks."""
     if not is_flat(a):
         raise NotFlat("composition over irregulars needs a flat algebra")
-    _, irs = _regular_split(a)
+    _, irs = regular_split(a)
     if theta_ir.size != len(irs):
         raise ValueError("partition size does not match the irregular part")
     local = {g: i for i, g in enumerate(irs)}
@@ -337,6 +328,21 @@ class CongruenceDecomposition:
         return dict(self.f)
 
 
+def cross_pairs(a: FiniteAlgebra, theta_r: Partition, theta_ir: Partition,
+                links) -> frozenset[tuple[int, int]]:
+    """The (C3) display of a block map: every (r, w) and (w, r) with r in
+    the theta_r class and w in the theta_ir block of a link, given as
+    (regular block index, irregular block index) pairs."""
+    regs, irs = regular_split(a)
+    cross = set()
+    for rb, ib in links:
+        for i in theta_r.blocks[rb]:
+            for j in theta_ir.blocks[ib]:
+                cross.add((regs[i], irs[j]))
+                cross.add((irs[j], regs[i]))
+    return frozenset(cross)
+
+
 def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
     """Reassemble a congruence from its three parts, checking (C1)-(C3).
 
@@ -348,7 +354,7 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
     """
     if is_flat(a):
         raise FlatInput("composition with a cross part needs a non-flat algebra")
-    regs, irs = _regular_split(a)
+    regs, irs = regular_split(a)
     if d.theta_r.size != len(regs) or d.theta_ir.size != len(irs):
         raise ValueError("partition sizes do not match the regular/irregular split")
     if not is_congruence(subalgebra(a, regs), d.theta_r):
@@ -403,15 +409,8 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
                 "image block misses the clouds of its class", witness=bi)
 
     # (C3) the cross part must match the display exactly.
-    expected: set[tuple[int, int]] = set()
-    for bi in d.linked:
-        class_glob = [regs[i] for i in d.theta_r.blocks[bi]]
-        image_glob = [irs[i] for i in d.theta_ir.blocks[fmap[bi]]]
-        for r in class_glob:
-            for w in image_glob:
-                expected.add((r, w))
-                expected.add((w, r))
-    if d.cross != frozenset(expected):
+    expected = cross_pairs(a, d.theta_r, d.theta_ir, fmap.items())
+    if d.cross != expected:
         diff = sorted(d.cross.symmetric_difference(expected))
         raise ConditionC3Violated("cross part differs from the (C3) display",
                                   witness=diff[0] if diff else None)
@@ -439,7 +438,7 @@ def decompose(a: FiniteAlgebra, theta: Partition) -> CongruenceDecomposition:
         raise FlatInput("decomposition is defined for non-flat algebras")
     if not is_congruence(a, theta):
         raise NotACongruence("decompose requires a congruence")
-    regs, irs = _regular_split(a)
+    regs, irs = regular_split(a)
     rset = set(regs)
     theta_r = theta.restrict(regs)
     theta_ir = theta.restrict(irs)
@@ -475,6 +474,7 @@ __all__ = [
     "all_congruences",
     "compose_flat",
     "compose_nonflat",
+    "cross_pairs",
     "decompose",
     "extend_from_subalgebra",
     "generated_congruence",

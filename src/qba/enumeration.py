@@ -149,30 +149,33 @@ def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
                              violations=violations)
 
 
-def iso_signature(a: FiniteAlgebra) -> tuple:
-    """Cheap invariants used to bucket algebras before isomorphism search."""
-    regs = regular_elements(a)
+def iso_class_key(a: FiniteAlgebra) -> tuple:
+    """A key that two valid algebras share exactly when they are
+    isomorphic: the number of star fixed points, which fixes a flat
+    algebra, and the cloud sizes indexed by the subsets of the atoms of
+    the Boolean part, least over the orders of the atoms, which fix a
+    non-flat one."""
     clouds = cloud_map(a)
-    return (
-        a.size,
-        is_flat(a),
-        len(regs),
-        sum(1 for x in a.elements() if a.star[x] == x),
-        tuple(sorted(len(clouds[r]) for r in regs)),
-    )
+    atoms = [r for r in clouds if r != a.zero
+             and all(a.meet[r][s] in (a.zero, r) for s in clouds)]
+
+    def sizes(order) -> tuple[int, ...]:
+        by_subset = [0] * len(clouds)
+        for r, members in clouds.items():
+            below = sum(1 << i for i, t in enumerate(order) if a.meet[t][r] == t)
+            by_subset[below] = len(members)
+        return tuple(by_subset)
+
+    fixed = sum(1 for x in a.elements() if a.star[x] == x)
+    return fixed, min(map(sizes, permutations(atoms)))
 
 
 def dedupe_up_to_iso(algebras) -> list[FiniteAlgebra]:
-    reps: list[FiniteAlgebra] = []
-    sigs: list[tuple] = []
+    """The first of each isomorphism class of valid algebras, in order."""
+    reps: dict[tuple, FiniteAlgebra] = {}
     for a in algebras:
-        sig = iso_signature(a)
-        if any(sig == s and find_isomorphism(a, r) is not None
-               for r, s in zip(reps, sigs)):
-            continue
-        reps.append(a)
-        sigs.append(sig)
-    return reps
+        reps.setdefault(iso_class_key(a), a)
+    return list(reps.values())
 
 
 def enumerate_all(n: int, up_to_iso: bool = True) -> EnumerationReport:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .algebra import FiniteAlgebra
 from .errors import AlgebraSemanticError
@@ -125,27 +125,50 @@ def format_partition(a: FiniteAlgebra, p: Partition) -> str:
     """Canonical text form: blocks joined by ';', members by ','."""
     if p.size != a.size:
         raise ValueError("partition size does not match the algebra")
-    return ";".join(",".join(a.names[x] for x in block) for block in p.blocks)
+    return format_blocks(a, p.blocks, a.elements())
+
+
+def format_blocks(a: FiniteAlgebra, blocks, part: Sequence[int]) -> str:
+    """Blocks of positions in part, a sorted sequence of elements, as text:
+    blocks joined by ';', members by their names joined by ','."""
+    return ";".join(",".join(a.names[part[i]] for i in block) for block in blocks)
 
 
 def parse_partition(a: FiniteAlgebra, text: str) -> Partition:
-    """Parse 'x,y;z;...' using element names. Elements not mentioned become
-    singleton blocks."""
+    """Parse 'x,y;z;...' using element names: parse_part over the whole
+    carrier. Elements not mentioned become singleton blocks."""
+    return parse_part(a, text, a.elements())
+
+
+def parse_part(a: FiniteAlgebra, text: str, part: Sequence[int]) -> Partition:
+    """Parse 'x,y;z;...' by name into a partition of part, a sorted
+    sequence of elements, indexed by position in part. Empty names, names
+    outside part and names in two blocks are refused; elements not
+    mentioned become singleton blocks."""
     blocks: list[list[int]] = []
     seen: set[int] = set()
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+        if not chunk.strip():
             continue
-        block = [a.index_of(nm.strip()) for nm in chunk.split(",") if nm.strip()]
-        for x in block:
-            if x in seen:
+        block = [position_in_part(a, nm.strip(), part) for nm in chunk.split(",")]
+        for i in block:
+            if i in seen:
                 raise AlgebraSemanticError(
-                    f"element {a.names[x]!r} appears in two blocks")
-            seen.add(x)
+                    f"element {a.names[part[i]]!r} appears in two blocks")
+            seen.add(i)
         blocks.append(block)
-    blocks.extend([x] for x in a.elements() if x not in seen)
-    return Partition.from_blocks(a.size, blocks)
+    blocks.extend([i] for i in range(len(part)) if i not in seen)
+    return Partition.from_blocks(len(part), blocks)
+
+
+def position_in_part(a: FiniteAlgebra, name: str, part: Sequence[int]) -> int:
+    """Position in part, a sorted sequence of elements, of the element
+    with this name."""
+    g = a.index_of(name)
+    try:
+        return part.index(g)
+    except ValueError:
+        raise AlgebraSemanticError(f"element {name!r} is outside this part") from None
 
 
 def pair_closure_gaps(size: int, pairs: Iterable[tuple[int, int]]

@@ -73,6 +73,26 @@ class TestLoading:
         with pytest.raises(AlgebraParseError, match="trailing"):
             qba.load_algebra(TRIVIAL + "\nstar\n0\n")
 
+    @pytest.mark.parametrize("old, new, error, message", [
+        ("size 1", "sizes 1", AlgebraParseError, "line 2: expected 'size N'"),
+        ("size 1", "size one", AlgebraParseError, "line 2: size is not an integer"),
+        ("size 1", "size 0", AlgebraSemanticError, "size must be positive"),
+        ("names 0", "name 0", AlgebraParseError, "line 3: expected 'names ...'"),
+        ("names 0", "names 0 1", AlgebraSemanticError, "line 3: expected 1 names, got 2"),
+        ("zero 0", "zero", AlgebraParseError, "line 4: expected 'zero NAME'"),
+    ])
+    def test_header_errors(self, old, new, error, message):
+        with pytest.raises(error) as info:
+            qba.load_algebra(TRIVIAL.replace(old, new))
+        assert str(info.value) == message
+
+    def test_dict_with_unknown_name(self, fx):
+        d = qba.algebra_to_dict(fx["4"])
+        d["star"] = ["1", "b", "q", "0"]
+        with pytest.raises(AlgebraSemanticError) as info:
+            qba.algebra_from_dict(d)
+        assert str(info.value) == "unknown name 'q'"
+
     def test_comments_and_blank_lines_ignored(self, fx):
         text = "# header\n\n" + qba.dump_algebra(fx["4"]) + "\n# trailing comment\n"
         assert qba.load_algebra(text) == fx["4"]

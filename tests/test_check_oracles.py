@@ -1,11 +1,13 @@
 """The whole-row well-formedness checks in FiniteAlgebra, the one-pass
-cloud map in verify_structure, the structure-built labeled generator and
-the block-of-columns equation check against the code they replaced.
+cloud map in verify_structure, the structure-built labeled generator, the
+block-of-columns equation check, the congruence search with one prune and
+the isomorphism-class key against the code they replaced.
 
-The old scans, generators and the per-assignment check are kept here
-verbatim as oracles: every input must give the same exception type and
-message, the same (claim, bool) list, the same labeled algebras and the
-same verdict, witness included.
+The old scans, generators, the per-assignment check, the two-prune search
+and the search-based dedupe are kept here verbatim as oracles: every input
+must give the same exception type and message, the same (claim, bool)
+list, the same labeled algebras, the same verdict, witness included, the
+same congruences and the same representatives.
 """
 from itertools import permutations, product
 from typing import Iterator, Mapping
@@ -13,11 +15,14 @@ from typing import Iterator, Mapping
 import pytest
 
 import qba
-from qba.algebra import (FiniteAlgebra, cloud_of, is_flat, regular_elements,
-                         validate)
+from qba.algebra import (FiniteAlgebra, cloud_map, cloud_of, is_flat,
+                         regular_elements, validate)
+from qba.congruences import MAX_EXHAUSTIVE, all_congruences
 from qba.enumeration import (_generic_names, _involutions, _labeled,
-                             enumerate_all, enumerate_flat, verify_structure)
-from qba.errors import AlgebraSemanticError, UnboundVariable
+                             dedupe_up_to_iso, enumerate_all, enumerate_flat,
+                             verify_structure)
+from qba.errors import AlgebraSemanticError, TooLarge, UnboundVariable
+from qba.partitions import Partition, is_congruence
 from qba.quotients import (boolean_algebra, direct_product, find_isomorphism,
                            is_irreducible, make_flat, make_irreducible)
 from qba.terms import (BLOCK, Const, Equation, Join, Star, Term, Var, Verdict,
@@ -501,3 +506,146 @@ class TestHoldsIn:
             eqs += [parse_equation(f"{meet} = 0"), parse_equation(f"({meet})' = 1")]
         assert_same_verdicts(a, eqs)
         assert all(holds_in(a, eq).witness.assignment[0][1] != "0" for eq in eqs)
+
+
+# The congruence search as it was, with a second prune on the pairs
+# x < y < m against column m, verbatim.
+
+def all_congruences_two_prunes(a: FiniteAlgebra) -> list[Partition]:
+    """Every congruence, in canonical order.
+
+    Partitions are generated as restricted-growth assignments with early
+    compatibility pruning on the assigned prefix; each survivor still gets
+    the full check, so pruning can only cut the search, never change it.
+    """
+    n = a.size
+    if n > MAX_EXHAUSTIVE:
+        raise TooLarge(f"carrier of {n} exceeds the guard of {MAX_EXHAUSTIVE}")
+    join, meet, star = a.join, a.meet, a.star
+    assign = [0] * n
+    found: list[Partition] = []
+
+    def prefix_ok(m: int) -> bool:
+        # Constraints decidable from elements 0..m that involve m.
+        g = assign[m]
+        for x in range(m):
+            if assign[x] == g:
+                sx, sm = star[x], star[m]
+                if sx <= m and sm <= m and assign[sx] != assign[sm]:
+                    return False
+                for c in range(m + 1):
+                    u, v = join[x][c], join[m][c]
+                    if u <= m and v <= m and assign[u] != assign[v]:
+                        return False
+                    u, v = meet[x][c], meet[m][c]
+                    if u <= m and v <= m and assign[u] != assign[v]:
+                        return False
+            else:
+                for y in range(x + 1, m):
+                    if assign[y] != assign[x]:
+                        continue
+                    u, v = join[x][m], join[y][m]
+                    if u <= m and v <= m and assign[u] != assign[v]:
+                        return False
+                    u, v = meet[x][m], meet[y][m]
+                    if u <= m and v <= m and assign[u] != assign[v]:
+                        return False
+        return True
+
+    def rec(m: int, nblocks: int):
+        if m == n:
+            groups: dict[int, list[int]] = {}
+            for x, g in enumerate(assign):
+                groups.setdefault(g, []).append(x)
+            p = Partition.from_blocks(n, groups.values())
+            if is_congruence(a, p):
+                found.append(p)
+            return
+        for g in range(nblocks + 1):
+            assign[m] = g
+            if prefix_ok(m):
+                rec(m + 1, nblocks + (1 if g == nblocks else 0))
+        assign[m] = 0
+
+    rec(0, 0)
+    found.sort(key=Partition.sort_key)
+    return found
+
+
+def congruence_corpus():
+    fx = qba.all_fixtures()
+    yield from fx.values()
+    yield direct_product(fx["2"], fx["F3"])
+    yield direct_product(fx["2"], fx["F5"])
+    yield direct_product(fx["4"], fx["2"])
+    yield boolean_algebra(3)
+
+
+class TestAllCongruences:
+    def test_fixtures_and_products(self):
+        for a in congruence_corpus():
+            assert all_congruences(a) == all_congruences_two_prunes(a)
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
+    def test_flat_on_ten(self, k):
+        a = make_flat(10, k)
+        assert all_congruences(a) == all_congruences_two_prunes(a)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_labeled_algebra(self, n):
+        for a in enumerate_all(n, up_to_iso=False).iso_classes:
+            assert all_congruences(a) == all_congruences_two_prunes(a)
+
+    def test_single_cell_mutants(self, fx):
+        # Mutants fail the axioms, so prunes and full checks disagree far
+        # more often than on valid algebras.
+        for name in ("4", "6"):
+            for a in single_cell_mutants(fx[name]):
+                assert all_congruences(a) == all_congruences_two_prunes(a)
+
+
+# The dedupe that iso_class_key replaced, verbatim: a bucket of cheap
+# invariants, then an isomorphism search against each representative.
+
+def iso_signature(a: FiniteAlgebra) -> tuple:
+    """Cheap invariants used to bucket algebras before isomorphism search."""
+    regs = regular_elements(a)
+    clouds = cloud_map(a)
+    return (
+        a.size,
+        is_flat(a),
+        len(regs),
+        sum(1 for x in a.elements() if a.star[x] == x),
+        tuple(sorted(len(clouds[r]) for r in regs)),
+    )
+
+
+def dedupe_by_search(algebras) -> list[FiniteAlgebra]:
+    reps: list[FiniteAlgebra] = []
+    sigs: list[tuple] = []
+    for a in algebras:
+        sig = iso_signature(a)
+        if any(sig == s and find_isomorphism(a, r) is not None
+               for r, s in zip(reps, sigs)):
+            continue
+        reps.append(a)
+        sigs.append(sig)
+    return reps
+
+
+class TestDedupe:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_representatives(self, n):
+        labeled = enumerate_all(n, up_to_iso=False).iso_classes
+        reps = dedupe_up_to_iso(labeled)
+        assert list(map(tables, reps)) == list(map(tables, dedupe_by_search(labeled)))
+
+    def test_fixtures_products_and_flat_algebras(self, fx):
+        # A has clouds of sizes 2, 1, 1, 2, so with a third atom from 2 the
+        # key depends on the order of the atoms.
+        A, two = fx["A"], fx["2"]
+        algebras = [*congruence_corpus(), boolean_algebra(2), direct_product(A, two),
+                    direct_product(two, A), direct_product(direct_product(two, A), A)]
+        algebras += [make_flat(n, k) for n in range(1, 11) for k in range(n % 2 or 2, n + 1, 2)]
+        assert (list(map(tables, dedupe_up_to_iso(algebras)))
+                == list(map(tables, dedupe_by_search(algebras))))

@@ -73,6 +73,35 @@ class TestExitCodes:
             result = run(base + ["--link", link])
             assert result == CommandResult(2, f"error: element {name!r} is outside this part")
 
+    def test_malformed_pairs_and_links_exit_2(self):
+        compose6 = ["compose", fpath("6"), "--theta-r", "0;1", "--theta-ir", "a,e;b,f"]
+        for argv, message in (
+                (["generate", fpath("4"), "--pairs", "a=b; ab"],
+                 "pair 'ab' is not of the form name=name"),
+                (compose6 + ["--link", "0>a;1b"], "link '1b' is not of the form reg>irr"),
+                (["compose", fpath("F3")], "flat composition needs --theta-ir"),
+                (["compose", fpath("6"), "--theta-ir", "a,e;b,f"],
+                 "non-flat composition needs --theta-r and --theta-ir"),
+                (compose6 + ["--link", "0>a"], "(C2) linked set is not star-closed"),
+                # Two links from the class {1}: f keeps the last, the cross
+                # part gets both.
+                (compose6 + ["--link", "0>a;1>b;1>a"],
+                 "(C3) cross part differs from the (C3) display")):
+            assert run(argv) == CommandResult(2, f"error: {message}")
+
+    def test_partition_text_rules(self):
+        # An empty name is refused wherever partition text is read, and a
+        # name in two blocks gets one message.
+        six = fpath("6")
+        for argv in (["split", six, "--cong"], ["decompose", six, "--cong"],
+                     ["generate", six, "--seed"],
+                     ["extend", six, "--sub", "0,a,b,1", "--cong"],
+                     ["compose", six, "--theta-r", "0;1", "--theta-ir"]):
+            for text in ("a,,b", "a,", ",a", "a, ;b"):
+                assert run(argv + [text]) == CommandResult(2, "error: unknown element name ''")
+            assert run(argv + ["a;a,b"]) == CommandResult(
+                2, "error: element 'a' appears in two blocks")
+
     def test_too_many_assignments_exits_2(self):
         twelve = " \\/ ".join(f"x{i}" for i in range(12))
         for argv in (["check", fpath("6")], ["decide", "--variety", "qb"]):

@@ -58,6 +58,18 @@ def pairs(names, sep):
     return st.lists(pair, min_size=1, max_size=3).map(";".join)
 
 
+def malformed(names):
+    """Partition and link text with an empty name, a name in two blocks,
+    or two links from one class."""
+    name = st.sampled_from(names)
+    return st.one_of(
+        st.tuples(name, name).map(",,".join),
+        name.map(lambda nm: nm + ","),
+        st.tuples(name, name).map(lambda t: f"{t[0]};{t[1]},{t[0]}"),
+        st.tuples(name, name, name).map(lambda t: f"{t[0]}>{t[1]};{t[0]}>{t[2]}"),
+    )
+
+
 def one_in(k, value):
     """value with probability 1/k, else its negation."""
     return st.sampled_from([not value] * (k - 1) + [value])
@@ -71,6 +83,7 @@ def shapes(main, names):
     """Each subcommand with the arguments it takes, on the algebra file
     main whose element names are names."""
     part = partition(names)
+    part_or_bad = st.one_of(part, malformed(names))
     return {
         "validate": [main],
         "info": [main],
@@ -85,8 +98,8 @@ def shapes(main, names):
         "extend": [main, opt("--sub", part), opt("--cong", part)],
         "split": [main, opt("--cong", part)],
         "decompose": [main, opt("--cong", part)],
-        "compose": [main, opt("--theta-r", part), opt("--theta-ir", part),
-                    opt("--link", st.one_of(pairs(names, ">"), part))],
+        "compose": [main, opt("--theta-r", part_or_bad), opt("--theta-ir", part_or_bad),
+                    opt("--link", st.one_of(pairs(names, ">"), part_or_bad))],
         "enumerate": [opt("--size", size), st.just("--flat"), st.just("--up-to-iso")],
         "frobnicate": [],
     }

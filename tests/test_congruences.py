@@ -104,6 +104,14 @@ class TestGeneratedCongruence:
                 got = qba.generated_congruence(a, seed)
                 assert got == seed_target  # congruences regenerate themselves
 
+    def test_meet_alone_forces_a_merge(self):
+        # Star is the identity and join is constant, so only 1 ^ 0 = 2
+        # against 0 ^ 0 = 0 ties 2 to the seed block.
+        zeros = ((0,) * 3,) * 3
+        meet = ((0, 0, 0), (2, 0, 0), (0, 0, 0))
+        a = qba.FiniteAlgebra(("0", "1", "2"), zeros, meet, (0, 1, 2), 0, 0)
+        assert qba.generated_congruence(a, [(0, 1)]) == Partition.whole(3)
+
 
 class TestSubalgebras:
     def test_6_contains_copy_of_4(self, fx):
@@ -366,6 +374,24 @@ class TestComposeNonflat:
             cross=frozenset({(0, 1), (1, 0), (3, 1), (1, 3)}),
         )
         with pytest.raises(ConditionC2Violated):
+            qba.compose_nonflat(a, d)
+
+    @pytest.mark.parametrize("linked, f, message", [
+        ((5,), ((5, 0),), "linked set names a nonexistent block"),
+        ((0, 1), ((0, 0),), "f must be defined exactly on the linked set"),
+        ((0, 1), ((0, 0), (1, 0)), "f is not injective"),
+        ((0,), ((0, 0),), "linked set is not star-closed"),
+        ((0, 1), ((0, 1), (1, 0)), "image block misses the clouds of its class"),
+    ])
+    def test_c2_block_map_fails(self, fx, linked, f, message):
+        # On 6 the classes {0} and {1} own the clouds of a,e and of f,b.
+        a = fx["6"]
+        theta_r = Partition.singletons(2)
+        theta_ir = Partition.from_blocks(4, [[0, 1], [2, 3]])  # a,e ; f,b
+        d = CongruenceDecomposition(
+            theta_r=theta_r, theta_ir=theta_ir, linked=frozenset(linked), f=f,
+            cross=frozenset())
+        with pytest.raises(ConditionC2Violated, match=f"^\\(C2\\) {message}$"):
             qba.compose_nonflat(a, d)
 
     def test_c1_cloud_confinement_fails(self, fx):

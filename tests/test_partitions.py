@@ -3,7 +3,8 @@ import pytest
 
 import qba
 from qba.errors import AlgebraSemanticError
-from qba.partitions import Partition, pair_closure_gaps
+from qba.partitions import (Partition, format_blocks, pair_closure_gaps,
+                            parse_part, position_in_part)
 
 
 class TestPartition:
@@ -68,6 +69,25 @@ class TestTextFormat:
     def test_unknown_name_rejected(self, fx):
         with pytest.raises(AlgebraSemanticError, match="unknown"):
             qba.parse_partition(fx["4"], "0,q")
+
+    @pytest.mark.parametrize("text", ["0,,a", "0,", ",a", "0, ,a"])
+    def test_empty_name_rejected(self, fx, text):
+        with pytest.raises(AlgebraSemanticError, match="^unknown element name ''$"):
+            qba.parse_partition(fx["4"], text)
+
+    def test_empty_chunks_skipped(self, fx):
+        a = fx["4"]
+        assert qba.parse_partition(a, ";0,1;;a; ;") == qba.parse_partition(a, "0,1")
+
+    def test_part_is_indexed_by_position(self, fx):
+        a = fx["6"]  # irregular part a, e, f, b
+        irs = [1, 2, 3, 4]
+        assert parse_part(a, "b,e", irs) == Partition.from_blocks(4, [[1, 3], [0], [2]])
+        assert format_blocks(a, parse_part(a, "b,e", irs).blocks, irs) == "a;e,b;f"
+        assert position_in_part(a, "f", irs) == 2
+        for text in ("a,1", "1"):
+            with pytest.raises(AlgebraSemanticError, match="^element '1' is outside this part$"):
+                parse_part(a, text, irs)
 
 
 class TestPairClosureGaps:
