@@ -25,7 +25,8 @@ from .congruences import (CongruenceDecomposition, all_congruences,
 from .enumeration import enumerate_all, enumerate_flat
 from .errors import QbaError
 from .partitions import (format_blocks, format_partition, pair_closure_gaps,
-                         parse_part, parse_partition, position_in_part)
+                         parse_names, parse_part, parse_partition,
+                         position_in_part)
 from .quotients import (chi, direct_product, find_isomorphism, is_irreducible,
                         quotient, tau)
 from .terms import Verdict, decide, holds_in, parse_equation
@@ -209,8 +210,7 @@ def _cmd_generate(args) -> CommandResult:
 
 def _cmd_extend(args) -> CommandResult:
     a = _load(args.algebra)
-    subset = sorted(a.index_of(nm.strip())
-                    for nm in args.sub.split(",") if nm.strip())
+    subset = sorted(parse_names(a, args.sub, a.elements()))
     sub_alg = subalgebra(a, subset)
     theta0 = parse_partition(sub_alg, args.cong)
     ext = extend_from_subalgebra(a, subset, theta0)
@@ -267,13 +267,17 @@ def _cmd_compose(args) -> CommandResult:
             raise QbaError("non-flat composition needs --theta-r and --theta-ir")
         theta_r = parse_part(a, args.theta_r, regs)
         theta_ir = parse_part(a, args.theta_ir, irs)
-        links = [(theta_r.block_index(position_in_part(a, x, regs)),
-                  theta_ir.block_index(position_in_part(a, y, irs)))
-                 for x, y in _name_pairs(args.link or "", ">", "link", "reg>irr")]
+        f: dict[int, int] = {}
+        for x, y in _name_pairs(args.link or "", ">", "link", "reg>irr"):
+            rb = theta_r.block_index(position_in_part(a, x, regs))
+            ib = theta_ir.block_index(position_in_part(a, y, irs))
+            if f.setdefault(rb, ib) != ib:
+                cls = format_blocks(a, [theta_r.blocks[rb]], regs)
+                raise QbaError(f"regular class {cls!r} is linked to two irregular classes")
         d = CongruenceDecomposition(
             theta_r=theta_r, theta_ir=theta_ir,
-            linked=frozenset(rb for rb, _ in links), f=tuple(sorted(links)),
-            cross=cross_pairs(a, theta_r, theta_ir, links))
+            linked=frozenset(f), f=tuple(sorted(f.items())),
+            cross=cross_pairs(a, theta_r, theta_ir, f.items()))
         result = compose_nonflat(a, d)
     text = format_partition(a, result)
     return CommandResult(0, _emit({"congruence": text}, text, args.json))

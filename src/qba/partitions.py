@@ -150,7 +150,7 @@ def parse_part(a: FiniteAlgebra, text: str, part: Sequence[int]) -> Partition:
     for chunk in text.split(";"):
         if not chunk.strip():
             continue
-        block = [position_in_part(a, nm.strip(), part) for nm in chunk.split(",")]
+        block = parse_names(a, chunk, part)
         for i in block:
             if i in seen:
                 raise AlgebraSemanticError(
@@ -159,6 +159,12 @@ def parse_part(a: FiniteAlgebra, text: str, part: Sequence[int]) -> Partition:
         blocks.append(block)
     blocks.extend([i] for i in range(len(part)) if i not in seen)
     return Partition.from_blocks(len(part), blocks)
+
+
+def parse_names(a: FiniteAlgebra, text: str, part: Sequence[int]) -> list[int]:
+    """Positions in part, a sorted sequence of elements, of the
+    ','-separated names in text; an empty name is refused."""
+    return [position_in_part(a, nm.strip(), part) for nm in text.split(",")]
 
 
 def position_in_part(a: FiniteAlgebra, name: str, part: Sequence[int]) -> int:

@@ -25,10 +25,19 @@ a block at a time: the innermost variables, as many as keep n^m within
 BLOCK assignments, are columns holding all their values in lexicographic
 order, and the outer ones run through their values one by one. A subterm
 that depends on no inner variable is one element per block; the others
-are columns, built by mapping over table rows. The witness is the first
+are columns. When n*n <= 256 a column is bytes, one element index per
+byte, and each operation on it is a single bytes.translate: star through
+the star, element op column through a table row, column op element
+through a table column, and column op column through the flattened table
+at the pair index l*n + r, computed for all entries at once as
+int.from_bytes(l) * n + int.from_bytes(r) (no entry carries into the
+next, as l*n + r < n*n <= 256). Larger algebras keep columns as lists
+mapped through the table rows entry by entry. The witness is the first
 failing assignment in lexicographic order, as in a scan one assignment at
-a time. More than MAX_ASSIGNMENTS assignments raise TooLarge before any
-evaluation, which the CLI reports with exit code 2.
+a time; with bytes its index is the highest nonzero byte of the XOR of the
+two sides read as big-endian integers. More than MAX_ASSIGNMENTS
+assignments raise TooLarge before any evaluation, which the CLI reports
+with exit code 2.
 """
 from __future__ import annotations
 
@@ -40,8 +49,8 @@ from operator import getitem
 from typing import Mapping, Union
 
 from .algebra import FiniteAlgebra
-from .errors import (EquationParseError, InvariantViolation, TooLarge,
-                     UnboundVariable)
+from .errors import (EquationParseError, InvariantViolation,
+                     PreconditionViolated, TooLarge, UnboundVariable)
 from .fixtures import fixture
 
 
@@ -275,13 +284,46 @@ def variables(t: Term) -> frozenset[str]:
     return variables(t.left) | variables(t.right)
 
 
+def _byte_tables(a: FiniteAlgebra):
+    """Translation tables for byte columns, keyed by node type, or None
+    when a pair index l*n + r would not fit a byte (n*n > 256). Each table
+    is padded to the 256 entries bytes.translate takes; the padding is
+    never read. Star maps to the star; Join and Meet to the flattened
+    table (indexed by pair index), its rows (element op column) and its
+    columns (column op element)."""
+    n = a.size
+    if n * n > 256:
+        return None
+
+    def pad(values) -> bytes:
+        return bytes(values).ljust(256, b"\0")
+
+    tables = {op: (pad(v for row in table for v in row),
+                   [pad(row) for row in table],
+                   [pad(column) for column in zip(*table)])
+              for op, table in ((Join, a.join), (Meet, a.meet))}
+    tables[Star] = pad(a.star)
+    return tables
+
+
 def eval_term(a: FiniteAlgebra, t: Term,
-              env: Mapping[str, int | list[int]]) -> int | list[int]:
+              env: Mapping[str, int | list[int] | bytes]) -> int | list[int] | bytes:
     """Evaluate by table lookup. env maps variable names to element indices
-    or to columns: lists of element indices of one common length, one entry
-    per assignment. The value is an element when t depends on no column,
-    else the column of its values; a subterm free of columns is computed
-    once, not once per entry."""
+    or to columns of one common length and type, one entry per assignment:
+    lists of element indices, or bytes when n*n <= 256. The value is an
+    element when t depends on no column, else the column of its values; a
+    subterm free of columns is computed once, not once per entry."""
+    tables = None
+    if any(isinstance(v, bytes) for v in env.values()):
+        tables = _byte_tables(a)
+        if tables is None:
+            raise PreconditionViolated(
+                f"bytes columns need n*n <= 256, not n = {a.size}")
+    return _eval(a, tables, t, env)
+
+
+def _eval(a: FiniteAlgebra, tables, t: Term, env):
+    """eval_term with the byte tables of a already built."""
     if isinstance(t, Var):
         try:
             return env[t.name]
@@ -290,20 +332,30 @@ def eval_term(a: FiniteAlgebra, t: Term,
     if isinstance(t, Const):
         return a.zero if t.value == 0 else a.one
     if isinstance(t, Star):
-        inner = eval_term(a, t.inner, env)
-        if isinstance(inner, list):
-            return list(map(a.star.__getitem__, inner))
-        return a.star[inner]
-    left = eval_term(a, t.left, env)
-    right = eval_term(a, t.right, env)
+        inner = _eval(a, tables, t.inner, env)
+        if isinstance(inner, int):
+            return a.star[inner]
+        if isinstance(inner, bytes):
+            return inner.translate(tables[Star])
+        return list(map(a.star.__getitem__, inner))
+    left = _eval(a, tables, t.left, env)
+    right = _eval(a, tables, t.right, env)
     table = a.join if isinstance(t, Join) else a.meet
-    if isinstance(left, list):
-        if isinstance(right, list):
-            return list(map(getitem, map(table.__getitem__, left), right))
-        return list(map([row[right] for row in table].__getitem__, left))
-    if isinstance(right, list):
+    if isinstance(left, int):
+        if isinstance(right, int):
+            return table[left][right]
+        if isinstance(right, bytes):
+            return right.translate(tables[type(t)][1][left])
         return list(map(table[left].__getitem__, right))
-    return table[left][right]
+    if isinstance(right, int):
+        if isinstance(left, bytes):
+            return left.translate(tables[type(t)][2][right])
+        return list(map([row[right] for row in table].__getitem__, left))
+    if isinstance(left, bytes):
+        # Lane by lane l*n + r <= n*n - 1 <= 255: no lane carries into the next.
+        pairs = int.from_bytes(left, "big") * a.size + int.from_bytes(right, "big")
+        return pairs.to_bytes(len(left), "big").translate(tables[type(t)][0])
+    return list(map(getitem, map(table.__getitem__, left), right))
 
 
 MAX_ASSIGNMENTS = 10**7
@@ -327,20 +379,28 @@ def holds_in(a: FiniteAlgebra, eq: Equation) -> Verdict:
         m += 1
     outer, inner = names[:k - m], names[k - m:]
     size = n ** m
+    tables = _byte_tables(a)
+    column = list if tables is None else bytes
     # Entry i of a column holds the i-th assignment of the inner variables
     # in lexicographic order: variable j repeats each value n^(m-1-j) times.
-    columns = {nm: [v for v in range(n) for _ in range(n ** (m - 1 - j))] * n ** j
+    columns = {nm: column([v for v in range(n) for _ in range(n ** (m - 1 - j))] * n ** j)
                for j, nm in enumerate(inner)}
     for values in product(range(n), repeat=k - m):
         env = dict(zip(outer, values), **columns)
-        lv = eval_term(a, eq.lhs, env)
-        rv = eval_term(a, eq.rhs, env)
-        lv = lv if isinstance(lv, list) else [lv] * size
-        rv = rv if isinstance(rv, list) else [rv] * size
+        lv = _eval(a, tables, eq.lhs, env)
+        rv = _eval(a, tables, eq.rhs, env)
+        lv = column([lv]) * size if isinstance(lv, int) else lv
+        rv = column([rv]) * size if isinstance(rv, int) else rv
         if lv == rv:
             continue
-        i = next(i for i, pair in enumerate(zip(lv, rv)) if pair[0] != pair[1])
-        values += tuple(column[i] for column in columns.values())
+        if column is bytes:
+            # The first differing entry is the highest nonzero byte of the
+            # XOR of both sides read as big-endian integers.
+            diff = int.from_bytes(lv, "big") ^ int.from_bytes(rv, "big")
+            i = size - 1 - (diff.bit_length() - 1) // 8
+        else:
+            i = next(i for i, pair in enumerate(zip(lv, rv)) if pair[0] != pair[1])
+        values += tuple(c[i] for c in columns.values())
         return Verdict(valid=False, witness=Witness(
             assignment=tuple((nm, a.names[v]) for nm, v in zip(names, values)),
             lhs_value=a.names[lv[i]],

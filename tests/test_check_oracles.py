@@ -430,6 +430,12 @@ def assert_same_verdicts(a, equations):
 
 MEET, JOIN = "/\\", "\\/"
 
+# QB laws in three variables: valid in every QB-algebra, so a full scan.
+LAWS = [parse_equation(t) for t in (
+    "x \\/ (y \\/ z) = (x \\/ y) \\/ z",
+    "x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z)",
+    "(x /\\ (y /\\ z))' = (x' \\/ y') \\/ z'")]
+
 
 def chain(op, k):
     return f" {op} ".join(f"x{i:02}" for i in range(k))
@@ -494,6 +500,49 @@ class TestHoldsIn:
         v = holds_in(a, eq)
         assert v == holds_in_by_walk(a, eq)
         assert v.witness.assignment == tuple((f"x{i:02}", "1") for i in range(13))
+
+    # n = 16 is the largest carrier with byte columns: there the pair index
+    # l*n + r of two columns reaches 255, the last entry of a byte table.
+
+    @pytest.mark.parametrize("k", [2, 8, 16])
+    def test_flat_on_sixteen(self, k):
+        a = make_flat(16, k)
+        assert a.size ** 2 == 256
+        assert_same_verdicts(a, equation_corpus(20, seed=11, max_depth=4))
+
+    def test_product_on_sixteen(self, fx):
+        a = direct_product(fx["4"], fx["4"])
+        eqs = equation_corpus(20, seed=12, max_depth=5) + LAWS
+        eqs += [parse_equation(f"{chain(op, 3)} = {side}")
+                for op in (MEET, JOIN) for side in ("0", "1", "x02", "x00'")]
+        assert_same_verdicts(a, eqs)
+        assert all(holds_in(a, eq).valid for eq in LAWS)
+
+    def test_single_cell_mutants_on_sixteen(self, fx):
+        # Each mutant breaks commutativity at a cell with a large pair
+        # index, so an operand order swapped between the two columns, or a
+        # wrong last entry, would show.
+        base = direct_product(fx["4"], fx["4"])
+        eqs = [parse_equation(t) for t in ("x \\/ y = y \\/ x", "x /\\ y = y /\\ x",
+                                           "x \\/ (x /\\ y) = x \\/ x",
+                                           "x' /\\ y = (y \\/ x)'")]
+        eqs += equation_corpus(6, seed=13, max_depth=4, names=("x", "y"))
+        for k in (1, 2):
+            for i, j in ((15, 14), (14, 15), (0, 15), (15, 1)):
+                for v in (0, 9, 15):
+                    args = fields(base)
+                    if v != args[k][i][j]:
+                        args[k] = with_cell(args[k], i, j, v)
+                        assert_same_verdicts(FiniteAlgebra(*args), eqs)
+
+    def test_list_columns_past_sixteen(self, fx):
+        # 18 * 18 > 256: the columns stay lists of element indices.
+        a = direct_product(fx["6"], fx["F3"])
+        eqs = equation_corpus(12, seed=14, max_depth=4) + LAWS
+        eqs += [parse_equation(f"{chain(op, 3)} = {side}")
+                for op in (MEET, JOIN) for side in ("0", "x02")]
+        assert_same_verdicts(a, eqs)
+        assert all(holds_in(a, eq).valid for eq in LAWS)
 
     def test_late_witness_on_6(self, fx):
         # The meet of k variables on 6 is 0 unless all lie in the top cloud,

@@ -83,10 +83,12 @@ class TestExitCodes:
                 (["compose", fpath("6"), "--theta-ir", "a,e;b,f"],
                  "non-flat composition needs --theta-r and --theta-ir"),
                 (compose6 + ["--link", "0>a"], "(C2) linked set is not star-closed"),
-                # Two links from the class {1}: f keeps the last, the cross
-                # part gets both.
+                # Two links from the class {1} to different classes.
                 (compose6 + ["--link", "0>a;1>b;1>a"],
-                 "(C3) cross part differs from the (C3) display")):
+                 "regular class '1' is linked to two irregular classes"),
+                (["compose", fpath("6"), "--theta-r", "0,1", "--theta-ir", "a,e;b,f",
+                  "--link", "0>a;1>b"],
+                 "regular class '0,1' is linked to two irregular classes")):
             assert run(argv) == CommandResult(2, f"error: {message}")
 
     def test_partition_text_rules(self):
@@ -101,6 +103,19 @@ class TestExitCodes:
                 assert run(argv + [text]) == CommandResult(2, "error: unknown element name ''")
             assert run(argv + ["a;a,b"]) == CommandResult(
                 2, "error: element 'a' appears in two blocks")
+
+    def test_repeated_link_to_one_class_is_accepted(self):
+        compose6 = ["compose", fpath("6"), "--theta-r", "0;1", "--theta-ir", "a,e;b,f"]
+        want = run(compose6 + ["--link", "0>a;1>b"])
+        assert want == CommandResult(0, "0,a,e;f,b,1")
+        assert run(compose6 + ["--link", "0>a;1>b;1>f"]) == want
+
+    def test_empty_name_in_sub_exits_2(self):
+        for sub in ("0,,a,b,1,", "0,a,b,1,", ",0,a,b,1", "0,a, ,b,1"):
+            result = run(["extend", fpath("6"), "--sub", sub, "--cong", "0,a,b,1"])
+            assert result == CommandResult(2, "error: unknown element name ''")
+        assert run(["extend", fpath("6"), "--sub", "0, a,b ,1", "--cong", "0,a,b,1"]) == \
+            CommandResult(0, "0,a,b,1;e;f")
 
     def test_too_many_assignments_exits_2(self):
         twelve = " \\/ ".join(f"x{i}" for i in range(12))

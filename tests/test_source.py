@@ -1,6 +1,8 @@
 """Invariant checks in the package raise typed errors, never bare asserts,
-so they still run under python -O."""
+so they still run under python -O; and the package has no runtime
+dependencies: it imports only the standard library and itself."""
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,3 +20,29 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text("utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def imported_roots(tree: ast.AST) -> set[str]:
+    """Top-level names of the absolute imports in a module; relative
+    imports stay inside the package."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_stdlib_and_itself(path):
+    tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+    outside = imported_roots(tree) - sys.stdlib_module_names - {"qba"}
+    assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_import_guard_sees_third_party_imports():
+    tree = ast.parse("import numpy as np\nfrom hypothesis import given\n"
+                     "from . import terms\nfrom qba.terms import holds_in\n"
+                     "import os.path\n")
+    assert imported_roots(tree) - sys.stdlib_module_names == {"numpy", "hypothesis", "qba"}

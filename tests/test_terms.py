@@ -4,8 +4,9 @@ import time
 import pytest
 
 import qba
-from qba.errors import (EquationParseError, InvariantViolation, TooLarge,
-                        UnboundVariable)
+from qba.errors import (EquationParseError, InvariantViolation,
+                        PreconditionViolated, TooLarge, UnboundVariable)
+from qba.quotients import direct_product
 from qba.terms import (MAX_ASSIGNMENTS, MAX_DEPTH, Const, Equation, Join, Meet, Star, Var,
                        Verdict, Witness, decide, equation_corpus, eval_term,
                        format_equation, format_term, holds_in, parse_equation,
@@ -190,11 +191,23 @@ class TestHoldsIn:
         a = fx["4"]
         t = parse_term("(x /\\ y)' \\/ x")
         xs, ys = [0, 1, 2, 3, 1], [3, 3, 1, 0, 2]
-        column = eval_term(a, t, {"x": xs, "y": ys})
-        assert column == [eval_term(a, t, {"x": x, "y": y}) for x, y in zip(xs, ys)]
+        want = [eval_term(a, t, {"x": x, "y": y}) for x, y in zip(xs, ys)]
+        # Columns as lists, or as bytes: the same values in the same type.
+        for column in (list, bytes):
+            got = eval_term(a, t, {"x": column(xs), "y": column(ys)})
+            assert type(got) is column and list(got) == want
+            # Element op column and column op element.
+            got = eval_term(a, parse_term("x /\\ y \\/ y /\\ x"), {"x": 2, "y": column(ys)})
+            assert list(got) == [a.join[a.meet[2][y]][a.meet[y][2]] for y in ys]
         # A subterm free of columns stays an element.
         t = parse_term("x' \\/ 0")
         assert eval_term(a, t, {"x": 1, "y": ys}) == eval_term(a, t, {"x": 1}) == 3
+        assert eval_term(a, t, {"x": 1, "y": bytes(ys)}) == 3
+
+    def test_bytes_columns_need_sixteen_elements(self, fx):
+        a = direct_product(fx["6"], fx["F3"])
+        with pytest.raises(PreconditionViolated, match="n = 18"):
+            eval_term(a, parse_term("x \\/ y"), {"x": bytes([1, 2]), "y": 3})
 
 
 class TestAssignmentGuard:
