@@ -23,6 +23,21 @@ def _all_ints(values) -> bool:
     return all(map(int.__instancecheck__, values))
 
 
+def _check_star(star, n: int) -> None:
+    """The star's part of the well-formedness check: n integer entries in
+    range."""
+    try:
+        shaped = len(star) == n
+    except TypeError:  # a star without a length
+        shaped = False
+    if not shaped:
+        raise AlgebraSemanticError("wrong table dimensions for star")
+    if not _all_ints(star):
+        raise AlgebraSemanticError("star entry is not an integer")
+    if min(star) < 0 or max(star) >= n:
+        raise AlgebraSemanticError("star entry out of range")
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """Immutable operation tables over the carrier {0, ..., n-1}.
@@ -76,16 +91,7 @@ class FiniteAlgebra:
                 raise AlgebraSemanticError(f"{what} entry is not an integer")
             if min(entries) < 0 or max(entries) >= n:
                 raise AlgebraSemanticError(f"{what} entry out of range")
-        try:
-            shaped = len(self.star) == n
-        except TypeError:  # a star without a length
-            shaped = False
-        if not shaped:
-            raise AlgebraSemanticError("wrong table dimensions for star")
-        if not _all_ints(self.star):
-            raise AlgebraSemanticError("star entry is not an integer")
-        if min(self.star) < 0 or max(self.star) >= n:
-            raise AlgebraSemanticError("star entry out of range")
+        _check_star(self.star, n)
         for c, what in ((self.zero, "zero"), (self.one, "one")):
             if not isinstance(c, int):
                 raise AlgebraSemanticError(f"{what} is not an integer")
@@ -104,6 +110,25 @@ class FiniteAlgebra:
             return self.names.index(name)
         except ValueError:
             raise AlgebraSemanticError(f"unknown element name {name!r}") from None
+
+    def _with_star(self, star) -> "FiniteAlgebra":
+        """A copy with another star, for generators that vary only the
+        star of an algebra they built through the constructor. Only the
+        star is checked: names, tables and constants are this algebra's,
+        checked when it was made."""
+        _check_star(star, len(self.names))
+        twin = object.__new__(FiniteAlgebra)
+        # Fields set one by one in their order, as __init__ sets them, keep
+        # the compact attribute layout that constructed instances share.
+        put = object.__setattr__
+        put(twin, "names", self.names)
+        put(twin, "join", self.join)
+        put(twin, "meet", self.meet)
+        put(twin, "star", star)
+        put(twin, "zero", self.zero)
+        put(twin, "one", self.one)
+        put(twin, "label", self.label)
+        return twin
 
     def relabel(self, label: str) -> "FiniteAlgebra":
         return FiniteAlgebra(self.names, self.join, self.meet, self.star,

@@ -47,6 +47,17 @@ def _load(path: str) -> FiniteAlgebra:
     return load_algebra(text, label=p.stem)
 
 
+def _write(path: Path, text: str, *, make_parent: bool = False) -> None:
+    """Write text to path, first making its directory when asked. An
+    unwritable path is an input error (exit 2), like an unreadable one."""
+    try:
+        if make_parent:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, "utf-8")
+    except OSError as exc:
+        raise QbaError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(payload: dict, human: str, as_json: bool) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) if as_json else human
 
@@ -132,7 +143,7 @@ def _cmd_product(args) -> CommandResult:
     a, b = _load(args.left), _load(args.right)
     p = direct_product(a, b)
     if args.out:
-        Path(args.out).write_text(dump_algebra(p), "utf-8")
+        _write(Path(args.out), dump_algebra(p))
     payload = {"algebra": algebra_to_dict(p)}
     return CommandResult(0, _emit(payload, dump_algebra(p).rstrip("\n"), args.json))
 
@@ -299,10 +310,9 @@ def _cmd_enumerate(args) -> CommandResult:
                      f"star_fixed={sum(1 for x in a.elements() if a.star[x] == x)}")
     if args.emit:
         out = Path(args.emit)
-        out.mkdir(parents=True, exist_ok=True)
         for i, a in enumerate(report.iso_classes):
-            (out / f"qba_n{report.size}_{i}.alg").write_text(dump_algebra(a),
-                                                             "utf-8")
+            _write(out / f"qba_n{report.size}_{i}.alg", dump_algebra(a),
+                   make_parent=True)
         lines.append(f"wrote {len(report.iso_classes)} files to {out}")
     payload = {"size": report.size, "flat_only": report.flat_only,
                "up_to_iso": report.up_to_iso,

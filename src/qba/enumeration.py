@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterator
+from operator import eq
+from typing import Iterator, NamedTuple
 
 from .algebra import FiniteAlgebra, cloud_map, is_flat, regular_elements
 from .errors import TooLarge
@@ -21,6 +22,7 @@ from .quotients import (boolean_algebra, direct_product, find_isomorphism,
 
 MAX_FLAT = 16
 MAX_ALL = 6
+MAX_LABELED = 10 ** 6  # labeled algebras one enumerate_flat call may build
 
 
 @dataclass(frozen=True)
@@ -51,16 +53,30 @@ def involution_count(m: int) -> int:
     return cur if m >= 1 else 1
 
 
-def _involutions(points: tuple[int, ...]) -> Iterator[dict[int, int]]:
+def _involutions_into(star: list[int], points: tuple[int, ...]) -> Iterator[None]:
+    """Write each involution of points into star, in turn: x = points[0]
+    fixed first, then x paired with each later point, the rest filled
+    recursively in the same order. Yields once per involution, with
+    star[p] set for every p in points."""
     if not points:
-        yield {}
+        yield
         return
     x, rest = points[0], points[1:]
-    for m in _involutions(rest):
-        yield {x: x, **m}
+    star[x] = x
+    yield from _involutions_into(star, rest)
     for i, y in enumerate(rest):
-        for m in _involutions(rest[:i] + rest[i + 1:]):
-            yield {x: y, y: x, **m}
+        star[x], star[y] = y, x
+        yield from _involutions_into(star, rest[:i] + rest[i + 1:])
+
+
+def _bijections_into(star: list[int], src: list[int],
+                     dst: list[int]) -> Iterator[None]:
+    """Write each bijection of src onto dst, and its inverse, into star:
+    src[i] <-> perm[i] for each perm of dst in permutations order."""
+    for perm in permutations(dst):
+        for u, v in zip(src, perm):
+            star[u], star[v] = v, u
+        yield
 
 
 def _generic_names(n: int) -> tuple[str, ...]:
@@ -76,7 +92,7 @@ def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
     per permutation of the atoms. Each irregular x gets a cloud rep[x],
     clouds s and s ^ top have equal sizes, and the tables follow from
     x v y = (x v x) v (y v y). For k = 0 (the flat case) the stars come
-    in the order of _involutions on 1..n-1.
+    in the order of _involutions_into on 1..n-1.
     """
     names = _generic_names(n)
     top = (1 << k) - 1
@@ -101,9 +117,14 @@ def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
             meets = [tuple(img[s & t] for t in rep) for s in range(top + 1)]
             join = tuple(joins[s] for s in rep)
             meet = tuple(meets[s] for s in rep)
-            for st in _stars(star, members, top, 0):
-                yield FiniteAlgebra(names=names, join=join, meet=meet,
-                                    star=st, zero=0, one=img[top])
+            # The family of this cloud assignment shares names and tables;
+            # its first algebra checks them, the others only their star.
+            stars = _stars(star, members, top, 0)
+            first = FiniteAlgebra(names=names, join=join, meet=meet,
+                                  star=next(stars), zero=0, one=img[top])
+            yield first
+            for st in stars:
+                yield first._with_star(st)
 
 
 def _stars(star: list[int], members: list[list[int]], top: int,
@@ -113,14 +134,11 @@ def _stars(star: list[int], members: list[list[int]], top: int,
     s ^ top == s, else a bijection onto the complementary cloud."""
     src, dst = members[s], members[s ^ top]
     if s == s ^ top:
-        maps = _involutions(tuple(src))
+        fills = _involutions_into(star, tuple(src))
     else:
-        maps = (dict(zip((*src, *perm), (*perm, *src)))
-                for perm in permutations(dst))
+        fills = _bijections_into(star, src, dst)
     last = s == top >> 1
-    for m in maps:
-        for u, v in m.items():
-            star[u] = v
+    for _ in fills:
         if last:
             yield tuple(star)
         else:
@@ -138,6 +156,9 @@ def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
     if n > MAX_FLAT:
         raise TooLarge(f"flat enumeration is guarded at {MAX_FLAT}")
     total = involution_count(n - 1)
+    if not up_to_iso and total > MAX_LABELED:
+        raise TooLarge(f"labeled flat enumeration of size {n} would build "
+                       f"{total} algebras; it is guarded at {MAX_LABELED}")
     if up_to_iso:
         algebras = tuple(make_flat(n, k)
                          for k in range(1 if n % 2 else 2, n + 1, 2))
@@ -216,6 +237,56 @@ STRUCTURE_CLAIMS = (
 )
 
 
+class _TableFacts(NamedTuple):
+    """What verify_structure derives from join, meet, zero and one alone,
+    so algebras that share those objects derive it once."""
+
+    flat: bool
+    regs: frozenset[int]
+    reps: list[int]
+    by_rep: dict[int, frozenset[int]]
+    clouds: dict[int, frozenset[int]]
+    cloud_claims: list[tuple[str, bool]]
+    shape_claims: list[tuple[str, bool]]
+    irreducible_even: bool
+
+
+def _table_facts(a: FiniteAlgebra) -> _TableFacts:
+    """The regulars, the clouds and the claims that read no star:
+    the cloud partition claims, then the non-flat parity or the flat
+    collapse claims."""
+    regs = regular_elements(a)
+    reps = [a.join[x][x] for x in a.elements()]
+    by_rep = cloud_map(a)
+    clouds = {r: by_rep[r] for r in regs}
+
+    cloud_claims = [
+        ("cloud-partition",
+         set().union(*clouds.values()) == set(a.elements())
+         and sum(map(len, clouds.values())) == a.size
+         and regs.issuperset(reps)),
+        ("cloud-single-regular",
+         all(len(members & regs) == 1 for members in clouds.values())),
+    ]
+    flat = is_flat(a)
+    if not flat:
+        shape_claims = [("nonflat-regular-even", len(regs) % 2 == 0),
+                        ("nonflat-order-even", a.size % 2 == 0)]
+    else:
+        zero_row = (a.zero,) * a.size
+        shape_claims = [
+            ("flat-regulars-trivial", regs == frozenset((a.zero,))),
+            ("flat-cloud-zero-whole",
+             by_rep[reps[a.zero]] == frozenset(a.elements())),
+            ("flat-ops-zero",
+             all(tuple(row) == zero_row for row in a.join)
+             and all(tuple(row) == zero_row for row in a.meet)),
+        ]
+    irreducible_even = not flat and a.size % 2 == 0 and is_irreducible(a)
+    return _TableFacts(flat, regs, reps, by_rep, clouds, cloud_claims,
+                       shape_claims, irreducible_even)
+
+
 def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     """Evaluate every structure claim applicable to the algebra.
 
@@ -226,36 +297,30 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     4k+2 shape with an odd flat factor applies exactly when the size is
     2 mod 4; sizes 0 mod 4 pair 2 with an even flat factor instead.
     """
-    results: list[tuple[str, bool]] = []
-    regs = regular_elements(a)
-    reps = [a.join[x][x] for x in a.elements()]
-    by_rep = cloud_map(a)
-    clouds = {r: by_rep[r] for r in regs}
-    star_clouds = {r: by_rep[reps[a.star[r]]] for r in regs}
+    return _claims(a, _table_facts(a))
 
-    covered = set()
-    for members in clouds.values():
-        covered |= members
-    results.append(("cloud-partition",
-                    covered == set(a.elements())
-                    and sum(len(m) for m in clouds.values()) == a.size
-                    and regs.issuperset(reps)))
-    results.append(("cloud-single-regular",
-                    all(len(members & regs) == 1 for members in clouds.values())))
-    results.append(("star-cloud-image",
-                    all(frozenset(a.star[y] for y in clouds[r])
-                        == star_clouds[r] for r in regs)))
-    results.append(("star-cloud-size",
-                    all(len(clouds[r]) == len(star_clouds[r]) for r in regs)))
 
-    if not is_flat(a):
-        results.append(("nonflat-star-free",
-                        all(a.star[x] != x for x in a.elements())))
+def _claims(a: FiniteAlgebra, f: _TableFacts) -> list[tuple[str, bool]]:
+    """verify_structure(a), given the table facts of a: the star claims
+    read here, interleaved with the table claims in STRUCTURE_CLAIMS
+    order."""
+    star = a.star
+    regs, clouds = f.regs, f.clouds
+    star_clouds = {r: f.by_rep[f.reps[star[r]]] for r in regs}
+    results = f.cloud_claims + [
+        ("star-cloud-image",
+         all(frozenset(map(star.__getitem__, clouds[r])) == star_clouds[r]
+             for r in regs)),
+        ("star-cloud-size",
+         all(len(clouds[r]) == len(star_clouds[r]) for r in regs)),
+    ]
+    fixed = sum(map(eq, star, a.elements()))
+    if not f.flat:
+        results.append(("nonflat-star-free", fixed == 0))
         results.append(("nonflat-complement-clouds-disjoint",
                         all(not (clouds[r] & star_clouds[r]) for r in regs)))
-        results.append(("nonflat-regular-even", len(regs) % 2 == 0))
-        results.append(("nonflat-order-even", a.size % 2 == 0))
-        if is_irreducible(a) and a.size % 2 == 0:
+        results += f.shape_claims
+        if f.irreducible_even:
             half = a.size // 2
             flat_factor = make_flat(half, 1 if half % 2 else 2)
             two = boolean_algebra(1)
@@ -268,22 +333,24 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
                     find_isomorphism(a, make_irreducible((a.size - 2) // 4))
                     is not None))
     else:
-        results.append(("flat-regulars-trivial", regs == frozenset((a.zero,))))
-        results.append(("flat-cloud-zero-whole",
-                        by_rep[reps[a.zero]] == frozenset(a.elements())))
-        zero_row = (a.zero,) * a.size
-        results.append(("flat-ops-zero",
-                        all(tuple(row) == zero_row for row in a.join)
-                        and all(tuple(row) == zero_row for row in a.meet)))
-        fixed = sum(1 for x in a.elements() if a.star[x] == x)
+        results += f.shape_claims
         results.append(("flat-size-parity", (a.size - fixed) % 2 == 0))
     return results
 
 
 def _collect_violations(algebras) -> tuple[tuple[str, FiniteAlgebra], ...]:
+    """(claim, algebra) for every failing claim, in order. The table facts
+    are derived once per distinct (join, meet, zero, one), keyed by the
+    identity of the tables; each entry keeps its first algebra, and with
+    it those tables, alive, so an id is not reused while it is a key."""
     out = []
+    facts: dict[tuple, tuple[FiniteAlgebra, _TableFacts]] = {}
     for a in algebras:
-        for label, ok in verify_structure(a):
+        key = (id(a.join), id(a.meet), a.zero, a.one)
+        hit = facts.get(key)
+        if hit is None:
+            hit = facts[key] = (a, _table_facts(a))
+        for label, ok in _claims(a, hit[1]):
             if not ok:
                 out.append((label, a))
     return tuple(out)

@@ -143,19 +143,22 @@ def parse_partition(a: FiniteAlgebra, text: str) -> Partition:
 def parse_part(a: FiniteAlgebra, text: str, part: Sequence[int]) -> Partition:
     """Parse 'x,y;z;...' by name into a partition of part, a sorted
     sequence of elements, indexed by position in part. Empty names, names
-    outside part and names in two blocks are refused; elements not
-    mentioned become singleton blocks."""
+    outside part and names repeated, in one block or in two, are refused;
+    elements not mentioned become singleton blocks."""
     blocks: list[list[int]] = []
     seen: set[int] = set()
     for chunk in text.split(";"):
         if not chunk.strip():
             continue
         block = parse_names(a, chunk, part)
+        mine: set[int] = set()
         for i in block:
-            if i in seen:
+            if i in mine or i in seen:
+                where = "twice in one block" if i in mine else "in two blocks"
                 raise AlgebraSemanticError(
-                    f"element {a.names[part[i]]!r} appears in two blocks")
-            seen.add(i)
+                    f"element {a.names[part[i]]!r} appears {where}")
+            mine.add(i)
+        seen |= mine
         blocks.append(block)
     blocks.extend([i] for i in range(len(part)) if i not in seen)
     return Partition.from_blocks(len(part), blocks)

@@ -1,5 +1,6 @@
-"""The whole-row well-formedness checks in FiniteAlgebra, the one-pass
-cloud map in verify_structure, the structure-built labeled generator, the
+"""The whole-row well-formedness checks in FiniteAlgebra and its star-only
+copies, the one-pass cloud map in verify_structure and its once-per-table
+facts in _collect_violations, the structure-built labeled generator, the
 block-of-columns equation check, the congruence search with one prune and
 the isomorphism-class key against the code they replaced.
 
@@ -9,6 +10,7 @@ must give the same exception type and message, the same (claim, bool)
 list, the same labeled algebras, the same verdict, witness included, the
 same congruences and the same representatives.
 """
+import random
 from itertools import permutations, product
 from typing import Iterator, Mapping
 
@@ -18,9 +20,9 @@ import qba
 from qba.algebra import (FiniteAlgebra, cloud_map, cloud_of, is_flat,
                          regular_elements, validate)
 from qba.congruences import MAX_EXHAUSTIVE, all_congruences
-from qba.enumeration import (_generic_names, _involutions, _labeled,
-                             dedupe_up_to_iso, enumerate_all, enumerate_flat,
-                             verify_structure)
+from qba.enumeration import (STRUCTURE_CLAIMS, _collect_violations,
+                             _generic_names, _labeled, dedupe_up_to_iso,
+                             enumerate_all, enumerate_flat, verify_structure)
 from qba.errors import AlgebraSemanticError, TooLarge, UnboundVariable
 from qba.partitions import Partition, is_congruence
 from qba.quotients import (boolean_algebra, direct_product, find_isomorphism,
@@ -203,6 +205,22 @@ class TestWellFormedness:
                 args[0] = ("0", nm) + base[0][2:]
                 assert_same_outcome(args)
 
+    def test_malformed_stars_same_error_through_with_star(self, fx):
+        # A star-only copy runs the constructor's star check and no other:
+        # every variant that breaks the star alone fails the same way.
+        checked = 0
+        for a in fx.values():
+            base = fields(a)
+            stars = [args[3] for args in malformed_variants(a)
+                     if args[:3] == base[:3] and args[4:] == base[4:]]
+            stars += [5, None, (0.5,) * a.size, ("0",) * a.size,
+                      (None,) * a.size, a.star[:-1] + (True,), ((0,),) * a.size]
+            for star in stars:
+                args = base[:3] + [star] + base[4:]
+                assert outcome(a._with_star, star) == outcome(FiniteAlgebra, *args), star
+                checked += outcome(FiniteAlgebra, *args) is not None
+        assert checked > 100
+
     def test_no_other_code_point_is_whitespace_to_split(self):
         # One name holding every code point for which isspace() is false
         # (lone surrogates included) is accepted by both checks.
@@ -252,8 +270,80 @@ class TestVerifyStructure:
         # passing one.
         assert failing > 100
 
+    def test_collect_violations_per_family_as_by_scan(self, fx):
+        # The table facts are derived once per (join, meet, zero, one)
+        # object key; the violations must be what a per-algebra scan finds.
+        mix = shuffled_mix(fx)
+        expected = [(label, id(a)) for a in mix
+                    for label, ok in verify_structure_by_scan(a) if not ok]
+        got = [(label, id(a)) for label, a in _collect_violations(mix)]
+        assert got == expected
+        keys = {(id(a.join), id(a.meet), a.zero, a.one) for a in mix}
+        assert len(mix) - len(keys) > 1000  # algebras whose facts are reused
+        assert len(expected) > 1000
+        # Every claim is seen failing but cloud-single-regular, which no
+        # table can fail: the cloud of a regular r holds r and no other
+        # regular s, as s v s = s differs from r.
+        assert {label for label, _ in expected} == set(STRUCTURE_CLAIMS) - {
+            "cloud-single-regular"}
 
-# The labeled generators that _labeled replaced, verbatim.
+    def test_collect_violations_on_a_stream_of_fresh_tables(self):
+        expected = [(label, tables(a)) for a in fresh_flat_stream(5, 200)
+                    for label, ok in verify_structure_by_scan(a) if not ok]
+        got = [(label, tables(a))
+               for label, a in _collect_violations(fresh_flat_stream(5, 200))]
+        assert got == expected and len(expected) == 600
+
+
+def shuffled_mix(fx):
+    """Algebras in an order where table families interleave: enumerated
+    siblings sharing table objects, copies with equal tables in new
+    objects, the same tables under another one, star mutants that share
+    their original's tables, and the fixtures' table mutants."""
+    mix = [a for n in (4, 5, 6) for k in range(n.bit_length())
+           for a in _labeled(n, k)]
+    for a in list(fx.values()) + mix[::7]:
+        mix.append(a)
+        mix.append(FiniteAlgebra(a.names, tuple(map(tuple, a.join)),
+                                 tuple(map(tuple, a.meet)), a.star, a.zero, a.one))
+        mix.extend(FiniteAlgebra(a.names, a.join, a.meet, a.star, a.zero, one)
+                   for one in a.elements() if one != a.one)
+        mix.extend(m for m in single_cell_mutants(a) if m.join is a.join
+                   and m.meet is a.meet)
+    for a in fx.values():
+        mix.extend(m for m in single_cell_mutants(a) if m.star is a.star)
+    random.Random(0).shuffle(mix)
+    return mix
+
+
+def fresh_flat_stream(n: int, rounds: int) -> Iterator[FiniteAlgebra]:
+    """Flat algebras with tables built anew for each, two valid ones, then
+    one with x1 v x1 = x1. Nothing keeps a valid one alive once the next
+    is taken, so a table object can be freed and its id handed to the
+    next table, which makes an id key without a live owner stale."""
+    names = _generic_names(n)
+    star = tuple(range(n))
+    for _ in range(rounds):
+        for bad in (False, False, True):
+            table = tuple([[int(bad and i == j == 1) for j in range(n)]
+                           for i in range(n)])
+            yield FiniteAlgebra(names, table, table, star, 0, 0)
+
+
+# The labeled generators that _labeled replaced, verbatim, with the
+# dict-per-level involution generator they and _labeled walked.
+
+def _involutions(points: tuple[int, ...]) -> Iterator[dict[int, int]]:
+    if not points:
+        yield {}
+        return
+    x, rest = points[0], points[1:]
+    for m in _involutions(rest):
+        yield {x: x, **m}
+    for i, y in enumerate(rest):
+        for m in _involutions(rest[:i] + rest[i + 1:]):
+            yield {x: y, y: x, **m}
+
 
 def _flat_labeled(n: int) -> Iterator[FiniteAlgebra]:
     """Every flat algebra on {0..n-1}, one per involution of 1..n-1. All of
@@ -375,6 +465,15 @@ class TestLabeledGenerator:
     def test_flat_order_as_old_generator(self, n):
         assert (list(map(tables, _labeled(n, 0)))
                 == list(map(tables, _flat_labeled(n))))
+
+    @pytest.mark.parametrize("n,ks", [(n, range(n.bit_length())) for n in range(1, 8)]
+                             + [(n, [0]) for n in (8, 9, 10)])
+    def test_star_only_copies_equal_constructed(self, n, ks):
+        for k in ks:
+            for a in _labeled(n, k):
+                b = FiniteAlgebra(*tables(a))
+                assert a == b and a.label == b.label and hash(a) == hash(b)
+                assert tables(a) == tables(b) and type(a.star) is tuple
 
     def test_three_atoms_beyond_the_oracle(self):
         # One labeling per Boolean algebra on 8 points with zero at 0:

@@ -104,6 +104,52 @@ class TestExitCodes:
             assert run(argv + ["a;a,b"]) == CommandResult(
                 2, "error: element 'a' appears in two blocks")
 
+    def test_name_twice_in_one_block_exits_2(self):
+        assert run(["extend", fpath("6"), "--sub", "0,a,b,1", "--cong", "0,0"]) == \
+            CommandResult(2, "error: element '0' appears twice in one block")
+        six = fpath("6")
+        for argv in (["split", six, "--cong"], ["decompose", six, "--cong"],
+                     ["generate", six, "--seed"],
+                     ["compose", six, "--theta-r", "0;1", "--theta-ir"]):
+            assert run(argv + ["b;a,e,a"]) == CommandResult(
+                2, "error: element 'a' appears twice in one block")
+
+    def test_unwritable_output_exits_2(self, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory", "utf-8")
+        result = run(["product", fpath("2"), fpath("F3"), "-o", str(afile / "p.alg")])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: cannot write {afile / 'p.alg'}: ")
+        result = run(["product", fpath("2"), fpath("F3"),
+                      "-o", str(tmp_path / "missing" / "p.alg")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: cannot write ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_emit_exits_2(self, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory", "utf-8")
+        for out in (afile / "sub", afile):
+            result = run(["enumerate", "--size", "3", "--emit", str(out)])
+            assert result.exit_code == 2
+            assert result.output.startswith(f"error: cannot write {out / 'qba_n3_0.alg'}: ")
+        assert afile.read_text("utf-8") == "not a directory"
+
+    def test_emit_makes_its_directory(self, tmp_path):
+        out = tmp_path / "new" / "sub"
+        result = run(["enumerate", "--size", "3", "--emit", str(out)])
+        assert result.exit_code == 0
+        assert result.output.endswith(f"wrote 2 files to {out}")
+        assert sorted(p.name for p in out.iterdir()) == ["qba_n3_0.alg", "qba_n3_1.alg"]
+
+    def test_labeled_flat_guard_exits_2(self):
+        start = time.perf_counter()
+        result = run(["enumerate", "--size", "15", "--flat"])
+        assert time.perf_counter() - start < 0.5
+        assert result == CommandResult(
+            2, "error: labeled flat enumeration of size 15 would build "
+               "2390480 algebras; it is guarded at 1000000")
+
     def test_repeated_link_to_one_class_is_accepted(self):
         compose6 = ["compose", fpath("6"), "--theta-r", "0;1", "--theta-ir", "a,e;b,f"]
         want = run(compose6 + ["--link", "0>a;1>b"])

@@ -2,9 +2,9 @@
 import pytest
 
 import qba
-from qba.enumeration import (MAX_ALL, dedupe_up_to_iso, enumerate_all,
-                             enumerate_flat, involution_count, iso_class_key,
-                             verify_structure)
+from qba.enumeration import (MAX_ALL, MAX_LABELED, dedupe_up_to_iso,
+                             enumerate_all, enumerate_flat, involution_count,
+                             iso_class_key, verify_structure)
 from qba.errors import TooLarge
 from qba.quotients import boolean_algebra
 
@@ -66,6 +66,21 @@ class TestEnumerateFlat:
             enumerate_flat(17)
         with pytest.raises(ValueError):
             enumerate_flat(0)
+
+    def test_labeled_guard_by_output_size(self):
+        # Labeled output is refused before any work once it would exceed
+        # MAX_LABELED algebras: from size 15 (2,390,480 involutions of 14
+        # points) on, while 14 (568,504) is admitted. Up to isomorphism
+        # the whole range up to MAX_FLAT stays open.
+        assert involution_count(13) <= MAX_LABELED < involution_count(14)
+        for n in (15, 16):
+            with pytest.raises(TooLarge, match=(
+                    f"^labeled flat enumeration of size {n} would build "
+                    f"{involution_count(n - 1)} algebras; "
+                    f"it is guarded at {MAX_LABELED}$")):
+                enumerate_flat(n, up_to_iso=False)
+        for n in (15, 16):
+            assert enumerate_flat(n).total_labeled == involution_count(n - 1)
 
 
 class TestEnumerateAll:

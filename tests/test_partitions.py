@@ -66,6 +66,22 @@ class TestTextFormat:
         with pytest.raises(AlgebraSemanticError, match="two blocks"):
             qba.parse_partition(fx["4"], "0,a;a,b")
 
+    @pytest.mark.parametrize("text", ["0,0", "a,0,a;b", "b;a,1,a"])
+    def test_name_twice_in_one_block_rejected(self, fx, text):
+        with pytest.raises(AlgebraSemanticError,
+                           match="^element '[0a]' appears twice in one block$"):
+            qba.parse_partition(fx["4"], text)
+
+    def test_first_repeat_in_text_order_is_reported(self, fx):
+        a = fx["4"]
+        with pytest.raises(AlgebraSemanticError, match="^element 'a' appears in two blocks$"):
+            qba.parse_partition(a, "a;b,a,b")
+        with pytest.raises(AlgebraSemanticError, match="^element 'b' appears twice in one block$"):
+            qba.parse_partition(a, "a;b,b,a")
+        irs = [1, 2, 3, 4]  # the irregular part of 6
+        with pytest.raises(AlgebraSemanticError, match="^element 'e' appears twice in one block$"):
+            parse_part(fx["6"], "e,e", irs)
+
     def test_unknown_name_rejected(self, fx):
         with pytest.raises(AlgebraSemanticError, match="unknown"):
             qba.parse_partition(fx["4"], "0,q")
