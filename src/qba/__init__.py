@@ -3,7 +3,7 @@
 from .algebra import (FiniteAlgebra, ValidationReport, axiom_holds_at,
                       algebra_from_dict, algebra_to_dict, cloud_map, cloud_of,
                       dump_algebra, is_flat, load_algebra, quasi_leq,
-                      regular_elements, validate)
+                      regular_elements, require_valid, validate)
 from .congruences import (CongruenceDecomposition, all_congruences,
                           compose_flat, compose_nonflat, decompose,
                           extend_from_subalgebra, generated_congruence,

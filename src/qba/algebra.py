@@ -11,10 +11,11 @@ Elements are dense indices 0..n-1; names are display metadata only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator
 
-from .errors import (AlgebraParseError, AlgebraSemanticError,
+from .errors import (AlgebraParseError, AlgebraSemanticError, NotAQBAlgebra,
                      PreconditionViolated)
 
 
@@ -43,7 +44,8 @@ class FiniteAlgebra:
     """Immutable operation tables over the carrier {0, ..., n-1}.
 
     Construction checks well-formedness (integer entries in range, distinct
-    names) but not the axioms; run :func:`validate` for those.
+    names) but not the axioms; run :func:`validate` for those, or
+    :func:`require_valid` to refuse an algebra that fails them.
     """
 
     names: tuple[str, ...]
@@ -110,6 +112,12 @@ class FiniteAlgebra:
             return self.names.index(name)
         except ValueError:
             raise AlgebraSemanticError(f"unknown element name {name!r}") from None
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """validate(self), run on first use and kept on this object. Copies
+        (relabelled or star-only) are new objects and start without it."""
+        return validate(self)
 
     def _with_star(self, star) -> "FiniteAlgebra":
         """A copy with another star, for generators that vary only the
@@ -250,6 +258,14 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
                 violations.append((label, t))
                 break
     return ValidationReport(passed=not violations, violations=tuple(violations))
+
+
+def require_valid(a: FiniteAlgebra) -> None:
+    """Raise NotAQBAlgebra, with the validation report, if the algebra
+    fails the axioms. The results that rest on the paper's theorems call
+    this first; validate runs once per algebra object."""
+    if not a.validation.passed:
+        raise NotAQBAlgebra(a, a.validation)
 
 
 def is_flat(a: FiniteAlgebra) -> bool:

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 negative-but-valid result (an INVALID equation, a
-failed validation, no isomorphism), 2 usage or input errors. Every
-subcommand takes --json for a machine-readable form of the same result.
+failed validation, no isomorphism), 2 usage or input errors. The
+subcommands whose results rest on the paper's theorems (quotient, extend,
+split, decompose, compose) refuse an algebra that fails the axioms with
+exit 1 and the output of validate. Every subcommand takes --json for a
+machine-readable form of the same result.
 All element references on the command line use names, never indices.
 """
 from __future__ import annotations
@@ -15,15 +18,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .algebra import (FiniteAlgebra, algebra_to_dict, cloud_map, dump_algebra,
-                      is_flat, load_algebra, regular_elements, validate)
+from .algebra import (FiniteAlgebra, ValidationReport, algebra_to_dict,
+                      cloud_map, dump_algebra, is_flat, load_algebra,
+                      regular_elements, require_valid, validate)
 from .congruences import (CongruenceDecomposition, all_congruences,
                           compose_flat, compose_nonflat, cross_pairs,
                           decompose, extend_from_subalgebra,
                           generated_congruence, regular_split,
                           split_congruence, subalgebra)
 from .enumeration import enumerate_all, enumerate_flat
-from .errors import QbaError
+from .errors import NotAQBAlgebra, QbaError
 from .partitions import (format_blocks, format_partition, pair_closure_gaps,
                          parse_names, parse_part, parse_partition,
                          position_in_part)
@@ -45,6 +49,13 @@ def _load(path: str) -> FiniteAlgebra:
     except OSError as exc:
         raise QbaError(f"cannot read {path}: {exc}") from None
     return load_algebra(text, label=p.stem)
+
+
+def _load_valid(path: str) -> FiniteAlgebra:
+    """_load, then refuse an algebra that fails the axioms (exit 1)."""
+    a = _load(path)
+    require_valid(a)
+    return a
 
 
 def _write(path: Path, text: str, *, make_parent: bool = False) -> None:
@@ -75,9 +86,9 @@ def _verdict_lines(v: Verdict) -> tuple[dict, str]:
     return payload, human
 
 
-def _cmd_validate(args) -> CommandResult:
-    a = _load(args.algebra)
-    report = validate(a)
+def _validation_output(a: FiniteAlgebra, report: ValidationReport,
+                       as_json: bool) -> str:
+    """What validate prints, also for a refused algebra."""
     kind = "flat" if is_flat(a) else "non-flat"
     if report.passed:
         human = f"VALID QB-algebra ({kind}, {a.size} elements)"
@@ -91,8 +102,14 @@ def _cmd_validate(args) -> CommandResult:
                "violations": [{"axiom": label,
                                "witness": [a.names[i] for i in w]}
                               for label, w in report.violations]}
+    return _emit(payload, human, as_json)
+
+
+def _cmd_validate(args) -> CommandResult:
+    a = _load(args.algebra)
+    report = validate(a)
     return CommandResult(0 if report.passed else 1,
-                         _emit(payload, human, args.json))
+                         _validation_output(a, report, args.json))
 
 
 def _cmd_info(args) -> CommandResult:
@@ -127,7 +144,7 @@ def _cmd_info(args) -> CommandResult:
 
 
 def _cmd_quotient(args) -> CommandResult:
-    a = _load(args.algebra)
+    a = _load_valid(args.algebra)
     rel = chi(a) if args.rel == "chi" else tau(a)
     q, proj = quotient(a, rel)
     q = q.relabel(f"{a.label}/{args.rel}")
@@ -220,7 +237,7 @@ def _cmd_generate(args) -> CommandResult:
 
 
 def _cmd_extend(args) -> CommandResult:
-    a = _load(args.algebra)
+    a = _load_valid(args.algebra)
     subset = sorted(parse_names(a, args.sub, a.elements()))
     sub_alg = subalgebra(a, subset)
     theta0 = parse_partition(sub_alg, args.cong)
@@ -230,7 +247,7 @@ def _cmd_extend(args) -> CommandResult:
 
 
 def _cmd_split(args) -> CommandResult:
-    a = _load(args.algebra)
+    a = _load_valid(args.algebra)
     theta = parse_partition(a, args.cong)
     t1, t2 = split_congruence(a, theta)
     qc = quotient(a, chi(a))[0]
@@ -242,7 +259,7 @@ def _cmd_split(args) -> CommandResult:
 
 
 def _cmd_decompose(args) -> CommandResult:
-    a = _load(args.algebra)
+    a = _load_valid(args.algebra)
     theta = parse_partition(a, args.cong)
     d = decompose(a, theta)
     regs, irs = regular_split(a)
@@ -267,7 +284,7 @@ def _cmd_decompose(args) -> CommandResult:
 
 
 def _cmd_compose(args) -> CommandResult:
-    a = _load(args.algebra)
+    a = _load_valid(args.algebra)
     regs, irs = regular_split(a)
     if is_flat(a):
         if args.theta_ir is None:
@@ -394,6 +411,9 @@ def run(argv: list[str] | None = None) -> CommandResult:
         return CommandResult(int(exc.code or 0), "")
     try:
         return args.fn(args)
+    except NotAQBAlgebra as exc:
+        return CommandResult(1, _validation_output(exc.algebra, exc.report,
+                                                   args.json))
     except QbaError as exc:
         return CommandResult(2, f"error: {exc}")
 

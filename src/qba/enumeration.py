@@ -221,7 +221,6 @@ def enumerate_all(n: int, up_to_iso: bool = True) -> EnumerationReport:
 
 STRUCTURE_CLAIMS = (
     "cloud-partition",
-    "cloud-single-regular",
     "star-cloud-image",
     "star-cloud-size",
     "nonflat-star-free",
@@ -265,8 +264,6 @@ def _table_facts(a: FiniteAlgebra) -> _TableFacts:
          set().union(*clouds.values()) == set(a.elements())
          and sum(map(len, clouds.values())) == a.size
          and regs.issuperset(reps)),
-        ("cloud-single-regular",
-         all(len(members & regs) == 1 for members in clouds.values())),
     ]
     flat = is_flat(a)
     if not flat:
@@ -290,8 +287,8 @@ def _table_facts(a: FiniteAlgebra) -> _TableFacts:
 def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     """Evaluate every structure claim applicable to the algebra.
 
-    Claims cover the cloud partition (exactly one regular element per
-    cloud, star maps clouds to clouds bijectively), the non-flat parity
+    Claims cover the cloud partition (every element in the cloud of a
+    regular one, star maps clouds to clouds bijectively), the non-flat parity
     facts, the flat collapse facts, and the classification of irreducible
     algebras as products of 2 with a flat algebra of half the size. The
     4k+2 shape with an odd flat factor applies exactly when the size is

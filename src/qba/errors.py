@@ -26,25 +26,25 @@ class UnboundVariable(QbaError):
     """Term evaluation met a variable missing from the environment."""
 
 
+class NotAQBAlgebra(QbaError):
+    """A result that holds only by the paper's theorems was asked of an
+    algebra that fails the axioms. Carries the algebra and its
+    validation report."""
+
+    def __init__(self, algebra, report):
+        super().__init__(f"not a QB-algebra: {len(report.violations)} "
+                         "axiom violation(s)")
+        self.algebra = algebra
+        self.report = report
+
+
 class NotACongruence(QbaError):
     """A partition expected to be compatible with the operations is not."""
-
-
-class IllDefinedQuotient(QbaError):
-    """Block representatives disagree while building a quotient table.
-
-    Unreachable when the input passed the congruence check; raised so a
-    compatibility-check bug cannot produce a silently wrong algebra."""
 
 
 class InvariantViolation(QbaError):
     """A property that holds by construction failed its check. Signals an
     implementation bug."""
-
-
-class EmbeddingFailure(QbaError):
-    """The canonical map into the product of the two quotients failed to be
-    an injective homomorphism. Signals an implementation bug."""
 
 
 class FlatInput(QbaError):
@@ -65,20 +65,6 @@ class TooLarge(QbaError):
 
 class NotASubalgebra(QbaError):
     """Index set is not closed under the operations or misses a constant."""
-
-
-class NoExtensionFound(QbaError):
-    """No congruence on the full algebra restricts to the given one.
-
-    Would refute the congruence extension property; must not occur."""
-
-
-class LemmaViolation(QbaError):
-    """The split biconditional failed for a pair. Carries the witness."""
-
-    def __init__(self, message: str, witness: tuple):
-        super().__init__(message)
-        self.witness = witness
 
 
 class PreconditionViolated(QbaError):

@@ -8,11 +8,12 @@ of the two quotients via x -> (x/chi, x/tau).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .algebra import FiniteAlgebra, cloud_map, is_flat, regular_elements
-from .errors import (EmbeddingFailure, FlatInput, IllDefinedQuotient,
-                     InvalidShape, InvariantViolation, NotACongruence,
-                     PreconditionViolated)
+from .algebra import (FiniteAlgebra, cloud_map, is_flat, regular_elements,
+                      require_valid)
+from .errors import (FlatInput, InvalidShape, InvariantViolation,
+                     NotACongruence, PreconditionViolated)
 from .partitions import Partition, is_congruence
 
 
@@ -66,44 +67,31 @@ def quotient(a: FiniteAlgebra, theta: Partition) -> tuple[FiniteAlgebra, Element
     """Quotient algebra by a congruence, plus the canonical projection.
 
     Carrier = blocks in canonical order; a block is displayed as the name
-    of its least element in brackets. Well-definedness is re-checked over
-    all representatives so a broken compatibility check cannot slip through.
+    of its least element in brackets. The operations are read off the
+    least element of each block. is_congruence varies the left operand
+    only, which makes every representative give the same block when join
+    and meet commute; hence the gate.
     """
+    require_valid(a)
     if not is_congruence(a, theta):
         raise NotACongruence("quotient requires a congruence")
-    nb = len(theta.blocks)
+    cls = theta.block_index
+    reps = [block[0] for block in theta.blocks]
 
     def induced(table) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for bi in theta.blocks:
-            row = []
-            for bj in theta.blocks:
-                results = {theta.block_index(table[x][y]) for x in bi for y in bj}
-                if len(results) != 1:
-                    raise IllDefinedQuotient(
-                        f"blocks {bi} and {bj} give representative-dependent results")
-                row.append(results.pop())
-            out.append(tuple(row))
-        return tuple(out)
+        return tuple(tuple(cls(table[x][y]) for y in reps) for x in reps)
 
-    star_out = []
-    for bi in theta.blocks:
-        results = {theta.block_index(a.star[x]) for x in bi}
-        if len(results) != 1:
-            raise IllDefinedQuotient(f"star on block {bi} is representative-dependent")
-        star_out.append(results.pop())
-
-    names = tuple(f"[{a.names[block[0]]}]" for block in theta.blocks)
+    names = tuple(f"[{a.names[x]}]" for x in reps)
     q = FiniteAlgebra(
         names=names,
         join=induced(a.join),
         meet=induced(a.meet),
-        star=tuple(star_out),
-        zero=theta.block_index(a.zero),
-        one=theta.block_index(a.one),
+        star=tuple(cls(a.star[x]) for x in reps),
+        zero=cls(a.zero),
+        one=cls(a.one),
         label=f"{a.label}/~" if a.label else "",
     )
-    proj = ElementMap(a.size, nb, tuple(theta.block_index(x) for x in a.elements()))
+    proj = ElementMap(a.size, len(reps), tuple(map(cls, a.elements())))
     return q, proj
 
 
@@ -153,14 +141,13 @@ def is_homomorphism(a: FiniteAlgebra, b: FiniteAlgebra, f: ElementMap) -> bool:
 
 def embed_into_product(a: FiniteAlgebra) -> ElementMap:
     """The canonical embedding x -> (x/chi, x/tau) into
-    direct_product(a/chi, a/tau)."""
-    qchi, pchi = quotient(a, chi(a))
-    qtau, ptau = quotient(a, tau(a))
-    mapping = tuple(pchi(x) * qtau.size + ptau(x) for x in a.elements())
-    emb = ElementMap(a.size, qchi.size * qtau.size, mapping)
-    if not emb.is_injective or not is_homomorphism(a, direct_product(qchi, qtau), emb):
-        raise EmbeddingFailure("canonical map is not an embedding")
-    return emb
+    direct_product(a/chi, a/tau), whose carriers are the blocks of chi and
+    tau. It is an injective homomorphism by the paper's embedding theorem."""
+    require_valid(a)
+    c, t = chi(a), tau(a)
+    nt = len(t.blocks)
+    mapping = tuple(c.block_index(x) * nt + t.block_index(x) for x in a.elements())
+    return ElementMap(a.size, len(c.blocks) * nt, mapping)
 
 
 def _signatures(a: FiniteAlgebra) -> list[tuple]:
@@ -249,9 +236,16 @@ def make_flat(n: int, k: int) -> FiniteAlgebra:
     for i in range(k, n, 2):
         star.extend((i + 1, i))
     names = ("0",) + tuple(f"x{i}" for i in range(1, n))
-    zeros = ((0,) * n,) * n
+    zeros = _zero_table(n)
     return FiniteAlgebra(names=names, join=zeros, meet=zeros, star=tuple(star),
                          zero=0, one=0, label=f"F{n}k{k}")
+
+
+@cache
+def _zero_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The all-zero n x n table, one object per n: the flat algebras of one
+    size share it, so enumeration derives their table facts once."""
+    return ((0,) * n,) * n
 
 
 def make_irreducible(k: int) -> FiniteAlgebra:

@@ -93,8 +93,12 @@ def test_criterion_2_canonical_quotients_and_embeddings():
     for name in FIXTURES:
         if name == "2":
             continue
-        emb = qba.embed_into_product(qba.fixture(name))  # raises on failure
+        a = qba.fixture(name)
+        emb = qba.embed_into_product(a)
         assert emb.is_injective
+        product = qba.direct_product(qba.quotient(a, qba.chi(a))[0],
+                                     qba.quotient(a, qba.tau(a))[0])
+        assert qba.is_homomorphism(a, product, emb)
     assert qba.embed_into_product(qba.fixture("2")).is_injective
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"criterion 2 took {elapsed:.2f}s"

@@ -9,9 +9,14 @@ and the search-based dedupe are kept here verbatim as oracles: every input
 must give the same exception type and message, the same (claim, bool)
 list, the same labeled algebras, the same verdict, witness included, the
 same congruences and the same representatives.
+
+The checks that congruences and quotients ran on their own results, which
+only re-derived the paper's theorems, run here as oracles too, on every
+congruence of every algebra of the corpus.
 """
 import random
-from itertools import permutations, product
+from functools import cache
+from itertools import combinations, permutations, product
 from typing import Iterator, Mapping
 
 import pytest
@@ -19,14 +24,23 @@ import pytest
 import qba
 from qba.algebra import (FiniteAlgebra, cloud_map, cloud_of, is_flat,
                          regular_elements, validate)
-from qba.congruences import MAX_EXHAUSTIVE, all_congruences
+from qba.congruences import (MAX_EXHAUSTIVE, CongruenceDecomposition,
+                             all_congruences, compose_flat, compose_nonflat,
+                             cross_pairs, decompose, extend_from_subalgebra,
+                             generated_congruence, principal_congruence_flat,
+                             principal_congruence_nonflat, split_congruence,
+                             subalgebra, subalgebras)
 from qba.enumeration import (STRUCTURE_CLAIMS, _collect_violations,
                              _generic_names, _labeled, dedupe_up_to_iso,
                              enumerate_all, enumerate_flat, verify_structure)
-from qba.errors import AlgebraSemanticError, TooLarge, UnboundVariable
+from qba.errors import (AlgebraSemanticError, DecompositionConditionError,
+                        NotACongruence, NotAQBAlgebra, TooLarge,
+                        UnboundVariable)
 from qba.partitions import Partition, is_congruence
-from qba.quotients import (boolean_algebra, direct_product, find_isomorphism,
-                           is_irreducible, make_flat, make_irreducible)
+from qba.quotients import (ElementMap, boolean_algebra, chi, direct_product,
+                           embed_into_product, find_isomorphism,
+                           is_homomorphism, is_irreducible, make_flat,
+                           make_irreducible, quotient, tau)
 from qba.terms import (BLOCK, Const, Equation, Join, Star, Term, Var, Verdict,
                        Witness, equation_corpus, holds_in, parse_equation,
                        variables)
@@ -69,8 +83,6 @@ def verify_structure_by_scan(a):
                     covered == set(a.elements())
                     and sum(len(m) for m in clouds.values()) == a.size
                     and all(r in regs for r in reps)))
-    results.append(("cloud-single-regular",
-                    all(len(members & regs) == 1 for members in clouds.values())))
     results.append(("star-cloud-image",
                     all(frozenset(a.star[y] for y in clouds[r])
                         == cloud_of(a, a.star[r]) for r in regs)))
@@ -281,11 +293,7 @@ class TestVerifyStructure:
         keys = {(id(a.join), id(a.meet), a.zero, a.one) for a in mix}
         assert len(mix) - len(keys) > 1000  # algebras whose facts are reused
         assert len(expected) > 1000
-        # Every claim is seen failing but cloud-single-regular, which no
-        # table can fail: the cloud of a regular r holds r and no other
-        # regular s, as s v s = s differs from r.
-        assert {label for label, _ in expected} == set(STRUCTURE_CLAIMS) - {
-            "cloud-single-regular"}
+        assert {label for label, _ in expected} == set(STRUCTURE_CLAIMS)
 
     def test_collect_violations_on_a_stream_of_fresh_tables(self):
         expected = [(label, tables(a)) for a in fresh_flat_stream(5, 200)
@@ -797,3 +805,257 @@ class TestDedupe:
         algebras += [make_flat(n, k) for n in range(1, 11) for k in range(n % 2 or 2, n + 1, 2)]
         assert (list(map(tables, dedupe_up_to_iso(algebras)))
                 == list(map(tables, dedupe_by_search(algebras))))
+
+
+# The checks that congruences and quotients ran on their own results
+# before the validated-algebra gate. Each re-derived a theorem about
+# QB-algebras; here they run over every algebra of the corpus and every
+# congruence.
+
+@cache
+def theorem_corpus() -> tuple[FiniteAlgebra, ...]:
+    """The fixtures, 2xF3, 4x2 and every algebra of enumerate_all(n, True)
+    for n <= 6."""
+    fx = qba.all_fixtures()
+    return (*fx.values(), direct_product(fx["2"], fx["F3"]),
+            direct_product(fx["4"], fx["2"]),
+            *(a for n in range(1, 7) for a in enumerate_all(n, True).iso_classes))
+
+def quotient_by_all_representatives(a: FiniteAlgebra, theta: Partition):
+    """quotient as it was: every representative of every block pair is
+    looked up, and a disagreement fails."""
+    if not is_congruence(a, theta):
+        raise NotACongruence("quotient requires a congruence")
+    nb = len(theta.blocks)
+
+    def induced(table) -> tuple[tuple[int, ...], ...]:
+        out = []
+        for bi in theta.blocks:
+            row = []
+            for bj in theta.blocks:
+                results = {theta.block_index(table[x][y]) for x in bi for y in bj}
+                if len(results) != 1:
+                    raise AssertionError(
+                        f"blocks {bi} and {bj} give representative-dependent results")
+                row.append(results.pop())
+            out.append(tuple(row))
+        return tuple(out)
+
+    star_out = []
+    for bi in theta.blocks:
+        results = {theta.block_index(a.star[x]) for x in bi}
+        if len(results) != 1:
+            raise AssertionError(f"star on block {bi} is representative-dependent")
+        star_out.append(results.pop())
+
+    names = tuple(f"[{a.names[block[0]]}]" for block in theta.blocks)
+    q = FiniteAlgebra(
+        names=names,
+        join=induced(a.join),
+        meet=induced(a.meet),
+        star=tuple(star_out),
+        zero=theta.block_index(a.zero),
+        one=theta.block_index(a.one),
+        label=f"{a.label}/~" if a.label else "",
+    )
+    proj = ElementMap(a.size, nb, tuple(theta.block_index(x) for x in a.elements()))
+    return q, proj
+
+
+def set_partitions(n: int) -> Iterator[Partition]:
+    """Every partition of {0..n-1}, each once."""
+    def rec(x, blocks):
+        if x == n:
+            yield Partition.from_blocks(n, blocks)
+            return
+        for b in blocks:
+            b.append(x)
+            yield from rec(x + 1, blocks)
+            b.pop()
+        blocks.append([x])
+        yield from rec(x + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
+def star_closed(a: FiniteAlgebra, part: Partition, carrier: list[int]) -> bool:
+    """part, over the positions of carrier, maps its blocks to blocks under
+    the star."""
+    local = {g: i for i, g in enumerate(carrier)}
+    blocks = set(part.blocks)
+    return all(tuple(sorted(local[a.star[carrier[i]]] for i in block)) in blocks
+               for block in part.blocks)
+
+
+def partial_injections(m: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every injective map from a subset of range(m) into range(k), as
+    sorted (argument, image) pairs."""
+    for size in range(min(m, k) + 1):
+        for domain in combinations(range(m), size):
+            for image in permutations(range(k), size):
+                yield tuple(zip(domain, image))
+
+
+def flat_principal_union(a: FiniteAlgebra, x: int, y: int) -> frozenset:
+    """The stated four-case union of principal_congruence_flat, diagonal
+    and both orientations included."""
+    sx, sy = a.star[x], a.star[y]
+    if x == sx and y == sy:
+        extra = {(x, y)}
+    elif x == sx:
+        extra = {(x, y), (sx, sy), (y, sy)}
+    elif y == sy:
+        extra = {(x, y), (sx, sy), (x, sx)}
+    else:
+        extra = {(x, y), (sx, sy), (x, sx), (y, sy), (x, sy), (sx, y)}
+    union = {(e, e) for e in a.elements()} | extra
+    return frozenset(union | {(q, p) for p, q in extra})
+
+
+def regular_parts(a: FiniteAlgebra):
+    regs = sorted(regular_elements(a))
+    return regs, [x for x in a.elements() if x not in set(regs)], subalgebra(a, regs)
+
+
+class TestTheoremRechecks:
+    def test_corpus(self):
+        assert len(theorem_corpus()) == 27
+        assert all(validate(a).passed for a in theorem_corpus())
+
+    def test_quotient_by_all_representatives(self, congruence_cache):
+        for a in theorem_corpus():
+            for theta in congruence_cache(a):
+                q, proj = quotient(a, theta)
+                q0, proj0 = quotient_by_all_representatives(a, theta)
+                assert tables(q) == tables(q0) and q.label == q0.label and proj == proj0
+
+    def test_quotient_needs_the_gate(self, fx):
+        # is_congruence varies the left operand only, which is enough when
+        # join and meet commute (QL1). On a mutant where they do not, it
+        # accepts partitions whose quotient depends on the representatives,
+        # so quotient refuses such algebras instead of reading one.
+        ill_defined = 0
+        for a in single_cell_mutants(fx["4"]):
+            for theta in all_congruences(a):
+                with pytest.raises(NotAQBAlgebra):
+                    quotient(a, theta)
+                try:
+                    quotient_by_all_representatives(a, theta)
+                except AssertionError:
+                    ill_defined += 1
+        assert ill_defined > 0
+
+    def test_split_biconditional(self, congruence_cache):
+        for a in theorem_corpus():
+            qchi, pchi = quotient(a, chi(a))
+            qtau, ptau = quotient(a, tau(a))
+            for theta in congruence_cache(a):
+                t1, t2 = split_congruence(a, theta)
+                assert is_congruence(qchi, t1) and is_congruence(qtau, t2)
+                for x in a.elements():
+                    for y in a.elements():
+                        both = (t1.relates(pchi(x), pchi(y))
+                                and t2.relates(ptau(x), ptau(y)))
+                        assert both == theta.relates(x, y), (a, theta, x, y)
+
+    def test_decompose_round_trip(self, congruence_cache):
+        for a in theorem_corpus():
+            if not is_flat(a):
+                for theta in congruence_cache(a):
+                    assert compose_nonflat(a, decompose(a, theta)) == theta
+
+    def test_compose_nonflat_on_every_passing_input(self, congruence_cache):
+        # Every theta_r, star-closed theta_ir and injective block map that
+        # passes (C1)-(C3) assembles a transitive union that is a
+        # congruence, and every congruence is assembled exactly once.
+        for a in theorem_corpus():
+            if is_flat(a):
+                continue
+            regs, irs, reg_alg = regular_parts(a)
+            got = []
+            for theta_r in congruence_cache(reg_alg):
+                for theta_ir in set_partitions(len(irs)):
+                    if not star_closed(a, theta_ir, irs):
+                        continue
+                    for f in partial_injections(len(theta_r.blocks), len(theta_ir.blocks)):
+                        d = CongruenceDecomposition(
+                            theta_r=theta_r, theta_ir=theta_ir,
+                            linked=frozenset(b for b, _ in f), f=f,
+                            cross=cross_pairs(a, theta_r, theta_ir, f))
+                        try:
+                            result = compose_nonflat(a, d)
+                        except DecompositionConditionError:
+                            continue
+                        union = {(e, e) for e in a.elements()} | d.cross
+                        union |= {(regs[p], regs[q]) for p, q in theta_r.as_pairs()}
+                        union |= {(irs[p], irs[q]) for p, q in theta_ir.as_pairs()}
+                        assert result.as_pairs() == union
+                        got.append(result)
+            assert sorted(got, key=Partition.sort_key) == congruence_cache(a)
+
+    def test_compose_flat_on_every_star_closed_input(self, congruence_cache):
+        flats = [make_flat(n, k) for n in range(1, 8) for k in range(n % 2 or 2, n + 1, 2)]
+        for a in flats:
+            _, irs, _ = regular_parts(a)
+            got = [compose_flat(a, p) for p in set_partitions(len(irs))
+                   if star_closed(a, p, irs)]
+            # The construction keeps 0 alone in its block.
+            assert sorted(got, key=Partition.sort_key) == [
+                p for p in congruence_cache(a) if p.block_of(a.zero) == (a.zero,)]
+
+    def test_embed_into_product(self):
+        for a in theorem_corpus():
+            emb = embed_into_product(a)
+            qchi, pchi = quotient(a, chi(a))
+            qtau, ptau = quotient(a, tau(a))
+            assert emb.mapping == tuple(pchi(x) * qtau.size + ptau(x) for x in a.elements())
+            assert emb.is_injective
+            assert is_homomorphism(a, direct_product(qchi, qtau), emb)
+
+    def test_principal_nonflat(self, congruence_cache):
+        seen = 0
+        for a in theorem_corpus():
+            if is_flat(a):
+                continue
+            regs, irs, reg_alg = regular_parts(a)
+            for theta_r in congruence_cache(reg_alg):
+                reg_pairs = {(regs[p], regs[q]) for p, q in theta_r.as_pairs()}
+                for x in irs:
+                    for y in sorted(cloud_of(a, x) - set(regs)):
+                        got = principal_congruence_nonflat(a, theta_r, x, y)
+                        sx, sy = a.star[x], a.star[y]
+                        union = {(e, e) for e in a.elements()} | reg_pairs
+                        union |= {(x, y), (y, x), (sx, sy), (sy, sx)}
+                        assert got.as_pairs() == union
+                        assert is_congruence(a, got)
+                        assert got == generated_congruence(a, list(reg_pairs) + [(x, y)])
+                        seen += 1
+        assert seen == 100
+
+    def test_principal_flat(self, congruence_cache):
+        flats = [make_flat(n, k) for n in range(2, 8) for k in range(n % 2 or 2, n + 1, 2)]
+        flats += [qba.fixture("F3"), qba.fixture("F5")]
+        four_distinct = 0
+        for a in flats:
+            for x in range(1, a.size):
+                for y in range(1, a.size):
+                    if x == y:
+                        continue
+                    got = principal_congruence_flat(a, x, y)
+                    assert got.as_pairs() == flat_principal_union(a, x, y)
+                    assert got in congruence_cache(a)
+                    gen = generated_congruence(a, [(x, y)])
+                    if len({x, y, a.star[x], a.star[y]}) == 4:
+                        assert gen.refines(got) and gen != got
+                        four_distinct += 1
+                    else:
+                        assert gen == got
+        assert four_distinct > 50
+
+    def test_cep_restrict_back(self, congruence_cache):
+        for a in theorem_corpus():
+            for subset in subalgebras(a):
+                for theta0 in congruence_cache(subalgebra(a, subset)):
+                    ext = extend_from_subalgebra(a, subset, theta0)
+                    assert ext.restrict(subset) == theta0

@@ -185,6 +185,49 @@ class TestExitCodes:
         assert result.output.startswith("isomorphic:")
 
 
+class TestGate:
+    """The subcommands whose results rest on the paper's theorems refuse an
+    algebra that fails the axioms: exit 1 and exactly what validate prints."""
+
+    GATED = (["quotient", "--rel", "chi"], ["quotient", "--rel", "tau"],
+             ["split", "--cong", "0,a,e;f,b,1"],
+             ["decompose", "--cong", "0,a,e;f,b,1"],
+             ["compose", "--theta-r", "0;1", "--theta-ir", "a,e;b,f", "--link", "0>a;1>b"],
+             ["extend", "--sub", "0,a,b,1", "--cong", "0,a,b,1"])
+
+    def mutant(self, tmp_path):
+        # 6 with a v 1 set to 0.
+        a = qba.fixture("6")
+        ia, i1 = a.index_of("a"), a.index_of("1")
+        row = a.join[ia][:i1] + (0,) + a.join[ia][i1 + 1:]
+        m = qba.FiniteAlgebra(a.names, a.join[:ia] + (row,) + a.join[ia + 1:],
+                              a.meet, a.star, a.zero, a.one)
+        path = tmp_path / "6m.alg"
+        path.write_text(qba.dump_algebra(m))
+        return str(path)
+
+    def test_refused_with_the_axiom_witnesses(self, tmp_path):
+        path = self.mutant(tmp_path)
+        expected = run(["validate", path])
+        assert expected.exit_code == 1
+        lines = expected.output.splitlines()
+        assert lines[0] == "INVALID: 5 axiom violation(s)" and len(lines) == 6
+        for argv in self.GATED:
+            assert run(argv[:1] + [path] + argv[1:]) == expected, argv
+
+    def test_refused_with_the_json_report(self, tmp_path):
+        path = self.mutant(tmp_path)
+        expected = run(["validate", path, "--json"])
+        payload = json.loads(expected.output)
+        assert payload["passed"] is False and len(payload["violations"]) == 5
+        for argv in self.GATED:
+            assert run(argv[:1] + [path, "--json"] + argv[1:]) == expected, argv
+
+    def test_same_arguments_on_6_succeed(self):
+        for argv in self.GATED:
+            assert run(argv[:1] + [fpath("6")] + argv[1:]).exit_code == 0, argv
+
+
 class TestDocumentedExamples:
     def test_extend(self):
         result = run(["extend", fpath("6"), "--sub", "0,a,b,1",

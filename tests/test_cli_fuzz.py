@@ -1,10 +1,13 @@
 """Fuzzing qba.cli.run: any argv drawn from the subcommands, the bundled
-fixtures (six elements or fewer) and random equation and partition text
-ends in exit code 0, 1 or 2, never in an exception.
+fixtures (six elements or fewer), single-cell mutants of them and random
+equation and partition text ends in exit code 0, 1 or 2, never in an
+exception.
 
 The options that write files (-o/--out, --emit) are never drawn, and no
 drawn text contains '-', so argparse cannot expand a prefix into one.
 """
+import random
+import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -17,8 +20,44 @@ from qba.terms import Const, Equation, Join, Meet, Star, Var, format_equation
 FIXDIR = Path(__file__).resolve().parent.parent / "src" / "qba" / "data"
 FIXTURES = {str(FIXDIR / f"{name}.alg"): a.names for name, a in qba.all_fixtures().items()}
 MISSING = str(FIXDIR / "missing.alg")
+MUTANTS_PER_FIXTURE = 6
+MUTANT_DIR = tempfile.TemporaryDirectory(prefix="qba-fuzz-")  # removed at exit
 
-path = st.sampled_from(sorted(FIXTURES) + [MISSING])
+
+def single_cell_mutant(a, rng):
+    """a with one join, meet or star entry set to another element."""
+    n = a.size
+    x, y = rng.randrange(n), rng.randrange(n)
+    fields = {"join": a.join, "meet": a.meet, "star": a.star}
+    what = rng.choice(sorted(fields))
+    old = a.star[x] if what == "star" else fields[what][x][y]
+    v = rng.choice([v for v in range(n) if v != old])
+    if what == "star":
+        fields["star"] = a.star[:x] + (v,) + a.star[x + 1:]
+    else:
+        row = fields[what][x]
+        fields[what] = fields[what][:x] + (row[:y] + (v,) + row[y + 1:],) + fields[what][x + 1:]
+    return qba.FiniteAlgebra(a.names, fields["join"], fields["meet"], fields["star"],
+                             a.zero, a.one)
+
+
+def write_mutants() -> dict[str, tuple[str, ...]]:
+    """A seeded sample of single-cell mutants of each fixture, written once
+    as algebra files; their paths mapped to their element names."""
+    rng = random.Random(0)
+    out = {}
+    for name, a in qba.all_fixtures().items():
+        for i in range(MUTANTS_PER_FIXTURE):
+            p = Path(MUTANT_DIR.name) / f"{name}_m{i}.alg"
+            p.write_text(qba.dump_algebra(single_cell_mutant(a, rng)), "utf-8")
+            out[str(p)] = a.names
+    return out
+
+
+MUTANTS = write_mutants()
+NAMES = {**FIXTURES, **MUTANTS}
+
+path = st.sampled_from(sorted(FIXTURES) + sorted(MUTANTS) + [MISSING])
 term = st.recursive(
     st.sampled_from([Var("x"), Var("y"), Var("z"), Const(0), Const(1)]),
     lambda inner: st.one_of(st.builds(Join, inner, inner), st.builds(Meet, inner, inner),
@@ -108,7 +147,7 @@ def shapes(main, names):
 @st.composite
 def argv(draw):
     main = draw(path)
-    names = list(FIXTURES.get(main, ())) + ["zz"]
+    names = list(NAMES.get(main, ())) + ["zz"]
     table = shapes(st.just(main), names)
     command = draw(st.sampled_from(sorted(table)))
     # Each argument is dropped with probability 1/10, a stray one joins
@@ -129,3 +168,21 @@ def argv(draw):
 @given(argv())
 def test_run_never_raises(args):
     assert run(args).exit_code in (0, 1, 2)
+
+
+def test_every_mutant_fails_the_axioms():
+    assert len(MUTANTS) == 42
+    assert all(run(["validate", p]).exit_code == 1 for p in MUTANTS)
+
+
+def test_gated_subcommands_refuse_every_mutant():
+    # The gate runs before any other argument is read, so empty partitions
+    # (all singletons) and a subalgebra of the constants do.
+    gated = (["quotient", "--rel", "chi"], ["quotient", "--rel", "tau"],
+             ["split", "--cong", ""], ["decompose", "--cong", ""],
+             ["compose", "--theta-r", "", "--theta-ir", ""], ["extend", "--sub", "", "--cong", ""])
+    for p in MUTANTS:
+        for as_json in ([], ["--json"]):
+            expected = run(["validate", p] + as_json)
+            for argv in gated:
+                assert run(argv[:1] + [p] + as_json + argv[1:]) == expected, (p, argv)

@@ -8,9 +8,9 @@ import qba
 import qba.congruences
 from qba.congruences import CongruenceDecomposition
 from qba.errors import (ConditionC1Violated, ConditionC2Violated,
-                        ConditionC3Violated, FlatInput, InvariantViolation,
-                        NoExtensionFound, NotACongruence, NotASubalgebra,
-                        NotFlat, PreconditionViolated, NotStarClosed, TooLarge)
+                        ConditionC3Violated, FlatInput, NotACongruence,
+                        NotAQBAlgebra, NotASubalgebra, NotFlat,
+                        PreconditionViolated, NotStarClosed, TooLarge)
 from qba.partitions import Partition
 
 
@@ -174,8 +174,8 @@ class TestExtendFromSubalgebra:
 
     def test_no_extension_raises_without_search(self, fx):
         # A mutant of 6 (join[0][a] = f) on which the closure of the pairs
-        # of theta0 does not restrict back to theta0; then no congruence
-        # does, so the error comes straight from the closure.
+        # of theta0 does not restrict back to theta0, and no congruence
+        # does. It fails the axioms, so it is refused before any closure.
         a = fx["6"]
         row = a.join[0][:1] + (3,) + a.join[0][2:]
         m = qba.FiniteAlgebra(a.names, (row,) + a.join[1:], a.meet, a.star,
@@ -188,7 +188,7 @@ class TestExtendFromSubalgebra:
                        for c in qba.all_congruences(m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NoExtensionFound):
+            with pytest.raises(NotAQBAlgebra):
                 qba.extend_from_subalgebra(m, subset, theta0)
 
     def test_cep_on_all_fixtures(self, fx, congruence_cache):
@@ -223,12 +223,16 @@ class TestSplitCongruence:
     def test_split_all_congruences_of_4_and_6(self, fx, congruence_cache):
         for name in ("4", "6"):
             a = fx[name]
-            qchi, _ = qba.quotient(a, qba.chi(a))
-            qtau, _ = qba.quotient(a, qba.tau(a))
+            qchi, pchi = qba.quotient(a, qba.chi(a))
+            qtau, ptau = qba.quotient(a, qba.tau(a))
             for theta in congruence_cache(a):
-                t1, t2 = qba.split_congruence(a, theta)  # raises on violation
+                t1, t2 = qba.split_congruence(a, theta)
                 assert qba.is_congruence(qchi, t1)
                 assert qba.is_congruence(qtau, t2)
+                for x in a.elements():
+                    for y in a.elements():
+                        assert theta.relates(x, y) == (t1.relates(pchi(x), pchi(y))
+                                                       and t2.relates(ptau(x), ptau(y)))
 
     def test_non_congruence_rejected(self, fx):
         a = fx["4"]
@@ -509,17 +513,57 @@ class TestDecompose:
             qba.decompose(a, part(a, "0,a;b;1"))
 
 
-class TestConstructionChecks:
-    """The re-checks of results that hold by construction raise typed
-    errors; a stand-in for a faulty helper makes them fire."""
 
-    def test_compose_flat_rechecks_compatibility(self, fx, monkeypatch):
-        monkeypatch.setattr(qba.congruences, "is_congruence", lambda a, p: False)
-        with pytest.raises(NotACongruence):
-            qba.compose_flat(fx["F3"], Partition.singletons(2))
+def mutant_of_6():
+    """6 with a v 1 set to 0: it fails five axioms."""
+    a = qba.fixture("6")
+    ia, i1 = a.index_of("a"), a.index_of("1")
+    row = a.join[ia][:i1] + (0,) + a.join[ia][i1 + 1:]
+    return qba.FiniteAlgebra(a.names, a.join[:ia] + (row,) + a.join[ia + 1:],
+                             a.meet, a.star, a.zero, a.one, label="6-mutant")
 
-    def test_decompose_rechecks_the_round_trip(self, fx, monkeypatch):
-        monkeypatch.setattr(qba.congruences, "compose_nonflat",
-                            lambda a, d: Partition.whole(a.size))
-        with pytest.raises(InvariantViolation):
-            qba.decompose(fx["6"], Partition.singletons(6))
+
+def test_mutant_of_6_fails_five_axioms():
+    assert len(qba.validate(mutant_of_6()).violations) == 5
+
+
+GATED = {
+    "split_congruence": lambda m: qba.split_congruence(m, Partition.singletons(6)),
+    "decompose": lambda m: qba.decompose(m, Partition.singletons(6)),
+    "compose_nonflat": lambda m: qba.compose_nonflat(m, CongruenceDecomposition(
+        theta_r=Partition.singletons(2), theta_ir=Partition.singletons(4),
+        linked=frozenset(), f=(), cross=frozenset())),
+    "compose_flat": lambda m: qba.compose_flat(m, Partition.singletons(4)),
+    "principal_congruence_nonflat": lambda m: qba.principal_congruence_nonflat(
+        m, Partition.singletons(2), m.index_of("a"), m.index_of("e")),
+    "principal_congruence_flat": lambda m: qba.principal_congruence_flat(m, 1, 2),
+    "extend_from_subalgebra": lambda m: qba.extend_from_subalgebra(
+        m, [0, 1, 4, 5], Partition.singletons(4)),
+    "embed_into_product": qba.embed_into_product,
+    "quotient": lambda m: qba.quotient(m, Partition.singletons(6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_gated_functions_refuse_the_mutant(name):
+    # The gate comes first, before the flat/non-flat and argument checks.
+    m = mutant_of_6()
+    with pytest.raises(NotAQBAlgebra) as info:
+        GATED[name](m)
+    assert info.value.algebra is m
+    assert info.value.report == qba.validate(m)
+    assert str(info.value) == "not a QB-algebra: 5 axiom violation(s)"
+
+
+def test_gate_validates_once_per_object(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qba.algebra, "validate",
+                        lambda a: calls.append(a) or qba.ValidationReport(True, ()))
+    a = qba.FiniteAlgebra(*(getattr(qba.fixture("6"), f)
+                            for f in ("names", "join", "meet", "star", "zero", "one")))
+    for _ in range(3):
+        qba.split_congruence(a, Partition.singletons(6))
+        qba.embed_into_product(a)
+    assert calls == [a]
+    qba.require_valid(a.relabel("copy"))
+    assert len(calls) == 2

@@ -153,8 +153,11 @@ class TestEmbeddingAcrossEnumeration:
         for n in range(7, 11):
             algebras.extend(enumerate_flat(n, up_to_iso=True).iso_classes)
         for a in algebras:
-            emb = qba.embed_into_product(a)  # raises on failure
+            emb = qba.embed_into_product(a)
+            qchi, _ = qba.quotient(a, qba.chi(a))
+            qtau, _ = qba.quotient(a, qba.tau(a))
             assert emb.is_injective
+            assert qba.is_homomorphism(a, qba.direct_product(qchi, qtau), emb)
 
     def test_irreducible_iff_product_of_two_and_flat(self):
         # biconditional in its corrected form: the flat factor has size n/2
@@ -203,3 +206,16 @@ class TestVerifyStructure:
     def test_all_fixtures_pass(self, fx):
         for name, a in fx.items():
             assert all(ok for _, ok in verify_structure(a)), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_flat_classes_derive_their_table_facts_once(n, monkeypatch):
+    # make_flat shares one all-zero table per size, so the classes of
+    # enumerate_flat(n, True) are one table family.
+    calls = []
+    real = qba.enumeration._table_facts
+    monkeypatch.setattr(qba.enumeration, "_table_facts",
+                        lambda a: calls.append(a) or real(a))
+    report = qba.enumerate_flat(n, True)
+    assert len(calls) == 1 and report.violations == ()
+    assert len({id(t) for a in report.iso_classes for t in (a.join, a.meet)}) == 1
