@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 negative-but-valid result (an INVALID equation, a
 failed validation, no isomorphism), 2 usage or input errors. The
-subcommands whose results rest on the paper's theorems (quotient, extend,
-split, decompose, compose) refuse an algebra that fails the axioms with
-exit 1 and the output of validate. Every subcommand takes --json for a
-machine-readable form of the same result.
+subcommands whose results rest on the paper's theorems (quotient,
+congruences, generate, extend, split, decompose, compose) refuse an
+algebra that fails the axioms with exit 1 and the output of validate.
+Every subcommand takes --json for a machine-readable form of the same
+result.
 All element references on the command line use names, never indices.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,7 +195,7 @@ def _cmd_decide(args) -> CommandResult:
 
 
 def _cmd_congruences(args) -> CommandResult:
-    a = _load(args.algebra)
+    a = _load_valid(args.algebra)
     cons = all_congruences(a)
     strings = [format_partition(a, p) for p in cons]
     return CommandResult(0, _emit({"congruences": strings},
@@ -214,7 +216,7 @@ def _name_pairs(text: str, sep: str, kind: str, form: str):
 
 
 def _cmd_generate(args) -> CommandResult:
-    a = _load(args.algebra)
+    a = _load_valid(args.algebra)
     if (args.seed is None) == (args.pairs is None):
         raise QbaError("exactly one of --seed and --pairs is required")
     note = None
@@ -422,7 +424,11 @@ def main(argv: list[str] | None = None) -> int:
     result = run(argv)
     if result.output:
         stream = sys.stderr if result.exit_code == 2 else sys.stdout
-        print(result.output, file=stream)
+        try:
+            print(result.output, file=stream, flush=True)
+        except BrokenPipeError:
+            # The reader left early; the flush at exit goes to devnull.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return result.exit_code
 
 

@@ -28,7 +28,8 @@ def generated_congruence(a: FiniteAlgebra, seed) -> Partition:
     """Least congruence containing the seed pairs.
 
     Union-find closure: repeatedly merge (x v c, y v c), (x ^ c, y ^ c) and
-    (x*, y*) for related x, y until stable.
+    (x*, y*) for related x, y until stable. Only the left operand varies,
+    so this is the least congruence when join and meet commute (QL1).
     """
     n = a.size
     uf = UnionFind(n)
@@ -51,54 +52,53 @@ def generated_congruence(a: FiniteAlgebra, seed) -> Partition:
 
 
 def all_congruences(a: FiniteAlgebra) -> list[Partition]:
-    """Every congruence, in canonical order.
+    """Every congruence, in canonical order, built by the split lemma.
 
-    Partitions are generated as restricted-growth assignments with early
-    compatibility pruning on the assigned prefix; each survivor still gets
-    the full check, so pruning can only cut the search, never change it.
+    A congruence is fixed by its images on a/chi, which is Boolean, and on
+    a/tau, which is flat. The congruences of a/chi pulled back to a are
+    the kernels of x -> x ^ c, one per regular c. Joins and meets of a
+    flat algebra are constant, so the congruences of a/tau are the
+    partitions of the tau-blocks that the star maps onto blocks. Each
+    intersection of one of each is a congruence, and every congruence is
+    one of them, so none is checked; distinct pairs may give the same one.
     """
+    require_valid(a)
     n = a.size
     if n > MAX_EXHAUSTIVE:
         raise TooLarge(f"carrier of {n} exceeds the guard of {MAX_EXHAUSTIVE}")
-    join, meet, star = a.join, a.meet, a.star
-    assign = [0] * n
-    found: list[Partition] = []
+    t = tau(a)
+    lift = [t.block_index(x) for x in a.elements()]
+    star_t = [lift[a.star[b[0]]] for b in t.blocks]
+    ideals = [[a.meet[x][c] for x in a.elements()] for c in regular_elements(a)]
+    found = set()
+    for assign in _star_partitions(star_t):
+        for ideal in ideals:
+            groups: dict[tuple[int, int], list[int]] = {}
+            for x in a.elements():
+                groups.setdefault((ideal[x], assign[lift[x]]), []).append(x)
+            found.add(Partition.from_blocks(n, groups.values()))
+    return sorted(found, key=Partition.sort_key)
 
-    def prefix_ok(m: int) -> bool:
-        # Constraints on the related pairs (x, m) that elements 0..m decide.
-        g = assign[m]
-        for x in range(m):
-            if assign[x] == g:
-                sx, sm = star[x], star[m]
-                if sx <= m and sm <= m and assign[sx] != assign[sm]:
-                    return False
-                for c in range(m + 1):
-                    u, v = join[x][c], join[m][c]
-                    if u <= m and v <= m and assign[u] != assign[v]:
-                        return False
-                    u, v = meet[x][c], meet[m][c]
-                    if u <= m and v <= m and assign[u] != assign[v]:
-                        return False
-        return True
+
+def _star_partitions(star):
+    """Restricted-growth block assignments of range(len(star)) on which the
+    star induces a function on blocks, checked on every prefix. One list is
+    reused for every assignment yielded."""
+    n = len(star)
+    assign = [0] * n
 
     def rec(m: int, nblocks: int):
         if m == n:
-            groups: dict[int, list[int]] = {}
-            for x, g in enumerate(assign):
-                groups.setdefault(g, []).append(x)
-            p = Partition.from_blocks(n, groups.values())
-            if is_congruence(a, p):
-                found.append(p)
+            yield assign
             return
         for g in range(nblocks + 1):
             assign[m] = g
-            if prefix_ok(m):
-                rec(m + 1, nblocks + (1 if g == nblocks else 0))
-        assign[m] = 0
+            image: dict[int, int] = {}
+            if all(image.setdefault(assign[x], assign[s]) == assign[s]
+                   for x, s in enumerate(star[:m + 1]) if s <= m):
+                yield from rec(m + 1, nblocks + (g == nblocks))
 
-    rec(0, 0)
-    found.sort(key=Partition.sort_key)
-    return found
+    return rec(0, 0)
 
 
 def subalgebras(a: FiniteAlgebra) -> list[tuple[int, ...]]:
@@ -224,13 +224,13 @@ def principal_congruence_nonflat(a: FiniteAlgebra, theta_r: Partition,
 
 
 def principal_congruence_flat(a: FiniteAlgebra, x: int, y: int) -> Partition:
-    """Congruence of a flat algebra merging two distinct irregular elements,
-    built by the four-case union over which of x, y are star fixed.
+    """Congruence of a flat algebra merging two distinct irregular elements:
+    the equivalence generated by (x, y), (x*, y*), (x, x*) and (y, y*).
 
-    In three of the four cases this is the least congruence containing
-    (x, y). When x, y, x*, y* are four distinct elements the union puts all
-    four in one block, which is strictly coarser than the least congruence
-    (the two-block relation {x,y}, {x*,y*} is already compatible); the
+    Unless x, y, x*, y* are four distinct elements this is the least
+    congruence containing (x, y). When they are, it puts all four in one
+    block, which is strictly coarser than the least congruence (the
+    two-block relation {x,y}, {x*,y*} is already compatible); the
     generated closure is the minimal one in that case.
     """
     require_valid(a)
@@ -241,15 +241,7 @@ def principal_congruence_flat(a: FiniteAlgebra, x: int, y: int) -> Partition:
     if x == y:
         raise PreconditionViolated("x and y must differ")
     sx, sy = a.star[x], a.star[y]
-    if x == sx and y == sy:
-        extra = {(x, y)}
-    elif x == sx:
-        extra = {(x, y), (sx, sy), (y, sy)}
-    elif y == sy:
-        extra = {(x, y), (sx, sy), (x, sx)}
-    else:
-        extra = {(x, y), (sx, sy), (x, sx), (y, sy), (x, sy), (sx, y)}
-    return Partition.from_pairs(a.size, extra)
+    return Partition.from_pairs(a.size, [(x, y), (sx, sy), (x, sx), (y, sy)])
 
 
 def compose_flat(a: FiniteAlgebra, theta_ir: Partition) -> Partition:

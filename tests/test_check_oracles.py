@@ -1,8 +1,8 @@
 """The whole-row well-formedness checks in FiniteAlgebra and its star-only
 copies, the one-pass cloud map in verify_structure and its once-per-table
 facts in _collect_violations, the structure-built labeled generator, the
-block-of-columns equation check, the congruence search with one prune and
-the isomorphism-class key against the code they replaced.
+block-of-columns equation check, the congruences built by the split
+lemma and the isomorphism-class key against the code they replaced.
 
 The old scans, generators, the per-assignment check, the two-prune search
 and the search-based dedupe are kept here verbatim as oracles: every input
@@ -747,17 +747,18 @@ class TestAllCongruences:
         a = make_flat(10, k)
         assert all_congruences(a) == all_congruences_two_prunes(a)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_every_labeled_algebra(self, n):
         for a in enumerate_all(n, up_to_iso=False).iso_classes:
             assert all_congruences(a) == all_congruences_two_prunes(a)
 
     def test_single_cell_mutants(self, fx):
-        # Mutants fail the axioms, so prunes and full checks disagree far
-        # more often than on valid algebras.
+        # The construction rests on the split lemma, so it refuses every
+        # mutant: none of them is a QB-algebra.
         for name in ("4", "6"):
             for a in single_cell_mutants(fx[name]):
-                assert all_congruences(a) == all_congruences_two_prunes(a)
+                with pytest.raises(NotAQBAlgebra):
+                    all_congruences(a)
 
 
 # The dedupe that iso_class_key replaced, verbatim: a bucket of cheap
@@ -937,7 +938,7 @@ class TestTheoremRechecks:
         # so quotient refuses such algebras instead of reading one.
         ill_defined = 0
         for a in single_cell_mutants(fx["4"]):
-            for theta in all_congruences(a):
+            for theta in all_congruences_two_prunes(a):
                 with pytest.raises(NotAQBAlgebra):
                     quotient(a, theta)
                 try:

@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, output shapes, JSON round trips."""
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -193,7 +196,8 @@ class TestGate:
              ["split", "--cong", "0,a,e;f,b,1"],
              ["decompose", "--cong", "0,a,e;f,b,1"],
              ["compose", "--theta-r", "0;1", "--theta-ir", "a,e;b,f", "--link", "0>a;1>b"],
-             ["extend", "--sub", "0,a,b,1", "--cong", "0,a,b,1"])
+             ["extend", "--sub", "0,a,b,1", "--cong", "0,a,b,1"],
+             ["congruences"], ["generate", "--pairs", "a=e"])
 
     def mutant(self, tmp_path):
         # 6 with a v 1 set to 0.
@@ -410,3 +414,15 @@ class TestMainEntry:
 
     def test_version(self):
         assert run(["--version"]).exit_code == 0
+
+    def test_reader_closing_early_is_not_an_error(self, tmp_path):
+        # 21,147 congruences: more text than a pipe buffer holds.
+        path = tmp_path / "F9.alg"
+        path.write_text(qba.dump_algebra(qba.make_flat(9, 9)))
+        env = dict(os.environ, PYTHONPATH=str(FIXDIR.parent.parent))
+        with subprocess.Popen([sys.executable, "-m", "qba.cli", "congruences", str(path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"0;x1;x2;x3;x4;x5;x6;x7;x8\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""

@@ -180,7 +180,8 @@ def test_gated_subcommands_refuse_every_mutant():
     # (all singletons) and a subalgebra of the constants do.
     gated = (["quotient", "--rel", "chi"], ["quotient", "--rel", "tau"],
              ["split", "--cong", ""], ["decompose", "--cong", ""],
-             ["compose", "--theta-r", "", "--theta-ir", ""], ["extend", "--sub", "", "--cong", ""])
+             ["compose", "--theta-r", "", "--theta-ir", ""], ["extend", "--sub", "", "--cong", ""],
+             ["congruences"], ["generate", "--seed", ""])
     for p in MUTANTS:
         for as_json in ([], ["--json"]):
             expected = run(["validate", p] + as_json)

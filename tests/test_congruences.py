@@ -12,6 +12,7 @@ from qba.errors import (ConditionC1Violated, ConditionC2Violated,
                         NotAQBAlgebra, NotASubalgebra, NotFlat,
                         PreconditionViolated, NotStarClosed, TooLarge)
 from qba.partitions import Partition
+from test_check_oracles import all_congruences_two_prunes
 
 
 def part(a, text):
@@ -185,7 +186,7 @@ class TestExtendFromSubalgebra:
         assert qba.generated_congruence(
             m, [(0, 2), (3, 5)]).restrict(subset) != theta0
         assert not any(c.restrict(subset) == theta0
-                       for c in qba.all_congruences(m))
+                       for c in all_congruences_two_prunes(m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotAQBAlgebra):
@@ -528,6 +529,7 @@ def test_mutant_of_6_fails_five_axioms():
 
 
 GATED = {
+    "all_congruences": qba.all_congruences,
     "split_congruence": lambda m: qba.split_congruence(m, Partition.singletons(6)),
     "decompose": lambda m: qba.decompose(m, Partition.singletons(6)),
     "compose_nonflat": lambda m: qba.compose_nonflat(m, CongruenceDecomposition(
