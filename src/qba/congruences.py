@@ -60,7 +60,8 @@ def all_congruences(a: FiniteAlgebra) -> list[Partition]:
     flat algebra are constant, so the congruences of a/tau are the
     partitions of the tau-blocks that the star maps onto blocks. Each
     intersection of one of each is a congruence, and every congruence is
-    one of them, so none is checked; distinct pairs may give the same one.
+    one of them, so none is checked; distinct pairs may give the same one,
+    and one Partition is built per distinct congruence.
     """
     require_valid(a)
     n = a.size
@@ -76,8 +77,10 @@ def all_congruences(a: FiniteAlgebra) -> list[Partition]:
             groups: dict[tuple[int, int], list[int]] = {}
             for x in a.elements():
                 groups.setdefault((ideal[x], assign[lift[x]]), []).append(x)
-            found.add(Partition.from_blocks(n, groups.values()))
-    return sorted(found, key=Partition.sort_key)
+            # Filled in element order, the groups are already the
+            # canonical blocks, so repeats are dropped before any build.
+            found.add(tuple(map(tuple, groups.values())))
+    return [Partition(n, blocks) for blocks in sorted(found)]
 
 
 def _star_partitions(star):

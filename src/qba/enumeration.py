@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple
 from .algebra import FiniteAlgebra, cloud_map, is_flat, regular_elements
 from .errors import TooLarge
 from .quotients import (boolean_algebra, direct_product, find_isomorphism,
-                        is_irreducible, make_flat, make_irreducible)
+                        is_irreducible, make_flat)
 
 MAX_FLAT = 16
 MAX_ALL = 6
@@ -236,42 +236,53 @@ STRUCTURE_CLAIMS = (
 )
 
 
+_RANK = {label: i for i, label in enumerate(STRUCTURE_CLAIMS)}
+
+
 class _TableFacts(NamedTuple):
     """What verify_structure derives from join, meet, zero and one alone,
     so algebras that share those objects derive it once."""
 
     flat: bool
-    regs: frozenset[int]
     reps: list[int]
     by_rep: dict[int, frozenset[int]]
     clouds: dict[int, frozenset[int]]
-    cloud_claims: list[tuple[str, bool]]
-    shape_claims: list[tuple[str, bool]]
+    table_claims: list[tuple[str, bool]]
+    tables_hold: bool
+    star_labels: tuple[str, ...]
     irreducible_even: bool
 
 
 def _table_facts(a: FiniteAlgebra) -> _TableFacts:
-    """The regulars, the clouds and the claims that read no star:
-    the cloud partition claims, then the non-flat parity or the flat
-    collapse claims."""
+    """The regulars with their clouds, the claims that read no star (the
+    cloud partition, then the non-flat parity or the flat collapse
+    claims) and the labels of the claims that do."""
     regs = regular_elements(a)
     reps = [a.join[x][x] for x in a.elements()]
     by_rep = cloud_map(a)
     clouds = {r: by_rep[r] for r in regs}
 
-    cloud_claims = [
+    table_claims = [
         ("cloud-partition",
          set().union(*clouds.values()) == set(a.elements())
          and sum(map(len, clouds.values())) == a.size
          and regs.issuperset(reps)),
     ]
+    star_labels = ("star-cloud-image", "star-cloud-size")
     flat = is_flat(a)
+    irreducible_even = not flat and a.size % 2 == 0 and is_irreducible(a)
     if not flat:
-        shape_claims = [("nonflat-regular-even", len(regs) % 2 == 0),
-                        ("nonflat-order-even", a.size % 2 == 0)]
+        table_claims += [("nonflat-regular-even", len(regs) % 2 == 0),
+                         ("nonflat-order-even", a.size % 2 == 0)]
+        star_labels += ("nonflat-star-free",
+                        "nonflat-complement-clouds-disjoint")
+        if irreducible_even:
+            star_labels += ("irreducible-product-form",)
+            if a.size % 4 == 2:
+                star_labels += ("irreducible-odd-flat-form",)
     else:
         zero_row = (a.zero,) * a.size
-        shape_claims = [
+        table_claims += [
             ("flat-regulars-trivial", regs == frozenset((a.zero,))),
             ("flat-cloud-zero-whole",
              by_rep[reps[a.zero]] == frozenset(a.elements())),
@@ -279,75 +290,91 @@ def _table_facts(a: FiniteAlgebra) -> _TableFacts:
              all(tuple(row) == zero_row for row in a.join)
              and all(tuple(row) == zero_row for row in a.meet)),
         ]
-    irreducible_even = not flat and a.size % 2 == 0 and is_irreducible(a)
-    return _TableFacts(flat, regs, reps, by_rep, clouds, cloud_claims,
-                       shape_claims, irreducible_even)
+        star_labels += ("flat-size-parity",)
+    return _TableFacts(flat, reps, by_rep, clouds, table_claims,
+                       all(ok for _, ok in table_claims), star_labels,
+                       irreducible_even)
+
+
+def _product_target(n: int) -> FiniteAlgebra:
+    """2 x the flat algebra of size n/2 with one star fixed point if n/2
+    is odd, else two: the form of an irreducible algebra of even size n.
+    At n = 4k + 2 its join, meet, star, zero and one are those of
+    make_irreducible(k)."""
+    half = n // 2
+    return direct_product(boolean_algebra(1),
+                          make_flat(half, 1 if half % 2 else 2))
 
 
 def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
-    """Evaluate every structure claim applicable to the algebra.
+    """Evaluate every structure claim applicable to the algebra, in
+    STRUCTURE_CLAIMS order.
 
     Claims cover the cloud partition (every element in the cloud of a
     regular one, star maps clouds to clouds bijectively), the non-flat parity
     facts, the flat collapse facts, and the classification of irreducible
     algebras as products of 2 with a flat algebra of half the size. The
     4k+2 shape with an odd flat factor applies exactly when the size is
-    2 mod 4; sizes 0 mod 4 pair 2 with an even flat factor instead.
+    2 mod 4; sizes 0 mod 4 pair 2 with an even flat factor instead. At
+    4k+2 the two forms have the same tables, so one isomorphism search
+    decides both.
     """
-    return _claims(a, _table_facts(a))
+    f = _table_facts(a)
+    return _claims(f, _star_claims(a, f, {}))
 
 
-def _claims(a: FiniteAlgebra, f: _TableFacts) -> list[tuple[str, bool]]:
-    """verify_structure(a), given the table facts of a: the star claims
-    read here, interleaved with the table claims in STRUCTURE_CLAIMS
-    order."""
+def _claims(f: _TableFacts, stars: tuple[bool, ...]) -> list[tuple[str, bool]]:
+    """The table claims of f and the star claims, labeled by
+    f.star_labels, merged in STRUCTURE_CLAIMS order."""
+    return sorted(f.table_claims + list(zip(f.star_labels, stars)),
+                  key=lambda claim: _RANK[claim[0]])
+
+
+def _star_claims(a: FiniteAlgebra, f: _TableFacts,
+                 targets: dict[int, FiniteAlgebra]) -> tuple[bool, ...]:
+    """The claims that read the star, one bool per label of f.star_labels,
+    from one pass over the clouds. targets memoizes _product_target by
+    size; the irreducible claims share one search."""
     star = a.star
-    regs, clouds = f.regs, f.clouds
-    star_clouds = {r: f.by_rep[f.reps[star[r]]] for r in regs}
-    results = f.cloud_claims + [
-        ("star-cloud-image",
-         all(frozenset(map(star.__getitem__, clouds[r])) == star_clouds[r]
-             for r in regs)),
-        ("star-cloud-size",
-         all(len(clouds[r]) == len(star_clouds[r]) for r in regs)),
-    ]
-    fixed = sum(map(eq, star, a.elements()))
-    if not f.flat:
-        results.append(("nonflat-star-free", fixed == 0))
-        results.append(("nonflat-complement-clouds-disjoint",
-                        all(not (clouds[r] & star_clouds[r]) for r in regs)))
-        results += f.shape_claims
-        if f.irreducible_even:
-            half = a.size // 2
-            flat_factor = make_flat(half, 1 if half % 2 else 2)
-            two = boolean_algebra(1)
-            results.append((
-                "irreducible-product-form",
-                find_isomorphism(a, direct_product(two, flat_factor)) is not None))
-            if a.size % 4 == 2:
-                results.append((
-                    "irreducible-odd-flat-form",
-                    find_isomorphism(a, make_irreducible((a.size - 2) // 4))
-                    is not None))
-    else:
-        results += f.shape_claims
-        results.append(("flat-size-parity", (a.size - fixed) % 2 == 0))
-    return results
+    n = a.size
+    image = size = True
+    apart = not f.flat  # read on non-flat algebras only
+    for r, cloud in f.clouds.items():
+        dst = f.by_rep[f.reps[star[r]]]
+        image = image and frozenset(map(star.__getitem__, cloud)) == dst
+        size = size and len(cloud) == len(dst)
+        apart = apart and not cloud & dst
+    fixed = sum(map(eq, star, range(n)))
+    if f.flat:
+        return image, size, (n - fixed) % 2 == 0
+    claims = (image, size, fixed == 0, apart)
+    if f.irreducible_even:
+        target = targets.get(n)
+        if target is None:
+            target = targets[n] = _product_target(n)
+        iso = find_isomorphism(a, target) is not None
+        claims += (iso, iso) if n % 4 == 2 else (iso,)
+    return claims
 
 
 def _collect_violations(algebras) -> tuple[tuple[str, FiniteAlgebra], ...]:
     """(claim, algebra) for every failing claim, in order. The table facts
     are derived once per distinct (join, meet, zero, one), keyed by the
     identity of the tables; each entry keeps its first algebra, and with
-    it those tables, alive, so an id is not reused while it is a key."""
+    it those tables, alive, so an id is not reused while it is a key. The
+    product targets are built once per size. An algebra whose table and
+    star claims all hold costs the star pass and no claim list."""
     out = []
     facts: dict[tuple, tuple[FiniteAlgebra, _TableFacts]] = {}
+    targets: dict[int, FiniteAlgebra] = {}
     for a in algebras:
         key = (id(a.join), id(a.meet), a.zero, a.one)
         hit = facts.get(key)
         if hit is None:
             hit = facts[key] = (a, _table_facts(a))
-        for label, ok in _claims(a, hit[1]):
-            if not ok:
-                out.append((label, a))
+        f = hit[1]
+        stars = _star_claims(a, f, targets)
+        if f.tables_hold and all(stars):
+            continue
+        out.extend((label, a) for label, ok in _claims(f, stars) if not ok)
     return tuple(out)

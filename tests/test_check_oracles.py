@@ -16,7 +16,7 @@ congruence of every algebra of the corpus.
 """
 import random
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from typing import Iterator, Mapping
 
 import pytest
@@ -282,6 +282,19 @@ class TestVerifyStructure:
         # passing one.
         assert failing > 100
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_irreducible_sizes_beyond_enumeration(self, n):
+        # Sizes 0 and 2 mod 4 past enumerate_all's guard, where the product
+        # targets of _collect_violations are built for the first time.
+        algebras = list(islice(_labeled(n, 1), 48))
+        mix = algebras + [m for a in algebras for m in star_mutants(a)]
+        expected = list(map(verify_structure_by_scan, mix))
+        assert list(map(verify_structure, mix)) == expected
+        failing = [(label, id(a)) for a, claims in zip(mix, expected)
+                   for label, ok in claims if not ok]
+        assert len({a for _, a in failing}) > 48
+        assert [(label, id(a)) for label, a in _collect_violations(mix)] == failing
+
     def test_collect_violations_per_family_as_by_scan(self, fx):
         # The table facts are derived once per (join, meet, zero, one)
         # object key; the violations must be what a per-algebra scan finds.
@@ -301,6 +314,16 @@ class TestVerifyStructure:
         got = [(label, tables(a))
                for label, a in _collect_violations(fresh_flat_stream(5, 200))]
         assert got == expected and len(expected) == 600
+
+
+def star_mutants(a):
+    """Star-only copies that break the star at one element: a regular
+    and an irregular element made fixed, and a regular sent where the
+    next element is sent, so that the star is no longer one-to-one."""
+    irregular = next(x for x in a.elements() if a.join[x][x] != x)
+    for x in (a.zero, irregular):
+        yield a._with_star(with_entry(a.star, x, x))
+    yield a._with_star(with_entry(a.star, a.one, a.star[a.one + 1 - a.size]))
 
 
 def shuffled_mix(fx):

@@ -2,11 +2,11 @@
 import pytest
 
 import qba
-from qba.enumeration import (MAX_ALL, MAX_LABELED, dedupe_up_to_iso,
-                             enumerate_all, enumerate_flat, involution_count,
-                             iso_class_key, verify_structure)
+from qba.enumeration import (MAX_ALL, MAX_LABELED, _product_target,
+                             dedupe_up_to_iso, enumerate_all, enumerate_flat,
+                             involution_count, iso_class_key, verify_structure)
 from qba.errors import TooLarge
-from qba.quotients import boolean_algebra
+from qba.quotients import boolean_algebra, make_irreducible
 
 
 def claims(a):
@@ -219,3 +219,30 @@ def test_flat_classes_derive_their_table_facts_once(n, monkeypatch):
     report = qba.enumerate_flat(n, True)
     assert len(calls) == 1 and report.violations == ()
     assert len({id(t) for a in report.iso_classes for t in (a.join, a.meet)}) == 1
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_product_target_has_the_odd_flat_form_tables(k):
+    # This equality lets one isomorphism search answer both the
+    # irreducible-product-form and the irreducible-odd-flat-form claims.
+    target, odd = _product_target(4 * k + 2), make_irreducible(k)
+    for field in ("join", "meet", "star", "zero", "one"):
+        assert getattr(target, field) == getattr(odd, field), field
+
+
+@pytest.mark.parametrize("n,searches", [(2, 1), (6, 60)])
+def test_one_search_per_irreducible_and_one_target_per_size(n, searches,
+                                                            monkeypatch):
+    found, built = [], []
+    real_search = qba.enumeration.find_isomorphism
+    real_product = qba.enumeration.direct_product
+    monkeypatch.setattr(qba.enumeration, "find_isomorphism",
+                        lambda a, b: found.append(a) or real_search(a, b))
+    monkeypatch.setattr(qba.enumeration, "direct_product",
+                        lambda a, b: built.append(a.size * b.size)
+                        or real_product(a, b))
+    report = enumerate_all(n, up_to_iso=False)
+    irreducible = [a for a in report.iso_classes
+                   if not qba.is_flat(a) and qba.is_irreducible(a)]
+    assert len(found) == len(irreducible) == searches
+    assert built == [n] and report.violations == ()
