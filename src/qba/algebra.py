@@ -447,17 +447,22 @@ def algebra_to_dict(a: FiniteAlgebra) -> dict:
 
 
 def algebra_from_dict(d: dict) -> FiniteAlgebra:
-    names = tuple(d["names"])
-    index = {nm: i for i, nm in enumerate(names)}
+    """Inverse of algebra_to_dict; any bad input raises AlgebraSemanticError."""
+    def resolve(value, depth: int):
+        if depth:
+            return tuple(resolve(v, depth - 1) for v in value)
+        if value not in index:
+            raise AlgebraSemanticError(f"unknown name {value!r}")
+        return index[value]
+
+    fields, key = {}, "names"
     try:
-        return FiniteAlgebra(
-            names=names,
-            join=tuple(tuple(index[v] for v in row) for row in d["join"]),
-            meet=tuple(tuple(index[v] for v in row) for row in d["meet"]),
-            star=tuple(index[v] for v in d["star"]),
-            zero=index[d["zero"]],
-            one=index[d["one"]],
-            label=d.get("label", ""),
-        )
-    except KeyError as exc:
-        raise AlgebraSemanticError(f"unknown name {exc.args[0]!r}") from None
+        fields[key] = tuple(d[key])
+        index = {nm: i for i, nm in enumerate(fields[key])}
+        for key, depth in (("join", 2), ("meet", 2), ("star", 1), ("zero", 0), ("one", 0)):
+            fields[key] = resolve(d[key], depth)
+    except KeyError:
+        raise AlgebraSemanticError(f"missing key {key!r}") from None
+    except TypeError:  # not a sequence, or an unhashable entry
+        raise AlgebraSemanticError(f"malformed {key}") from None
+    return FiniteAlgebra(label=d.get("label", ""), **fields)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 negative-but-valid result (an INVALID equation, a
 failed validation, no isomorphism), 2 usage or input errors. The
-subcommands whose results rest on the paper's theorems (quotient,
+subcommands whose results rest on the paper's theorems (quotient, iso,
 congruences, generate, extend, split, decompose, compose) refuse an
 algebra that fails the axioms with exit 1 and the output of validate.
 Every subcommand takes --json for a machine-readable form of the same
@@ -168,7 +168,7 @@ def _cmd_product(args) -> CommandResult:
 
 
 def _cmd_iso(args) -> CommandResult:
-    a, b = _load(args.left), _load(args.right)
+    a, b = _load_valid(args.left), _load_valid(args.right)
     f = find_isomorphism(a, b)
     if f is None:
         return CommandResult(1, _emit({"isomorphic": False}, "NOT ISOMORPHIC",

@@ -17,8 +17,9 @@ from typing import Iterator, NamedTuple
 
 from .algebra import FiniteAlgebra, cloud_map, is_flat, regular_elements
 from .errors import TooLarge
-from .quotients import (boolean_algebra, direct_product, find_isomorphism,
-                        is_irreducible, make_flat)
+from .quotients import (atom_masks, atom_relabelings, boolean_algebra,
+                        direct_product, is_homomorphism, is_irreducible,
+                        isomorphism_candidate, make_flat)
 
 MAX_FLAT = 16
 MAX_ALL = 6
@@ -173,22 +174,11 @@ def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
 def iso_class_key(a: FiniteAlgebra) -> tuple:
     """A key that two valid algebras share exactly when they are
     isomorphic: the number of star fixed points, which fixes a flat
-    algebra, and the cloud sizes indexed by the subsets of the atoms of
-    the Boolean part, least over the orders of the atoms, which fix a
-    non-flat one."""
-    clouds = cloud_map(a)
-    atoms = [r for r in clouds if r != a.zero
-             and all(a.meet[r][s] in (a.zero, r) for s in clouds)]
-
-    def sizes(order) -> tuple[int, ...]:
-        by_subset = [0] * len(clouds)
-        for r, members in clouds.items():
-            below = sum(1 << i for i, t in enumerate(order) if a.meet[t][r] == t)
-            by_subset[below] = len(members)
-        return tuple(by_subset)
-
+    algebra, and the cloud sizes over the atom sets of atom_masks, least
+    over the orders of the atoms, which fix a non-flat one."""
+    atoms, masks = atom_masks(a)
     fixed = sum(1 for x in a.elements() if a.star[x] == x)
-    return fixed, min(map(sizes, permutations(atoms)))
+    return fixed, min(sizes for _, sizes in atom_relabelings(masks, len(atoms)))
 
 
 def dedupe_up_to_iso(algebras) -> list[FiniteAlgebra]:
@@ -316,8 +306,8 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     algebras as products of 2 with a flat algebra of half the size. The
     4k+2 shape with an odd flat factor applies exactly when the size is
     2 mod 4; sizes 0 mod 4 pair 2 with an even flat factor instead. At
-    4k+2 the two forms have the same tables, so one isomorphism search
-    decides both.
+    4k+2 the two forms have the same tables, so one map decides both: the
+    isomorphism_candidate, which counts only if is_homomorphism certifies it.
     """
     f = _table_facts(a)
     return _claims(f, _star_claims(a, f, {}))
@@ -334,7 +324,7 @@ def _star_claims(a: FiniteAlgebra, f: _TableFacts,
                  targets: dict[int, FiniteAlgebra]) -> tuple[bool, ...]:
     """The claims that read the star, one bool per label of f.star_labels,
     from one pass over the clouds. targets memoizes _product_target by
-    size; the irreducible claims share one search."""
+    size; the irreducible claims share one certified candidate map."""
     star = a.star
     n = a.size
     image = size = True
@@ -352,7 +342,8 @@ def _star_claims(a: FiniteAlgebra, f: _TableFacts,
         target = targets.get(n)
         if target is None:
             target = targets[n] = _product_target(n)
-        iso = find_isomorphism(a, target) is not None
+        g = isomorphism_candidate(a, target)
+        iso = g is not None and g.is_bijective and is_homomorphism(a, target, g)
         claims += (iso, iso) if n % 4 == 2 else (iso,)
     return claims
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import permutations
+from typing import Iterator
 
 from .algebra import (FiniteAlgebra, cloud_map, is_flat, regular_elements,
                       require_valid)
@@ -150,68 +152,72 @@ def embed_into_product(a: FiniteAlgebra) -> ElementMap:
     return ElementMap(a.size, len(c.blocks) * nt, mapping)
 
 
-def _signatures(a: FiniteAlgebra) -> list[tuple]:
-    regs = regular_elements(a)
-    clouds = cloud_map(a)
-    return [(x == a.zero, x == a.one, x in regs, a.star[x] == x,
-             len(clouds[a.join[x][x]]))
-            for x in a.elements()]
+def atom_masks(a: FiniteAlgebra) -> tuple[list[int], list[int]]:
+    """The atoms of the Boolean part of a, and for each x the bitmask of
+    the atoms below x v x, bit i for atoms[i]. In a valid algebra a mask is
+    a cloud, the tables read only masks, and x* has the complement mask."""
+    reps = [row[x] for x, row in enumerate(a.join)]
+    regs = sorted(set(reps))
+    atoms = [r for r in regs if r != a.zero
+             and {a.meet[r][s] for s in regs} <= {a.zero, r}]
+    below = {r: sum([1 << i for i, t in enumerate(atoms) if a.meet[t][r] == t])
+             for r in regs}
+    return atoms, list(map(below.__getitem__, reps))
+
+
+def atom_relabelings(masks: list[int], k: int) -> Iterator[tuple[list[int], tuple]]:
+    """Per permutation p of the k atoms, identity first: the map m it
+    induces on masks, bit i to bit p[i], and sizes[m[s]] = #{x : masks[x] = s}."""
+    counts = [masks.count(s) for s in range(1 << k)]
+    for p in permutations(range(k)):
+        m = [0]
+        for bit in p:
+            m += [s | 1 << bit for s in m]
+        yield m, tuple(c for _, c in sorted(zip(m, counts)))
+
+
+def isomorphism_candidate(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
+    """The least isomorphism from a onto b in the order of image tuples, or
+    None, if both algebras are valid; on others a candidate to certify. Each
+    x not yet mapped as the star of an earlier one takes the least unused y,
+    regular and star-fixed exactly when x is, with y* unused and some
+    remaining atom permutation that carries a's cloud sizes onto b's sending
+    x's mask to y's; only those permutations remain."""
+    (atoms, mask_a), (atoms_b, mask_b) = atom_masks(a), atom_masks(b)
+    n, k = a.size, len(atoms)
+    if n != b.size or k != len(atoms_b):
+        return None
+    _, sizes_b = next(atom_relabelings(mask_b, k))
+    maps = [m for m, sizes in atom_relabelings(mask_a, k) if sizes == sizes_b]
+    kind_a = [(row[x] == x, a.star[x] == x) for x, row in enumerate(a.join)]
+    kind_b = [(row[y] == y, b.star[y] == y) for y, row in enumerate(b.join)]
+    image, used = [-1] * n, [False] * n
+    for x in range(n):
+        if image[x] >= 0:
+            continue
+        for y in range(n):
+            if used[y] or used[b.star[y]] or kind_b[y] != kind_a[x]:
+                continue
+            kept = [m for m in maps if m[mask_a[x]] == mask_b[y]]
+            if kept:
+                break
+        else:
+            return None
+        maps = kept
+        image[x], image[a.star[x]] = y, b.star[y]
+        used[y] = used[b.star[y]] = True
+    return ElementMap(n, n, tuple(image))
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
-    """Search for a bijective homomorphism by backtracking.
-
-    Candidates are pruned by per-element invariants (constants, regularity,
-    star fixed points, cloud size) before the exhaustive consistency check;
-    enough to keep the search trivial at the sizes handled here.
-    """
-    n = a.size
-    if n != b.size:
-        return None
-    sig_a, sig_b = _signatures(a), _signatures(b)
-    if sorted(sig_a) != sorted(sig_b):
-        return None
-
-    image = [-1] * n
-    used = [False] * n
-
-    def consistent(x: int, y: int) -> bool:
-        if image[a.star[x]] != -1 and image[a.star[x]] != b.star[y]:
-            return False
-        for u in range(n):
-            v = image[u]
-            if v == -1:
-                continue
-            for (p, q), (pm, qm) in (((x, u), (y, v)), ((u, x), (v, y))):
-                if image[a.join[p][q]] not in (-1, b.join[pm][qm]):
-                    return False
-                if image[a.meet[p][q]] not in (-1, b.meet[pm][qm]):
-                    return False
-        return True
-
-    def extend(x: int) -> bool:
-        if x == n:
-            # Partial checks skip operation results that were still
-            # unassigned, so the complete candidate is verified in full.
-            return is_homomorphism(a, b, ElementMap(n, n, tuple(image)))
-        for y in range(n):
-            if used[y] or sig_a[x] != sig_b[y]:
-                continue
-            if not consistent(x, y):
-                continue
-            image[x] = y
-            used[y] = True
-            if extend(x + 1):
-                return True
-            image[x] = -1
-            used[y] = False
-        return False
-
-    if not extend(0):
-        return None
-    f = ElementMap(n, n, tuple(image))
-    if not f.is_bijective:
-        raise InvariantViolation("isomorphism search produced a non-bijective map")
+    """The least isomorphism from a onto b in the order of image tuples,
+    or None. Both algebras must pass the axioms; the map is built by
+    isomorphism_candidate and certified by is_homomorphism."""
+    require_valid(a)
+    require_valid(b)
+    f = isomorphism_candidate(a, b)
+    if f is not None and not (f.is_bijective and is_homomorphism(a, b, f)):
+        raise InvariantViolation("the map built from the clouds fails its certificate")
     return f
 
 
@@ -253,10 +259,8 @@ def make_irreducible(k: int) -> FiniteAlgebra:
     size 2k+1; size 4k+2, regular elements exactly {0, 1}."""
     if k < 0:
         raise ValueError("k must be a natural number")
-    two = FiniteAlgebra(names=("0", "1"), join=((0, 1), (1, 1)),
-                        meet=((0, 0), (0, 1)), star=(1, 0), zero=0, one=1,
-                        label="2")
-    return direct_product(two, make_flat(2 * k + 1, 1)).relabel(f"2xF{2 * k + 1}")
+    return direct_product(boolean_algebra(1),
+                          make_flat(2 * k + 1, 1)).relabel(f"2xF{2 * k + 1}")
 
 
 def boolean_algebra(num_atoms: int) -> FiniteAlgebra:

@@ -93,6 +93,21 @@ class TestLoading:
             qba.algebra_from_dict(d)
         assert str(info.value) == "unknown name 'q'"
 
+    def test_dict_without_a_key(self, fx):
+        d = qba.algebra_to_dict(fx["4"])
+        del d["join"]
+        with pytest.raises(AlgebraSemanticError) as info:
+            qba.algebra_from_dict(d)
+        assert str(info.value) == "missing key 'join'"
+
+    @pytest.mark.parametrize("star", [5, None, [["0"], "b", "a", "1"]])
+    def test_dict_with_a_star_not_made_of_names(self, fx, star):
+        d = qba.algebra_to_dict(fx["4"])
+        d["star"] = star
+        with pytest.raises(AlgebraSemanticError) as info:
+            qba.algebra_from_dict(d)
+        assert str(info.value) == "malformed star"
+
     def test_comments_and_blank_lines_ignored(self, fx):
         text = "# header\n\n" + qba.dump_algebra(fx["4"]) + "\n# trailing comment\n"
         assert qba.load_algebra(text) == fx["4"]

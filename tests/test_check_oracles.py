@@ -2,13 +2,15 @@
 copies, the one-pass cloud map in verify_structure and its once-per-table
 facts in _collect_violations, the structure-built labeled generator, the
 block-of-columns equation check, the congruences built by the split
-lemma and the isomorphism-class key against the code they replaced.
+lemma, the isomorphism-class key and the isomorphisms built from the
+clouds against the code they replaced.
 
-The old scans, generators, the per-assignment check, the two-prune search
-and the search-based dedupe are kept here verbatim as oracles: every input
-must give the same exception type and message, the same (claim, bool)
-list, the same labeled algebras, the same verdict, witness included, the
-same congruences and the same representatives.
+The old scans, generators, the per-assignment check, the two-prune search,
+the backtracking isomorphism search and the search-based dedupe are kept
+here verbatim as oracles: every input must give the same exception type
+and message, the same (claim, bool) list, the same labeled algebras, the
+same verdict, witness included, the same congruences, the same
+representatives and the same isomorphism.
 
 The checks that congruences and quotients ran on their own results, which
 only re-derived the paper's theorems, run here as oracles too, on every
@@ -34,8 +36,8 @@ from qba.enumeration import (STRUCTURE_CLAIMS, _collect_violations,
                              _generic_names, _labeled, dedupe_up_to_iso,
                              enumerate_all, enumerate_flat, verify_structure)
 from qba.errors import (AlgebraSemanticError, DecompositionConditionError,
-                        NotACongruence, NotAQBAlgebra, TooLarge,
-                        UnboundVariable)
+                        InvariantViolation, NotACongruence, NotAQBAlgebra,
+                        TooLarge, UnboundVariable)
 from qba.partitions import Partition, is_congruence
 from qba.quotients import (ElementMap, boolean_algebra, chi, direct_product,
                            embed_into_product, find_isomorphism,
@@ -67,6 +69,75 @@ def scan_well_formed(names, join, meet, star, zero, one):
     for c, what in ((zero, "zero"), (one, "one")):
         if not (0 <= c < n):
             raise AlgebraSemanticError(f"{what} out of range")
+
+
+# The backtracking isomorphism search that the construction from the
+# clouds replaced, verbatim. It takes any well-formed algebras, valid
+# or not, and returns the least isomorphism in the order of image tuples.
+
+def _signatures(a: FiniteAlgebra) -> list[tuple]:
+    regs = regular_elements(a)
+    clouds = cloud_map(a)
+    return [(x == a.zero, x == a.one, x in regs, a.star[x] == x,
+             len(clouds[a.join[x][x]]))
+            for x in a.elements()]
+
+
+def find_isomorphism_by_search(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
+    """Search for a bijective homomorphism by backtracking.
+
+    Candidates are pruned by per-element invariants (constants, regularity,
+    star fixed points, cloud size) before the exhaustive consistency check;
+    enough to keep the search trivial at the sizes handled here.
+    """
+    n = a.size
+    if n != b.size:
+        return None
+    sig_a, sig_b = _signatures(a), _signatures(b)
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+
+    image = [-1] * n
+    used = [False] * n
+
+    def consistent(x: int, y: int) -> bool:
+        if image[a.star[x]] != -1 and image[a.star[x]] != b.star[y]:
+            return False
+        for u in range(n):
+            v = image[u]
+            if v == -1:
+                continue
+            for (p, q), (pm, qm) in (((x, u), (y, v)), ((u, x), (v, y))):
+                if image[a.join[p][q]] not in (-1, b.join[pm][qm]):
+                    return False
+                if image[a.meet[p][q]] not in (-1, b.meet[pm][qm]):
+                    return False
+        return True
+
+    def extend(x: int) -> bool:
+        if x == n:
+            # Partial checks skip operation results that were still
+            # unassigned, so the complete candidate is verified in full.
+            return is_homomorphism(a, b, ElementMap(n, n, tuple(image)))
+        for y in range(n):
+            if used[y] or sig_a[x] != sig_b[y]:
+                continue
+            if not consistent(x, y):
+                continue
+            image[x] = y
+            used[y] = True
+            if extend(x + 1):
+                return True
+            image[x] = -1
+            used[y] = False
+        return False
+
+    if not extend(0):
+        return None
+    f = ElementMap(n, n, tuple(image))
+    if not f.is_bijective:
+        raise InvariantViolation("isomorphism search produced a non-bijective map")
+    return f
 
 
 def verify_structure_by_scan(a):
@@ -104,12 +175,13 @@ def verify_structure_by_scan(a):
             two = boolean_algebra(1)
             results.append((
                 "irreducible-product-form",
-                find_isomorphism(a, direct_product(two, flat_factor)) is not None))
+                find_isomorphism_by_search(a, direct_product(two, flat_factor))
+                is not None))
             if a.size % 4 == 2:
                 results.append((
                     "irreducible-odd-flat-form",
-                    find_isomorphism(a, make_irreducible((a.size - 2) // 4))
-                    is not None))
+                    find_isomorphism_by_search(
+                        a, make_irreducible((a.size - 2) // 4)) is not None))
     else:
         results.append(("flat-regulars-trivial", regs == frozenset((a.zero,))))
         results.append(("flat-cloud-zero-whole",
@@ -805,7 +877,7 @@ def dedupe_by_search(algebras) -> list[FiniteAlgebra]:
     sigs: list[tuple] = []
     for a in algebras:
         sig = iso_signature(a)
-        if any(sig == s and find_isomorphism(a, r) is not None
+        if any(sig == s and find_isomorphism_by_search(a, r) is not None
                for r, s in zip(reps, sigs)):
             continue
         reps.append(a)
@@ -829,6 +901,66 @@ class TestDedupe:
         algebras += [make_flat(n, k) for n in range(1, 11) for k in range(n % 2 or 2, n + 1, 2)]
         assert (list(map(tables, dedupe_up_to_iso(algebras)))
                 == list(map(tables, dedupe_by_search(algebras))))
+
+
+def relabeled(a: FiniteAlgebra, seed: int) -> FiniteAlgebra:
+    """a with its elements moved to the places of a seeded random
+    permutation, names and constants included."""
+    place = random.Random(seed).sample(range(a.size), a.size)
+    old = sorted(a.elements(), key=place.__getitem__)
+
+    def moved(table):
+        return tuple(tuple(place[table[x][y]] for y in old) for x in old)
+
+    return FiniteAlgebra(tuple(a.names[x] for x in old), moved(a.join),
+                         moved(a.meet), tuple(place[a.star[x]] for x in old),
+                         place[a.zero], place[a.one])
+
+
+class TestIsomorphismFromClouds:
+    """find_isomorphism builds the least isomorphism from the clouds; the
+    search finds the least one by backtracking. They give the same map, or
+    both None."""
+
+    @staticmethod
+    def assert_same_map(a, b):
+        built, found = find_isomorphism(a, b), find_isomorphism_by_search(a, b)
+        assert (built and built.mapping) == (found and found.mapping), (a, b)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_labeled_against_a_relabeling(self, n):
+        for i, a in enumerate(enumerate_all(n, up_to_iso=False).iso_classes):
+            twin = relabeled(a, 1000 * n + i)
+            self.assert_same_map(a, twin)
+            self.assert_same_map(twin, a)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_pair_of_classes(self, n):
+        classes = enumerate_all(n).iso_classes
+        for a, b in product(classes, repeat=2):
+            self.assert_same_map(a, b)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_flat_classes(self, n):
+        classes = enumerate_flat(n).iso_classes
+        for i, a in enumerate(classes):
+            for b in (*classes, relabeled(a, 100 * n + i)):
+                self.assert_same_map(a, b)
+
+    def test_fixtures_and_products(self, fx):
+        four, two, A = fx["4"], fx["2"], fx["A"]
+        algebras = [*fx.values(), direct_product(four, four),
+                    direct_product(two, fx["F5"]), direct_product(four, two),
+                    direct_product(A, fx["F3"]), boolean_algebra(3)]
+        for i, a in enumerate(algebras):
+            for b in (*algebras, relabeled(a, i)):
+                self.assert_same_map(a, b)
+
+    def test_invalid_input_is_refused(self, fx):
+        mutant = next(single_cell_mutants(fx["4"]))
+        for a, b in ((mutant, fx["4"]), (fx["4"], mutant)):
+            with pytest.raises(NotAQBAlgebra):
+                find_isomorphism(a, b)
 
 
 # The checks that congruences and quotients ran on their own results

@@ -227,6 +227,20 @@ class TestGate:
         for argv in self.GATED:
             assert run(argv[:1] + [path, "--json"] + argv[1:]) == expected, argv
 
+    def test_iso_refuses_either_file(self, tmp_path):
+        # 4 with 0 v 0 set to a: a single-cell mutant.
+        a = qba.fixture("4")
+        row = (a.index_of("a"),) + a.join[0][1:]
+        m = qba.FiniteAlgebra(a.names, (row,) + a.join[1:], a.meet, a.star,
+                              a.zero, a.one)
+        path = tmp_path / "4m.alg"
+        path.write_text(qba.dump_algebra(m))
+        for flags in ([], ["--json"]):
+            expected = run(["validate", str(path)] + flags)
+            assert expected.exit_code == 1
+            for pair in ([str(path), fpath("4")], [fpath("4"), str(path)]):
+                assert run(["iso"] + pair + flags) == expected, pair
+
     def test_same_arguments_on_6_succeed(self):
         for argv in self.GATED:
             assert run(argv[:1] + [fpath("6")] + argv[1:]).exit_code == 0, argv

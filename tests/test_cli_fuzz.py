@@ -181,7 +181,8 @@ def test_gated_subcommands_refuse_every_mutant():
     gated = (["quotient", "--rel", "chi"], ["quotient", "--rel", "tau"],
              ["split", "--cong", ""], ["decompose", "--cong", ""],
              ["compose", "--theta-r", "", "--theta-ir", ""], ["extend", "--sub", "", "--cong", ""],
-             ["congruences"], ["generate", "--seed", ""])
+             ["congruences"], ["generate", "--seed", ""],
+             ["iso", str(FIXDIR / "4.alg")])
     for p in MUTANTS:
         for as_json in ([], ["--json"]):
             expected = run(["validate", p] + as_json)

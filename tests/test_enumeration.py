@@ -223,26 +223,27 @@ def test_flat_classes_derive_their_table_facts_once(n, monkeypatch):
 
 @pytest.mark.parametrize("k", range(4))
 def test_product_target_has_the_odd_flat_form_tables(k):
-    # This equality lets one isomorphism search answer both the
+    # This equality lets one isomorphism answer both the
     # irreducible-product-form and the irreducible-odd-flat-form claims.
     target, odd = _product_target(4 * k + 2), make_irreducible(k)
     for field in ("join", "meet", "star", "zero", "one"):
         assert getattr(target, field) == getattr(odd, field), field
 
 
-@pytest.mark.parametrize("n,searches", [(2, 1), (6, 60)])
-def test_one_search_per_irreducible_and_one_target_per_size(n, searches,
-                                                            monkeypatch):
-    found, built = [], []
-    real_search = qba.enumeration.find_isomorphism
+@pytest.mark.parametrize("n,constructions", [(2, 1), (6, 60)])
+def test_one_construction_per_irreducible_and_one_target_per_size(
+        n, constructions, monkeypatch):
+    built_maps, built = [], []
+    real_candidate = qba.enumeration.isomorphism_candidate
     real_product = qba.enumeration.direct_product
-    monkeypatch.setattr(qba.enumeration, "find_isomorphism",
-                        lambda a, b: found.append(a) or real_search(a, b))
+    monkeypatch.setattr(qba.enumeration, "isomorphism_candidate",
+                        lambda a, b: built_maps.append(a)
+                        or real_candidate(a, b))
     monkeypatch.setattr(qba.enumeration, "direct_product",
                         lambda a, b: built.append(a.size * b.size)
                         or real_product(a, b))
     report = enumerate_all(n, up_to_iso=False)
     irreducible = [a for a in report.iso_classes
                    if not qba.is_flat(a) and qba.is_irreducible(a)]
-    assert len(found) == len(irreducible) == searches
+    assert len(built_maps) == len(irreducible) == constructions
     assert built == [n] and report.violations == ()

@@ -1,4 +1,4 @@
-"""Canonical quotients, products, homomorphisms and isomorphism search."""
+"""Canonical quotients, products, homomorphisms and isomorphisms."""
 from itertools import permutations
 
 import pytest
@@ -7,6 +7,7 @@ import qba
 from qba.errors import (FlatInput, InvalidShape, InvariantViolation,
                         NotACongruence, PreconditionViolated)
 from qba.quotients import ElementMap, boolean_algebra
+from test_check_oracles import relabeled
 
 
 def blocks_by_name(a, p):
@@ -178,6 +179,16 @@ class TestFindIsomorphism:
 
     def test_size_mismatch(self, fx):
         assert qba.find_isomorphism(fx["4"], fx["6"]) is None
+
+    def test_relabeled_cube_of_4(self, fx):
+        # 64 elements: the backtracking search this construction replaced
+        # ran for more than a minute on this pair.
+        four = fx["4"]
+        cube = qba.direct_product(qba.direct_product(four, four), four)
+        twin = relabeled(cube, 0)
+        f = qba.find_isomorphism(cube, twin)
+        assert f is not None and f.is_bijective
+        assert qba.is_homomorphism(cube, twin, f)
 
     def test_non_bijective_result_is_typed_error(self, fx, monkeypatch):
         monkeypatch.setattr(ElementMap, "is_bijective", property(lambda self: False))
