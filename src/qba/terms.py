@@ -48,7 +48,7 @@ from itertools import product
 from operator import getitem
 from typing import Mapping, Union
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, first_difference, translation_table
 from .errors import (EquationParseError, InvariantViolation,
                      PreconditionViolated, TooLarge, UnboundVariable)
 from .fixtures import fixture
@@ -287,22 +287,17 @@ def variables(t: Term) -> frozenset[str]:
 def _byte_tables(a: FiniteAlgebra):
     """Translation tables for byte columns, keyed by node type, or None
     when a pair index l*n + r would not fit a byte (n*n > 256). Each table
-    is padded to the 256 entries bytes.translate takes; the padding is
-    never read. Star maps to the star; Join and Meet to the flattened
-    table (indexed by pair index), its rows (element op column) and its
-    columns (column op element)."""
+    is a translation_table, padded to 256 entries. Star maps to the star;
+    Join and Meet to the flattened table (indexed by pair index), its rows
+    (element op column) and its columns (column op element)."""
     n = a.size
     if n * n > 256:
         return None
-
-    def pad(values) -> bytes:
-        return bytes(values).ljust(256, b"\0")
-
-    tables = {op: (pad(v for row in table for v in row),
-                   [pad(row) for row in table],
-                   [pad(column) for column in zip(*table)])
+    tables = {op: (translation_table(v for row in table for v in row),
+                   [translation_table(row) for row in table],
+                   [translation_table(column) for column in zip(*table)])
               for op, table in ((Join, a.join), (Meet, a.meet))}
-    tables[Star] = pad(a.star)
+    tables[Star] = translation_table(a.star)
     return tables
 
 
@@ -394,10 +389,7 @@ def holds_in(a: FiniteAlgebra, eq: Equation) -> Verdict:
         if lv == rv:
             continue
         if column is bytes:
-            # The first differing entry is the highest nonzero byte of the
-            # XOR of both sides read as big-endian integers.
-            diff = int.from_bytes(lv, "big") ^ int.from_bytes(rv, "big")
-            i = size - 1 - (diff.bit_length() - 1) // 8
+            i = first_difference(lv, rv)
         else:
             i = next(i for i, pair in enumerate(zip(lv, rv)) if pair[0] != pair[1])
         values += tuple(c[i] for c in columns.values())

@@ -215,6 +215,10 @@ class TestValidate:
             axiom_holds_at(fx["4"], "QL9", (0,))
         with pytest.raises(ValueError):
             axiom_holds_at(fx["4"], "QL5", (0, 1))
+        # Entries outside the carrier: -1 would read the last element.
+        for witness in ((-1,), (9,), ("x",)):
+            with pytest.raises(ValueError):
+                axiom_holds_at(fx["4"], "QL5", witness)
 
 
 class TestQueries:

@@ -2,8 +2,10 @@
 copies, the one-pass cloud map in verify_structure and its once-per-table
 facts in _collect_violations, the structure-built labeled generator, the
 block-of-columns equation check, the congruences built by the split
-lemma, the isomorphism-class key and the isomorphisms built from the
-clouds against the code they replaced.
+lemma, the isomorphism-class key, the isomorphisms built from the
+clouds and the whole-row axiom scan of validate against the code they
+replaced. The per-tuple axiom scan stays in qba.algebra, as the path for
+carriers past 256 elements, and is imported from there.
 
 The old scans, generators, the per-assignment check, the two-prune search,
 the backtracking isomorphism search and the search-based dedupe are kept
@@ -24,7 +26,8 @@ from typing import Iterator, Mapping
 import pytest
 
 import qba
-from qba.algebra import (FiniteAlgebra, cloud_map, cloud_of, is_flat,
+from qba.algebra import (AXIOM_LABELS, FiniteAlgebra, _validate_by_tuples,
+                         axiom_holds_at, cloud_map, cloud_of, is_flat,
                          regular_elements, validate)
 from qba.congruences import (MAX_EXHAUSTIVE, CongruenceDecomposition,
                              all_congruences, compose_flat, compose_nonflat,
@@ -1215,3 +1218,86 @@ class TestTheoremRechecks:
                 for theta0 in congruence_cache(subalgebra(a, subset)):
                     ext = extend_from_subalgebra(a, subset, theta0)
                     assert ext.restrict(subset) == theta0
+
+
+# validate compares whole rows of the tables held as bytes for n <= 256;
+# _validate_by_tuples, the per-tuple scan it replaced there, is the
+# oracle. Both must give the same ValidationReport, witnesses included.
+
+def seeded_mutants(a: FiniteAlgebra, seed: int, count: int) -> Iterator[FiniteAlgebra]:
+    """count copies of a, each with one seeded cell of join, meet or star
+    set to another element."""
+    rng = random.Random(seed)
+    n = a.size
+    for _ in range(count):
+        k, i, j = rng.randrange(1, 4), rng.randrange(n), rng.randrange(n)
+        shift = rng.randrange(1, n)
+        args = fields(a)
+        if k == 3:
+            args[3] = with_entry(a.star, j, (a.star[j] + shift) % n)
+        else:
+            args[k] = with_cell(args[k], i, j, (args[k][i][j] + shift) % n)
+        yield FiniteAlgebra(*args)
+
+
+class TestValidateByTables:
+    @staticmethod
+    def assert_same_reports(algebras) -> set[str]:
+        """The labels of the failed axioms over all algebras."""
+        failed = set()
+        for a in algebras:
+            report = _validate_by_tuples(a)
+            assert validate(a) == report, (a.join, a.meet, a.star)
+            failed.update(label for label, _ in report.violations)
+        return failed
+
+    def test_single_cell_mutants_of_fixtures(self, fx):
+        mutants = [m for name in qba.FIXTURE_NAMES for m in single_cell_mutants(fx[name])]
+        assert len(mutants) == 1268
+        # Every axiom fails on some mutant, so every row comparison is
+        # checked on its failing side too.
+        assert self.assert_same_reports(mutants) == set(AXIOM_LABELS)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_labeled_algebras_and_star_mutants(self, n):
+        algebras = enumerate_all(n, up_to_iso=False).iso_classes
+        mutants = [m for a in algebras if regular_elements(a) != set(a.elements())
+                   for m in star_mutants(a)]
+        self.assert_same_reports([*algebras, *mutants])
+
+    def test_flat_on_nine(self):
+        self.assert_same_reports(make_flat(9, k) for k in range(1, 10, 2))
+
+    def test_products_and_mutants(self, fx):
+        two, four = fx["2"], fx["4"]
+        four_f3 = direct_product(four, fx["F3"])
+        products = [direct_product(two, fx["F5"]), direct_product(four, two),
+                    boolean_algebra(3), four_f3]
+        self.assert_same_reports(products + list(seeded_mutants(four_f3, 12, 50)))
+
+    def test_one_element(self):
+        self.assert_same_reports([FiniteAlgebra(("0",), ((0,),), ((0,),), (0,), 0, 0)])
+
+    def test_large_carriers(self, fx):
+        four = fx["4"]
+        six_six_four = direct_product(fx["6"], direct_product(fx["6"], four))
+        assert validate(relabeled(six_six_four, 0)).passed
+        self.assert_same_reports(
+            seeded_mutants(direct_product(four, direct_product(four, four)), 64, 3))
+
+    def test_byte_boundary(self):
+        # n = 256: entries up to 255 fill the translate tables, no padding.
+        b256 = boolean_algebra(8)
+        assert b256.size == 256 and validate(b256).passed
+        for mutant in seeded_mutants(b256, 256, 3):
+            report = validate(mutant)
+            assert not report.passed
+            for label, witness in report.violations:
+                assert not axiom_holds_at(mutant, label, witness)
+
+    def test_tuple_scan_only_past_a_byte(self, monkeypatch):
+        scanned = []
+        monkeypatch.setattr(qba.algebra, "_validate_by_tuples", scanned.append)
+        for n in (256, 257):
+            validate(make_flat(n, n % 2 or 2))
+        assert [a.size for a in scanned] == [257]
