@@ -24,6 +24,16 @@ def _all_ints(values) -> bool:
     return all(map(int.__instancecheck__, values))
 
 
+def check_elements(n: int, values, what: str) -> None:
+    """Raise ValueError unless every value is an int in range(n). Indices
+    given through the Python API pass here first, so that -1 does not wrap
+    to the last element and 1.0 or n is not a bare built-in error."""
+    for v in values:
+        if not (isinstance(v, int) and 0 <= v < n):
+            raise ValueError(f"{what} takes elements of the carrier "
+                             f"0..{n - 1}, not {v!r}")
+
+
 def _check_star(star, n: int) -> None:
     """The star's part of the well-formedness check: n integer entries in
     range."""
@@ -240,9 +250,7 @@ def axiom_holds_at(a: FiniteAlgebra, label: str, witness: tuple[int, ...]) -> bo
         if lab == label:
             if len(witness) != arity:
                 raise ValueError(f"{label} takes {arity} elements")
-            if not all(isinstance(v, int) and 0 <= v < a.size for v in witness):
-                raise ValueError(f"{label} takes elements of the carrier, "
-                                 f"not {tuple(witness)!r}")
+            check_elements(a.size, witness, label)
             return pred(a, tuple(witness))
     raise ValueError(f"unknown axiom label {label!r}")
 

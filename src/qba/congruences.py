@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (FiniteAlgebra, cloud_of, is_flat, regular_elements,
-                      require_valid)
+from .algebra import (FiniteAlgebra, check_elements, cloud_of, is_flat,
+                      regular_elements, require_valid)
 from .errors import (ConditionC1Violated, ConditionC2Violated,
                      ConditionC3Violated, FlatInput, NotACongruence,
                      NotASubalgebra, NotFlat, PreconditionViolated,
@@ -25,62 +25,66 @@ MAX_EXHAUSTIVE = 10  # Bell-number blowup guard for carrier-wide searches
 
 
 def generated_congruence(a: FiniteAlgebra, seed) -> Partition:
-    """Least congruence containing the seed pairs.
+    """Least congruence containing the seed pairs: ker_{c*} ∩ π_S.
 
-    Union-find closure: repeatedly merge (x v c, y v c), (x ^ c, y ^ c) and
-    (x*, y*) for related x, y until stable. Only the left operand varies,
-    so this is the least congruence when join and meet commute (QL1).
+    Con(a) is the set of the ker_c ∩ π of all_congruences, and ker_c ∩
+    ker_d = ker_{c v d}. So c* is the join of the regulars c with
+    x ^ c = y ^ c on every seed pair, and π_S is the least star partition
+    merging tau(x) with tau(y) on every seed pair.
     """
-    n = a.size
-    uf = UnionFind(n)
-    for x, y in seed:
-        uf.union(x, y)
-    changed = True
-    while changed:
-        changed = False
-        for block in uf.blocks():
-            x = block[0]
-            for y in block[1:]:
-                if uf.union(a.star[x], a.star[y]):
-                    changed = True
-                for c in range(n):
-                    if uf.union(a.join[x][c], a.join[y][c]):
-                        changed = True
-                    if uf.union(a.meet[x][c], a.meet[y][c]):
-                        changed = True
-    return Partition.from_blocks(n, uf.blocks())
+    require_valid(a)
+    seed = list(seed)
+    check_elements(a.size, [v for pair in seed for v in pair], "a seed pair")
+    regs, lift, star_t = _tau_frame(a)
+    cstar = a.zero
+    for r in regs:
+        if all(a.meet[x][r] == a.meet[y][r] for x, y in seed):
+            cstar = a.join[cstar][r]
+    uf = UnionFind(len(star_t))
+    work = [(lift[x], lift[y]) for x, y in seed]
+    while work:  # each merge also merges the star images
+        p, q = work.pop()
+        if uf.union(p, q):
+            work.append((star_t[p], star_t[q]))
+    assign = [uf.find(b) for b in range(len(star_t))]
+    return Partition(a.size, _split_blocks([row[cstar] for row in a.meet], assign, lift))
 
 
 def all_congruences(a: FiniteAlgebra) -> list[Partition]:
-    """Every congruence, in canonical order, built by the split lemma.
-
-    A congruence is fixed by its images on a/chi, which is Boolean, and on
-    a/tau, which is flat. The congruences of a/chi pulled back to a are
-    the kernels of x -> x ^ c, one per regular c. Joins and meets of a
-    flat algebra are constant, so the congruences of a/tau are the
-    partitions of the tau-blocks that the star maps onto blocks. Each
-    intersection of one of each is a congruence, and every congruence is
-    one of them, so none is checked; distinct pairs may give the same one,
-    and one Partition is built per distinct congruence.
+    """Every congruence, in canonical order, built by the split lemma: a
+    congruence is ker_c ∩ π for a regular c, ker_c the kernel of x -> x ^ c
+    (its image on the Boolean a/chi), and a star partition π of the
+    tau-blocks, one that the star maps onto blocks (its image on the flat
+    a/tau). Every such intersection is a congruence, so none is checked;
+    one Partition is built per distinct one.
     """
     require_valid(a)
     n = a.size
     if n > MAX_EXHAUSTIVE:
         raise TooLarge(f"carrier of {n} exceeds the guard of {MAX_EXHAUSTIVE}")
-    t = tau(a)
-    lift = [t.block_index(x) for x in a.elements()]
-    star_t = [lift[a.star[b[0]]] for b in t.blocks]
-    ideals = [[a.meet[x][c] for x in a.elements()] for c in regular_elements(a)]
-    found = set()
-    for assign in _star_partitions(star_t):
-        for ideal in ideals:
-            groups: dict[tuple[int, int], list[int]] = {}
-            for x in a.elements():
-                groups.setdefault((ideal[x], assign[lift[x]]), []).append(x)
-            # Filled in element order, the groups are already the
-            # canonical blocks, so repeats are dropped before any build.
-            found.add(tuple(map(tuple, groups.values())))
+    regs, lift, star_t = _tau_frame(a)
+    ideals = [[row[c] for row in a.meet] for c in regs]
+    found = {_split_blocks(ideal, assign, lift)
+             for assign in _star_partitions(star_t) for ideal in ideals}
     return [Partition(n, blocks) for blocks in sorted(found)]
+
+
+def _tau_frame(a: FiniteAlgebra):
+    """The regulars, the tau-block of each element (the regulars are block
+    0, each irregular a block of its own) and the star on the blocks."""
+    regs, irs = regular_split(a)
+    block = {x: b for b, x in enumerate(irs, 1)}
+    lift = [block.get(x, 0) for x in a.elements()]
+    return regs, lift, [0] + [lift[a.star[x]] for x in irs]
+
+
+def _split_blocks(ideal, assign, lift) -> tuple[tuple[int, ...], ...]:
+    """ker_c ∩ π as canonical blocks, for ideal[x] = x ^ c and assign[b] the
+    π-block of tau-block b: the elements grouped in element order."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for x, b in enumerate(lift):
+        groups.setdefault((ideal[x], assign[b]), []).append(x)
+    return tuple(map(tuple, groups.values()))
 
 
 def _star_partitions(star):
@@ -114,8 +118,7 @@ def subalgebras(a: FiniteAlgebra) -> list[tuple[int, ...]]:
     rest = [x for x in a.elements() if x not in base]
     out = []
     for mask in range(1 << len(rest)):
-        subset = set(base)
-        subset.update(x for i, x in enumerate(rest) if mask >> i & 1)
+        subset = base | {x for i, x in enumerate(rest) if mask >> i & 1}
         if _is_closed(a, subset):
             out.append(tuple(sorted(subset)))
     out.sort(key=lambda s: (len(s), s))
@@ -135,8 +138,10 @@ def _is_closed(a: FiniteAlgebra, subset: set[int]) -> bool:
 def subalgebra(a: FiniteAlgebra, indices) -> FiniteAlgebra:
     """The algebra induced on a closed index set, re-indexed by sorted order.
     Names are inherited."""
-    subset = sorted(set(indices))
-    sset = set(subset)
+    indices = list(indices)
+    check_elements(a.size, indices, "a subalgebra")
+    sset = set(indices)
+    subset = sorted(sset)
     if a.zero not in sset or a.one not in sset:
         raise NotASubalgebra("subalgebra must contain 0 and 1")
     if not _is_closed(a, sset):
@@ -156,13 +161,14 @@ def subalgebra(a: FiniteAlgebra, indices) -> FiniteAlgebra:
 def extend_from_subalgebra(a: FiniteAlgebra, q0, theta0: Partition) -> Partition:
     """Extend a congruence on a subalgebra to the whole algebra.
 
-    Returns the minimal extension, the generated closure of the pairs of
+    Returns the minimal extension, generated_congruence of the pairs of
     theta0. By the congruence extension property of QB-algebras it
     restricts to theta0 on the subalgebra.
     """
     require_valid(a)
+    q0 = list(q0)
+    sub = subalgebra(a, q0)
     subset = sorted(set(q0))
-    sub = subalgebra(a, subset)
     if theta0.size != sub.size:
         raise ValueError("partition size does not match the subalgebra")
     if not is_congruence(sub, theta0):
@@ -210,6 +216,7 @@ def principal_congruence_nonflat(a: FiniteAlgebra, theta_r: Partition,
     require_valid(a)
     if is_flat(a):
         raise FlatInput("the construction needs a non-flat algebra")
+    check_elements(a.size, (x, y), "a principal congruence")
     regs, _ = regular_split(a)
     rset = set(regs)
     if theta_r.size != len(regs):
@@ -233,12 +240,13 @@ def principal_congruence_flat(a: FiniteAlgebra, x: int, y: int) -> Partition:
     Unless x, y, x*, y* are four distinct elements this is the least
     congruence containing (x, y). When they are, it puts all four in one
     block, which is strictly coarser than the least congruence (the
-    two-block relation {x,y}, {x*,y*} is already compatible); the
-    generated closure is the minimal one in that case.
+    two-block relation {x,y}, {x*,y*} is already compatible), and
+    generated_congruence gives the least one.
     """
     require_valid(a)
     if not is_flat(a):
         raise NotFlat("the construction needs a flat algebra")
+    check_elements(a.size, (x, y), "a principal congruence")
     if x == a.zero or y == a.zero:
         raise PreconditionViolated("x and y must be irregular")
     if x == y:
@@ -404,14 +412,12 @@ def decompose(a: FiniteAlgebra, theta: Partition) -> CongruenceDecomposition:
     theta_ir = theta.restrict(irs)
     local_ir = {g: i for i, g in enumerate(irs)}
 
-    linked = set()
     fmap = {}
     for bi, block in enumerate(theta_r.blocks):
         witnesses = [w for w in irs
                      if a.join[w][w] in {regs[i] for i in block}
                      and theta.relates(a.join[w][w], w)]
         if witnesses:
-            linked.add(bi)
             fmap[bi] = theta_ir.block_index(local_ir[min(witnesses)])
     cross = frozenset(
         (p, q) for p, q in theta.as_pairs()
@@ -420,7 +426,7 @@ def decompose(a: FiniteAlgebra, theta: Partition) -> CongruenceDecomposition:
     return CongruenceDecomposition(
         theta_r=theta_r,
         theta_ir=theta_ir,
-        linked=frozenset(linked),
+        linked=frozenset(fmap),
         f=tuple(sorted(fmap.items())),
         cross=cross,
     )

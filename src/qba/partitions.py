@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, check_elements
 from .errors import AlgebraSemanticError
 
 
@@ -86,6 +86,7 @@ class Partition:
         """Least equivalence relation containing the given pairs."""
         uf = UnionFind(size)
         for a, b in pairs:
+            check_elements(size, (a, b), "a pair")
             uf.union(a, b)
         return cls(size, tuple(tuple(b) for b in uf.blocks()))
 

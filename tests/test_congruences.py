@@ -12,7 +12,8 @@ from qba.errors import (ConditionC1Violated, ConditionC2Violated,
                         NotAQBAlgebra, NotASubalgebra, NotFlat,
                         PreconditionViolated, NotStarClosed, TooLarge)
 from qba.partitions import Partition
-from test_check_oracles import all_congruences_two_prunes
+from test_check_oracles import (all_congruences_two_prunes,
+                                generated_congruence_by_closure)
 
 
 def part(a, text):
@@ -105,14 +106,6 @@ class TestGeneratedCongruence:
                 got = qba.generated_congruence(a, seed)
                 assert got == seed_target  # congruences regenerate themselves
 
-    def test_meet_alone_forces_a_merge(self):
-        # Star is the identity and join is constant, so only 1 ^ 0 = 2
-        # against 0 ^ 0 = 0 ties 2 to the seed block.
-        zeros = ((0,) * 3,) * 3
-        meet = ((0, 0, 0), (2, 0, 0), (0, 0, 0))
-        a = qba.FiniteAlgebra(("0", "1", "2"), zeros, meet, (0, 1, 2), 0, 0)
-        assert qba.generated_congruence(a, [(0, 1)]) == Partition.whole(3)
-
 
 class TestSubalgebras:
     def test_6_contains_copy_of_4(self, fx):
@@ -183,7 +176,7 @@ class TestExtendFromSubalgebra:
                               a.zero, a.one)
         subset = [0, 2, 3, 5]  # 0, e, f, 1
         theta0 = Partition.from_blocks(4, [[0, 1], [2, 3]])
-        assert qba.generated_congruence(
+        assert generated_congruence_by_closure(
             m, [(0, 2), (3, 5)]).restrict(subset) != theta0
         assert not any(c.restrict(subset) == theta0
                        for c in all_congruences_two_prunes(m))
@@ -530,6 +523,7 @@ def test_mutant_of_6_fails_five_axioms():
 
 GATED = {
     "all_congruences": qba.all_congruences,
+    "generated_congruence": lambda m: qba.generated_congruence(m, []),
     "split_congruence": lambda m: qba.split_congruence(m, Partition.singletons(6)),
     "decompose": lambda m: qba.decompose(m, Partition.singletons(6)),
     "compose_nonflat": lambda m: qba.compose_nonflat(m, CongruenceDecomposition(
@@ -555,6 +549,31 @@ def test_gated_functions_refuse_the_mutant(name):
     assert info.value.algebra is m
     assert info.value.report == qba.validate(m)
     assert str(info.value) == "not a QB-algebra: 5 axiom violation(s)"
+
+
+NOT_AN_INDEX = {
+    "seed-minus-one": lambda: qba.generated_congruence(qba.fixture("4"), [(-1, 0)]),
+    "seed-past-n": lambda: qba.generated_congruence(qba.fixture("4"), [(0, 7)]),
+    "seed-float": lambda: qba.generated_congruence(qba.fixture("4"), [(0, 1.0)]),
+    "pair-minus-one": lambda: Partition.from_pairs(4, [(-1, 0)]),
+    "subalgebra-past-n": lambda: qba.subalgebra(qba.fixture("6"), [0, 5, 9]),
+    "subalgebra-float": lambda: qba.subalgebra(qba.fixture("6"), [0, 1.0, 5]),
+    "subalgebra-minus-one": lambda: qba.subalgebra(qba.fixture("6"), [0, 5, -1]),
+    "extend-string": lambda: qba.extend_from_subalgebra(
+        qba.fixture("6"), [0, "x", 5], Partition.singletons(3)),
+    "principal-flat-past-n": lambda: qba.principal_congruence_flat(qba.fixture("F5"), 1, 7),
+    "principal-nonflat-minus-one": lambda: qba.principal_congruence_nonflat(
+        qba.fixture("6"), Partition.singletons(2), -1, 2),
+    "witness-minus-one": lambda: qba.axiom_holds_at(qba.fixture("4"), "QL5", (-1,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_AN_INDEX))
+def test_index_outside_the_carrier_is_refused(case):
+    # -1 would read the last element, and a float or n would fail as a
+    # bare TypeError or IndexError.
+    with pytest.raises(ValueError, match="takes elements of the carrier"):
+        NOT_AN_INDEX[case]()
 
 
 def test_gate_validates_once_per_object(monkeypatch):

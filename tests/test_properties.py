@@ -8,7 +8,7 @@ from qba.terms import (Const, Equation, Join, Meet, Star, Var,
                        format_equation, format_term, holds_in,
                        parse_equation, parse_term, variables)
 
-SMALL_FIXTURES = ("2", "4", "4bar", "F3", "F5")
+SMALL_FIXTURES = ("2", "4", "4bar", "6", "A", "F3", "F5")
 
 
 def partition_from_assignment(values):
