@@ -130,23 +130,37 @@ class FiniteAlgebra:
         return validate(self)
 
     def _with_star(self, star) -> "FiniteAlgebra":
-        """A copy with another star, for generators that vary only the
-        star of an algebra they built through the constructor. Only the
-        star is checked: names, tables and constants are this algebra's,
-        checked when it was made."""
+        """A copy with another star, of any sequence type: the full
+        _check_star, then the copy that _with_stars makes."""
         _check_star(star, len(self.names))
-        twin = object.__new__(FiniteAlgebra)
-        # Fields set one by one in their order, as __init__ sets them, keep
-        # the compact attribute layout that constructed instances share.
-        put = object.__setattr__
-        put(twin, "names", self.names)
-        put(twin, "join", self.join)
-        put(twin, "meet", self.meet)
-        put(twin, "star", star)
-        put(twin, "zero", self.zero)
-        put(twin, "one", self.one)
-        put(twin, "label", self.label)
-        return twin
+        return next(self._with_stars((star,)))
+
+    def _with_stars(self, stars: Iterable[bytes]) -> Iterator["FiniteAlgebra"]:
+        """A copy per star, for generators that vary only the star of an
+        algebra they built through the constructor. Each star comes as
+        bytes, whose entries are integers, so its check is its length and
+        its largest entry; a star that fails them gets the error
+        _check_star gives. Names, tables and constants are this
+        algebra's, checked when it was made."""
+        names, join, meet = self.names, self.join, self.meet
+        zero, one, label = self.zero, self.one, self.label
+        n = len(names)
+        new, put = object.__new__, object.__setattr__
+        for star in stars:
+            if len(star) != n or max(star) >= n:
+                _check_star(star, n)
+            twin = new(FiniteAlgebra)
+            # Fields set one by one in their order, as __init__ sets them,
+            # keep the compact attribute layout that constructed instances
+            # share.
+            put(twin, "names", names)
+            put(twin, "join", join)
+            put(twin, "meet", meet)
+            put(twin, "star", tuple(star))
+            put(twin, "zero", zero)
+            put(twin, "one", one)
+            put(twin, "label", label)
+            yield twin
 
     def relabel(self, label: str) -> "FiniteAlgebra":
         return FiniteAlgebra(self.names, self.join, self.meet, self.star,
@@ -377,6 +391,7 @@ def quasi_leq(a: FiniteAlgebra, x: int, y: int) -> bool:
 
     Reflexive and transitive but not antisymmetric.
     """
+    check_elements(a.size, (x, y), "quasi_leq")
     by_join = a.join[x][y] == a.join[y][y]
     by_meet = a.meet[x][y] == a.meet[x][x]
     if by_join != by_meet:
@@ -392,6 +407,7 @@ def cloud_of(a: FiniteAlgebra, x: int) -> frozenset[int]:
     In a valid algebra this class contains exactly one regular element,
     namely x v x.
     """
+    check_elements(a.size, (x,), "cloud_of")
     r = a.join[x][x]
     return frozenset(y for y in a.elements() if a.join[y][y] == r)
 

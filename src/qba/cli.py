@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from operator import eq
 from pathlib import Path
 
 from . import __version__
@@ -322,11 +323,13 @@ def _cmd_enumerate(args) -> CommandResult:
              f"up_to_iso={report.up_to_iso} labeled={report.total_labeled} "
              f"emitted={len(report.iso_classes)} "
              f"violations={len(report.violations)}"]
+    join = regs = None
     for i, a in enumerate(report.iso_classes):
-        regs = len(regular_elements(a))
+        if a.join is not join:  # a family of star-only copies shares it
+            join, regs = a.join, len(regular_elements(a))
         lines.append(f"  [{i}] {'flat' if is_flat(a) else 'non-flat'} "
                      f"regulars={regs} "
-                     f"star_fixed={sum(1 for x in a.elements() if a.star[x] == x)}")
+                     f"star_fixed={sum(map(eq, a.star, a.elements()))}")
     if args.emit:
         out = Path(args.emit)
         for i, a in enumerate(report.iso_classes):

@@ -344,10 +344,10 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
             raise ConditionC1Violated(
                 f"star image of irregular block {block} is not a block",
                 witness=block)
-        ir_star_block[bi] = d.theta_ir.block_index(image[0])
+        ir_star_block[bi] = d.theta_ir._member[image[0]]
     # (C1) confinement to the clouds of one regular class.
     for block in d.theta_ir.blocks:
-        classes = {d.theta_r.block_index(local_r[a.join[irs[i]][irs[i]]])
+        classes = {d.theta_r._member[local_r[a.join[irs[i]][irs[i]]]]
                    for i in block}
         if len(classes) > 1:
             raise ConditionC1Violated(
@@ -364,7 +364,7 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
     if len(set(fmap.values())) != len(fmap):
         raise ConditionC2Violated("f is not injective")
     reg_star_block = {
-        bi: d.theta_r.block_index(local_r[a.star[regs[block[0]]]])
+        bi: d.theta_r._member[local_r[a.star[regs[block[0]]]]]
         for bi, block in enumerate(d.theta_r.blocks)}
     for bi in d.linked:
         if reg_star_block[bi] not in d.linked:
@@ -416,9 +416,9 @@ def decompose(a: FiniteAlgebra, theta: Partition) -> CongruenceDecomposition:
     for bi, block in enumerate(theta_r.blocks):
         witnesses = [w for w in irs
                      if a.join[w][w] in {regs[i] for i in block}
-                     and theta.relates(a.join[w][w], w)]
+                     and theta._member[a.join[w][w]] == theta._member[w]]
         if witnesses:
-            fmap[bi] = theta_ir.block_index(local_ir[min(witnesses)])
+            fmap[bi] = theta_ir._member[local_ir[min(witnesses)]]
     cross = frozenset(
         (p, q) for p, q in theta.as_pairs()
         if (p in rset) != (q in rset))

@@ -11,11 +11,13 @@ valid algebras, so no axiom check runs here; the tests check that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
-from operator import eq
-from typing import Iterator, NamedTuple
+from operator import eq, itemgetter
+from typing import Callable, Iterator, NamedTuple
 
-from .algebra import FiniteAlgebra, cloud_map, is_flat, regular_elements
+from .algebra import (FiniteAlgebra, cloud_map, is_flat, regular_elements,
+                      translation_table)
 from .errors import TooLarge
 from .quotients import (atom_masks, atom_relabelings, boolean_algebra,
                         direct_product, is_homomorphism, is_irreducible,
@@ -54,32 +56,6 @@ def involution_count(m: int) -> int:
     return cur if m >= 1 else 1
 
 
-def _involutions_into(star: list[int], points: tuple[int, ...]) -> Iterator[None]:
-    """Write each involution of points into star, in turn: x = points[0]
-    fixed first, then x paired with each later point, the rest filled
-    recursively in the same order. Yields once per involution, with
-    star[p] set for every p in points."""
-    if not points:
-        yield
-        return
-    x, rest = points[0], points[1:]
-    star[x] = x
-    yield from _involutions_into(star, rest)
-    for i, y in enumerate(rest):
-        star[x], star[y] = y, x
-        yield from _involutions_into(star, rest[:i] + rest[i + 1:])
-
-
-def _bijections_into(star: list[int], src: list[int],
-                     dst: list[int]) -> Iterator[None]:
-    """Write each bijection of src onto dst, and its inverse, into star:
-    src[i] <-> perm[i] for each perm of dst in permutations order."""
-    for perm in permutations(dst):
-        for u, v in zip(src, perm):
-            star[u], star[v] = v, u
-        yield
-
-
 def _generic_names(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(f"x{i}" for i in range(1, n))
 
@@ -92,58 +68,136 @@ def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
     atoms img[1], img[2], img[4], ... increase, which keeps one labeling
     per permutation of the atoms. Each irregular x gets a cloud rep[x],
     clouds s and s ^ top have equal sizes, and the tables follow from
-    x v y = (x v x) v (y v y). For k = 0 (the flat case) the stars come
-    in the order of _involutions_into on 1..n-1.
+    x v y = (x v x) v (y v y). The stars of a cloud assignment come
+    from its _star_plan, laid out over the irregulars and img; for k = 0
+    (the flat case) they are the involutions of 1..n-1 that fix 0.
     """
     names = _generic_names(n)
     top = (1 << k) - 1
+    # The clouds of the irregulars, in order, that give clouds s and
+    # s ^ top = top - s equal sizes (s -> top - s keeps their multiset):
+    # the same for every choice of img.
+    plans = [_star_plan(clouds, top)
+             for clouds in product(range(top + 1), repeat=n - top - 1)
+             if sorted(clouds) == sorted(map(top.__sub__, clouds))]
+    if not plans:
+        return
     for p in permutations(range(1, n), top):
         img = (0,) + p
         if any(img[1 << i] > img[2 << i] for i in range(k - 1)):
             continue
         rep = [0] * n
-        star = [0] * n
         for s, r in enumerate(img):
-            rep[r], star[r] = s, img[s ^ top]
+            rep[r] = s
         irregulars = [x for x in range(n) if x not in img]
-        for clouds in product(range(top + 1), repeat=len(irregulars)):
-            members: list[list[int]] = [[] for _ in range(top + 1)]
+        for clouds, order, pieces, tails in plans:
             for x, s in zip(irregulars, clouds):
                 rep[x] = s
-                members[s].append(x)
-            if any(len(members[s]) != len(members[s ^ top])
-                   for s in range(top + 1)):
-                continue
             joins = [tuple(img[s | t] for t in rep) for s in range(top + 1)]
             meets = [tuple(img[s & t] for t in rep) for s in range(top + 1)]
             join = tuple(joins[s] for s in rep)
             meet = tuple(meets[s] for s in rep)
             # The family of this cloud assignment shares names and tables;
             # its first algebra checks them, the others only their star.
-            stars = _stars(star, members, top, 0)
+            layout = bytes(map(irregulars.__getitem__, order)) + bytes(img)
+            stars = _stars(layout, pieces(), tails)
             first = FiniteAlgebra(names=names, join=join, meet=meet,
-                                  star=next(stars), zero=0, one=img[top])
+                                  star=tuple(next(stars)), zero=0,
+                                  one=img[top])
             yield first
-            for st in stars:
-                yield first._with_star(st)
+            yield from first._with_stars(stars)
 
 
-def _stars(star: list[int], members: list[list[int]], top: int,
-           s: int) -> Iterator[tuple[int, ...]]:
-    """Fill the star on the irregulars one cloud pair (s, s ^ top) at a
-    time, from s to the last pair top >> 1: an involution of the cloud when
-    s ^ top == s, else a bijection onto the complementary cloud."""
-    src, dst = members[s], members[s ^ top]
-    if s == s ^ top:
-        fills = _involutions_into(star, tuple(src))
-    else:
-        fills = _bijections_into(star, src, dst)
-    last = s == top >> 1
-    for _ in fills:
-        if last:
-            yield tuple(star)
+def _involution_level(older: list[bytes], old: list[bytes],
+                      values: bytes) -> Iterator[bytes]:
+    """The involutions of m = len(values) points, each as the bytes of
+    the images of points 0..m-1 through values: point 0 fixed over each
+    involution of points 1..m-1 (old, over range(m - 1)), then 0 paired
+    with each later point y in turn over each involution of the points
+    left (older, over range(m - 2)). This is the order in which a
+    recursion that fixes or pairs the first point lists them."""
+    head, rest = values[:1], values[1:]
+    fixed = translation_table(rest)
+    for t in old:
+        yield head + t.translate(fixed)
+    for i in range(len(rest)):
+        # Point y = i + 1 is paired with 0; the points left are 1..m-1
+        # without y, so y's image sits between their first i and the rest.
+        left, mate = translation_table(rest[:i] + rest[i + 1:]), rest[i:i + 1]
+        for t in older:
+            v = t.translate(left)
+            yield mate + v[:i] + head + v[i:]
+
+
+def _involutions(members: bytes) -> Iterator[bytes]:
+    """Every involution of a cloud, as the images of its members in the
+    order of members. The involutions of range(m) are built level by
+    level, each from the two before it. The last level, mapped onto the
+    members, and the one below it, which it reads once, are streamed;
+    only the two levels below those are kept."""
+    if len(members) < 2:
+        return iter((members,))  # the identity is the only one
+    older, old = [], [b""]  # levels -1 (none) and 0 (the empty one)
+    for m in range(1, len(members) - 1):
+        older, old = old, list(_involution_level(older, old, bytes(range(m))))
+    below = _involution_level(older, old, bytes(range(len(members) - 1)))
+    return _involution_level(old, below, members)
+
+
+def _bijections(src: bytes, dst: bytes) -> Iterator[bytes]:
+    """Every bijection of the cloud src onto the cloud dst, with its
+    inverse, in the order of permutations(dst): the images of src, then
+    those of dst."""
+    for perm in permutations(dst):
+        yield bytes(perm) + bytes(map(src.__getitem__, map(perm.index, dst)))
+
+
+def _star_plan(clouds: tuple[int, ...], top: int
+               ) -> tuple[tuple[int, ...], list[int],
+                          Callable[[], Iterator[bytes]], list[bytes]]:
+    """The stars of one cloud assignment, the same for every choice of
+    img, over the places of a layout: the irregulars pair by pair (cloud
+    s, then cloud s ^ top = top - s, for s = 0 to top >> 1), then img.
+
+    A pair's pieces are the involutions of its cloud when s ^ top == s
+    (the flat case), else the bijections onto the complementary cloud;
+    the last pair varies fastest. Returns clouds; the indices of the
+    irregulars in layout order; a maker of the first pair's pieces,
+    which are streamed; and the tails: each combination of the other
+    pairs' pieces, then the images of img, padded to the 256 entries of
+    a translate table."""
+    members: list[list[int]] = [[] for _ in range(top + 1)]
+    for i, c in enumerate(clouds):
+        members[c].append(i)
+    order: list[int] = []
+    makers = []
+    for s in range(top // 2 + 1):
+        src = bytes(range(len(order), len(order) + len(members[s])))
+        order += members[s]
+        if s == top - s:
+            makers.append(partial(_involutions, src))
         else:
-            yield from _stars(star, members, top, s + 1)
+            order += members[top - s]
+            dst = bytes(range(len(order) - len(src), len(order)))
+            makers.append(partial(_bijections, src, dst))
+    m = len(clouds)  # img[s] is at place m + s, its image img[top - s]
+    tails = [bytes(range(m + top, m - 1, -1)) + bytes(256 - (m + top + 1))]
+    for make in reversed(makers[1:]):
+        tails = [piece + tail for piece in make() for tail in tails]
+    return clouds, order, makers[0], tails
+
+
+def _stars(layout: bytes, pieces: Iterator[bytes],
+           tails: list[bytes]) -> Iterator[bytes]:
+    """Every star of one family as bytes in element order, from the
+    stars in layout places (each piece before each tail): the place of
+    each element, read through a star, gives the place of its image,
+    and layout, read there, the image."""
+    where = bytes(map(layout.index, range(len(layout))))
+    elements = translation_table(layout)
+    for piece in pieces:
+        for tail in tails:
+            yield where.translate(piece + tail).translate(elements)
 
 
 def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
@@ -234,9 +288,9 @@ class _TableFacts(NamedTuple):
     so algebras that share those objects derive it once."""
 
     flat: bool
-    reps: list[int]
-    by_rep: dict[int, frozenset[int]]
-    clouds: dict[int, frozenset[int]]
+    cloud_at: list[frozenset[int]]
+    clouds: list[tuple[int, Callable[[tuple[int, ...]], tuple[int, ...]],
+                       frozenset[int]]]
     table_claims: list[tuple[str, bool]]
     tables_hold: bool
     star_labels: tuple[str, ...]
@@ -244,9 +298,10 @@ class _TableFacts(NamedTuple):
 
 
 def _table_facts(a: FiniteAlgebra) -> _TableFacts:
-    """The regulars with their clouds, the claims that read no star (the
-    cloud partition, then the non-flat parity or the flat collapse
-    claims) and the labels of the claims that do."""
+    """The class {y : y v y = x v x} of each x, each regular with a
+    getter of the images of its cloud and the cloud, the claims that
+    read no star (the cloud partition, then the non-flat parity or the
+    flat collapse claims) and the labels of the claims that do."""
     regs = regular_elements(a)
     reps = [a.join[x][x] for x in a.elements()]
     by_rep = cloud_map(a)
@@ -281,9 +336,14 @@ def _table_facts(a: FiniteAlgebra) -> _TableFacts:
              and all(tuple(row) == zero_row for row in a.meet)),
         ]
         star_labels += ("flat-size-parity",)
-    return _TableFacts(flat, reps, by_rep, clouds, table_claims,
-                       all(ok for _, ok in table_claims), star_labels,
-                       irreducible_even)
+    # A getter of the star's entries at the cloud's members, as a tuple:
+    # a slice for a single member (itemgetter of one index gives no tuple).
+    images = [(r, itemgetter(*cloud) if len(cloud) > 1
+               else itemgetter(slice(r, r + 1)), cloud)
+              for r, cloud in clouds.items()]
+    return _TableFacts(flat, list(map(by_rep.__getitem__, reps)), images,
+                       table_claims, all(ok for _, ok in table_claims),
+                       star_labels, irreducible_even)
 
 
 def _product_target(n: int) -> FiniteAlgebra:
@@ -326,12 +386,12 @@ def _star_claims(a: FiniteAlgebra, f: _TableFacts,
     from one pass over the clouds. targets memoizes _product_target by
     size; the irreducible claims share one certified candidate map."""
     star = a.star
-    n = a.size
+    n = len(star)  # a.size, as the star was checked to have
     image = size = True
     apart = not f.flat  # read on non-flat algebras only
-    for r, cloud in f.clouds.items():
-        dst = f.by_rep[f.reps[star[r]]]
-        image = image and frozenset(map(star.__getitem__, cloud)) == dst
+    for r, images, cloud in f.clouds:
+        dst = f.cloud_at[star[r]]
+        image = image and frozenset(images(star)) == dst
         size = size and len(cloud) == len(dst)
         apart = apart and not cloud & dst
     fixed = sum(map(eq, star, range(n)))
@@ -350,20 +410,19 @@ def _star_claims(a: FiniteAlgebra, f: _TableFacts,
 
 def _collect_violations(algebras) -> tuple[tuple[str, FiniteAlgebra], ...]:
     """(claim, algebra) for every failing claim, in order. The table facts
-    are derived once per distinct (join, meet, zero, one), keyed by the
-    identity of the tables; each entry keeps its first algebra, and with
-    it those tables, alive, so an id is not reused while it is a key. The
-    product targets are built once per size. An algebra whose table and
-    star claims all hold costs the star pass and no claim list."""
+    are derived again only where an algebra's join or meet is not the
+    previous algebra's table object, or its zero or one differs, so a
+    family of star-only copies derives them once. The product targets
+    are built once per size. An algebra whose table and star claims all
+    hold costs the star pass and no claim list."""
     out = []
-    facts: dict[tuple, tuple[FiniteAlgebra, _TableFacts]] = {}
     targets: dict[int, FiniteAlgebra] = {}
+    last = None
     for a in algebras:
-        key = (id(a.join), id(a.meet), a.zero, a.one)
-        hit = facts.get(key)
-        if hit is None:
-            hit = facts[key] = (a, _table_facts(a))
-        f = hit[1]
+        if (last is None or a.join is not last.join or a.meet is not last.meet
+                or a.zero != last.zero or a.one != last.one):
+            f = _table_facts(a)
+        last = a
         stars = _star_claims(a, f, targets)
         if f.tables_hold and all(stars):
             continue

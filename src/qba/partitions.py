@@ -91,12 +91,15 @@ class Partition:
         return cls(size, tuple(tuple(b) for b in uf.blocks()))
 
     def block_of(self, x: int) -> tuple[int, ...]:
+        check_elements(self.size, (x,), "block_of")
         return self.blocks[self._member[x]]
 
     def block_index(self, x: int) -> int:
+        check_elements(self.size, (x,), "block_index")
         return self._member[x]
 
     def relates(self, x: int, y: int) -> bool:
+        check_elements(self.size, (x, y), "relates")
         return self._member[x] == self._member[y]
 
     def as_pairs(self) -> frozenset[tuple[int, int]]:
@@ -107,10 +110,13 @@ class Partition:
         """True iff every block of self lies inside a block of other."""
         if self.size != other.size:
             return False
-        return all(other.relates(b[0], x) for b in self.blocks for x in b[1:])
+        member = other._member
+        return all(member[b[0]] == member[x] for b in self.blocks for x in b[1:])
 
     def restrict(self, elements: Iterable[int]) -> "Partition":
         """Restriction to a subset, re-indexed by the subset's sorted order."""
+        elements = list(elements)
+        check_elements(self.size, elements, "restrict")
         subset = sorted(set(elements))
         local = {g: i for i, g in enumerate(subset)}
         groups: dict[int, list[int]] = {}

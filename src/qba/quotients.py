@@ -148,7 +148,7 @@ def embed_into_product(a: FiniteAlgebra) -> ElementMap:
     require_valid(a)
     c, t = chi(a), tau(a)
     nt = len(t.blocks)
-    mapping = tuple(c.block_index(x) * nt + t.block_index(x) for x in a.elements())
+    mapping = tuple(c._member[x] * nt + t._member[x] for x in a.elements())
     return ElementMap(a.size, len(c.blocks) * nt, mapping)
 
 

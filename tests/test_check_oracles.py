@@ -1,14 +1,15 @@
 """The whole-row well-formedness checks in FiniteAlgebra and its star-only
 copies, the one-pass cloud map in verify_structure and its once-per-table
-facts in _collect_violations, the structure-built labeled generator, the
-block-of-columns equation check, the congruences built by the split
-lemma, the generated congruences built by the split lemma, the
-isomorphism-class key, the isomorphisms built from the
-clouds and the whole-row axiom scan of validate against the code they
+facts in _collect_violations, the structure-built labeled generator and
+its byte-template stars, the block-of-columns equation check, the
+congruences built by the split lemma, the generated congruences built by
+the split lemma, the isomorphism-class key, the isomorphisms built from
+the clouds and the whole-row axiom scan of validate against the code they
 replaced. The per-tuple axiom scan stays in qba.algebra, as the path for
 carriers past 256 elements, and is imported from there.
 
-The old scans, generators, the per-assignment check, the two-prune search,
+The old scans, generators (the recursive star generators among them),
+the per-assignment check, the two-prune search,
 the union-find closure of generated congruences, the backtracking
 isomorphism search and the search-based dedupe are kept
 here verbatim as oracles: every input must give the same exception type
@@ -39,7 +40,8 @@ from qba.congruences import (MAX_EXHAUSTIVE, CongruenceDecomposition,
                              subalgebra, subalgebras)
 from qba.enumeration import (STRUCTURE_CLAIMS, _collect_violations,
                              _generic_names, _labeled, dedupe_up_to_iso,
-                             enumerate_all, enumerate_flat, verify_structure)
+                             enumerate_all, enumerate_flat, involution_count,
+                             verify_structure)
 from qba.errors import (AlgebraSemanticError, DecompositionConditionError,
                         InvariantViolation, NotACongruence, NotAQBAlgebra,
                         TooLarge, UnboundVariable)
@@ -310,6 +312,25 @@ class TestWellFormedness:
                 checked += outcome(FiniteAlgebra, *args) is not None
         assert checked > 100
 
+    def test_malformed_stars_same_error_through_with_stars(self, fx):
+        # The family copy checks a star given as bytes by its length and
+        # largest entry; a star too short, too long or with an entry past
+        # the carrier fails as the constructor fails on it, and a good one
+        # gives what the constructor gives.
+        checked = 0
+        for a in fx.values():
+            base = fields(a)
+            good = bytes(a.star)
+            stars = [good[:-1], good + b"\0", b"", good[:-1] + bytes([a.size]),
+                     bytes([255]) * a.size, good]
+            for star in stars:
+                args = base[:3] + [tuple(star)] + base[4:]
+                assert (outcome(lambda s: next(a._with_stars([s])), star)
+                        == outcome(FiniteAlgebra, *args)), star
+                checked += outcome(FiniteAlgebra, *args) is not None
+            assert tables(next(a._with_stars([good]))) == tables(a)
+        assert checked == 5 * len(fx)
+
     def test_no_other_code_point_is_whitespace_to_split(self):
         # One name holding every code point for which isspace() is false
         # (lone surrogates included) is accepted by both checks.
@@ -562,6 +583,98 @@ def tables(a):
     return (a.names, a.join, a.meet, a.star, a.zero, a.one)
 
 
+# The recursive star generators that the byte templates of _involutions
+# and _bijections replaced, verbatim, and the _labeled and _stars that
+# walked them, renamed; each star-only copy is made by the constructor.
+
+def _involutions_into(star: list[int], points: tuple[int, ...]) -> Iterator[None]:
+    """Write each involution of points into star, in turn: x = points[0]
+    fixed first, then x paired with each later point, the rest filled
+    recursively in the same order. Yields once per involution, with
+    star[p] set for every p in points."""
+    if not points:
+        yield
+        return
+    x, rest = points[0], points[1:]
+    star[x] = x
+    yield from _involutions_into(star, rest)
+    for i, y in enumerate(rest):
+        star[x], star[y] = y, x
+        yield from _involutions_into(star, rest[:i] + rest[i + 1:])
+
+
+def _bijections_into(star: list[int], src: list[int],
+                     dst: list[int]) -> Iterator[None]:
+    """Write each bijection of src onto dst, and its inverse, into star:
+    src[i] <-> perm[i] for each perm of dst in permutations order."""
+    for perm in permutations(dst):
+        for u, v in zip(src, perm):
+            star[u], star[v] = v, u
+        yield
+
+
+def _labeled_by_recursion(n: int, k: int) -> Iterator[FiniteAlgebra]:
+    """Every algebra on {0..n-1} with zero at index 0 and 2^k regular
+    elements, each once.
+
+    img[i] is the regular element for the subset i of the k atoms; the
+    atoms img[1], img[2], img[4], ... increase, which keeps one labeling
+    per permutation of the atoms. Each irregular x gets a cloud rep[x],
+    clouds s and s ^ top have equal sizes, and the tables follow from
+    x v y = (x v x) v (y v y). For k = 0 (the flat case) the stars come
+    in the order of _involutions_into on 1..n-1.
+    """
+    names = _generic_names(n)
+    top = (1 << k) - 1
+    for p in permutations(range(1, n), top):
+        img = (0,) + p
+        if any(img[1 << i] > img[2 << i] for i in range(k - 1)):
+            continue
+        rep = [0] * n
+        star = [0] * n
+        for s, r in enumerate(img):
+            rep[r], star[r] = s, img[s ^ top]
+        irregulars = [x for x in range(n) if x not in img]
+        for clouds in product(range(top + 1), repeat=len(irregulars)):
+            members: list[list[int]] = [[] for _ in range(top + 1)]
+            for x, s in zip(irregulars, clouds):
+                rep[x] = s
+                members[s].append(x)
+            if any(len(members[s]) != len(members[s ^ top])
+                   for s in range(top + 1)):
+                continue
+            joins = [tuple(img[s | t] for t in rep) for s in range(top + 1)]
+            meets = [tuple(img[s & t] for t in rep) for s in range(top + 1)]
+            join = tuple(joins[s] for s in rep)
+            meet = tuple(meets[s] for s in rep)
+            # The family of this cloud assignment shares names and tables.
+            stars = _stars_by_recursion(star, members, top, 0)
+            first = FiniteAlgebra(names=names, join=join, meet=meet,
+                                  star=next(stars), zero=0, one=img[top])
+            yield first
+            for st in stars:
+                yield FiniteAlgebra(names=names, join=join, meet=meet,
+                                    star=st, zero=0, one=img[top])
+
+
+def _stars_by_recursion(star: list[int], members: list[list[int]],
+                        top: int, s: int) -> Iterator[tuple[int, ...]]:
+    """Fill the star on the irregulars one cloud pair (s, s ^ top) at a
+    time, from s to the last pair top >> 1: an involution of the cloud when
+    s ^ top == s, else a bijection onto the complementary cloud."""
+    src, dst = members[s], members[s ^ top]
+    if s == s ^ top:
+        fills = _involutions_into(star, tuple(src))
+    else:
+        fills = _bijections_into(star, src, dst)
+    last = s == top >> 1
+    for _ in fills:
+        if last:
+            yield tuple(star)
+        else:
+            yield from _stars_by_recursion(star, members, top, s + 1)
+
+
 class TestLabeledGenerator:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_same_algebras_as_old_generators(self, n):
@@ -570,13 +683,40 @@ class TestLabeledGenerator:
         new = [a for k in range(n.bit_length()) for a in _labeled(n, k)]
         assert sorted(map(tables, new)) == sorted(map(tables, old))
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_flat_order_as_old_generator(self, n):
         assert (list(map(tables, _labeled(n, 0)))
                 == list(map(tables, _flat_labeled(n))))
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 9)
+                                     for k in range(n.bit_length())])
+    def test_tables_and_order_as_recursion(self, n, k):
+        assert (list(map(tables, _labeled(n, k)))
+                == list(map(tables, _labeled_by_recursion(n, k))))
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_involutions_as_recursion(self, m):
+        # Members spread out, as the irregulars of a cloud are.
+        points = tuple(range(1, 2 * m, 2))
+        star = [None] * (2 * m + 1)
+        expected = [bytes(star[p] for p in points)
+                    for _ in _involutions_into(star, points)]
+        assert list(qba.enumeration._involutions(bytes(points))) == expected
+        assert len(expected) == involution_count(m)
+        if m == 11:
+            assert len(expected) == 35_696
+
+    @pytest.mark.parametrize("c", range(6))
+    def test_bijections_as_recursion(self, c):
+        src, dst = list(range(0, 4 * c, 4)), list(range(3, 4 * c, 4))
+        star = [None] * (4 * c)
+        expected = [bytes(star[x] for x in src + dst)
+                    for _ in _bijections_into(star, src, dst)]
+        assert (list(qba.enumeration._bijections(bytes(src), bytes(dst)))
+                == expected)
+
     @pytest.mark.parametrize("n,ks", [(n, range(n.bit_length())) for n in range(1, 8)]
-                             + [(n, [0]) for n in (8, 9, 10)])
+                             + [(n, [0]) for n in (8, 9, 10, 11)])
     def test_star_only_copies_equal_constructed(self, n, ks):
         for k in ks:
             for a in _labeled(n, k):

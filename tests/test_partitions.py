@@ -138,3 +138,38 @@ class TestIsCongruence:
     def test_size_mismatch_rejected(self, fx):
         with pytest.raises(ValueError):
             qba.is_congruence(fx["4"], Partition.singletons(3))
+
+
+INDEX_READERS = {
+    "relates-left": lambda p, a, v: p.relates(v, 0),
+    "relates-right": lambda p, a, v: p.relates(0, v),
+    "block_of": lambda p, a, v: p.block_of(v),
+    "block_index": lambda p, a, v: p.block_index(v),
+    "restrict": lambda p, a, v: p.restrict([v, 1]),
+    "quasi_leq-left": lambda p, a, v: qba.quasi_leq(a, v, 0),
+    "quasi_leq-right": lambda p, a, v: qba.quasi_leq(a, 0, v),
+    "cloud_of": lambda p, a, v: qba.cloud_of(a, v),
+}
+
+
+@pytest.mark.parametrize("value", ["minus-one", "n", "float"])
+@pytest.mark.parametrize("reader", sorted(INDEX_READERS))
+def test_index_outside_the_carrier_is_refused(reader, value):
+    # -1 would read the last element (on this partition relates(-1, 0)
+    # was True), and n or 1.0 would fail as a bare IndexError or TypeError.
+    a = qba.fixture("4")
+    p = Partition.from_blocks(4, [[0, 3], [1], [2]])
+    v = {"minus-one": -1, "n": 4, "float": 1.0}[value]
+    with pytest.raises(ValueError, match="takes elements of the carrier 0..3"):
+        INDEX_READERS[reader](p, a, v)
+
+
+def test_index_readers_on_valid_elements():
+    a = qba.fixture("4")
+    p = Partition.from_blocks(4, [[0, 3], [1], [2]])
+    assert p.relates(3, 0) and not p.relates(0, 1)
+    assert p.block_of(3) == (0, 3) and p.block_index(2) == 2
+    assert p.restrict([3, 0, 1]).blocks == ((0, 2), (1,))
+    assert p.refines(Partition.whole(4)) and not p.refines(Partition.singletons(4))
+    assert all(qba.quasi_leq(a, a.zero, x) for x in a.elements())
+    assert qba.cloud_of(a, 0) == frozenset({0, 1})
