@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import (AlgebraParseError, AlgebraSemanticError, NotAQBAlgebra,
@@ -135,18 +135,22 @@ class FiniteAlgebra:
         _check_star(star, len(self.names))
         return next(self._with_stars((star,)))
 
-    def _with_stars(self, stars: Iterable[bytes]) -> Iterator["FiniteAlgebra"]:
+    def _with_stars(self, stars: Iterable[bytes],
+                    labels: Iterable[str] | None = None
+                    ) -> Iterator["FiniteAlgebra"]:
         """A copy per star, for generators that vary only the star of an
         algebra they built through the constructor. Each star comes as
         bytes, whose entries are integers, so its check is its length and
         its largest entry; a star that fails them gets the error
         _check_star gives. Names, tables and constants are this
-        algebra's, checked when it was made."""
+        algebra's, checked when it was made; the label too, unless labels
+        gives one per star."""
         names, join, meet = self.names, self.join, self.meet
-        zero, one, label = self.zero, self.one, self.label
+        zero, one = self.zero, self.one
         n = len(names)
         new, put = object.__new__, object.__setattr__
-        for star in stars:
+        for star, label in zip(stars, repeat(self.label) if labels is None
+                               else labels):
             if len(star) != n or max(star) >= n:
                 _check_star(star, n)
             twin = new(FiniteAlgebra)

@@ -7,12 +7,19 @@ cloud bijectively onto the complementary one. The binary tables follow
 from x v y = (x v x) v (y v y). Flat algebras are the case k = 0, where
 the star is an involution of the one cloud. The construction yields only
 valid algebras, so no axiom check runs here; the tests check that.
+
+Up to isomorphism nothing labeled is built: a class is fixed by the
+star's fixed-point count (flat) or by the cloud sizes over the subsets of
+the atoms, up to a permutation of the atoms (non-flat). One algebra per
+class is built from that description, and the labeled algebras are
+counted by orbit-stabilizer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import permutations, product
+from functools import cache, partial
+from itertools import combinations, permutations, product
+from math import factorial, prod
 from operator import eq, itemgetter
 from typing import Callable, Iterator, NamedTuple
 
@@ -20,11 +27,11 @@ from .algebra import (FiniteAlgebra, cloud_map, is_flat, regular_elements,
                       translation_table)
 from .errors import TooLarge
 from .quotients import (atom_masks, atom_relabelings, boolean_algebra,
-                        direct_product, is_homomorphism, is_irreducible,
-                        isomorphism_candidate, make_flat)
+                        direct_product, flat_star, is_homomorphism,
+                        is_irreducible, isomorphism_candidate, make_flat)
 
-MAX_FLAT = 16
-MAX_ALL = 6
+MAX_FLAT = 16  # flat output, and general output up to isomorphism
+MAX_ALL = 6  # labeled general output
 MAX_LABELED = 10 ** 6  # labeled algebras one enumerate_flat call may build
 
 
@@ -58,6 +65,13 @@ def involution_count(m: int) -> int:
 
 def _generic_names(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(f"x{i}" for i in range(1, n))
+
+
+def _check_size(n) -> None:
+    """Refuse, before any work, a size that is not a positive int (a
+    bool is not taken for one)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError("size must be a positive integer")
 
 
 def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
@@ -204,10 +218,9 @@ def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
     """All flat algebras of size n, labeled or up to isomorphism.
 
     Isomorphism classes correspond to the star fixed-point count k with
-    n - k even; 0 is always fixed, so k >= 1.
+    n - k even; 0 is always fixed, so k >= 1. Each is labeled F{n}k{k}.
     """
-    if n < 1:
-        raise ValueError("size must be positive")
+    _check_size(n)
     if n > MAX_FLAT:
         raise TooLarge(f"flat enumeration is guarded at {MAX_FLAT}")
     total = involution_count(n - 1)
@@ -215,8 +228,8 @@ def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
         raise TooLarge(f"labeled flat enumeration of size {n} would build "
                        f"{total} algebras; it is guarded at {MAX_LABELED}")
     if up_to_iso:
-        algebras = tuple(make_flat(n, k)
-                         for k in range(1 if n % 2 else 2, n + 1, 2))
+        fixed = range(1 if n % 2 else 2, n + 1, 2)
+        algebras = _flat_classes(n, fixed, [f"F{n}k{k}" for k in fixed])
     else:
         algebras = tuple(_labeled(n, 0))
     violations = _collect_violations(algebras)
@@ -236,7 +249,9 @@ def iso_class_key(a: FiniteAlgebra) -> tuple:
 
 
 def dedupe_up_to_iso(algebras) -> list[FiniteAlgebra]:
-    """The first of each isomorphism class of valid algebras, in order."""
+    """The first of each isomorphism class of valid algebras, in order.
+    enumerate_all builds its classes without it; the tests keep it as
+    the oracle of that construction."""
     reps: dict[tuple, FiniteAlgebra] = {}
     for a in algebras:
         reps.setdefault(iso_class_key(a), a)
@@ -244,23 +259,113 @@ def dedupe_up_to_iso(algebras) -> list[FiniteAlgebra]:
 
 
 def enumerate_all(n: int, up_to_iso: bool = True) -> EnumerationReport:
-    """All QB-algebras of size n with the zero constant at index 0."""
-    if n < 1:
-        raise ValueError("size must be positive")
-    if n > MAX_ALL:
-        raise TooLarge(f"general enumeration is guarded at {MAX_ALL}")
-    labeled = [a for k in range(n.bit_length()) for a in _labeled(n, k)]
-    labeled.sort(key=lambda a: (a.one, a.join, a.meet, a.star))
-    total = len(labeled)
+    """All QB-algebras of size n with the zero constant at index 0: every
+    labeled one, in (one, join, meet, star) order, or one per class, as
+    _classes builds them."""
+    _check_size(n)
     if up_to_iso:
-        reps = dedupe_up_to_iso(labeled)
-        algebras = tuple(a.relabel(f"qba{n}_{i}") for i, a in enumerate(reps))
+        if n > MAX_FLAT:
+            raise TooLarge("general enumeration up to isomorphism is "
+                           f"guarded at {MAX_FLAT}")
+        total, algebras = _classes(n)
     else:
-        algebras = tuple(labeled)
+        if n > MAX_ALL:
+            raise TooLarge(f"general enumeration is guarded at {MAX_ALL}")
+        labeled = [a for k in range(n.bit_length()) for a in _labeled(n, k)]
+        labeled.sort(key=lambda a: (a.one, a.join, a.meet, a.star))
+        total, algebras = len(labeled), tuple(labeled)
     violations = _collect_violations(algebras)
     return EnumerationReport(size=n, flat_only=False, up_to_iso=up_to_iso,
                              total_labeled=total, iso_classes=algebras,
                              violations=violations)
+
+
+def _classes(n: int) -> tuple[int, tuple[FiniteAlgebra, ...]]:
+    """The number of labeled algebras of size n, and one algebra per
+    isomorphism class, labeled qba{n}_i in (one, join, meet, star) order:
+    the flat classes by falling number of star fixed points, then the
+    non-flat ones. A class with automorphism group Aut has (n - 1)!/|Aut|
+    labelings with zero at 0 (orbit-stabilizer)."""
+    labelings = factorial(n - 1)
+    fixed = range(n, 0, -2)
+    total = sum(labelings // _flat_automorphisms(n, f) for f in fixed)
+    tables = []
+    for c, aut in _cloud_classes(n):
+        total += labelings // aut
+        tables.append(_cloud_tables(c))
+    tables.sort()
+    labels = [f"qba{n}_{i}" for i in range(len(fixed) + len(tables))]
+    names = _generic_names(n)
+    return total, _flat_classes(n, fixed, labels[:len(fixed)]) + tuple(
+        FiniteAlgebra(names, join, meet, star, 0, 1, label)
+        for (join, meet, star), label in zip(tables, labels[len(fixed):]))
+
+
+def _flat_classes(n: int, fixed: range, labels: list[str]
+                  ) -> tuple[FiniteAlgebra, ...]:
+    """make_flat(n, f) for each f in fixed, with the given labels: one
+    checked construction, then star-only copies that share its tables."""
+    first = make_flat(n, fixed[0])
+    return tuple(first._with_stars((bytes(flat_star(n, f)) for f in fixed),
+                                   labels))
+
+
+def _flat_automorphisms(n: int, f: int) -> int:
+    """|Aut| of the flat algebra of size n with f star fixed points: the
+    f - 1 nonzero fixed points and the m pairs permute freely, and each
+    pair may be swapped."""
+    m = (n - f) // 2
+    return factorial(f - 1) * factorial(m) * 2 ** m
+
+
+def _cloud_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(c, |Aut|) for each isomorphism class of non-flat algebras of size
+    n. For a Boolean part with k atoms, c[s] is the size of the cloud over
+    the set s of atoms; c[s] = c[top - s] >= 1 and the sizes add up to n,
+    so the first half of c is a composition of n/2. c is the least of its
+    orbit under the permutations of the atoms. |Aut| is the size of its
+    stabilizer times (c[s] - 1)! per pair of complementary clouds: the
+    irregulars of one cloud permute freely, and the star carries that to
+    the other cloud."""
+    if n % 2:
+        return
+    for k in range(1, n.bit_length()):
+        half = 1 << (k - 1)
+        for cuts in combinations(range(1, n // 2), half - 1):
+            parts = tuple(b - a for a, b in zip((0, *cuts), (*cuts, n // 2)))
+            c = parts + parts[::-1]
+            masks = [s for s, size in enumerate(c) for _ in range(size)]
+            images = [sizes for _, sizes in atom_relabelings(masks, k)]
+            if c == min(images):
+                yield c, images.count(c) * prod(factorial(p - 1) for p in parts)
+
+
+def _cloud_tables(c: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """join, meet and star of an algebra with cloud sizes c. Element 0 is
+    zero and 1 is top; the irregulars of zero's cloud follow, then top's,
+    then each other regular and its irregulars, largest cloud first. The
+    star maps the i-th member of cloud s to the i-th of cloud top - s.
+    This makes x v x, the first row of join, least; with at most two
+    atoms, which are then interchangeable, it is the least labeled
+    algebra of the class in (one, join, meet, star) order."""
+    top = len(c) - 1
+    rep = [0, top] + [0] * (c[0] - 1) + [top] * (c[top] - 1)
+    img = [0] * len(c)
+    img[top] = 1
+    for s in sorted(range(1, top), key=c.__getitem__, reverse=True):
+        img[s] = len(rep)
+        rep += [s] * c[s]
+    members: list[list[int]] = [[] for _ in c]
+    for x, s in enumerate(rep):
+        members[s].append(x)
+    star = [0] * len(rep)
+    for s, cloud in enumerate(members):
+        for x, y in zip(cloud, members[top - s]):
+            star[x] = y
+    joins = [tuple(img[s | t] for t in rep) for s in range(top + 1)]
+    meets = [tuple(img[s & t] for t in rep) for s in range(top + 1)]
+    return (tuple(joins[s] for s in rep), tuple(meets[s] for s in rep),
+            tuple(star))
 
 
 STRUCTURE_CLAIMS = (
@@ -346,11 +451,12 @@ def _table_facts(a: FiniteAlgebra) -> _TableFacts:
                        star_labels, irreducible_even)
 
 
+@cache
 def _product_target(n: int) -> FiniteAlgebra:
     """2 x the flat algebra of size n/2 with one star fixed point if n/2
     is odd, else two: the form of an irreducible algebra of even size n.
     At n = 4k + 2 its join, meet, star, zero and one are those of
-    make_irreducible(k)."""
+    make_irreducible(k). Built once per size."""
     half = n // 2
     return direct_product(boolean_algebra(1),
                           make_flat(half, 1 if half % 2 else 2))
@@ -370,7 +476,7 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     isomorphism_candidate, which counts only if is_homomorphism certifies it.
     """
     f = _table_facts(a)
-    return _claims(f, _star_claims(a, f, {}))
+    return _claims(f, _star_claims(a, f))
 
 
 def _claims(f: _TableFacts, stars: tuple[bool, ...]) -> list[tuple[str, bool]]:
@@ -380,11 +486,10 @@ def _claims(f: _TableFacts, stars: tuple[bool, ...]) -> list[tuple[str, bool]]:
                   key=lambda claim: _RANK[claim[0]])
 
 
-def _star_claims(a: FiniteAlgebra, f: _TableFacts,
-                 targets: dict[int, FiniteAlgebra]) -> tuple[bool, ...]:
+def _star_claims(a: FiniteAlgebra, f: _TableFacts) -> tuple[bool, ...]:
     """The claims that read the star, one bool per label of f.star_labels,
-    from one pass over the clouds. targets memoizes _product_target by
-    size; the irreducible claims share one certified candidate map."""
+    from one pass over the clouds. The irreducible claims share one
+    certified candidate map onto _product_target(n)."""
     star = a.star
     n = len(star)  # a.size, as the star was checked to have
     image = size = True
@@ -399,9 +504,7 @@ def _star_claims(a: FiniteAlgebra, f: _TableFacts,
         return image, size, (n - fixed) % 2 == 0
     claims = (image, size, fixed == 0, apart)
     if f.irreducible_even:
-        target = targets.get(n)
-        if target is None:
-            target = targets[n] = _product_target(n)
+        target = _product_target(n)
         g = isomorphism_candidate(a, target)
         iso = g is not None and g.is_bijective and is_homomorphism(a, target, g)
         claims += (iso, iso) if n % 4 == 2 else (iso,)
@@ -412,18 +515,16 @@ def _collect_violations(algebras) -> tuple[tuple[str, FiniteAlgebra], ...]:
     """(claim, algebra) for every failing claim, in order. The table facts
     are derived again only where an algebra's join or meet is not the
     previous algebra's table object, or its zero or one differs, so a
-    family of star-only copies derives them once. The product targets
-    are built once per size. An algebra whose table and star claims all
-    hold costs the star pass and no claim list."""
+    family of star-only copies derives them once. An algebra whose table
+    and star claims all hold costs the star pass and no claim list."""
     out = []
-    targets: dict[int, FiniteAlgebra] = {}
     last = None
     for a in algebras:
         if (last is None or a.join is not last.join or a.meet is not last.meet
                 or a.zero != last.zero or a.one != last.one):
             f = _table_facts(a)
         last = a
-        stars = _star_claims(a, f, targets)
+        stars = _star_claims(a, f)
         if f.tables_hold and all(stars):
             continue
         out.extend((label, a) for label, ok in _claims(f, stars) if not ok)

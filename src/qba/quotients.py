@@ -238,13 +238,21 @@ def make_flat(n: int, k: int) -> FiniteAlgebra:
     """
     if not (1 <= k <= n) or (n - k) % 2 != 0:
         raise InvalidShape(f"no flat algebra of size {n} with {k} star fixed points")
+    names = ("0",) + tuple(f"x{i}" for i in range(1, n))
+    zeros = _zero_table(n)
+    return FiniteAlgebra(names=names, join=zeros, meet=zeros,
+                         star=flat_star(n, k), zero=0, one=0,
+                         label=f"F{n}k{k}")
+
+
+def flat_star(n: int, k: int) -> tuple[int, ...]:
+    """The star of make_flat(n, k): 0..k-1 fixed, the rest paired
+    consecutively. Among the involutions of range(n) with k fixed points
+    it is the least tuple."""
     star = list(range(k))
     for i in range(k, n, 2):
         star.extend((i + 1, i))
-    names = ("0",) + tuple(f"x{i}" for i in range(1, n))
-    zeros = _zero_table(n)
-    return FiniteAlgebra(names=names, join=zeros, meet=zeros, star=tuple(star),
-                         zero=0, one=0, label=f"F{n}k{k}")
+    return tuple(star)
 
 
 @cache

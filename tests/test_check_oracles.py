@@ -22,8 +22,10 @@ only re-derived the paper's theorems, run here as oracles too, on every
 congruence of every algebra of the corpus.
 """
 import random
+from collections import Counter
 from functools import cache
 from itertools import combinations, islice, permutations, product
+from math import factorial
 from typing import Iterator, Mapping
 
 import pytest
@@ -38,10 +40,11 @@ from qba.congruences import (MAX_EXHAUSTIVE, CongruenceDecomposition,
                              generated_congruence, principal_congruence_flat,
                              principal_congruence_nonflat, split_congruence,
                              subalgebra, subalgebras)
-from qba.enumeration import (STRUCTURE_CLAIMS, _collect_violations,
-                             _generic_names, _labeled, dedupe_up_to_iso,
-                             enumerate_all, enumerate_flat, involution_count,
-                             verify_structure)
+from qba.enumeration import (STRUCTURE_CLAIMS, EnumerationReport,
+                             _cloud_classes, _collect_violations,
+                             _flat_automorphisms, _generic_names, _labeled,
+                             dedupe_up_to_iso, enumerate_all, enumerate_flat,
+                             involution_count, verify_structure)
 from qba.errors import (AlgebraSemanticError, DecompositionConditionError,
                         InvariantViolation, NotACongruence, NotAQBAlgebra,
                         TooLarge, UnboundVariable)
@@ -1107,6 +1110,89 @@ class TestDedupe:
         algebras += [make_flat(n, k) for n in range(1, 11) for k in range(n % 2 or 2, n + 1, 2)]
         assert (list(map(tables, dedupe_up_to_iso(algebras)))
                 == list(map(tables, dedupe_by_search(algebras))))
+
+
+# The up-to-isomorphism path that _classes replaced, verbatim: every
+# labeled algebra built, sorted, deduplicated by iso_class_key and
+# relabeled.
+
+def labeled_sorted(n: int) -> list[FiniteAlgebra]:
+    labeled = [a for k in range(n.bit_length()) for a in _labeled(n, k)]
+    labeled.sort(key=lambda a: (a.one, a.join, a.meet, a.star))
+    return labeled
+
+
+def enumerate_all_by_dedupe(n: int) -> EnumerationReport:
+    labeled = labeled_sorted(n)
+    reps = dedupe_up_to_iso(labeled)
+    algebras = tuple(a.relabel(f"qba{n}_{i}") for i, a in enumerate(reps))
+    return EnumerationReport(size=n, flat_only=False, up_to_iso=True,
+                             total_labeled=len(labeled), iso_classes=algebras,
+                             violations=_collect_violations(algebras))
+
+
+class TestIsoFromClasses:
+    """enumerate_all(n, True) builds one algebra per class from its cloud
+    sizes and counts the labeled ones by orbit-stabilizer; the old path
+    built every labeled algebra and kept the least of each class."""
+
+    CLASSES = (1, 2, 2, 4, 3, 6, 4, 9, 5, 12, 6, 16, 7, 21, 8, 28)
+
+    @staticmethod
+    def fields(report):
+        def labeled(a):
+            return (*tables(a), a.label)
+        return (report.size, report.flat_only, report.up_to_iso,
+                report.total_labeled, [labeled(a) for a in report.iso_classes],
+                [(claim, labeled(a)) for claim, a in report.violations])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_report_as_by_dedupe(self, n):
+        assert (self.fields(enumerate_all(n, True))
+                == self.fields(enumerate_all_by_dedupe(n)))
+
+    def test_eight_against_the_labeled_algebras(self):
+        # Past two atoms the atoms are no longer interchangeable, and the
+        # representative need not be the least labeled algebra of its
+        # class (B8 here); it is one of the class all the same.
+        labeled = labeled_sorted(8)
+        assert len(labeled) == 6952
+        old, new = dedupe_up_to_iso(labeled), enumerate_all(8, True).iso_classes
+        pairs = [(i, j) for i, a in enumerate(new) for j, b in enumerate(old)
+                 if find_isomorphism(a, b) is not None]
+        assert sorted(i for i, _ in pairs) == list(range(9))
+        assert sorted(j for _, j in pairs) == list(range(9))
+        small = [(i, j) for i, j in pairs if len(regular_elements(new[i])) <= 4]
+        assert len(small) == 8
+        for i, j in small:
+            assert tables(new[i]) == tables(old[j])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_orbit_stabilizer_counts_the_labeled_algebras(self, n):
+        # Per number k of atoms: (n - 1)!/|Aut| summed over the classes is
+        # the number of algebras _labeled(n, k) builds.
+        labelings = factorial(n - 1)
+        counts = Counter({0: sum(labelings // _flat_automorphisms(n, f)
+                                 for f in range(n, 0, -2))})
+        for c, aut in _cloud_classes(n):
+            counts[len(c).bit_length() - 1] += labelings // aut
+        assert counts == Counter({k: sum(1 for _ in _labeled(n, k))
+                                  for k in range(n.bit_length())})
+        assert enumerate_all(n, True).total_labeled == sum(counts.values())
+
+    def test_pinned_counts(self):
+        reports = [enumerate_all(n, True) for n in range(1, 17)]
+        assert tuple(len(r.iso_classes) for r in reports) == self.CLASSES
+        assert reports[11].total_labeled == 66_896_336
+        assert reports[15].total_labeled == 2_437_629_533_536
+        assert all(r.violations == () for r in reports)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_representatives_validate_and_are_pairwise_non_isomorphic(self, n):
+        reps = enumerate_all(n, True).iso_classes
+        assert all(validate(a).passed for a in reps)
+        for a, b in combinations(reps, 2):
+            assert find_isomorphism(a, b) is None
 
 
 def relabeled(a: FiniteAlgebra, seed: int) -> FiniteAlgebra:

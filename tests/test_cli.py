@@ -65,6 +65,14 @@ class TestExitCodes:
 
     def test_too_large_exits_2(self):
         assert run(["enumerate", "--size", "9"]).exit_code == 2
+        assert run(["enumerate", "--size", "7"]).exit_code == 2
+        assert run(["enumerate", "--size", "17", "--up-to-iso"]).exit_code == 2
+
+    def test_general_classes_past_the_labeled_guard(self):
+        result = run(["enumerate", "--size", "12", "--up-to-iso"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[0].endswith(
+            "labeled=66896336 emitted=16 violations=0")
 
     def test_size_below_one_exits_2(self):
         for argv in (["enumerate", "--size", "0"], ["enumerate", "--size", "-1", "--flat"]):

@@ -71,6 +71,10 @@ equation = st.one_of(
                               " /\\ ", " = "]), max_size=12).map("".join),
 )
 size = st.integers(-1, 6).map(str)
+# Sizes past the labeled guards come only with --up-to-iso: a labeled flat
+# size 14 takes seconds.
+iso_size = st.sampled_from(["7", "16", "17"]).map(
+    lambda n: ("--size", n, "--up-to-iso"))
 
 
 def partition(names):
@@ -139,7 +143,8 @@ def shapes(main, names):
         "decompose": [main, opt("--cong", part)],
         "compose": [main, opt("--theta-r", part_or_bad), opt("--theta-ir", part_or_bad),
                     opt("--link", st.one_of(pairs(names, ">"), part_or_bad))],
-        "enumerate": [opt("--size", size), st.just("--flat"), st.just("--up-to-iso")],
+        "enumerate": [st.one_of(opt("--size", size), iso_size), st.just("--flat"),
+                      st.just("--up-to-iso")],
         "frobnicate": [],
     }
 

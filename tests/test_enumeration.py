@@ -2,11 +2,11 @@
 import pytest
 
 import qba
-from qba.enumeration import (MAX_ALL, MAX_LABELED, _product_target,
+from qba.enumeration import (MAX_ALL, MAX_FLAT, MAX_LABELED, _product_target,
                              dedupe_up_to_iso, enumerate_all, enumerate_flat,
                              involution_count, iso_class_key, verify_structure)
 from qba.errors import TooLarge
-from qba.quotients import boolean_algebra, make_irreducible
+from qba.quotients import boolean_algebra, make_flat, make_irreducible
 
 
 def claims(a):
@@ -60,6 +60,18 @@ class TestEnumerateFlat:
     def test_no_violations(self):
         for n in range(1, 9):
             assert enumerate_flat(n, up_to_iso=False).violations == ()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_classes_are_make_flat_from_one_construction(self, n, monkeypatch):
+        built = []
+        real = qba.FiniteAlgebra.__post_init__
+        monkeypatch.setattr(qba.FiniteAlgebra, "__post_init__",
+                            lambda a: built.append(a) or real(a))
+        classes = enumerate_flat(n).iso_classes
+        assert len(built) == 1
+        fixed = range(2 - n % 2, n + 1, 2)
+        want = [make_flat(n, k) for k in fixed]
+        assert [(a.label, a) for a in classes] == [(a.label, a) for a in want]
 
     def test_guards(self):
         with pytest.raises(TooLarge):
@@ -141,8 +153,20 @@ class TestEnumerateAll:
         assert iso_class_key(fx["4"]) != iso_class_key(boolean_algebra(2))
 
     def test_guard(self):
+        # Labeled output stops at MAX_ALL; up to isomorphism the work is
+        # per class, and it stops at MAX_FLAT.
         with pytest.raises(TooLarge):
-            enumerate_all(7)
+            enumerate_all(MAX_ALL + 1, up_to_iso=False)
+        with pytest.raises(TooLarge):
+            enumerate_all(MAX_FLAT + 1)
+        assert len(enumerate_all(MAX_FLAT).iso_classes) == 28
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_all, enumerate_flat])
+@pytest.mark.parametrize("size", [2.0, None, "3", True, False, 0, -1])
+def test_size_must_be_a_positive_int(enumerate_, size):
+    with pytest.raises(ValueError, match="^size must be a positive integer$"):
+        enumerate_(size)
 
 
 class TestEmbeddingAcrossEnumeration:
@@ -233,6 +257,7 @@ def test_product_target_has_the_odd_flat_form_tables(k):
 @pytest.mark.parametrize("n,constructions", [(2, 1), (6, 60)])
 def test_one_construction_per_irreducible_and_one_target_per_size(
         n, constructions, monkeypatch):
+    _product_target.cache_clear()  # an earlier call may have built it
     built_maps, built = [], []
     real_candidate = qba.enumeration.isomorphism_candidate
     real_product = qba.enumeration.direct_product
