@@ -129,12 +129,6 @@ class FiniteAlgebra:
         (relabelled or star-only) are new objects and start without it."""
         return validate(self)
 
-    def _with_star(self, star) -> "FiniteAlgebra":
-        """A copy with another star, of any sequence type: the full
-        _check_star, then the copy that _with_stars makes."""
-        _check_star(star, len(self.names))
-        return next(self._with_stars((star,)))
-
     def _with_stars(self, stars: Iterable[bytes],
                     labels: Iterable[str] | None = None
                     ) -> Iterator["FiniteAlgebra"]:

@@ -11,15 +11,15 @@ valid algebras, so no axiom check runs here; the tests check that.
 Up to isomorphism nothing labeled is built: a class is fixed by the
 star's fixed-point count (flat) or by the cloud sizes over the subsets of
 the atoms, up to a permutation of the atoms (non-flat). One algebra per
-class is built from that description, and the labeled algebras are
-counted by orbit-stabilizer.
+class is built from that description. The labeled algebras are counted
+by a closed form, labeled_count, which also guards labeled output.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, permutations, product
-from math import factorial, prod
+from math import factorial
 from operator import eq, itemgetter
 from typing import Callable, Iterator, NamedTuple
 
@@ -27,12 +27,12 @@ from .algebra import (FiniteAlgebra, cloud_map, is_flat, regular_elements,
                       translation_table)
 from .errors import TooLarge
 from .quotients import (atom_masks, atom_relabelings, boolean_algebra,
-                        direct_product, flat_star, is_homomorphism,
-                        is_irreducible, isomorphism_candidate, make_flat)
+                        direct_product, flat_star, generic_names,
+                        is_homomorphism, is_irreducible, isomorphism_candidate,
+                        make_flat)
 
-MAX_FLAT = 16  # flat output, and general output up to isomorphism
-MAX_ALL = 6  # labeled general output
-MAX_LABELED = 10 ** 6  # labeled algebras one enumerate_flat call may build
+MAX_SIZE = 16  # any enumeration
+MAX_LABELED = 10 ** 6  # labeled algebras one call may build
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,26 @@ def involution_count(m: int) -> int:
     prev, cur = 1, 1
     for i in range(2, m + 1):
         prev, cur = cur, cur + (i - 1) * prev
-    return cur if m >= 1 else 1
+    return cur
 
 
-def _generic_names(n: int) -> tuple[str, ...]:
-    return ("0",) + tuple(f"x{i}" for i in range(1, n))
+def labeled_count(n: int, flat_only: bool = False) -> int:
+    """Number of algebras on {0..n-1} with zero at 0, or of the flat ones.
+
+    The flat ones are the involutions of 1..n-1. For n = 2h, a Boolean
+    part with k atoms has P = 2^(k-1) pairs of complementary clouds, and
+    summing orbit-stabilizer over its cloud-size functions gives
+    (n-1)! P^(h-P) / (k! (h-P)!) algebras; P <= h, so 2^k <= n.
+    """
+    _check_size(n)
+    total = involution_count(n - 1)
+    if flat_only or n % 2:
+        return total
+    for k in range(1, n.bit_length()):
+        p = 1 << (k - 1)
+        q = n // 2 - p
+        total += factorial(n - 1) * p ** q // (factorial(k) * factorial(q))
+    return total
 
 
 def _check_size(n) -> None:
@@ -74,6 +89,17 @@ def _check_size(n) -> None:
         raise ValueError("size must be a positive integer")
 
 
+def _tables(img, rep) -> tuple[tuple, tuple]:
+    """join and meet of the algebra whose element x lies in the cloud
+    over the atom set rep[x], where img[s] is the regular element of the
+    set s: x v y = (x v x) v (y v y) = img[rep[x] | rep[y]], and meet
+    likewise. Elements in one cloud share their rows."""
+    sets = range(len(img))
+    joins = [tuple(img[s | t] for t in rep) for s in sets]
+    meets = [tuple(img[s & t] for t in rep) for s in sets]
+    return tuple(joins[s] for s in rep), tuple(meets[s] for s in rep)
+
+
 def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
     """Every algebra on {0..n-1} with zero at index 0 and 2^k regular
     elements, each once.
@@ -81,12 +107,12 @@ def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
     img[i] is the regular element for the subset i of the k atoms; the
     atoms img[1], img[2], img[4], ... increase, which keeps one labeling
     per permutation of the atoms. Each irregular x gets a cloud rep[x],
-    clouds s and s ^ top have equal sizes, and the tables follow from
-    x v y = (x v x) v (y v y). The stars of a cloud assignment come
-    from its _star_plan, laid out over the irregulars and img; for k = 0
-    (the flat case) they are the involutions of 1..n-1 that fix 0.
+    clouds s and s ^ top have equal sizes, and the tables come from
+    _tables. The stars of a cloud assignment come from its _star_plan,
+    laid out over the irregulars and img; for k = 0 (the flat case) they
+    are the involutions of 1..n-1 that fix 0.
     """
-    names = _generic_names(n)
+    names = generic_names(n)
     top = (1 << k) - 1
     # The clouds of the irregulars, in order, that give clouds s and
     # s ^ top = top - s equal sizes (s -> top - s keeps their multiset):
@@ -107,17 +133,12 @@ def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
         for clouds, order, pieces, tails in plans:
             for x, s in zip(irregulars, clouds):
                 rep[x] = s
-            joins = [tuple(img[s | t] for t in rep) for s in range(top + 1)]
-            meets = [tuple(img[s & t] for t in rep) for s in range(top + 1)]
-            join = tuple(joins[s] for s in rep)
-            meet = tuple(meets[s] for s in rep)
             # The family of this cloud assignment shares names and tables;
             # its first algebra checks them, the others only their star.
             layout = bytes(map(irregulars.__getitem__, order)) + bytes(img)
             stars = _stars(layout, pieces(), tails)
-            first = FiniteAlgebra(names=names, join=join, meet=meet,
-                                  star=tuple(next(stars)), zero=0,
-                                  one=img[top])
+            first = FiniteAlgebra(names, *_tables(img, rep),
+                                  tuple(next(stars)), 0, img[top])
             yield first
             yield from first._with_stars(stars)
 
@@ -220,22 +241,38 @@ def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
     Isomorphism classes correspond to the star fixed-point count k with
     n - k even; 0 is always fixed, so k >= 1. Each is labeled F{n}k{k}.
     """
+    return _enumerate(n, up_to_iso, True)
+
+
+def enumerate_all(n: int, up_to_iso: bool = True) -> EnumerationReport:
+    """All QB-algebras of size n with the zero constant at index 0: every
+    labeled one, in (one, join, meet, star) order, or one per class, as
+    _classes builds them."""
+    return _enumerate(n, up_to_iso, False)
+
+
+def _enumerate(n: int, up_to_iso: bool, flat_only: bool) -> EnumerationReport:
+    """The body of both enumerators. Sizes past MAX_SIZE, and labeled
+    output of more than MAX_LABELED algebras, are refused before work."""
     _check_size(n)
-    if n > MAX_FLAT:
-        raise TooLarge(f"flat enumeration is guarded at {MAX_FLAT}")
-    total = involution_count(n - 1)
+    kind = "flat" if flat_only else "general"
+    if n > MAX_SIZE:
+        raise TooLarge(f"{kind} enumeration is guarded at {MAX_SIZE}")
+    total = labeled_count(n, flat_only)
     if not up_to_iso and total > MAX_LABELED:
-        raise TooLarge(f"labeled flat enumeration of size {n} would build "
+        raise TooLarge(f"labeled {kind} enumeration of size {n} would build "
                        f"{total} algebras; it is guarded at {MAX_LABELED}")
     if up_to_iso:
-        fixed = range(1 if n % 2 else 2, n + 1, 2)
-        algebras = _flat_classes(n, fixed, [f"F{n}k{k}" for k in fixed])
-    else:
+        algebras = _classes(n, flat_only)
+    elif flat_only:
         algebras = tuple(_labeled(n, 0))
-    violations = _collect_violations(algebras)
-    return EnumerationReport(size=n, flat_only=True, up_to_iso=up_to_iso,
+    else:
+        algebras = tuple(sorted(
+            (a for k in range(n.bit_length()) for a in _labeled(n, k)),
+            key=lambda a: (a.one, a.join, a.meet, a.star)))
+    return EnumerationReport(size=n, flat_only=flat_only, up_to_iso=up_to_iso,
                              total_labeled=total, iso_classes=algebras,
-                             violations=violations)
+                             violations=_collect_violations(algebras))
 
 
 def iso_class_key(a: FiniteAlgebra) -> tuple:
@@ -258,75 +295,31 @@ def dedupe_up_to_iso(algebras) -> list[FiniteAlgebra]:
     return list(reps.values())
 
 
-def enumerate_all(n: int, up_to_iso: bool = True) -> EnumerationReport:
-    """All QB-algebras of size n with the zero constant at index 0: every
-    labeled one, in (one, join, meet, star) order, or one per class, as
-    _classes builds them."""
-    _check_size(n)
-    if up_to_iso:
-        if n > MAX_FLAT:
-            raise TooLarge("general enumeration up to isomorphism is "
-                           f"guarded at {MAX_FLAT}")
-        total, algebras = _classes(n)
+def _classes(n: int, flat_only: bool) -> tuple[FiniteAlgebra, ...]:
+    """One algebra per isomorphism class of size n. Flat only: by rising
+    number k of star fixed points, labeled F{n}k{k}. Otherwise labeled
+    qba{n}_i in (one, join, meet, star) order: the flat classes by
+    falling number of star fixed points, then the non-flat ones. The flat
+    classes are one checked make_flat and star-only copies of it."""
+    if flat_only:
+        fixed = range(2 - n % 2, n + 1, 2)
+        tables, labels = [], [f"F{n}k{k}" for k in fixed]
     else:
-        if n > MAX_ALL:
-            raise TooLarge(f"general enumeration is guarded at {MAX_ALL}")
-        labeled = [a for k in range(n.bit_length()) for a in _labeled(n, k)]
-        labeled.sort(key=lambda a: (a.one, a.join, a.meet, a.star))
-        total, algebras = len(labeled), tuple(labeled)
-    violations = _collect_violations(algebras)
-    return EnumerationReport(size=n, flat_only=False, up_to_iso=up_to_iso,
-                             total_labeled=total, iso_classes=algebras,
-                             violations=violations)
-
-
-def _classes(n: int) -> tuple[int, tuple[FiniteAlgebra, ...]]:
-    """The number of labeled algebras of size n, and one algebra per
-    isomorphism class, labeled qba{n}_i in (one, join, meet, star) order:
-    the flat classes by falling number of star fixed points, then the
-    non-flat ones. A class with automorphism group Aut has (n - 1)!/|Aut|
-    labelings with zero at 0 (orbit-stabilizer)."""
-    labelings = factorial(n - 1)
-    fixed = range(n, 0, -2)
-    total = sum(labelings // _flat_automorphisms(n, f) for f in fixed)
-    tables = []
-    for c, aut in _cloud_classes(n):
-        total += labelings // aut
-        tables.append(_cloud_tables(c))
-    tables.sort()
-    labels = [f"qba{n}_{i}" for i in range(len(fixed) + len(tables))]
-    names = _generic_names(n)
-    return total, _flat_classes(n, fixed, labels[:len(fixed)]) + tuple(
-        FiniteAlgebra(names, join, meet, star, 0, 1, label)
-        for (join, meet, star), label in zip(tables, labels[len(fixed):]))
-
-
-def _flat_classes(n: int, fixed: range, labels: list[str]
-                  ) -> tuple[FiniteAlgebra, ...]:
-    """make_flat(n, f) for each f in fixed, with the given labels: one
-    checked construction, then star-only copies that share its tables."""
+        fixed = range(n, 0, -2)
+        tables = sorted(map(_cloud_tables, _cloud_classes(n)))
+        labels = [f"qba{n}_{i}" for i in range(len(fixed) + len(tables))]
     first = make_flat(n, fixed[0])
-    return tuple(first._with_stars((bytes(flat_star(n, f)) for f in fixed),
-                                   labels))
+    flat = first._with_stars((bytes(flat_star(n, f)) for f in fixed), labels)
+    return (*flat, *(FiniteAlgebra(first.names, *t, 0, 1, label)
+                     for t, label in zip(tables, labels[len(fixed):])))
 
 
-def _flat_automorphisms(n: int, f: int) -> int:
-    """|Aut| of the flat algebra of size n with f star fixed points: the
-    f - 1 nonzero fixed points and the m pairs permute freely, and each
-    pair may be swapped."""
-    m = (n - f) // 2
-    return factorial(f - 1) * factorial(m) * 2 ** m
-
-
-def _cloud_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(c, |Aut|) for each isomorphism class of non-flat algebras of size
-    n. For a Boolean part with k atoms, c[s] is the size of the cloud over
-    the set s of atoms; c[s] = c[top - s] >= 1 and the sizes add up to n,
-    so the first half of c is a composition of n/2. c is the least of its
-    orbit under the permutations of the atoms. |Aut| is the size of its
-    stabilizer times (c[s] - 1)! per pair of complementary clouds: the
-    irregulars of one cloud permute freely, and the star carries that to
-    the other cloud."""
+def _cloud_classes(n: int) -> Iterator[tuple[int, ...]]:
+    """The cloud sizes c of each isomorphism class of non-flat algebras of
+    size n. For a Boolean part with k atoms, c[s] is the size of the cloud
+    over the set s of atoms; c[s] = c[top - s] >= 1 and the sizes add up
+    to n, so the first half of c is a composition of n/2. c is the least
+    of its orbit under the permutations of the atoms."""
     if n % 2:
         return
     for k in range(1, n.bit_length()):
@@ -335,9 +328,8 @@ def _cloud_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
             parts = tuple(b - a for a, b in zip((0, *cuts), (*cuts, n // 2)))
             c = parts + parts[::-1]
             masks = [s for s, size in enumerate(c) for _ in range(size)]
-            images = [sizes for _, sizes in atom_relabelings(masks, k)]
-            if c == min(images):
-                yield c, images.count(c) * prod(factorial(p - 1) for p in parts)
+            if c == min(sizes for _, sizes in atom_relabelings(masks, k)):
+                yield c
 
 
 def _cloud_tables(c: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
@@ -362,10 +354,7 @@ def _cloud_tables(c: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
     for s, cloud in enumerate(members):
         for x, y in zip(cloud, members[top - s]):
             star[x] = y
-    joins = [tuple(img[s | t] for t in rep) for s in range(top + 1)]
-    meets = [tuple(img[s & t] for t in rep) for s in range(top + 1)]
-    return (tuple(joins[s] for s in rep), tuple(meets[s] for s in rep),
-            tuple(star))
+    return (*_tables(img, rep), tuple(star))
 
 
 STRUCTURE_CLAIMS = (

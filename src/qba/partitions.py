@@ -173,8 +173,18 @@ def parse_part(a: FiniteAlgebra, text: str, part: Sequence[int]) -> Partition:
 
 def parse_names(a: FiniteAlgebra, text: str, part: Sequence[int]) -> list[int]:
     """Positions in part, a sorted sequence of elements, of the
-    ','-separated names in text; an empty name is refused."""
-    return [position_in_part(a, nm.strip(), part) for nm in text.split(",")]
+    ','-separated names in text; an empty name is refused. A name may
+    hold ',' itself, as direct_product's '(x,y)' do: each name is the
+    longest run of pieces that names an element, else one piece."""
+    pieces = [nm.strip() for nm in text.split(",")]
+    width = 1 + max(nm.count(",") for nm in a.names)
+    out = []
+    while pieces:
+        runs = (",".join(pieces[:j]) for j in range(width, 0, -1))
+        name = next((nm for nm in runs if nm in a.names), pieces[0])
+        out.append(position_in_part(a, name, part))
+        del pieces[:name.count(",") + 1]
+    return out
 
 
 def position_in_part(a: FiniteAlgebra, name: str, part: Sequence[int]) -> int:

@@ -238,11 +238,15 @@ def make_flat(n: int, k: int) -> FiniteAlgebra:
     """
     if not (1 <= k <= n) or (n - k) % 2 != 0:
         raise InvalidShape(f"no flat algebra of size {n} with {k} star fixed points")
-    names = ("0",) + tuple(f"x{i}" for i in range(1, n))
     zeros = _zero_table(n)
-    return FiniteAlgebra(names=names, join=zeros, meet=zeros,
+    return FiniteAlgebra(names=generic_names(n), join=zeros, meet=zeros,
                          star=flat_star(n, k), zero=0, one=0,
                          label=f"F{n}k{k}")
+
+
+def generic_names(n: int) -> tuple[str, ...]:
+    """The element names of a generated algebra of size n: 0, x1, x2, ..."""
+    return ("0",) + tuple(f"x{i}" for i in range(1, n))
 
 
 def flat_star(n: int, k: int) -> tuple[int, ...]:

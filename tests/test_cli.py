@@ -64,8 +64,8 @@ class TestExitCodes:
         assert run(["quotient", fpath("4")]).exit_code == 2
 
     def test_too_large_exits_2(self):
-        assert run(["enumerate", "--size", "9"]).exit_code == 2
-        assert run(["enumerate", "--size", "7"]).exit_code == 2
+        assert run(["enumerate", "--size", "12"]).exit_code == 2
+        assert run(["enumerate", "--size", "15"]).exit_code == 2
         assert run(["enumerate", "--size", "17", "--up-to-iso"]).exit_code == 2
 
     def test_general_classes_past_the_labeled_guard(self):
@@ -409,6 +409,19 @@ class TestFileOutputs:
         loaded = qba.load_algebra(out.read_text())
         assert loaded.size == 10
         assert qba.validate(loaded).passed
+
+    def test_congruences_of_a_product_file_read_back(self, tmp_path):
+        # The names (x,y) of a product hold ','; every congruence printed
+        # reads back through --seed and --cong.
+        out = tmp_path / "p.alg"
+        assert run(["product", fpath("2"), fpath("F3"), "-o", str(out)]).exit_code == 0
+        result = run(["congruences", str(out)])
+        assert result.exit_code == 0
+        cons = result.output.splitlines()
+        assert len(cons) == 17
+        for text in cons:
+            assert run(["generate", str(out), "--seed", text]) == CommandResult(0, text)
+            assert run(["split", str(out), "--cong", text]).exit_code == 0
 
     def test_enumerate_emit(self, tmp_path):
         out = tmp_path / "emitted"

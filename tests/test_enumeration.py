@@ -1,10 +1,13 @@
 """Exhaustive generation of small algebras and the structure claims."""
+from pathlib import Path
+
 import pytest
 
 import qba
-from qba.enumeration import (MAX_ALL, MAX_FLAT, MAX_LABELED, _product_target,
+from qba.enumeration import (MAX_LABELED, MAX_SIZE, _product_target,
                              dedupe_up_to_iso, enumerate_all, enumerate_flat,
-                             involution_count, iso_class_key, verify_structure)
+                             involution_count, iso_class_key, labeled_count,
+                             verify_structure)
 from qba.errors import TooLarge
 from qba.quotients import boolean_algebra, make_flat, make_irreducible
 
@@ -17,6 +20,46 @@ class TestInvolutionCount:
     def test_small_values(self):
         assert [involution_count(m) for m in range(8)] == \
             [1, 1, 2, 4, 10, 26, 76, 232]
+
+
+class TestLabeledCount:
+    def test_every_report_reads_it(self):
+        for n in range(1, 7):
+            for iso in (False, True):
+                assert enumerate_all(n, iso).total_labeled == labeled_count(n)
+                assert (enumerate_flat(n, iso).total_labeled
+                        == labeled_count(n, flat_only=True))
+
+    def test_flat_part_is_the_involutions_and_odd_sizes_are_flat(self):
+        for n in range(1, 17):
+            assert labeled_count(n, True) == involution_count(n - 1)
+            if n % 2:
+                assert labeled_count(n) == labeled_count(n, True)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True])
+    def test_size_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="^size must be a positive integer$"):
+            labeled_count(n)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_count_table():
+    # The rows n, classes, flat and labeled of the one table in the
+    # README whose first column holds them.
+    rows = {}
+    for line in README.read_text("utf-8").splitlines():
+        cells = [c.strip() for c in line.strip("| ").split("|")]
+        if line.startswith("|") and cells[0] in ("n", "classes", "flat", "labeled"):
+            assert cells[0] not in rows
+            rows[cells[0]] = [int(c.replace(",", "")) for c in cells[1:]]
+    assert rows["n"] == list(range(1, 17))
+    reports = [enumerate_all(n, True) for n in rows["n"]]
+    assert rows["classes"] == [len(r.iso_classes) for r in reports]
+    assert rows["flat"] == [sum(map(qba.is_flat, r.iso_classes)) for r in reports]
+    assert rows["labeled"] == [r.total_labeled for r in reports]
+    assert rows["labeled"] == [labeled_count(n) for n in rows["n"]]
 
 
 class TestEnumerateFlat:
@@ -83,7 +126,7 @@ class TestEnumerateFlat:
         # Labeled output is refused before any work once it would exceed
         # MAX_LABELED algebras: from size 15 (2,390,480 involutions of 14
         # points) on, while 14 (568,504) is admitted. Up to isomorphism
-        # the whole range up to MAX_FLAT stays open.
+        # the whole range up to MAX_SIZE stays open.
         assert involution_count(13) <= MAX_LABELED < involution_count(14)
         for n in (15, 16):
             with pytest.raises(TooLarge, match=(
@@ -131,9 +174,10 @@ class TestEnumerateAll:
         assert found_6 and found_A
 
     def test_every_emit_validates(self):
-        # enumerate_all runs no axiom check; this one covers every size
-        # its guard admits.
-        for n in range(1, MAX_ALL + 1):
+        # enumerate_all runs no axiom check; this one covers the labeled
+        # sizes up to 9 (7,958 algebras). Sizes 10, 11 and 13, which the
+        # guard admits too, take seconds to minutes.
+        for n in range(1, 10):
             for a in enumerate_all(n, up_to_iso=False).iso_classes:
                 assert qba.validate(a).passed
 
@@ -153,13 +197,38 @@ class TestEnumerateAll:
         assert iso_class_key(fx["4"]) != iso_class_key(boolean_algebra(2))
 
     def test_guard(self):
-        # Labeled output stops at MAX_ALL; up to isomorphism the work is
-        # per class, and it stops at MAX_FLAT.
-        with pytest.raises(TooLarge):
-            enumerate_all(MAX_ALL + 1, up_to_iso=False)
-        with pytest.raises(TooLarge):
-            enumerate_all(MAX_FLAT + 1)
-        assert len(enumerate_all(MAX_FLAT).iso_classes) == 28
+        # Labeled output is refused once it would exceed MAX_LABELED
+        # algebras (sizes 12, 14, 15 and 16); every size stops at MAX_SIZE.
+        for n in (12, 15):
+            with pytest.raises(TooLarge, match=(
+                    f"^labeled general enumeration of size {n} would build "
+                    f"{labeled_count(n)} algebras; "
+                    f"it is guarded at {MAX_LABELED}$")):
+                enumerate_all(n, up_to_iso=False)
+        for iso in (False, True):
+            with pytest.raises(TooLarge, match=(
+                    f"^general enumeration is guarded at {MAX_SIZE}$")):
+                enumerate_all(MAX_SIZE + 1, iso)
+        assert len(enumerate_all(MAX_SIZE).iso_classes) == 28
+
+    def test_labeled_sizes_the_guard_admits(self):
+        admitted = [n for n in range(1, MAX_SIZE + 1)
+                    if labeled_count(n) <= MAX_LABELED]
+        assert admitted == [*range(1, 12), 13]
+        report = enumerate_all(8, up_to_iso=False)
+        assert len(report.iso_classes) == report.total_labeled == 6952
+        assert report.violations == ()
+
+    @pytest.mark.parametrize("n", range(2, MAX_SIZE + 1, 2))
+    def test_other_regulars_largest_cloud_first(self, n):
+        # A representative places the regulars other than 0 and 1 by
+        # falling cloud size.
+        for a in enumerate_all(n, True).iso_classes:
+            if qba.is_flat(a):
+                continue
+            others = sorted(qba.regular_elements(a) - {a.zero, a.one})
+            sizes = [len(qba.cloud_of(a, r)) for r in others]
+            assert sizes == sorted(sizes, reverse=True), a.label
 
 
 @pytest.mark.parametrize("enumerate_", [enumerate_all, enumerate_flat])

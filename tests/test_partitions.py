@@ -1,4 +1,6 @@
 """Partition representation, the pair-set boundary and compatibility."""
+from itertools import combinations
+
 import pytest
 
 import qba
@@ -94,6 +96,27 @@ class TestTextFormat:
     def test_empty_chunks_skipped(self, fx):
         a = fx["4"]
         assert qba.parse_partition(a, ";0,1;;a; ;") == qba.parse_partition(a, "0,1")
+
+    def test_product_names_read_back(self, fx):
+        # direct_product names its elements (x,y); a name is the longest
+        # run of ','-pieces that names an element.
+        # all_congruences refuses 12 elements, so on (2xF3)x2 the
+        # congruences are those generated by at most two pairs.
+        two_f3 = qba.direct_product(fx["2"], fx["F3"])
+        big = qba.direct_product(two_f3, fx["2"])
+        pairs = list(combinations(big.elements(), 2))
+        seeds = [[p] for p in pairs] + list(map(list, combinations(pairs, 2)))
+        for a, cons in ((two_f3, qba.all_congruences(two_f3)),
+                        (big, {qba.generated_congruence(big, s) for s in seeds})):
+            assert len(cons) > 15
+            for p in cons:
+                assert qba.parse_partition(a, qba.format_partition(a, p)) == p
+        p = qba.parse_partition(two_f3, "(0,0), (0,c);(1, d),(1,0)")
+        assert p.blocks == ((0, 1), (2,), (3, 5), (4,))
+        with pytest.raises(AlgebraSemanticError, match=r"^unknown element name '\(0'$"):
+            qba.parse_partition(two_f3, "(0,0),(0")
+        with pytest.raises(AlgebraSemanticError, match="^unknown element name ''$"):
+            qba.parse_partition(two_f3, "(0,0),,(0,c)")
 
     def test_part_is_indexed_by_position(self, fx):
         a = fx["6"]  # irregular part a, e, f, b

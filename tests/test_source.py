@@ -49,7 +49,7 @@ def test_import_guard_sees_third_party_imports():
 
 
 def test_star_only_copies_stay_in_enumeration():
-    # FiniteAlgebra._with_star checks only the star; it is for generators
+    # FiniteAlgebra._with_stars checks only the stars; it is for generators
     # that built the rest through the constructor, never for user input.
     users = {p.name for p in SOURCES if "_with_star" in p.read_text("utf-8")}
     assert users == {"algebra.py", "enumeration.py"}
