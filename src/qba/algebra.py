@@ -34,6 +34,10 @@ def check_elements(n: int, values, what: str) -> None:
                              f"0..{n - 1}, not {v!r}")
 
 
+# Partition, pair and link texts separate element names by these.
+_SEPARATORS = frozenset(";=>")
+
+
 def _check_star(star, n: int) -> None:
     """The star's part of the well-formedness check: n integer entries in
     range."""
@@ -85,6 +89,8 @@ class FiniteAlgebra:
             raise AlgebraSemanticError("names must be strings") from None
         if spaced:
             raise AlgebraSemanticError("names must be non-empty and free of whitespace")
+        if not _SEPARATORS.isdisjoint("".join(self.names)):
+            raise AlgebraSemanticError("names must not contain ';', '=' or '>'")
         for table, what in ((self.join, "join"), (self.meet, "meet")):
             try:
                 shaped = len(table) == n and set(map(len, table)) == {n}

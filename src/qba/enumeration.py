@@ -17,8 +17,8 @@ by a closed form, labeled_count, which also guards labeled output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import combinations, permutations, product
+from functools import cache
+from itertools import combinations, islice, permutations, product, repeat
 from math import factorial
 from operator import eq, itemgetter
 from typing import Callable, Iterator, NamedTuple
@@ -102,25 +102,27 @@ def _tables(img, rep) -> tuple[tuple, tuple]:
 
 def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
     """Every algebra on {0..n-1} with zero at index 0 and 2^k regular
-    elements, each once.
-
-    img[i] is the regular element for the subset i of the k atoms; the
-    atoms img[1], img[2], img[4], ... increase, which keeps one labeling
-    per permutation of the atoms. Each irregular x gets a cloud rep[x],
-    clouds s and s ^ top have equal sizes, and the tables come from
-    _tables. The stars of a cloud assignment come from its _star_plan,
-    laid out over the irregulars and img; for k = 0 (the flat case) they
-    are the involutions of 1..n-1 that fix 0.
-    """
+    elements, each once. For k = 0 (the flat case): a star-only copy of
+    make_flat(n, n) per involution of 1..n-1. Otherwise n is even,
+    img[i] is the regular element for the subset i of the k atoms, and
+    the atoms img[1], img[2], img[4], ... increase, which keeps one
+    labeling per permutation of the atoms. Each irregular x gets a cloud
+    rep[x], clouds s and s ^ top have equal sizes, the tables come from
+    _tables and the stars from _cloud_stars."""
+    if k == 0:
+        stars = (b"\0" + inv for inv in _involutions(bytes(range(1, n))))
+        yield from make_flat(n, n)._with_stars(stars, repeat(""))
+        return
+    if n % 2:  # non-flat algebras have even order
+        return
     names = generic_names(n)
     top = (1 << k) - 1
     # The clouds of the irregulars, in order, that give clouds s and
     # s ^ top = top - s equal sizes (s -> top - s keeps their multiset):
     # the same for every choice of img.
-    plans = [_star_plan(clouds, top)
-             for clouds in product(range(top + 1), repeat=n - top - 1)
-             if sorted(clouds) == sorted(map(top.__sub__, clouds))]
-    if not plans:
+    assignments = [c for c in product(range(top + 1), repeat=n - top - 1)
+                   if sorted(c) == sorted(map(top.__sub__, c))]
+    if not assignments:
         return
     for p in permutations(range(1, n), top):
         img = (0,) + p
@@ -130,17 +132,46 @@ def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
         for s, r in enumerate(img):
             rep[r] = s
         irregulars = [x for x in range(n) if x not in img]
-        for clouds, order, pieces, tails in plans:
+        for clouds in assignments:
             for x, s in zip(irregulars, clouds):
                 rep[x] = s
             # The family of this cloud assignment shares names and tables;
             # its first algebra checks them, the others only their star.
-            layout = bytes(map(irregulars.__getitem__, order)) + bytes(img)
-            stars = _stars(layout, pieces(), tails)
+            stars = _cloud_stars(img, rep)
             first = FiniteAlgebra(names, *_tables(img, rep),
                                   tuple(next(stars)), 0, img[top])
             yield first
             yield from first._with_stars(stars)
+
+
+def _cloud_stars(img, rep) -> Iterator[bytes]:
+    """Every star of the non-flat algebra whose element x lies in the
+    cloud over the atom set rep[x], where img[s] is the regular element
+    of the set s. Each regular img[s] maps to img[top - s]; the
+    irregulars of each cloud s <= top >> 1 map onto those of cloud
+    top - s, in order, through each permutation of the latter in turn,
+    the last pair of clouds varying fastest."""
+    top = len(img) - 1
+    star = bytearray(len(rep))
+    members: list[list[int]] = [[] for _ in img]
+    for x, s in enumerate(rep):
+        if img[s] == x:
+            star[x] = img[top - s]
+        else:
+            members[s].append(x)
+    pairs = [(members[s], members[top - s]) for s in range(top // 2 + 1)]
+    # The first star (every permutation the identity) comes before product,
+    # which lists all permutations up front; _cloud_tables reads it alone.
+    for src, dst in pairs:
+        for x, y in zip(src, dst):
+            star[x], star[y] = y, x
+    yield bytes(star)
+    for perms in islice(product(*(permutations(dst) for _, dst in pairs)),
+                        1, None):
+        for (src, _), perm in zip(pairs, perms):
+            for x, y in zip(src, perm):
+                star[x], star[y] = y, x
+        yield bytes(star)
 
 
 def _involution_level(older: list[bytes], old: list[bytes],
@@ -177,62 +208,6 @@ def _involutions(members: bytes) -> Iterator[bytes]:
         older, old = old, list(_involution_level(older, old, bytes(range(m))))
     below = _involution_level(older, old, bytes(range(len(members) - 1)))
     return _involution_level(old, below, members)
-
-
-def _bijections(src: bytes, dst: bytes) -> Iterator[bytes]:
-    """Every bijection of the cloud src onto the cloud dst, with its
-    inverse, in the order of permutations(dst): the images of src, then
-    those of dst."""
-    for perm in permutations(dst):
-        yield bytes(perm) + bytes(map(src.__getitem__, map(perm.index, dst)))
-
-
-def _star_plan(clouds: tuple[int, ...], top: int
-               ) -> tuple[tuple[int, ...], list[int],
-                          Callable[[], Iterator[bytes]], list[bytes]]:
-    """The stars of one cloud assignment, the same for every choice of
-    img, over the places of a layout: the irregulars pair by pair (cloud
-    s, then cloud s ^ top = top - s, for s = 0 to top >> 1), then img.
-
-    A pair's pieces are the involutions of its cloud when s ^ top == s
-    (the flat case), else the bijections onto the complementary cloud;
-    the last pair varies fastest. Returns clouds; the indices of the
-    irregulars in layout order; a maker of the first pair's pieces,
-    which are streamed; and the tails: each combination of the other
-    pairs' pieces, then the images of img, padded to the 256 entries of
-    a translate table."""
-    members: list[list[int]] = [[] for _ in range(top + 1)]
-    for i, c in enumerate(clouds):
-        members[c].append(i)
-    order: list[int] = []
-    makers = []
-    for s in range(top // 2 + 1):
-        src = bytes(range(len(order), len(order) + len(members[s])))
-        order += members[s]
-        if s == top - s:
-            makers.append(partial(_involutions, src))
-        else:
-            order += members[top - s]
-            dst = bytes(range(len(order) - len(src), len(order)))
-            makers.append(partial(_bijections, src, dst))
-    m = len(clouds)  # img[s] is at place m + s, its image img[top - s]
-    tails = [bytes(range(m + top, m - 1, -1)) + bytes(256 - (m + top + 1))]
-    for make in reversed(makers[1:]):
-        tails = [piece + tail for piece in make() for tail in tails]
-    return clouds, order, makers[0], tails
-
-
-def _stars(layout: bytes, pieces: Iterator[bytes],
-           tails: list[bytes]) -> Iterator[bytes]:
-    """Every star of one family as bytes in element order, from the
-    stars in layout places (each piece before each tail): the place of
-    each element, read through a star, gives the place of its image,
-    and layout, read there, the image."""
-    where = bytes(map(layout.index, range(len(layout))))
-    elements = translation_table(layout)
-    for piece in pieces:
-        for tail in tails:
-            yield where.translate(piece + tail).translate(elements)
 
 
 def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
@@ -308,7 +283,7 @@ def _classes(n: int, flat_only: bool) -> tuple[FiniteAlgebra, ...]:
         fixed = range(n, 0, -2)
         tables = sorted(map(_cloud_tables, _cloud_classes(n)))
         labels = [f"qba{n}_{i}" for i in range(len(fixed) + len(tables))]
-    first = make_flat(n, fixed[0])
+    first = make_flat(n, n)
     flat = first._with_stars((bytes(flat_star(n, f)) for f in fixed), labels)
     return (*flat, *(FiniteAlgebra(first.names, *t, 0, 1, label)
                      for t, label in zip(tables, labels[len(fixed):])))
@@ -336,7 +311,8 @@ def _cloud_tables(c: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
     """join, meet and star of an algebra with cloud sizes c. Element 0 is
     zero and 1 is top; the irregulars of zero's cloud follow, then top's,
     then each other regular and its irregulars, largest cloud first. The
-    star maps the i-th member of cloud s to the i-th of cloud top - s.
+    star, the first of _cloud_stars, maps the i-th member of cloud s to
+    the i-th of cloud top - s.
     This makes x v x, the first row of join, least; with at most two
     atoms, which are then interchangeable, it is the least labeled
     algebra of the class in (one, join, meet, star) order."""
@@ -347,14 +323,7 @@ def _cloud_tables(c: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
     for s in sorted(range(1, top), key=c.__getitem__, reverse=True):
         img[s] = len(rep)
         rep += [s] * c[s]
-    members: list[list[int]] = [[] for _ in c]
-    for x, s in enumerate(rep):
-        members[s].append(x)
-    star = [0] * len(rep)
-    for s, cloud in enumerate(members):
-        for x, y in zip(cloud, members[top - s]):
-            star[x] = y
-    return (*_tables(img, rep), tuple(star))
+    return (*_tables(img, rep), tuple(next(_cloud_stars(img, rep))))
 
 
 STRUCTURE_CLAIMS = (

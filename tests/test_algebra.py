@@ -1,4 +1,6 @@
 """Tables, axiom validation and the basic structure queries."""
+import json
+
 import pytest
 
 import qba
@@ -107,6 +109,26 @@ class TestLoading:
         with pytest.raises(AlgebraSemanticError) as info:
             qba.algebra_from_dict(d)
         assert str(info.value) == "malformed star"
+
+    SEPARATOR_ERROR = "^names must not contain ';', '=' or '>'$"
+
+    @pytest.mark.parametrize("name", ["a;x", "a=x", "a>x", ";", "x="])
+    def test_separator_in_a_name_is_refused(self, fx, name):
+        # Partition texts split at ';', pairs at '=' and links at '>', so
+        # a name holding one would not read back.
+        a = fx["4"]
+        names = ("0", name, "b", "1")
+        with pytest.raises(AlgebraSemanticError, match=self.SEPARATOR_ERROR):
+            qba.FiniteAlgebra(names, a.join, a.meet, a.star, a.zero, a.one)
+        text = qba.dump_algebra(a).replace(" a ", f" {name} ")
+        assert f"names 0 {name} b 1" in text
+        with pytest.raises(AlgebraSemanticError, match=self.SEPARATOR_ERROR):
+            qba.load_algebra(text)
+        d = json.loads(json.dumps(qba.algebra_to_dict(a))
+                       .replace('"a"', json.dumps(name)))
+        assert d["names"] == list(names)
+        with pytest.raises(AlgebraSemanticError, match=self.SEPARATOR_ERROR):
+            qba.algebra_from_dict(d)
 
     def test_comments_and_blank_lines_ignored(self, fx):
         text = "# header\n\n" + qba.dump_algebra(fx["4"]) + "\n# trailing comment\n"

@@ -102,6 +102,18 @@ class TestExitCodes:
                  "regular class '0,1' is linked to two irregular classes")):
             assert run(argv) == CommandResult(2, f"error: {message}")
 
+    def test_name_with_a_separator_exits_2(self, tmp_path):
+        # Such a name could not be read back from partition, pair or link
+        # text, so the file is refused before any command reads it.
+        for name, argv in (("a=x", ["generate", "--pairs", "a=x=b"]),
+                           ("a;x", ["generate", "--seed", "a;x,b"]),
+                           ("a>x", ["validate"])):
+            text = qba.dump_algebra(qba.fixture("4")).replace(" a ", f" {name} ")
+            path = tmp_path / "renamed.alg"
+            path.write_text(text)
+            assert run(argv[:1] + [str(path)] + argv[1:]) == CommandResult(
+                2, "error: names must not contain ';', '=' or '>'")
+
     def test_partition_text_rules(self):
         # An empty name is refused wherever partition text is read, and a
         # name in two blocks gets one message.

@@ -111,10 +111,25 @@ class TestEnumerateFlat:
         monkeypatch.setattr(qba.FiniteAlgebra, "__post_init__",
                             lambda a: built.append(a) or real(a))
         classes = enumerate_flat(n).iso_classes
-        assert len(built) == 1
+        assert len(built) == 1 and built[0].star == tuple(range(n))
         fixed = range(2 - n % 2, n + 1, 2)
         want = [make_flat(n, k) for k in fixed]
         assert [(a.label, a) for a in classes] == [(a.label, a) for a in want]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10])
+    def test_labeled_are_star_only_copies_of_make_flat(self, n, monkeypatch):
+        # The one constructed algebra is make_flat(n, n), whose identity
+        # star is valid for every n; the output is unlabeled copies of it.
+        built = []
+        real = qba.FiniteAlgebra.__post_init__
+        monkeypatch.setattr(qba.FiniteAlgebra, "__post_init__",
+                            lambda a: built.append(a) or real(a))
+        labeled = enumerate_flat(n, up_to_iso=False).iso_classes
+        assert len(built) == 1 and built[0].label == f"F{n}k{n}"
+        assert built[0].star == tuple(range(n))
+        assert len(labeled) == involution_count(n - 1)
+        assert {a.label for a in labeled} == {""}
+        assert all(a.join is built[0].join for a in labeled)
 
     def test_guards(self):
         with pytest.raises(TooLarge):

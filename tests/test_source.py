@@ -53,3 +53,32 @@ def test_star_only_copies_stay_in_enumeration():
     # that built the rest through the constructor, never for user input.
     users = {p.name for p in SOURCES if "_with_star" in p.read_text("utf-8")}
     assert users == {"algebra.py", "enumeration.py"}
+
+
+def unused_imports(tree: ast.AST) -> set[str]:
+    """The names a module's imports bind that it never reads; `import a.b`
+    binds a, and `from __future__` binds nothing."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export; every other module imports to use.
+    unused = {p.name: sorted(names) for p in SOURCES if p.name != "__init__.py"
+              if (names := unused_imports(ast.parse(p.read_text("utf-8"))))}
+    assert not unused, f"imported but never read: {unused}"
+
+
+def test_unused_import_check_sees_leftovers():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from functools import cache, partial\nimport os.path\n"
+                     "import json as j\n@cache\ndef f(): return os.sep\n")
+    assert unused_imports(tree) == {"partial", "j"}
