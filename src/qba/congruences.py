@@ -303,6 +303,9 @@ def cross_pairs(a: FiniteAlgebra, theta_r: Partition, theta_ir: Partition,
     the theta_r class and w in the theta_ir block of a link, given as
     (regular block index, irregular block index) pairs."""
     regs, irs = regular_split(a)
+    links = list(links)
+    _check_blocks([rb for rb, _ in links], theta_r, ValueError, "a link")
+    _check_blocks([ib for _, ib in links], theta_ir, ValueError, "a link")
     cross = set()
     for rb, ib in links:
         for i in theta_r.blocks[rb]:
@@ -310,6 +313,12 @@ def cross_pairs(a: FiniteAlgebra, theta_r: Partition, theta_ir: Partition,
                 cross.add((regs[i], irs[j]))
                 cross.add((irs[j], regs[i]))
     return frozenset(cross)
+
+
+def _check_blocks(values, p: Partition, error: type[Exception], what: str):
+    """Raise error unless every value is an int index of a block of p."""
+    if not all(isinstance(b, int) and 0 <= b < len(p.blocks) for b in values):
+        raise error(f"{what} names a nonexistent block")
 
 
 def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
@@ -355,10 +364,9 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
                 witness=tuple(irs[i] for i in block))
 
     # (C2) linked set and block map.
-    nblocks_r = len(d.theta_r.blocks)
-    if any(not (0 <= b < nblocks_r) for b in d.linked):
-        raise ConditionC2Violated("linked set names a nonexistent block")
     fmap = d.f_map
+    _check_blocks(d.linked, d.theta_r, ConditionC2Violated, "linked set")
+    _check_blocks(fmap.values(), d.theta_ir, ConditionC2Violated, "f")
     if set(fmap) != set(d.linked):
         raise ConditionC2Violated("f must be defined exactly on the linked set")
     if len(set(fmap.values())) != len(fmap):

@@ -122,8 +122,6 @@ def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
     # the same for every choice of img.
     assignments = [c for c in product(range(top + 1), repeat=n - top - 1)
                    if sorted(c) == sorted(map(top.__sub__, c))]
-    if not assignments:
-        return
     for p in permutations(range(1, n), top):
         img = (0,) + p
         if any(img[1 << i] > img[2 << i] for i in range(k - 1)):
@@ -343,9 +341,6 @@ STRUCTURE_CLAIMS = (
 )
 
 
-_RANK = {label: i for i, label in enumerate(STRUCTURE_CLAIMS)}
-
-
 class _TableFacts(NamedTuple):
     """What verify_structure derives from join, meet, zero and one alone,
     so algebras that share those objects derive it once."""
@@ -354,59 +349,53 @@ class _TableFacts(NamedTuple):
     cloud_at: list[frozenset[int]]
     clouds: list[tuple[int, Callable[[tuple[int, ...]], tuple[int, ...]],
                        frozenset[int]]]
-    table_claims: list[tuple[str, bool]]
+    claims: list[tuple[str, bool | None]]
     tables_hold: bool
-    star_labels: tuple[str, ...]
     irreducible_even: bool
 
 
 def _table_facts(a: FiniteAlgebra) -> _TableFacts:
     """The class {y : y v y = x v x} of each x, each regular with a
-    getter of the images of its cloud and the cloud, the claims that
-    read no star (the cloud partition, then the non-flat parity or the
-    flat collapse claims) and the labels of the claims that do."""
+    getter of the images of its cloud and the cloud, and every claim that
+    applies, in STRUCTURE_CLAIMS order: with its value where it reads the
+    tables alone, with None where it reads the star."""
     regs = regular_elements(a)
     reps = [a.join[x][x] for x in a.elements()]
     by_rep = cloud_map(a)
-    clouds = {r: by_rep[r] for r in regs}
-
-    table_claims = [
-        ("cloud-partition",
-         set().union(*clouds.values()) == set(a.elements())
-         and sum(map(len, clouds.values())) == a.size
-         and regs.issuperset(reps)),
-    ]
-    star_labels = ("star-cloud-image", "star-cloud-size")
+    # Once every x v x is regular, the clouds of the regulars are the
+    # classes of by_rep, so they cover the carrier disjointly.
+    claims = [("cloud-partition", regs.issuperset(reps)),
+              ("star-cloud-image", None), ("star-cloud-size", None)]
     flat = is_flat(a)
     irreducible_even = not flat and a.size % 2 == 0 and is_irreducible(a)
     if not flat:
-        table_claims += [("nonflat-regular-even", len(regs) % 2 == 0),
-                         ("nonflat-order-even", a.size % 2 == 0)]
-        star_labels += ("nonflat-star-free",
-                        "nonflat-complement-clouds-disjoint")
+        claims += [("nonflat-star-free", None),
+                   ("nonflat-complement-clouds-disjoint", None),
+                   ("nonflat-regular-even", len(regs) % 2 == 0),
+                   ("nonflat-order-even", a.size % 2 == 0)]
         if irreducible_even:
-            star_labels += ("irreducible-product-form",)
+            claims.append(("irreducible-product-form", None))
             if a.size % 4 == 2:
-                star_labels += ("irreducible-odd-flat-form",)
+                claims.append(("irreducible-odd-flat-form", None))
     else:
         zero_row = (a.zero,) * a.size
-        table_claims += [
+        claims += [
             ("flat-regulars-trivial", regs == frozenset((a.zero,))),
             ("flat-cloud-zero-whole",
              by_rep[reps[a.zero]] == frozenset(a.elements())),
             ("flat-ops-zero",
              all(tuple(row) == zero_row for row in a.join)
              and all(tuple(row) == zero_row for row in a.meet)),
+            ("flat-size-parity", None),
         ]
-        star_labels += ("flat-size-parity",)
     # A getter of the star's entries at the cloud's members, as a tuple:
     # a slice for a single member (itemgetter of one index gives no tuple).
     images = [(r, itemgetter(*cloud) if len(cloud) > 1
                else itemgetter(slice(r, r + 1)), cloud)
-              for r, cloud in clouds.items()]
+              for r, cloud in ((r, by_rep[r]) for r in regs)]
     return _TableFacts(flat, list(map(by_rep.__getitem__, reps)), images,
-                       table_claims, all(ok for _, ok in table_claims),
-                       star_labels, irreducible_even)
+                       claims, all(ok is not False for _, ok in claims),
+                       irreducible_even)
 
 
 @cache
@@ -438,14 +427,14 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
 
 
 def _claims(f: _TableFacts, stars: tuple[bool, ...]) -> list[tuple[str, bool]]:
-    """The table claims of f and the star claims, labeled by
-    f.star_labels, merged in STRUCTURE_CLAIMS order."""
-    return sorted(f.table_claims + list(zip(f.star_labels, stars)),
-                  key=lambda claim: _RANK[claim[0]])
+    """The claims of f, each None filled in order from stars."""
+    stars = iter(stars)
+    return [(label, next(stars) if ok is None else ok)
+            for label, ok in f.claims]
 
 
 def _star_claims(a: FiniteAlgebra, f: _TableFacts) -> tuple[bool, ...]:
-    """The claims that read the star, one bool per label of f.star_labels,
+    """The claims that read the star, one bool per None of f.claims,
     from one pass over the clouds. The irreducible claims share one
     certified candidate map onto _product_target(n)."""
     star = a.star

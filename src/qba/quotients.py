@@ -8,7 +8,6 @@ of the two quotients via x -> (x/chi, x/tau).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import permutations
 from typing import Iterator
 
@@ -238,7 +237,7 @@ def make_flat(n: int, k: int) -> FiniteAlgebra:
     """
     if not (1 <= k <= n) or (n - k) % 2 != 0:
         raise InvalidShape(f"no flat algebra of size {n} with {k} star fixed points")
-    zeros = _zero_table(n)
+    zeros = ((0,) * n,) * n
     return FiniteAlgebra(names=generic_names(n), join=zeros, meet=zeros,
                          star=flat_star(n, k), zero=0, one=0,
                          label=f"F{n}k{k}")
@@ -257,13 +256,6 @@ def flat_star(n: int, k: int) -> tuple[int, ...]:
     for i in range(k, n, 2):
         star.extend((i + 1, i))
     return tuple(star)
-
-
-@cache
-def _zero_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """The all-zero n x n table, one object per n: the flat algebras of one
-    size share it, so enumeration derives their table facts once."""
-    return ((0,) * n,) * n
 
 
 def make_irreducible(k: int) -> FiniteAlgebra:

@@ -380,6 +380,10 @@ class TestComposeNonflat:
         ((0, 1), ((0, 0), (1, 0)), "f is not injective"),
         ((0,), ((0, 0),), "linked set is not star-closed"),
         ((0, 1), ((0, 1), (1, 0)), "image block misses the clouds of its class"),
+        (("x",), (("x", 0),), "linked set names a nonexistent block"),
+        ((0, 1), ((0, 99), (1, 1)), "f names a nonexistent block"),
+        ((0, 1), ((0, -1), (1, 1)), "f names a nonexistent block"),
+        ((0, 1), ((0, 1.0), (1, 0)), "f names a nonexistent block"),
     ])
     def test_c2_block_map_fails(self, fx, linked, f, message):
         # On 6 the classes {0} and {1} own the clouds of a,e and of f,b.
@@ -443,6 +447,25 @@ class TestComposeNonflat:
             linked=frozenset(), f=(), cross=frozenset())
         with pytest.raises(FlatInput):
             qba.compose_nonflat(fx["F3"], d)
+
+
+class TestCrossPairs:
+    def test_display_of_a_link(self, fx):
+        a = fx["6"]
+        d = qba.decompose(a, qba.chi(a))
+        pairs = qba.congruences.cross_pairs(a, d.theta_r, d.theta_ir, [(0, 0)])
+        assert pairs == {(0, 1), (1, 0), (0, 2), (2, 0)}
+
+    @pytest.mark.parametrize("links", [[(-1, -1)], [(9, 0)], [(0, 2)],
+                                       [(0, 1.0)]])
+    def test_link_outside_the_blocks_is_refused(self, fx, links):
+        # -1 would wrap to the last block, 9 and 2 are past the last one
+        # and 1.0 is no index.
+        a = fx["6"]
+        d = qba.decompose(a, qba.chi(a))
+        with pytest.raises(ValueError,
+                           match="^a link names a nonexistent block$"):
+            qba.congruences.cross_pairs(a, d.theta_r, d.theta_ir, links)
 
 
 class TestDecompose:
