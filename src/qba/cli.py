@@ -22,8 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import (FiniteAlgebra, ValidationReport, algebra_to_dict,
-                      cloud_map, dump_algebra, is_flat, load_algebra,
-                      regular_elements, require_valid, validate)
+                      dump_algebra, is_flat, load_algebra, regular_elements,
+                      require_valid, validate)
 from .congruences import (CongruenceDecomposition, all_congruences,
                           compose_flat, compose_nonflat, cross_pairs,
                           decompose, extend_from_subalgebra,
@@ -34,8 +34,8 @@ from .errors import NotAQBAlgebra, QbaError
 from .partitions import (format_blocks, format_partition, pair_closure_gaps,
                          parse_names, parse_part, parse_partition,
                          position_in_part)
-from .quotients import (chi, direct_product, find_isomorphism, is_irreducible,
-                        quotient, tau)
+from .quotients import (chi, class_names, direct_product, find_isomorphism,
+                        is_irreducible, quotient, tau)
 from .terms import Verdict, decide, holds_in, parse_equation
 
 
@@ -119,7 +119,7 @@ def _cmd_info(args) -> CommandResult:
     a = _load(args.algebra)
     report = validate(a)
     regs, _ = regular_split(a)
-    clouds = sorted(cloud_map(a).values(), key=min)
+    clouds = chi(a).blocks
     irreducible = None if is_flat(a) else is_irreducible(a)
     lines = [
         f"algebra {a.label or '(unnamed)'}: {a.size} elements",
@@ -128,7 +128,7 @@ def _cmd_info(args) -> CommandResult:
         f"axioms: {'pass' if report.passed else 'FAIL'}",
         f"flat: {'yes' if is_flat(a) else 'no'}",
         f"regular elements: {{{', '.join(a.names[x] for x in regs)}}}",
-        "clouds: " + " ".join("{" + ",".join(a.names[x] for x in sorted(c)) + "}"
+        "clouds: " + " ".join("{" + ",".join(a.names[x] for x in c) + "}"
                               for c in clouds),
     ]
     if not is_flat(a):
@@ -140,7 +140,7 @@ def _cmd_info(args) -> CommandResult:
                "zero": a.names[a.zero], "one": a.names[a.one],
                "passed": report.passed, "flat": is_flat(a),
                "regular": [a.names[x] for x in regs],
-               "clouds": [[a.names[x] for x in sorted(c)] for c in clouds],
+               "clouds": [[a.names[x] for x in c] for c in clouds],
                "irreducible": irreducible,
                "trivial": a.size == 1}
     return CommandResult(0, _emit(payload, "\n".join(lines), args.json))
@@ -253,9 +253,8 @@ def _cmd_split(args) -> CommandResult:
     a = _load_valid(args.algebra)
     theta = parse_partition(a, args.cong)
     t1, t2 = split_congruence(a, theta)
-    qc = quotient(a, chi(a))[0]
-    qt = quotient(a, tau(a))[0]
-    s1, s2 = format_partition(qc, t1), format_partition(qt, t2)
+    s1 = format_blocks(class_names(a, chi(a)), t1.blocks)
+    s2 = format_blocks(class_names(a, tau(a)), t2.blocks)
     human = f"theta1 on {a.label}/chi: {s1}\ntheta2 on {a.label}/tau: {s2}"
     return CommandResult(0, _emit({"theta1": s1, "theta2": s2}, human,
                                   args.json))
@@ -266,12 +265,13 @@ def _cmd_decompose(args) -> CommandResult:
     theta = parse_partition(a, args.cong)
     d = decompose(a, theta)
     regs, irs = regular_split(a)
+    r_names, ir_names = [a.names[x] for x in regs], [a.names[x] for x in irs]
     r_blocks, ir_blocks = d.theta_r.blocks, d.theta_ir.blocks
-    fmt_r = format_blocks(a, r_blocks, regs)
-    fmt_ir = format_blocks(a, ir_blocks, irs)
-    linked = sorted(format_blocks(a, r_blocks[b:b + 1], regs) for b in d.linked)
-    fmap = {format_blocks(a, r_blocks[b:b + 1], regs):
-            format_blocks(a, ir_blocks[img:img + 1], irs) for b, img in d.f}
+    fmt_r = format_blocks(r_names, r_blocks)
+    fmt_ir = format_blocks(ir_names, ir_blocks)
+    linked = sorted(format_blocks(r_names, r_blocks[b:b + 1]) for b in d.linked)
+    fmap = {format_blocks(r_names, r_blocks[b:b + 1]):
+            format_blocks(ir_names, ir_blocks[img:img + 1]) for b, img in d.f}
     cross = sorted(f"{a.names[p]}={a.names[q]}" for p, q in d.cross if p < q)
     human = "\n".join([
         f"theta_r (regular part): {fmt_r}",
@@ -303,7 +303,7 @@ def _cmd_compose(args) -> CommandResult:
             rb = theta_r.block_index(position_in_part(a, x, regs))
             ib = theta_ir.block_index(position_in_part(a, y, irs))
             if f.setdefault(rb, ib) != ib:
-                cls = format_blocks(a, [theta_r.blocks[rb]], regs)
+                cls = format_blocks([a.names[x] for x in regs], [theta_r.blocks[rb]])
                 raise QbaError(f"regular class {cls!r} is linked to two irregular classes")
         d = CongruenceDecomposition(
             theta_r=theta_r, theta_ir=theta_ir,

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (FiniteAlgebra, check_elements, cloud_of, is_flat,
+from .algebra import (FiniteAlgebra, check_elements, is_flat,
                       regular_elements, require_valid)
 from .errors import (ConditionC1Violated, ConditionC2Violated,
                      ConditionC3Violated, FlatInput, NotACongruence,
                      NotASubalgebra, NotFlat, PreconditionViolated,
                      NotStarClosed, TooLarge)
-from .partitions import Partition, UnionFind, is_congruence
+from .partitions import Partition, UnionFind, classes, is_congruence
 from .quotients import chi, tau
 
 MAX_EXHAUSTIVE = 10  # Bell-number blowup guard for carrier-wide searches
@@ -46,8 +46,8 @@ def generated_congruence(a: FiniteAlgebra, seed) -> Partition:
         p, q = work.pop()
         if uf.union(p, q):
             work.append((star_t[p], star_t[q]))
-    assign = [uf.find(b) for b in range(len(star_t))]
-    return Partition(a.size, _split_blocks([row[cstar] for row in a.meet], assign, lift))
+    return Partition(a.size, classes([(row[cstar], uf.find(lift[x]))
+                                      for x, row in enumerate(a.meet)]))
 
 
 def all_congruences(a: FiniteAlgebra) -> list[Partition]:
@@ -64,7 +64,7 @@ def all_congruences(a: FiniteAlgebra) -> list[Partition]:
         raise TooLarge(f"carrier of {n} exceeds the guard of {MAX_EXHAUSTIVE}")
     regs, lift, star_t = _tau_frame(a)
     ideals = [[row[c] for row in a.meet] for c in regs]
-    found = {_split_blocks(ideal, assign, lift)
+    found = {classes(zip(ideal, [assign[b] for b in lift]))
              for assign in _star_partitions(star_t) for ideal in ideals}
     return [Partition(n, blocks) for blocks in sorted(found)]
 
@@ -76,15 +76,6 @@ def _tau_frame(a: FiniteAlgebra):
     block = {x: b for b, x in enumerate(irs, 1)}
     lift = [block.get(x, 0) for x in a.elements()]
     return regs, lift, [0] + [lift[a.star[x]] for x in irs]
-
-
-def _split_blocks(ideal, assign, lift) -> tuple[tuple[int, ...], ...]:
-    """ker_c ∩ π as canonical blocks, for ideal[x] = x ^ c and assign[b] the
-    π-block of tau-block b: the elements grouped in element order."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for x, b in enumerate(lift):
-        groups.setdefault((ideal[x], assign[b]), []).append(x)
-    return tuple(map(tuple, groups.values()))
 
 
 def _star_partitions(star):
@@ -173,7 +164,7 @@ def extend_from_subalgebra(a: FiniteAlgebra, q0, theta0: Partition) -> Partition
         raise ValueError("partition size does not match the subalgebra")
     if not is_congruence(sub, theta0):
         raise NotACongruence("theta0 is not a congruence on the subalgebra")
-    seed = [(subset[x], subset[y]) for x, y in theta0.as_pairs() if x < y]
+    seed = [(subset[b[0]], subset[x]) for b in theta0.blocks for x in b[1:]]
     return generated_congruence(a, seed)
 
 
@@ -190,12 +181,11 @@ def split_congruence(a: FiniteAlgebra, theta: Partition
     require_valid(a)
     if not is_congruence(a, theta):
         raise NotACongruence("split requires a congruence")
-    pairs = [(x, y) for x, y in theta.as_pairs() if x < y]
 
     def project(rel: Partition) -> Partition:
-        cls = rel.block_index
-        return Partition.from_pairs(len(rel.blocks),
-                                    [(cls(x), cls(y)) for x, y in pairs])
+        cls = rel._member
+        return Partition.from_pairs(len(rel.blocks), [
+            (cls[b[0]], cls[x]) for b in theta.blocks for x in b[1:]])
 
     return project(chi(a)), project(tau(a))
 
@@ -225,10 +215,10 @@ def principal_congruence_nonflat(a: FiniteAlgebra, theta_r: Partition,
         raise NotACongruence("theta_r is not a congruence on the regular part")
     if x in rset or y in rset:
         raise PreconditionViolated("x and y must be irregular")
-    if y not in cloud_of(a, a.join[x][x]):
+    if a.join[y][y] != a.join[x][x]:
         raise PreconditionViolated("y must lie in the cloud of x v x")
 
-    reg_pairs = [(regs[p], regs[q]) for p, q in theta_r.as_pairs()]
+    reg_pairs = [(regs[b[0]], regs[r]) for b in theta_r.blocks for r in b[1:]]
     return Partition.from_pairs(a.size,
                                 reg_pairs + [(x, y), (a.star[x], a.star[y])])
 
@@ -341,7 +331,9 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
         raise ValueError("partition sizes do not match the regular/irregular split")
     if not is_congruence(subalgebra(a, regs), d.theta_r):
         raise NotACongruence("theta_r is not a congruence on the regular part")
-    local_r = {g: i for i, g in enumerate(regs)}
+    # cls[x]: the theta_r class of x v x, whose clouds hold x.
+    reg_class = dict(zip(regs, d.theta_r._member))
+    cls = [reg_class[row[x]] for x, row in enumerate(a.join)]
     local_ir = {g: i for i, g in enumerate(irs)}
 
     # (C1) star closure of theta_ir.
@@ -356,9 +348,7 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
         ir_star_block[bi] = d.theta_ir._member[image[0]]
     # (C1) confinement to the clouds of one regular class.
     for block in d.theta_ir.blocks:
-        classes = {d.theta_r._member[local_r[a.join[irs[i]][irs[i]]]]
-                   for i in block}
-        if len(classes) > 1:
+        if len({cls[irs[i]] for i in block}) > 1:
             raise ConditionC1Violated(
                 "irregular block spans clouds of unrelated regular classes",
                 witness=tuple(irs[i] for i in block))
@@ -371,21 +361,15 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
         raise ConditionC2Violated("f must be defined exactly on the linked set")
     if len(set(fmap.values())) != len(fmap):
         raise ConditionC2Violated("f is not injective")
-    reg_star_block = {
-        bi: d.theta_r._member[local_r[a.star[regs[block[0]]]]]
-        for bi, block in enumerate(d.theta_r.blocks)}
     for bi in d.linked:
-        if reg_star_block[bi] not in d.linked:
+        star_bi = cls[a.star[regs[d.theta_r.blocks[bi][0]]]]
+        if star_bi not in d.linked:
             raise ConditionC2Violated("linked set is not star-closed",
                                       witness=bi)
-        if fmap[reg_star_block[bi]] != ir_star_block[fmap[bi]]:
+        if fmap[star_bi] != ir_star_block[fmap[bi]]:
             raise ConditionC2Violated(
                 "f does not preserve star", witness=bi)
-        class_clouds = set()
-        for i in d.theta_r.blocks[bi]:
-            class_clouds |= cloud_of(a, regs[i])
-        image_glob = {irs[i] for i in d.theta_ir.blocks[fmap[bi]]}
-        if not (image_glob & class_clouds):
+        if all(cls[irs[i]] != bi for i in d.theta_ir.blocks[fmap[bi]]):
             raise ConditionC2Violated(
                 "image block misses the clouds of its class", witness=bi)
 
@@ -396,10 +380,13 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
         raise ConditionC3Violated("cross part differs from the (C3) display",
                                   witness=diff[0] if diff else None)
 
-    union = set(expected)
-    union.update((regs[p], regs[q]) for p, q in d.theta_r.as_pairs())
-    union.update((irs[p], irs[q]) for p, q in d.theta_ir.as_pairs())
-    return Partition.from_pairs(a.size, union)
+    # With (C3) the union closes from spanning pairs: each member with the
+    # least of its block, and one pair per link.
+    pairs = [(regs[d.theta_r.blocks[rb][0]], irs[d.theta_ir.blocks[ib][0]])
+             for rb, ib in fmap.items()]
+    for part, p in ((regs, d.theta_r), (irs, d.theta_ir)):
+        pairs += [(part[b[0]], part[x]) for b in p.blocks for x in b[1:]]
+    return Partition.from_pairs(a.size, pairs)
 
 
 def decompose(a: FiniteAlgebra, theta: Partition) -> CongruenceDecomposition:
@@ -418,15 +405,15 @@ def decompose(a: FiniteAlgebra, theta: Partition) -> CongruenceDecomposition:
     rset = set(regs)
     theta_r = theta.restrict(regs)
     theta_ir = theta.restrict(irs)
-    local_ir = {g: i for i, g in enumerate(irs)}
+    reg_class = dict(zip(regs, theta_r._member))
 
+    # The first witness w of a class in element order, with w theta w v w,
+    # is the least.
     fmap = {}
-    for bi, block in enumerate(theta_r.blocks):
-        witnesses = [w for w in irs
-                     if a.join[w][w] in {regs[i] for i in block}
-                     and theta._member[a.join[w][w]] == theta._member[w]]
-        if witnesses:
-            fmap[bi] = theta_ir._member[local_ir[min(witnesses)]]
+    for i, w in enumerate(irs):
+        r = a.join[w][w]
+        if theta._member[r] == theta._member[w]:
+            fmap.setdefault(reg_class[r], theta_ir._member[i])
     cross = frozenset(
         (p, q) for p, q in theta.as_pairs()
         if (p in rset) != (q in rset))

@@ -29,16 +29,21 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if rb < ra:
-            ra, rb = rb, ra
         self.parent[rb] = ra
         return True
 
-    def blocks(self) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return [groups[r] for r in sorted(groups)]
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return classes([self.find(x) for x in range(len(self.parent))])
+
+
+def classes(keys) -> tuple[tuple[int, ...], ...]:
+    """The classes of equal keys over 0..n-1, x keyed by keys[x], as
+    canonical blocks: each class is filled in element order and opened at
+    its least element, so the classes come by least element."""
+    groups: dict = {}
+    for x, key in enumerate(keys):
+        groups.setdefault(key, []).append(x)
+    return tuple(map(tuple, groups.values()))
 
 
 @dataclass(frozen=True)
@@ -54,14 +59,14 @@ class Partition:
         for bi, block in enumerate(self.blocks):
             if not block:
                 raise ValueError("empty block")
-            if tuple(sorted(block)) != tuple(block):
-                raise ValueError("block not sorted")
             for x in block:
-                if not (0 <= x < self.size):
-                    raise ValueError(f"element {x} out of range")
+                if not (isinstance(x, int) and 0 <= x < self.size):
+                    raise ValueError(f"element {x!r} out of range")
                 if seen[x] != -1:
                     raise ValueError(f"element {x} in two blocks")
                 seen[x] = bi
+            if tuple(sorted(block)) != tuple(block):
+                raise ValueError("block not sorted")
         if -1 in seen:
             raise ValueError("blocks do not cover the carrier")
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
@@ -88,7 +93,7 @@ class Partition:
         for a, b in pairs:
             check_elements(size, (a, b), "a pair")
             uf.union(a, b)
-        return cls(size, tuple(tuple(b) for b in uf.blocks()))
+        return cls(size, uf.blocks())
 
     def block_of(self, x: int) -> tuple[int, ...]:
         check_elements(self.size, (x,), "block_of")
@@ -118,11 +123,7 @@ class Partition:
         elements = list(elements)
         check_elements(self.size, elements, "restrict")
         subset = sorted(set(elements))
-        local = {g: i for i, g in enumerate(subset)}
-        groups: dict[int, list[int]] = {}
-        for g in subset:
-            groups.setdefault(self._member[g], []).append(local[g])
-        return Partition.from_blocks(len(subset), groups.values())
+        return Partition(len(subset), classes([self._member[g] for g in subset]))
 
     def sort_key(self) -> tuple:
         return self.blocks
@@ -132,13 +133,13 @@ def format_partition(a: FiniteAlgebra, p: Partition) -> str:
     """Canonical text form: blocks joined by ';', members by ','."""
     if p.size != a.size:
         raise ValueError("partition size does not match the algebra")
-    return format_blocks(a, p.blocks, a.elements())
+    return format_blocks(a.names, p.blocks)
 
 
-def format_blocks(a: FiniteAlgebra, blocks, part: Sequence[int]) -> str:
-    """Blocks of positions in part, a sorted sequence of elements, as text:
-    blocks joined by ';', members by their names joined by ','."""
-    return ";".join(",".join(a.names[part[i]] for i in block) for block in blocks)
+def format_blocks(names: Sequence[str], blocks) -> str:
+    """Blocks of indices into names as text: blocks joined by ';', members
+    by their names joined by ','."""
+    return ";".join(",".join(names[i] for i in block) for block in blocks)
 
 
 def parse_partition(a: FiniteAlgebra, text: str) -> Partition:

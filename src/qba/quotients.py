@@ -11,11 +11,10 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .algebra import (FiniteAlgebra, cloud_map, is_flat, regular_elements,
-                      require_valid)
+from .algebra import FiniteAlgebra, is_flat, regular_elements, require_valid
 from .errors import (FlatInput, InvalidShape, InvariantViolation,
                      NotACongruence, PreconditionViolated)
-from .partitions import Partition, is_congruence
+from .partitions import Partition, classes, is_congruence
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,8 @@ class ElementMap:
     def __post_init__(self):
         if len(self.mapping) != self.source_size:
             raise ValueError("mapping length differs from source size")
-        if any(not (0 <= v < self.target_size) for v in self.mapping):
+        if any(not (isinstance(v, int) and 0 <= v < self.target_size)
+               for v in self.mapping):
             raise ValueError("mapping value out of range")
 
     def __call__(self, x: int) -> int:
@@ -53,15 +53,20 @@ def chi(a: FiniteAlgebra) -> Partition:
 
     Blocks are exactly the clouds; the quotient is Boolean.
     """
-    return Partition.from_blocks(a.size, cloud_map(a).values())
+    return Partition(a.size, classes([row[x] for x, row in enumerate(a.join)]))
 
 
 def tau(a: FiniteAlgebra) -> Partition:
     """Congruence with one block of all regular elements and singleton
     irregulars. The quotient is flat."""
-    regs = regular_elements(a)
-    blocks = [sorted(regs)] + [[x] for x in a.elements() if x not in regs]
-    return Partition.from_blocks(a.size, blocks)
+    return Partition(a.size, classes(["regular" if row[x] == x else x
+                                      for x, row in enumerate(a.join)]))
+
+
+def class_names(a: FiniteAlgebra, theta: Partition) -> tuple[str, ...]:
+    """The element names of a quotient by theta: each block as the name of
+    its least element in brackets."""
+    return tuple(f"[{a.names[block[0]]}]" for block in theta.blocks)
 
 
 def quotient(a: FiniteAlgebra, theta: Partition) -> tuple[FiniteAlgebra, ElementMap]:
@@ -76,24 +81,22 @@ def quotient(a: FiniteAlgebra, theta: Partition) -> tuple[FiniteAlgebra, Element
     require_valid(a)
     if not is_congruence(a, theta):
         raise NotACongruence("quotient requires a congruence")
-    cls = theta.block_index
+    cls = theta._member
     reps = [block[0] for block in theta.blocks]
 
     def induced(table) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(cls(table[x][y]) for y in reps) for x in reps)
+        return tuple(tuple(cls[table[x][y]] for y in reps) for x in reps)
 
-    names = tuple(f"[{a.names[x]}]" for x in reps)
     q = FiniteAlgebra(
-        names=names,
+        names=class_names(a, theta),
         join=induced(a.join),
         meet=induced(a.meet),
-        star=tuple(cls(a.star[x]) for x in reps),
-        zero=cls(a.zero),
-        one=cls(a.one),
+        star=tuple(cls[a.star[x]] for x in reps),
+        zero=cls[a.zero],
+        one=cls[a.one],
         label=f"{a.label}/~" if a.label else "",
     )
-    proj = ElementMap(a.size, len(reps), tuple(map(cls, a.elements())))
-    return q, proj
+    return q, ElementMap(a.size, len(reps), cls)
 
 
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:

@@ -1,8 +1,9 @@
 """The error contract of the public API.
 
-A right-typed but out-of-range element or block index raises a QbaError
-or a ValueError: never a KeyError, IndexError or TypeError, and never a
-silent answer (so -1 does not wrap to the last block). The guards that
+An out-of-range element or block index, or one that is not an int, raises
+a QbaError or a ValueError: never a KeyError, IndexError or TypeError, and
+never a silent answer (so -1 does not wrap to the last block). A bool is an
+int here, as everywhere in Python. The guards that
 refuse malformed input are listed with their error type and message.
 """
 from dataclasses import replace
@@ -10,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 import qba
-from qba import FiniteAlgebra, Partition
+from qba import ElementMap, FiniteAlgebra, Partition
 from qba.congruences import cross_pairs
 from qba.enumeration import involution_count
 from qba.errors import (AlgebraSemanticError, EquationParseError,
@@ -59,6 +60,9 @@ def guard(call, error, message):
         "cross-pairs-irregular-n"),
     row(lambda: Partition(3, ((0,), (1,), (3,))), "partition-n"),
     row(lambda: Partition(3, ((-1, 0), (1,), (2,))), "partition--1"),
+    row(lambda: Partition(2, ((0, 1.0),)), "partition-float"),
+    row(lambda: Partition.from_blocks(2, [[0, 1.0]]), "from-blocks-float"),
+    row(lambda: ElementMap(2, 2, (0, 1.0)), "element-map-float"),
     row(lambda: Partition.from_pairs(3, [(0, 3)]), "from-pairs-n"),
     row(lambda: Partition.from_blocks(3, [[0, 1, 2, 3]]), "from-blocks-n"),
     row(lambda: THREE.relates(0, 3), "relates-n"),

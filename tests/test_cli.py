@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import qba
 from qba import cli
 from qba.cli import CommandResult, run
@@ -371,6 +373,31 @@ class TestJson:
                       "--json"])
         payload = json.loads(result.output)
         assert payload["emitted"] == 2 and payload["violations"] == []
+
+
+class TestSplitNames:
+    """split names the blocks of theta1 and theta2 as the elements of the
+    canonical quotients are named, without building the quotients."""
+
+    ALGEBRAS = {**qba.all_fixtures(),
+                "2xF3": qba.direct_product(qba.fixture("2"), qba.fixture("F3")),
+                "4x2": qba.direct_product(qba.fixture("4"), qba.fixture("2"))}
+
+    @pytest.mark.parametrize("name", list(ALGEBRAS))
+    def test_names_agree_with_quotient(self, tmp_path, name):
+        a = self.ALGEBRAS[name].relabel(name)
+        path = tmp_path / f"{name}.alg"
+        path.write_text(qba.dump_algebra(a), "utf-8")
+        qc = qba.quotient(a, qba.chi(a))[0]
+        qt = qba.quotient(a, qba.tau(a))[0]
+        for theta in qba.all_congruences(a):
+            t1, t2 = qba.split_congruence(a, theta)
+            s1, s2 = qba.format_partition(qc, t1), qba.format_partition(qt, t2)
+            argv = ["split", str(path), "--cong", qba.format_partition(a, theta)]
+            assert run(argv).output == (f"theta1 on {name}/chi: {s1}\n"
+                                        f"theta2 on {name}/tau: {s2}")
+            assert json.loads(run(argv + ["--json"]).output) == {
+                "theta1": s1, "theta2": s2}
 
 
 class TestEverySubcommandEmitsJson:

@@ -371,8 +371,13 @@ class TestComposeNonflat:
             f=((0, 0),),  # block {0,1} -> {a}, but {0,1}* = {0,1}, {a}* = {b}
             cross=frozenset({(0, 1), (1, 0), (3, 1), (1, 3)}),
         )
-        with pytest.raises(ConditionC2Violated):
+        with pytest.raises(ConditionC2Violated, match="f does not preserve star") as info:
             qba.compose_nonflat(a, d)
+        assert info.value.witness == 0  # the class index
+
+    # The class index each per-class (C2) check names; the others name none.
+    C2_WITNESS = {"linked set is not star-closed": 0,
+                  "image block misses the clouds of its class": 0}
 
     @pytest.mark.parametrize("linked, f, message", [
         ((5,), ((5, 0),), "linked set names a nonexistent block"),
@@ -393,8 +398,9 @@ class TestComposeNonflat:
         d = CongruenceDecomposition(
             theta_r=theta_r, theta_ir=theta_ir, linked=frozenset(linked), f=f,
             cross=frozenset())
-        with pytest.raises(ConditionC2Violated, match=f"^\\(C2\\) {message}$"):
+        with pytest.raises(ConditionC2Violated, match=f"^\\(C2\\) {message}$") as info:
             qba.compose_nonflat(a, d)
+        assert info.value.witness == self.C2_WITNESS.get(message)
 
     def test_c1_cloud_confinement_fails(self, fx):
         a = fx["6"]
@@ -405,8 +411,9 @@ class TestComposeNonflat:
             f=(),
             cross=frozenset(),
         )
-        with pytest.raises(ConditionC1Violated):
+        with pytest.raises(ConditionC1Violated, match="spans clouds") as info:
             qba.compose_nonflat(a, d)
+        assert info.value.witness == (1, 3)  # the irregulars a, f
 
     def test_c1_star_closure_fails(self, fx):
         a = fx["6"]
@@ -417,8 +424,9 @@ class TestComposeNonflat:
             f=(),
             cross=frozenset(),
         )
-        with pytest.raises(ConditionC1Violated):
+        with pytest.raises(ConditionC1Violated, match="star image") as info:
             qba.compose_nonflat(a, d)
+        assert info.value.witness == (0, 1)  # the block, in local indices
 
     def test_c3_cross_mismatch(self, fx):
         a = fx["6"]
@@ -429,8 +437,9 @@ class TestComposeNonflat:
             f=((0, 0), (1, 1)),
             cross=frozenset({(0, 1), (1, 0)}),  # missing most pairs
         )
-        with pytest.raises(ConditionC3Violated):
+        with pytest.raises(ConditionC3Violated) as info:
             qba.compose_nonflat(a, d)
+        assert info.value.witness == (0, 2)  # the first differing pair, 0 ~ e
 
     def test_theta_r_must_be_congruence(self, fx):
         a = fx["A"]  # regular part is the four-element Boolean algebra

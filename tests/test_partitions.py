@@ -122,7 +122,8 @@ class TestTextFormat:
         a = fx["6"]  # irregular part a, e, f, b
         irs = [1, 2, 3, 4]
         assert parse_part(a, "b,e", irs) == Partition.from_blocks(4, [[1, 3], [0], [2]])
-        assert format_blocks(a, parse_part(a, "b,e", irs).blocks, irs) == "a;e,b;f"
+        names = [a.names[x] for x in irs]
+        assert format_blocks(names, parse_part(a, "b,e", irs).blocks) == "a;e,b;f"
         assert position_in_part(a, "f", irs) == 2
         for text in ("a,1", "1"):
             with pytest.raises(AlgebraSemanticError, match="^element '1' is outside this part$"):

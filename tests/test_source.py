@@ -2,13 +2,15 @@
 so they still run under python -O; and the package has no runtime
 dependencies: it imports only the standard library and itself."""
 import ast
+import importlib
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qba")
-                 .glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "qba").glob("*.py"))
 
 
 def test_sources_found():
@@ -82,3 +84,20 @@ def test_unused_import_check_sees_leftovers():
                      "from functools import cache, partial\nimport os.path\n"
                      "import json as j\n@cache\ndef f(): return os.sep\n")
     assert unused_imports(tree) == {"partial", "j"}
+
+
+def test_every_traced_span_exists():
+    # The benchmark's span recorder wraps each TRACED name by getattr, so a
+    # renamed or removed function would break every traced run. spans.py is
+    # read and run here without being imported, so no bytecode is written.
+    path = ROOT / "perfbench" / "spans.py"
+    spans = ModuleType("spans")
+    exec(compile(path.read_text("utf-8"), str(path), "exec"), vars(spans))
+    missing = []
+    for span, module, attr, cls, _ in spans.TRACED:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if not hasattr(owner, attr):
+            missing.append(span)
+    assert len(spans.TRACED) >= 22 and not missing, missing
