@@ -36,7 +36,7 @@ from .partitions import (format_blocks, format_partition, pair_closure_gaps,
                          position_in_part)
 from .quotients import (chi, class_names, direct_product, find_isomorphism,
                         is_irreducible, quotient, tau)
-from .terms import Verdict, decide, holds_in, parse_equation
+from .terms import VARIETIES, Verdict, decide, holds_in, parse_equation
 
 
 @dataclass(frozen=True)
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("equation")
     p = add("decide", _cmd_decide, "decide an equation in a variety",
             algebra=False)
-    p.add_argument("--variety", choices=("qb", "fqb", "b"), required=True)
+    p.add_argument("--variety", choices=VARIETIES, required=True)
     p.add_argument("equation")
     add("congruences", _cmd_congruences, "list all congruences")
     p = add("generate", _cmd_generate, "least congruence containing the seed")

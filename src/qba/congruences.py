@@ -402,7 +402,6 @@ def decompose(a: FiniteAlgebra, theta: Partition) -> CongruenceDecomposition:
     if not is_congruence(a, theta):
         raise NotACongruence("decompose requires a congruence")
     regs, irs = regular_split(a)
-    rset = set(regs)
     theta_r = theta.restrict(regs)
     theta_ir = theta.restrict(irs)
     reg_class = dict(zip(regs, theta_r._member))
@@ -414,16 +413,13 @@ def decompose(a: FiniteAlgebra, theta: Partition) -> CongruenceDecomposition:
         r = a.join[w][w]
         if theta._member[r] == theta._member[w]:
             fmap.setdefault(reg_class[r], theta_ir._member[i])
-    cross = frozenset(
-        (p, q) for p, q in theta.as_pairs()
-        if (p in rset) != (q in rset))
-
+    f = tuple(sorted(fmap.items()))
     return CongruenceDecomposition(
         theta_r=theta_r,
         theta_ir=theta_ir,
         linked=frozenset(fmap),
-        f=tuple(sorted(fmap.items())),
-        cross=cross,
+        f=f,
+        cross=cross_pairs(a, theta_r, theta_ir, f),
     )
 
 

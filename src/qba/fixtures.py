@@ -13,7 +13,7 @@ FIXTURE_NAMES = ("2", "4", "4bar", "6", "A", "F3", "F5")
 def fixture(name: str) -> FiniteAlgebra:
     """Load a bundled algebra by name. See FIXTURE_NAMES."""
     if name not in FIXTURE_NAMES:
-        raise KeyError(f"no bundled algebra named {name!r}")
+        raise ValueError(f"no bundled algebra named {name!r}")
     text = resources.files("qba.data").joinpath(f"{name}.alg").read_text("utf-8")
     return load_algebra(text, label=name)
 

@@ -7,7 +7,6 @@ representation and partitions compare with ==.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .algebra import FiniteAlgebra, check_elements
@@ -75,6 +74,8 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
+        blocks = [list(b) for b in blocks]
+        check_elements(size, [x for b in blocks for x in b], "a block")
         canon = sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0] if b else -1)
         return cls(size, tuple(b for b in canon if b))
 
@@ -217,17 +218,17 @@ def pair_closure_gaps(size: int, pairs: Iterable[tuple[int, int]]
 
 
 def is_congruence(a: FiniteAlgebra, p: Partition) -> bool:
-    """Compatibility of an equivalence relation with join, meet and star."""
+    """Compatibility of an equivalence relation with join, meet and star.
+    Each element is compared with the least element of its block, which by
+    transitivity settles every pair of the block."""
     if p.size != a.size:
         raise ValueError("partition size does not match the algebra")
-    member = p._member
+    cls = p._member.__getitem__
     join, meet, star = a.join, a.meet, a.star
-    for block in p.blocks:
-        for x, y in combinations(block, 2):
-            if member[star[x]] != member[star[y]]:
+    for x, *others in p.blocks:
+        if others:
+            sx, jx, mx = cls(star[x]), [*map(cls, join[x])], [*map(cls, meet[x])]
+            if any(cls(star[y]) != sx or [*map(cls, join[y])] != jx
+                   or [*map(cls, meet[y])] != mx for y in others):
                 return False
-            jx, jy, mx, my = join[x], join[y], meet[x], meet[y]
-            for c in range(a.size):
-                if member[jx[c]] != member[jy[c]] or member[mx[c]] != member[my[c]]:
-                    return False
     return True

@@ -116,21 +116,27 @@ class Verdict:
 
 MAX_DEPTH = 100
 
-_TOKEN = re.compile(r"\\/|/\\|[()'=]|[01]|[a-z][a-zA-Z0-9_]*")
+# The binary operators, loosest first: each is a left-associative chain
+# over the next, and the last over atoms.
+_BINARY = (("\\/", Join), ("/\\", Meet))
+_SYMBOL = {op: token for token, op in _BINARY}
+
+# Binding strength of the operators: the binary ones by their place in
+# _BINARY, then star.
+_PREC = {op: p for p, (_, op) in enumerate(_BINARY, 1)} | {Star: len(_BINARY) + 1}
+
+# A token, or in group 2 the character that starts none.
+_TOKEN = re.compile(r"\s*(?:(\\/|/\\|[()'=]|[01]|[a-z][a-zA-Z0-9_]*)|(\S))")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
+def _tokenize(text: str) -> list[tuple[str | None, int]]:
+    """(token, position) pairs, ended by the sentinel (None, len(text))."""
     out = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise EquationParseError(f"unexpected character {text[pos]!r}", pos)
-        out.append((m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 2:
+            raise EquationParseError(f"unexpected character {m[2]!r}", m.start(2))
+        out.append((m[1], m.start(1)))
+    out.append((None, len(text)))
     return out
 
 
@@ -139,24 +145,24 @@ class _Parser:
     depth of its tree, and refuses input nested deeper than MAX_DEPTH."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.parens = 0
 
     def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i][0]
 
     def pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-
-    def advance(self) -> str:
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
+        return self.tokens[self.i][1]
 
     def fail(self, message: str):
         raise EquationParseError(message, self.pos())
+
+    def expect(self, token: str | None, message: str):
+        """Consume token, or fail with message at the current one."""
+        if self.peek() != token:
+            self.fail(message)
+        self.i += 1
 
     def deeper(self, depth: int, at: int) -> int:
         """Depth of a new operator node at position ``at`` whose deepest
@@ -165,29 +171,23 @@ class _Parser:
             raise EquationParseError(f"term nested deeper than {MAX_DEPTH} levels", at)
         return depth + 1
 
-    def term(self) -> tuple[Term, int]:
-        node, depth = self.factor()
-        while self.peek() == "\\/":
+    def term(self, level: int = 0) -> tuple[Term, int]:
+        """The chain of _BINARY[level] over the next level."""
+        token, op = _BINARY[level]
+        last = level + 1 == len(_BINARY)
+        node, depth = self.atom() if last else self.term(level + 1)
+        while self.peek() == token:
             at = self.pos()
-            self.advance()
-            right, right_depth = self.factor()
-            node, depth = Join(node, right), self.deeper(max(depth, right_depth), at)
-        return node, depth
-
-    def factor(self) -> tuple[Term, int]:
-        node, depth = self.atom()
-        while self.peek() == "/\\":
-            at = self.pos()
-            self.advance()
-            right, right_depth = self.atom()
-            node, depth = Meet(node, right), self.deeper(max(depth, right_depth), at)
+            self.i += 1
+            right, right_depth = self.atom() if last else self.term(level + 1)
+            node, depth = op(node, right), self.deeper(max(depth, right_depth), at)
         return node, depth
 
     def atom(self) -> tuple[Term, int]:
         node, depth = self.base()
         while self.peek() == "'":
             depth = self.deeper(depth, self.pos())
-            self.advance()
+            self.i += 1
             node = Star(node)
         return node, depth
 
@@ -199,18 +199,16 @@ class _Parser:
             if self.parens >= MAX_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_DEPTH} levels")
             self.parens += 1
-            self.advance()
+            self.i += 1
             node, depth = self.term()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.advance()
+            self.expect(")", "expected ')'")
             self.parens -= 1
             return node, depth
         if tok in ("0", "1"):
-            self.advance()
+            self.i += 1
             return Const(int(tok)), 0
         if tok[0].isalpha():
-            self.advance()
+            self.i += 1
             return Var(tok), 0
         self.fail(f"unexpected token {tok!r}")
 
@@ -218,56 +216,38 @@ class _Parser:
 def parse_term(text: str) -> Term:
     p = _Parser(text)
     node, _ = p.term()
-    if p.peek() is not None:
-        p.fail(f"unexpected token {p.peek()!r}")
+    p.expect(None, f"unexpected token {p.peek()!r}")
     return node
 
 
 def parse_equation(text: str) -> Equation:
     p = _Parser(text)
     lhs, _ = p.term()
-    if p.peek() != "=":
-        p.fail("expected '='")
-    p.advance()
+    p.expect("=", "expected '='")
     rhs, _ = p.term()
-    if p.peek() is not None:
-        p.fail(f"unexpected token {p.peek()!r}")
+    p.expect(None, f"unexpected token {p.peek()!r}")
     return Equation(lhs, rhs)
 
 
 def format_term(t: Term) -> str:
-    """Render with minimal parentheses; parse_term inverts it."""
+    """Render with minimal parentheses; parse_term inverts it. A node is
+    parenthesized unless it binds tighter than the bound it gets: a star's
+    operand gets the star's strength less one, a binary node's left
+    operand its strength less one (the chain is left associative) and its
+    right operand its strength."""
 
-    def prec(node: Term) -> int:
-        if isinstance(node, Join):
-            return 1
-        if isinstance(node, Meet):
-            return 2
-        if isinstance(node, Star):
-            return 3
-        return 4
+    def walk(node: Term, bound: int) -> str:
+        kind = type(node)
+        if kind is Star:
+            text = walk(node.inner, _PREC[Star] - 1) + "'"
+        elif kind in _SYMBOL:
+            p = _PREC[kind]
+            text = f"{walk(node.left, p - 1)} {_SYMBOL[kind]} {walk(node.right, p)}"
+        else:  # a leaf binds tightest of all
+            return node.name if kind is Var else str(node.value)
+        return text if _PREC[kind] > bound else f"({text})"
 
-    def walk(node: Term) -> str:
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Const):
-            return str(node.value)
-        if isinstance(node, Star):
-            inner = walk(node.inner)
-            if prec(node.inner) < 3:
-                inner = f"({inner})"
-            return inner + "'"
-        op = "\\/" if isinstance(node, Join) else "/\\"
-        p = prec(node)
-        left = walk(node.left)
-        if prec(node.left) < p:
-            left = f"({left})"
-        right = walk(node.right)
-        if prec(node.right) <= p:
-            right = f"({right})"
-        return f"{left} {op} {right}"
-
-    return walk(t)
+    return walk(t, 0)
 
 
 def format_equation(eq: Equation) -> str:
@@ -402,9 +382,9 @@ def holds_in(a: FiniteAlgebra, eq: Equation) -> Verdict:
     return Verdict(valid=True)
 
 
-VARIETIES = ("qb", "fqb", "b")
-
 _GENERATORS = {"qb": "4", "fqb": "F3", "b": "2"}
+
+VARIETIES = tuple(_GENERATORS)
 
 
 def decide(variety: str, eq: Equation) -> Verdict:
@@ -426,12 +406,9 @@ def _sample_term(rng: random.Random, depth: int, names: tuple[str, ...]) -> Term
             # Leaf forced by the depth cap: keep the var/const ratio.
             return Var(rng.choice(names)) if rng.random() < 0.875 else Const(rng.randrange(2))
         return Var(rng.choice(names))
-    if r < 0.55:
-        return Join(_sample_term(rng, depth - 1, names),
-                    _sample_term(rng, depth - 1, names))
     if r < 0.75:
-        return Meet(_sample_term(rng, depth - 1, names),
-                    _sample_term(rng, depth - 1, names))
+        op = Join if r < 0.55 else Meet
+        return op(_sample_term(rng, depth - 1, names), _sample_term(rng, depth - 1, names))
     if r < 0.95:
         return Star(_sample_term(rng, depth - 1, names))
     return Const(rng.randrange(2))

@@ -62,6 +62,7 @@ def guard(call, error, message):
     row(lambda: Partition(3, ((-1, 0), (1,), (2,))), "partition--1"),
     row(lambda: Partition(2, ((0, 1.0),)), "partition-float"),
     row(lambda: Partition.from_blocks(2, [[0, 1.0]]), "from-blocks-float"),
+    row(lambda: Partition.from_blocks(2, [[0, 'a']]), "from-blocks-str"),
     row(lambda: ElementMap(2, 2, (0, 1.0)), "element-map-float"),
     row(lambda: Partition.from_pairs(3, [(0, 3)]), "from-pairs-n"),
     row(lambda: Partition.from_blocks(3, [[0, 1, 2, 3]]), "from-blocks-n"),
@@ -114,7 +115,7 @@ NOT_CON_A = Partition(4, ((0, 1), (2,), (3,)))
     guard(lambda: qba.make_irreducible(-1),
           ValueError, "k must be a natural number"),
     guard(lambda: qba.fixture("nope"),
-          KeyError, "no bundled algebra named 'nope'"),
+          ValueError, "no bundled algebra named 'nope'"),
     guard(lambda: qba.parse_equation("x ="),
           EquationParseError, "unexpected end of input (at position 3)"),
     guard(lambda: qba.parse_term("x y"),

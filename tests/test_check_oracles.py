@@ -4,13 +4,14 @@ facts in _collect_violations, the structure-built labeled generator and
 its stars, the block-of-columns equation check, the
 congruences built by the split lemma, the generated congruences built by
 the split lemma, the isomorphism-class key, the isomorphisms built from
-the clouds and the whole-row axiom scan of validate against the code they
-replaced. The per-tuple axiom scan stays in qba.algebra, as the path for
+the clouds, the congruence check against the least element of each block
+and the whole-row axiom scan of validate against the code they replaced. The per-tuple axiom scan stays in qba.algebra, as the path for
 carriers past 256 elements, and is imported from there.
 
 The old scans, generators (the recursive star generators among them),
 the per-assignment check, the two-prune search,
-the union-find closure of generated congruences, the backtracking
+the union-find closure of generated congruences, the pairwise
+congruence check, the backtracking
 isomorphism search and the search-based dedupe are kept
 here verbatim as oracles: every input must give the same exception type
 and message, the same (claim, bool) list, the same labeled algebras, the
@@ -1367,6 +1368,38 @@ def set_partitions(n: int) -> Iterator[Partition]:
     yield from rec(0, [])
 
 
+def is_congruence_pairwise(a: FiniteAlgebra, p: Partition) -> bool:
+    """is_congruence as it was: every pair of every block is compared."""
+    member = p._member
+    join, meet, star = a.join, a.meet, a.star
+    for block in p.blocks:
+        for x, y in combinations(block, 2):
+            if member[star[x]] != member[star[y]]:
+                return False
+            jx, jy, mx, my = join[x], join[y], meet[x], meet[y]
+            for c in range(a.size):
+                if member[jx[c]] != member[jy[c]] or member[mx[c]] != member[my[c]]:
+                    return False
+    return True
+
+
+class TestIsCongruence:
+    def test_every_partition_as_pairwise(self, fx):
+        # Every set partition of the fixtures and 2xF3, and of 30 seeded
+        # single-cell join mutants of each, or all of them where there are
+        # fewer (invalid algebras included).
+        checked = accepted = 0
+        for a in (*fx.values(), direct_product(fx["2"], fx["F3"])):
+            joins = [m for m in single_cell_mutants(a) if m.join != a.join]
+            for b in (a, *random.Random(a.size).sample(joins, min(30, len(joins)))):
+                for p in set_partitions(b.size):
+                    got = is_congruence(b, p)
+                    assert got == is_congruence_pairwise(b, p), (b.label, p)
+                    checked += 1
+                    accepted += got
+        assert (checked, accepted) == (21526, 1265)
+
+
 def star_closed(a: FiniteAlgebra, part: Partition, carrier: list[int]) -> bool:
     """part, over the positions of carrier, maps its blocks to blocks under
     the star."""
@@ -1448,10 +1481,16 @@ class TestTheoremRechecks:
                         assert both == theta.relates(x, y), (a, theta, x, y)
 
     def test_decompose_round_trip(self, congruence_cache):
+        # The cross part is also the filter of theta's pairs that
+        # decompose read before it built them from f.
         for a in theorem_corpus():
             if not is_flat(a):
+                regs = set(regular_elements(a))
                 for theta in congruence_cache(a):
-                    assert compose_nonflat(a, decompose(a, theta)) == theta
+                    d = decompose(a, theta)
+                    assert compose_nonflat(a, d) == theta
+                    assert d.cross == {(p, q) for p, q in theta.as_pairs()
+                                       if (p in regs) != (q in regs)}
 
     def test_compose_nonflat_on_every_passing_input(self, congruence_cache):
         # Every theta_r, star-closed theta_ir and injective block map that

@@ -72,6 +72,27 @@ class TestParser:
         with pytest.raises(EquationParseError):
             parse_term("x & y")
 
+    def test_every_space_separates_and_every_stray_character_is_refused(self):
+        # Tokens split at exactly the code points with str.isspace(), and
+        # any other character that starts no token here (a lone '\' or
+        # '/', an upper-case letter, a lone surrogate) is refused at its
+        # own position.
+        starts = set("()'=01abcdefghijklmnopqrstuvwxyz")
+        spaces, wrong = 0, []
+        for c in map(chr, range(0x110000)):
+            if c.isspace():
+                spaces += 1
+                if parse_term(f"x{c}\\/{c}y{c}") != Join(X, Y):
+                    wrong.append(c)
+            elif c not in starts:
+                try:
+                    parse_term(f"x {c}")
+                    wrong.append(c)
+                except EquationParseError as err:
+                    if err.args != (f"unexpected character {c!r} (at position 2)",):
+                        wrong.append(c)
+        assert spaces > 20 and not wrong, wrong[:5]
+
     def test_missing_equals(self):
         with pytest.raises(EquationParseError):
             parse_equation("x \\/ y")
