@@ -431,19 +431,16 @@ def cloud_map(a: FiniteAlgebra) -> dict[int, frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Text format.
-#
-#   size N
-#   names n0 n1 ... n(N-1)
-#   zero NAME
-#   one NAME
-#   join        (N rows of N names)
-#   meet        (N rows of N names)
-#   star        (one row of N names)
-#
-# '#' starts a comment, blank lines are ignored, sections appear in exactly
-# this order. Entries are element names, never indices.
+# Text format: "size N", "names n0 ... n(N-1)", then each section of
+# _SECTIONS in its order. '#' starts a comment, blank lines are ignored,
+# and entries are element names, never indices.
 # ---------------------------------------------------------------------------
+
+# The sections after the header, with their nesting: 0 is one name on the
+# keyword's line ("zero NAME"), 1 is a row of N names on the line after the
+# keyword, 2 is N such rows. algebra_to_dict keys them the same way.
+_SECTIONS = (("zero", 0), ("one", 0), ("join", 2), ("meet", 2), ("star", 1))
+
 
 def _logical_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -455,20 +452,30 @@ def _logical_lines(text: str) -> Iterator[tuple[int, list[str]]]:
 def load_algebra(text: str, label: str = "") -> FiniteAlgebra:
     """Parse the text format. Resolves names to indices; does not validate
     the axioms."""
-    lines = list(_logical_lines(text))
-    pos = 0
+    lines = _logical_lines(text)
 
-    def take(what: str) -> tuple[int, list[str]]:
-        nonlocal pos
-        if pos >= len(lines):
+    def line(what: str) -> tuple[int, list[str]]:
+        entry = next(lines, None)
+        if entry is None:
             raise AlgebraParseError(f"unexpected end of file, expected {what}")
-        entry = lines[pos]
-        pos += 1
         return entry
 
-    lineno, toks = take("'size N'")
-    if len(toks) != 2 or toks[0] != "size":
-        raise AlgebraParseError(f"line {lineno}: expected 'size N'")
+    def keyword(key: str, form: str, width: int | None) -> tuple[int, list[str]]:
+        """The next line, which must be key followed by width - 1 tokens
+        (any number when width is None)."""
+        lineno, toks = line(form)
+        if toks[0] != key or width is not None and len(toks) != width:
+            raise AlgebraParseError(f"line {lineno}: expected {form}")
+        return lineno, toks
+
+    def row(lineno: int, toks: list[str]) -> tuple[int, ...]:
+        try:
+            return tuple(map(index.__getitem__, toks))
+        except KeyError as unknown:
+            raise AlgebraSemanticError(
+                f"line {lineno}: unknown name {unknown.args[0]!r}") from None
+
+    lineno, toks = keyword("size", "'size N'", 2)
     try:
         n = int(toks[1])
     except ValueError:
@@ -476,9 +483,7 @@ def load_algebra(text: str, label: str = "") -> FiniteAlgebra:
     if n < 1:
         raise AlgebraSemanticError("size must be positive")
 
-    lineno, toks = take("'names ...'")
-    if not toks or toks[0] != "names":
-        raise AlgebraParseError(f"line {lineno}: expected 'names ...'")
+    lineno, toks = keyword("names", "'names ...'", None)
     names = tuple(toks[1:])
     if len(names) != n:
         raise AlgebraSemanticError(
@@ -487,77 +492,54 @@ def load_algebra(text: str, label: str = "") -> FiniteAlgebra:
         raise AlgebraSemanticError(f"line {lineno}: duplicate names")
     index = {nm: i for i, nm in enumerate(names)}
 
-    def resolve(lineno: int, nm: str) -> int:
-        if nm not in index:
-            raise AlgebraSemanticError(f"line {lineno}: unknown name {nm!r}")
-        return index[nm]
-
-    consts = {}
-    for key in ("zero", "one"):
-        lineno, toks = take(f"'{key} NAME'")
-        if len(toks) != 2 or toks[0] != key:
-            raise AlgebraParseError(f"line {lineno}: expected '{key} NAME'")
-        consts[key] = resolve(lineno, toks[1])
-
-    def read_table(key: str, rows: int) -> list[tuple[int, ...]]:
-        lineno, toks = take(f"'{key}'")
-        if toks != [key]:
-            raise AlgebraParseError(f"line {lineno}: expected '{key}'")
+    fields = {}
+    for key, depth in _SECTIONS:
+        if not depth:
+            lineno, toks = keyword(key, f"'{key} NAME'", 2)
+            fields[key] = row(lineno, toks[1:])[0]
+            continue
+        keyword(key, f"'{key}'", 1)
         table = []
-        for _ in range(rows):
-            lineno, toks = take(f"a {key} row")
+        for _ in range(n if depth == 2 else 1):
+            lineno, toks = line(f"a {key} row")
             if len(toks) != n:
                 raise AlgebraSemanticError(
                     f"line {lineno}: wrong table dimensions for {key}: "
                     f"expected {n} entries, got {len(toks)}")
-            table.append(tuple(resolve(lineno, t) for t in toks))
-        return table
-
-    join = tuple(read_table("join", n))
-    meet = tuple(read_table("meet", n))
-    star = read_table("star", 1)[0]
-    if pos != len(lines):
-        lineno, _ = lines[pos]
+            table.append(row(lineno, toks))
+        fields[key] = tuple(table) if depth == 2 else table[0]
+    for lineno, _ in lines:  # the first line after the last section
         raise AlgebraParseError(f"line {lineno}: trailing content")
+    return FiniteAlgebra(names=names, label=label, **fields)
 
-    return FiniteAlgebra(names=names, join=join, meet=meet, star=star,
-                         zero=consts["zero"], one=consts["one"], label=label)
+
+def _named(names, value, depth: int):
+    """An element (depth 0), a row (1) or rows (2) of elements, by name."""
+    if depth == 2:
+        return [[names[v] for v in row] for row in value]
+    return [names[v] for v in value] if depth else names[value]
 
 
 def dump_algebra(a: FiniteAlgebra) -> str:
     """Serialize back to the text format. load_algebra(dump_algebra(a)) == a."""
     width = max(len(nm) for nm in a.names)
-
-    def row(entries) -> str:
-        return " ".join(a.names[v].ljust(width) for v in entries).rstrip()
-
-    out = [
-        f"size {a.size}",
-        "names " + " ".join(a.names),
-        f"zero {a.names[a.zero]}",
-        f"one {a.names[a.one]}",
-        "join",
-    ]
-    out.extend(row(r) for r in a.join)
-    out.append("meet")
-    out.extend(row(r) for r in a.meet)
-    out.append("star")
-    out.append(row(a.star))
+    padded = [nm.ljust(width) for nm in a.names]  # so table columns line up
+    out = [f"size {a.size}", "names " + " ".join(a.names)]
+    for key, depth in _SECTIONS:
+        named = _named(padded, getattr(a, key), depth)
+        rows = (named if depth == 2 else [named]) if depth else []
+        out.append(key if depth else f"{key} {named.rstrip()}")
+        out += [" ".join(row).rstrip() for row in rows]
     return "\n".join(out) + "\n"
 
 
 def algebra_to_dict(a: FiniteAlgebra) -> dict:
-    """JSON-friendly form using names, mirroring the text format."""
-    return {
-        "size": a.size,
-        "names": list(a.names),
-        "zero": a.names[a.zero],
-        "one": a.names[a.one],
-        "join": [[a.names[v] for v in row] for row in a.join],
-        "meet": [[a.names[v] for v in row] for row in a.meet],
-        "star": [a.names[v] for v in a.star],
-        "label": a.label,
-    }
+    """JSON-friendly form using names: the text format's sections as keys,
+    with the same nesting."""
+    return {"size": a.size, "names": list(a.names),
+            **{key: _named(a.names, getattr(a, key), depth)
+               for key, depth in _SECTIONS},
+            "label": a.label}
 
 
 def algebra_from_dict(d: dict) -> FiniteAlgebra:
@@ -573,7 +555,8 @@ def algebra_from_dict(d: dict) -> FiniteAlgebra:
     try:
         fields[key] = tuple(d[key])
         index = {nm: i for i, nm in enumerate(fields[key])}
-        for key, depth in (("join", 2), ("meet", 2), ("star", 1), ("zero", 0), ("one", 0)):
+        # Deepest first, so a table is named before a constant.
+        for key, depth in sorted(_SECTIONS, key=lambda s: -s[1]):
             fields[key] = resolve(d[key], depth)
     except KeyError:
         raise AlgebraSemanticError(f"missing key {key!r}") from None

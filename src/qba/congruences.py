@@ -245,6 +245,21 @@ def principal_congruence_flat(a: FiniteAlgebra, x: int, y: int) -> Partition:
     return Partition.from_pairs(a.size, [(x, y), (sx, sy), (x, sx), (y, sy)])
 
 
+def _star_image_blocks(a: FiniteAlgebra, irs, p: Partition, refuse) -> list[int]:
+    """The index of the star image of each block of p, a partition of the
+    irregulars irs by position. The first block whose image is no block
+    raises refuse(block, text), where text names its elements, as 'a,e'."""
+    local = {g: i for i, g in enumerate(irs)}
+    images = []
+    for block in p.blocks:
+        image = tuple(sorted(local[a.star[irs[i]]] for i in block))
+        bi = p._member[image[0]]
+        if p.blocks[bi] != image:
+            raise refuse(block, ",".join(a.names[irs[i]] for i in block))
+        images.append(bi)
+    return images
+
+
 def compose_flat(a: FiniteAlgebra, theta_ir: Partition) -> Partition:
     """Congruence of a flat algebra from a star-closed equivalence on the
     irregular elements: singleton {0} plus the given blocks."""
@@ -254,12 +269,8 @@ def compose_flat(a: FiniteAlgebra, theta_ir: Partition) -> Partition:
     _, irs = regular_split(a)
     if theta_ir.size != len(irs):
         raise ValueError("partition size does not match the irregular part")
-    local = {g: i for i, g in enumerate(irs)}
-    block_set = set(theta_ir.blocks)
-    for block in theta_ir.blocks:
-        image = tuple(sorted(local[a.star[irs[i]]] for i in block))
-        if image not in block_set:
-            raise NotStarClosed(f"star image of block {block} is not a block")
+    _star_image_blocks(a, irs, theta_ir, lambda block, text: NotStarClosed(
+        f"star image of block {text!r} is not a block"))
     blocks = [[a.zero]] + [[irs[i] for i in block] for block in theta_ir.blocks]
     return Partition.from_blocks(a.size, blocks)
 
@@ -334,18 +345,12 @@ def compose_nonflat(a: FiniteAlgebra, d: CongruenceDecomposition) -> Partition:
     # cls[x]: the theta_r class of x v x, whose clouds hold x.
     reg_class = dict(zip(regs, d.theta_r._member))
     cls = [reg_class[row[x]] for x, row in enumerate(a.join)]
-    local_ir = {g: i for i, g in enumerate(irs)}
 
     # (C1) star closure of theta_ir.
-    ir_star_block: dict[int, int] = {}
-    ir_blocks = set(d.theta_ir.blocks)
-    for bi, block in enumerate(d.theta_ir.blocks):
-        image = tuple(sorted(local_ir[a.star[irs[i]]] for i in block))
-        if image not in ir_blocks:
-            raise ConditionC1Violated(
-                f"star image of irregular block {block} is not a block",
-                witness=block)
-        ir_star_block[bi] = d.theta_ir._member[image[0]]
+    ir_star_block = _star_image_blocks(
+        a, irs, d.theta_ir, lambda block, text: ConditionC1Violated(
+            f"star image of irregular block {text!r} is not a block",
+            witness=block))
     # (C1) confinement to the clouds of one regular class.
     for block in d.theta_ir.blocks:
         if len({cls[irs[i]] for i in block}) > 1:

@@ -54,6 +54,8 @@ class Partition:
     _member: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (isinstance(self.size, int) and self.size >= 0):
+            raise ValueError(f"size must be an int >= 0, not {self.size!r}")
         seen = [-1] * self.size
         for bi, block in enumerate(self.blocks):
             if not block:

@@ -88,6 +88,79 @@ class TestLoading:
             qba.load_algebra(TRIVIAL.replace(old, new))
         assert str(info.value) == message
 
+    # Sections of dump_algebra(fixture("4")) after the header: the line of
+    # the keyword and the line of the section's last name.
+    SECTION_LINES = {"zero": (3, 3), "one": (4, 4), "join": (5, 9),
+                     "meet": (10, 14), "star": (15, 16)}
+
+    @pytest.mark.parametrize("section, case, error, message", [
+        ("zero", "keyword", AlgebraParseError, "line 3: expected 'zero NAME'"),
+        ("zero", "eof before", AlgebraParseError,
+         "unexpected end of file, expected 'zero NAME'"),
+        ("zero", "eof inside", AlgebraParseError, "line 3: expected 'zero NAME'"),
+        ("zero", "short", AlgebraParseError, "line 3: expected 'zero NAME'"),
+        ("zero", "unknown", AlgebraSemanticError, "line 3: unknown name 'q'"),
+        ("one", "keyword", AlgebraParseError, "line 4: expected 'one NAME'"),
+        ("one", "eof before", AlgebraParseError,
+         "unexpected end of file, expected 'one NAME'"),
+        ("one", "eof inside", AlgebraParseError, "line 4: expected 'one NAME'"),
+        ("one", "short", AlgebraParseError, "line 4: expected 'one NAME'"),
+        ("one", "unknown", AlgebraSemanticError, "line 4: unknown name 'q'"),
+        ("join", "keyword", AlgebraParseError, "line 5: expected 'join'"),
+        ("join", "eof before", AlgebraParseError,
+         "unexpected end of file, expected 'join'"),
+        ("join", "eof inside", AlgebraParseError,
+         "unexpected end of file, expected a join row"),
+        ("join", "short", AlgebraSemanticError,
+         "line 9: wrong table dimensions for join: expected 4 entries, got 3"),
+        ("join", "unknown", AlgebraSemanticError, "line 9: unknown name 'q'"),
+        ("meet", "keyword", AlgebraParseError, "line 10: expected 'meet'"),
+        ("meet", "eof before", AlgebraParseError,
+         "unexpected end of file, expected 'meet'"),
+        ("meet", "eof inside", AlgebraParseError,
+         "unexpected end of file, expected a meet row"),
+        ("meet", "short", AlgebraSemanticError,
+         "line 14: wrong table dimensions for meet: expected 4 entries, got 3"),
+        ("meet", "unknown", AlgebraSemanticError, "line 14: unknown name 'q'"),
+        ("star", "keyword", AlgebraParseError, "line 15: expected 'star'"),
+        ("star", "eof before", AlgebraParseError,
+         "unexpected end of file, expected 'star'"),
+        ("star", "eof inside", AlgebraParseError,
+         "unexpected end of file, expected a star row"),
+        ("star", "short", AlgebraSemanticError,
+         "line 16: wrong table dimensions for star: expected 4 entries, got 3"),
+        ("star", "unknown", AlgebraSemanticError, "line 16: unknown name 'q'"),
+    ])
+    def test_section_errors(self, fx, section, case, error, message):
+        lines = qba.dump_algebra(fx["4"]).splitlines()
+        first, last = self.SECTION_LINES[section]
+        if case == "keyword":
+            lines[first - 1] = " ".join(["bogus", *lines[first - 1].split()[1:]])
+        elif case == "eof before":
+            del lines[first - 1:]
+        elif case == "eof inside":  # a constant's keyword alone, a table short a row
+            lines[last - 1:] = [section] if first == last else []
+        else:  # the last name dropped, or replaced by one the algebra lacks
+            kept = lines[last - 1].rsplit(" ", 1)[0]
+            lines[last - 1] = kept if case == "short" else kept + " q"
+        with pytest.raises(error) as info:
+            qba.load_algebra("\n".join(lines))
+        assert str(info.value) == message
+
+    def test_trailing_content_names_its_line(self, fx):
+        text = qba.dump_algebra(fx["4"]) + "\n# more\nstar\n1 b a 0\n"
+        with pytest.raises(AlgebraParseError) as info:
+            qba.load_algebra(text)
+        assert str(info.value) == "line 19: trailing content"
+
+    def test_dict_names_the_first_missing_table(self, fx):
+        # Tables are read before constants, so join is named, not zero.
+        d = qba.algebra_to_dict(fx["4"])
+        del d["join"], d["zero"]
+        with pytest.raises(AlgebraSemanticError) as info:
+            qba.algebra_from_dict(d)
+        assert str(info.value) == "missing key 'join'"
+
     def test_dict_with_unknown_name(self, fx):
         d = qba.algebra_to_dict(fx["4"])
         d["star"] = ["1", "b", "q", "0"]

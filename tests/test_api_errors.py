@@ -96,6 +96,15 @@ NOT_CON_A = Partition(4, ((0, 1), (2,), (3,)))
     guard(lambda: Partition(2, ((), (0, 1))), ValueError, "empty block"),
     guard(lambda: Partition(3, ((1,), (0, 2))),
           ValueError, "blocks not sorted by least element"),
+    guard(lambda: Partition(-1, ()), ValueError, "size must be an int >= 0, not -1"),
+    guard(lambda: Partition(2.0, ((0, 1),)),
+          ValueError, "size must be an int >= 0, not 2.0"),
+    guard(lambda: Partition.singletons(-2),
+          ValueError, "size must be an int >= 0, not -2"),
+    guard(lambda: Partition.from_pairs(-3, []),
+          ValueError, "size must be an int >= 0, not -3"),
+    guard(lambda: Partition.from_blocks(-1, []),
+          ValueError, "size must be an int >= 0, not -1"),
     guard(lambda: qba.format_partition(F5, THREE),
           ValueError, "partition size does not match the algebra"),
     guard(lambda: qba.subalgebras(qba.make_flat(11, 1)),
@@ -125,6 +134,13 @@ def test_guard(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert info.value.args == (message,)
+
+
+def test_partition_sizes_zero_and_bool_are_ints():
+    # restrict([]) gives size 0 on a Boolean algebra's irregular part.
+    assert Partition(0, ()).blocks == ()
+    assert Partition.singletons(3).restrict([]) == Partition(0, ())
+    assert Partition(True, ((0,),)).blocks == ((0,),)
 
 
 def test_refines_across_sizes_is_false():

@@ -330,8 +330,9 @@ class TestComposeFlat:
     def test_star_closure_required(self, fx):
         a = fx["F5"]
         bad = Partition.from_blocks(4, [[0, 3], [1], [2]])  # {g,j}* = {i,h}
-        with pytest.raises(NotStarClosed):
+        with pytest.raises(NotStarClosed) as info:
             qba.compose_flat(a, bad)
+        assert str(info.value) == "star image of block 'g,j' is not a block"
 
     def test_nonflat_rejected(self, fx):
         with pytest.raises(NotFlat):
@@ -424,9 +425,13 @@ class TestComposeNonflat:
             f=(),
             cross=frozenset(),
         )
-        with pytest.raises(ConditionC1Violated, match="star image") as info:
+        with pytest.raises(ConditionC1Violated) as info:
             qba.compose_nonflat(a, d)
-        assert info.value.witness == (0, 1)  # the block, in local indices
+        # The message names the block by its elements, the witness by
+        # local indices.
+        assert str(info.value) == \
+            "(C1) star image of irregular block 'a,e' is not a block"
+        assert info.value.witness == (0, 1)
 
     def test_c3_cross_mismatch(self, fx):
         a = fx["6"]

@@ -101,3 +101,14 @@ def test_every_traced_span_exists():
         if not hasattr(owner, attr):
             missing.append(span)
     assert len(spans.TRACED) >= 22 and not missing, missing
+
+
+def test_benchmark_fixtures_match_the_package():
+    # The benchmark's oracle never imports qba, so it parses its own copies
+    # of the bundled algebras; an edit to one copy only would benchmark
+    # other algebras than the package ships.
+    def files(folder):
+        return {p.name: p.read_bytes() for p in (ROOT / folder).glob("*.alg")}
+
+    package = files("src/qba/data")
+    assert package and files("perfbench/data") == package
