@@ -23,13 +23,12 @@ from math import factorial
 from operator import eq, itemgetter
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import (FiniteAlgebra, cloud_map, is_flat, regular_elements,
-                      translation_table)
+from .algebra import (FiniteAlgebra, _tables, atom_masks, cloud_map, is_flat,
+                      regular_elements, translation_table)
 from .errors import TooLarge
-from .quotients import (atom_masks, atom_relabelings, boolean_algebra,
-                        direct_product, flat_star, generic_names,
-                        is_homomorphism, is_irreducible, isomorphism_candidate,
-                        make_flat)
+from .quotients import (atom_relabelings, boolean_algebra, direct_product,
+                        flat_star, generic_names, is_homomorphism,
+                        is_irreducible, isomorphism_candidate, make_flat)
 
 MAX_SIZE = 16  # any enumeration
 MAX_LABELED = 10 ** 6  # labeled algebras one call may build
@@ -87,17 +86,6 @@ def _check_size(n) -> None:
     bool is not taken for one)."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("size must be a positive integer")
-
-
-def _tables(img, rep) -> tuple[tuple, tuple]:
-    """join and meet of the algebra whose element x lies in the cloud
-    over the atom set rep[x], where img[s] is the regular element of the
-    set s: x v y = (x v x) v (y v y) = img[rep[x] | rep[y]], and meet
-    likewise. Elements in one cloud share their rows."""
-    sets = range(len(img))
-    joins = [tuple(img[s | t] for t in rep) for s in sets]
-    meets = [tuple(img[s & t] for t in rep) for s in sets]
-    return tuple(joins[s] for s in rep), tuple(meets[s] for s in rep)
 
 
 def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:

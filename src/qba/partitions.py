@@ -45,6 +45,11 @@ def classes(keys) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
+def _check_size(size) -> None:
+    if not (isinstance(size, int) and size >= 0):
+        raise ValueError(f"size must be an int >= 0, not {size!r}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """An equivalence relation on {0, ..., size-1} as canonical blocks."""
@@ -54,8 +59,7 @@ class Partition:
     _member: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.size, int) and self.size >= 0):
-            raise ValueError(f"size must be an int >= 0, not {self.size!r}")
+        _check_size(self.size)
         seen = [-1] * self.size
         for bi, block in enumerate(self.blocks):
             if not block:
@@ -76,6 +80,7 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
+        _check_size(size)
         blocks = [list(b) for b in blocks]
         check_elements(size, [x for b in blocks for x in b], "a block")
         canon = sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0] if b else -1)
@@ -83,15 +88,18 @@ class Partition:
 
     @classmethod
     def singletons(cls, size: int) -> "Partition":
+        _check_size(size)
         return cls(size, tuple((x,) for x in range(size)))
 
     @classmethod
     def whole(cls, size: int) -> "Partition":
+        _check_size(size)
         return cls(size, (tuple(range(size)),))
 
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
         """Least equivalence relation containing the given pairs."""
+        _check_size(size)
         uf = UnionFind(size)
         for a, b in pairs:
             check_elements(size, (a, b), "a pair")

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .algebra import FiniteAlgebra, is_flat, regular_elements, require_valid
+from .algebra import (FiniteAlgebra, atom_masks, is_flat, regular_elements,
+                      require_valid)
 from .errors import (FlatInput, InvalidShape, InvariantViolation,
                      NotACongruence, PreconditionViolated)
 from .partitions import Partition, classes, is_congruence
@@ -152,19 +153,6 @@ def embed_into_product(a: FiniteAlgebra) -> ElementMap:
     nt = len(t.blocks)
     mapping = tuple(c._member[x] * nt + t._member[x] for x in a.elements())
     return ElementMap(a.size, len(c.blocks) * nt, mapping)
-
-
-def atom_masks(a: FiniteAlgebra) -> tuple[list[int], list[int]]:
-    """The atoms of the Boolean part of a, and for each x the bitmask of
-    the atoms below x v x, bit i for atoms[i]. In a valid algebra a mask is
-    a cloud, the tables read only masks, and x* has the complement mask."""
-    reps = [row[x] for x, row in enumerate(a.join)]
-    regs = sorted(set(reps))
-    atoms = [r for r in regs if r != a.zero
-             and {a.meet[r][s] for s in regs} <= {a.zero, r}]
-    below = {r: sum([1 << i for i, t in enumerate(atoms) if a.meet[t][r] == t])
-             for r in regs}
-    return atoms, list(map(below.__getitem__, reps))
 
 
 def atom_relabelings(masks: list[int], k: int) -> Iterator[tuple[list[int], tuple]]:

@@ -48,7 +48,7 @@ from itertools import product
 from operator import getitem
 from typing import Mapping, Union
 
-from .algebra import FiniteAlgebra, first_difference, translation_table
+from .algebra import FiniteAlgebra, translation_table
 from .errors import (EquationParseError, InvariantViolation,
                      PreconditionViolated, TooLarge, UnboundVariable)
 from .fixtures import fixture
@@ -262,6 +262,14 @@ def variables(t: Term) -> frozenset[str]:
     if isinstance(t, Star):
         return variables(t.inner)
     return variables(t.left) | variables(t.right)
+
+
+def first_difference(lhs: bytes, rhs: bytes) -> int:
+    """The least index at which two byte strings of one length differ, or
+    their length when they are equal: the highest nonzero byte of the XOR
+    of both sides read as big-endian integers."""
+    diff = int.from_bytes(lhs, "big") ^ int.from_bytes(rhs, "big")
+    return len(lhs) - 1 - (diff.bit_length() - 1) // 8
 
 
 def _byte_tables(a: FiniteAlgebra):

@@ -79,6 +79,10 @@ class TestLoading:
         ("size 1", "sizes 1", AlgebraParseError, "line 2: expected 'size N'"),
         ("size 1", "size one", AlgebraParseError, "line 2: size is not an integer"),
         ("size 1", "size 0", AlgebraSemanticError, "size must be positive"),
+        # int() would read each of these as 1.
+        ("size 1", "size +1", AlgebraParseError, "line 2: size is not an integer"),
+        ("size 1", "size 0_1", AlgebraParseError, "line 2: size is not an integer"),
+        ("size 1", "size \u0661", AlgebraParseError, "line 2: size is not an integer"),
         ("names 0", "name 0", AlgebraParseError, "line 3: expected 'names ...'"),
         ("names 0", "names 0 1", AlgebraSemanticError, "line 3: expected 1 names, got 2"),
         ("zero 0", "zero", AlgebraParseError, "line 4: expected 'zero NAME'"),
@@ -182,6 +186,20 @@ class TestLoading:
         with pytest.raises(AlgebraSemanticError) as info:
             qba.algebra_from_dict(d)
         assert str(info.value) == "malformed star"
+
+    @pytest.mark.parametrize("key, row", [("names", None), ("join", 2),
+                                          ("star", None)])
+    def test_dict_refuses_a_string_for_a_list_of_names(self, fx, key, row):
+        # Each name of fixture 4 is one character, so a string of them
+        # would read as the list.
+        d = qba.algebra_to_dict(fx["4"])
+        if row is None:
+            d[key] = "".join(d[key])
+        else:
+            d[key][row] = "".join(d[key][row])
+        with pytest.raises(AlgebraSemanticError) as info:
+            qba.algebra_from_dict(d)
+        assert str(info.value) == f"malformed {key}"
 
     SEPARATOR_ERROR = "^names must not contain ';', '=' or '>'$"
 

@@ -136,6 +136,18 @@ def test_guard(call, error, message):
     assert info.value.args == (message,)
 
 
+@pytest.mark.parametrize("size", [2.0, -1])
+@pytest.mark.parametrize("build", [
+    Partition.singletons, Partition.whole,
+    lambda size: Partition.from_pairs(size, []),
+    lambda size: Partition.from_blocks(size, [[0, 5]])],
+    ids=["singletons", "whole", "from_pairs", "from_blocks"])
+def test_partition_constructors_check_the_size_first(build, size):
+    with pytest.raises(ValueError) as info:
+        build(size)
+    assert info.value.args == (f"size must be an int >= 0, not {size!r}",)
+
+
 def test_partition_sizes_zero_and_bool_are_ints():
     # restrict([]) gives size 0 on a Boolean algebra's irregular part.
     assert Partition(0, ()).blocks == ()

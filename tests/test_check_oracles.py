@@ -23,6 +23,7 @@ only re-derived the paper's theorems, run here as oracles too, on every
 congruence of every algebra of the corpus.
 """
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -33,9 +34,9 @@ from typing import Iterator, Mapping
 import pytest
 
 import qba
-from qba.algebra import (AXIOM_LABELS, FiniteAlgebra, _validate_by_tuples,
-                         axiom_holds_at, cloud_map, cloud_of, is_flat,
-                         regular_elements, validate)
+from qba.algebra import (AXIOM_LABELS, FiniteAlgebra, _mask_lattice,
+                         _validate_by_tuples, axiom_holds_at, cloud_map,
+                         cloud_of, is_flat, regular_elements, validate)
 from qba.congruences import (MAX_EXHAUSTIVE, CongruenceDecomposition,
                              all_congruences, compose_flat, compose_nonflat,
                              cross_pairs, decompose, extend_from_subalgebra,
@@ -1588,9 +1589,11 @@ class TestTheoremRechecks:
                     assert ext.restrict(subset) == theta0
 
 
-# validate compares whole rows of the tables held as bytes for n <= 256;
-# _validate_by_tuples, the per-tuple scan it replaced there, is the
-# oracle. Both must give the same ValidationReport, witnesses included.
+# validate settles QL1-QL5 and DIST by the mask test (_mask_lattice: join
+# and meet are the union and intersection of atom masks) and scans only
+# QB2-QB5 when it holds; otherwise it scans all ten axioms.
+# _validate_by_tuples over all ten is the oracle. Both must give the same
+# ValidationReport, witnesses included.
 
 def seeded_mutants(a: FiniteAlgebra, seed: int, count: int) -> Iterator[FiniteAlgebra]:
     """count copies of a, each with one seeded cell of join, meet or star
@@ -1611,11 +1614,24 @@ def seeded_mutants(a: FiniteAlgebra, seed: int, count: int) -> Iterator[FiniteAl
 class TestValidateByTables:
     @staticmethod
     def assert_same_reports(algebras) -> set[str]:
-        """The labels of the failed axioms over all algebras."""
+        """The labels of the failed axioms over all algebras. On each, the
+        mask test is checked against the oracle: every valid algebra passes
+        it, and where it passes no q-lattice law and not DIST fails. The
+        same tables given as lists get the same report."""
         failed = set()
         for a in algebras:
             report = _validate_by_tuples(a)
             assert validate(a) == report, (a.join, a.meet, a.star)
+            lattice = _mask_lattice(a)
+            if lattice:
+                assert all(label.startswith("QB") for label, _ in report.violations)
+            else:
+                assert not report.passed
+            listed = FiniteAlgebra(a.names, list(map(list, a.join)),
+                                   list(map(list, a.meet)), list(a.star),
+                                   a.zero, a.one)
+            assert _mask_lattice(listed) == lattice
+            assert validate(listed) == report
             failed.update(label for label, _ in report.violations)
         return failed
 
@@ -1653,7 +1669,6 @@ class TestValidateByTables:
             seeded_mutants(direct_product(four, direct_product(four, four)), 64, 3))
 
     def test_byte_boundary(self):
-        # n = 256: entries up to 255 fill the translate tables, no padding.
         b256 = boolean_algebra(8)
         assert b256.size == 256 and validate(b256).passed
         for mutant in seeded_mutants(b256, 256, 3):
@@ -1662,9 +1677,30 @@ class TestValidateByTables:
             for label, witness in report.violations:
                 assert not axiom_holds_at(mutant, label, witness)
 
-    def test_tuple_scan_only_past_a_byte(self, monkeypatch):
+    def test_reference_scan_takes_qb_only_on_mask_tables(self, fx, monkeypatch):
         scanned = []
-        monkeypatch.setattr(qba.algebra, "_validate_by_tuples", scanned.append)
-        for n in (256, 257):
-            validate(make_flat(n, n % 2 or 2))
-        assert [a.size for a in scanned] == [257]
+        monkeypatch.setattr(qba.algebra, "_validate_by_tuples", lambda a, axioms:
+                            scanned.append(tuple(label for label, _, _ in axioms)))
+        four = fx["4"]
+        join_mutant = replace(four, join=with_cell(four.join, 1, 2, 0))
+        for a in (make_flat(256, 2), make_flat(257, 1), next(star_mutants(four)),
+                  join_mutant):
+            validate(a)
+        qb = ("QB2", "QB3", "QB4", "QB5")
+        assert scanned == [qb, qb, qb, AXIOM_LABELS]
+
+    @pytest.mark.parametrize("name", qba.FIXTURE_NAMES)
+    def test_single_cell_mutants_on_masks_are_the_star_mutants(self, fx, name):
+        # A changed join or meet cell breaks the mask test; a changed star
+        # entry leaves it to the scan of QB2-QB5.
+        a = fx[name]
+        for m in single_cell_mutants(a):
+            assert _mask_lattice(m) == (m.join == a.join and m.meet == a.meet)
+
+    def test_288_elements_in_under_a_second(self, fx):
+        six, four, two = fx["6"], fx["4"], fx["2"]
+        a = direct_product(six, direct_product(six, direct_product(four, two)))
+        assert a.size == 288
+        start = time.perf_counter()
+        assert validate(a).passed
+        assert time.perf_counter() - start < 1.0

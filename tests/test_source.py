@@ -43,6 +43,16 @@ def test_imports_only_stdlib_and_itself(path):
     assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
+def test_algebra_imports_only_stdlib_and_errors():
+    # The base layer: the validator and the structure it reads stay free
+    # of the modules built on them, so no import cycle grows back.
+    tree = ast.parse((ROOT / "src" / "qba" / "algebra.py").read_text("utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"errors"}
+    assert imported_roots(tree) <= sys.stdlib_module_names
+
+
 def test_import_guard_sees_third_party_imports():
     tree = ast.parse("import numpy as np\nfrom hypothesis import given\n"
                      "from . import terms\nfrom qba.terms import holds_in\n"
