@@ -53,6 +53,27 @@ def _check_star(star, n: int) -> None:
         raise AlgebraSemanticError("star entry out of range")
 
 
+def _refuse_joined_names(names: tuple[str, ...]) -> None:
+    """Refuse a name that is two or more of the other names joined by
+    ',': parse_names reads such a run as the one name, so the others
+    could not be listed apart there."""
+    known = frozenset(names)
+    heads = tuple(nm + "," for nm in names)  # how such a name starts
+    for nm in names:
+        if not nm.startswith(heads):
+            continue
+        pieces = nm.split(",")
+        whole = len(pieces)
+        # split[j]: pieces[:j] is a run of names, the whole name excluded.
+        split = [True] + [False] * whole
+        for j in range(1, whole + 1):
+            split[j] = any(split[i] and ",".join(pieces[i:j]) in known
+                           for i in range(j) if j - i < whole)
+        if split[whole]:
+            raise AlgebraSemanticError(
+                f"name {nm!r} is other names joined by ','")
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """Immutable operation tables over the carrier {0, ..., n-1}.
@@ -89,8 +110,11 @@ class FiniteAlgebra:
             raise AlgebraSemanticError("names must be strings") from None
         if spaced:
             raise AlgebraSemanticError("names must be non-empty and free of whitespace")
-        if not _SEPARATORS.isdisjoint("".join(self.names)):
+        joined = "".join(self.names)
+        if not _SEPARATORS.isdisjoint(joined):
             raise AlgebraSemanticError("names must not contain ';', '=' or '>'")
+        if "," in joined:
+            _refuse_joined_names(self.names)
         for table, what in ((self.join, "join"), (self.meet, "meet")):
             try:
                 shaped = len(table) == n and set(map(len, table)) == {n}

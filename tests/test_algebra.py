@@ -221,6 +221,35 @@ class TestLoading:
         with pytest.raises(AlgebraSemanticError, match=self.SEPARATOR_ERROR):
             qba.algebra_from_dict(d)
 
+    @pytest.mark.parametrize("names,refused", [
+        (("0", "a", "b", "a,b"), "a,b"),
+        (("0", "a", "b", "b,a,b"), "b,a,b"),
+        (("0", "a", "a,b,0", "b,0"), "a,b,0"),
+        (("0", "a", "b", "a,c"), None),
+        (("0", "a", "a,", "b"), None),
+        (("0", "a,b", "b", "1"), None),
+    ])
+    def test_a_name_joined_from_others_is_refused(self, fx, names, refused):
+        # parse_names reads the longest run of ','-pieces that names an
+        # element, so a name joined from other names would hide them.
+        a = fx["4"]
+        new = dict(zip(a.names, names))
+
+        def renamed(v):
+            return list(map(renamed, v)) if isinstance(v, list) else new.get(v, v)
+        text = "\n".join(" ".join(map(renamed, line.split()))
+                         for line in qba.dump_algebra(a).splitlines())
+        d = {key: renamed(v) for key, v in qba.algebra_to_dict(a).items()}
+        assert f"names {' '.join(names)}" in text and d["names"] == list(names)
+        if refused is None:
+            assert qba.load_algebra(text).names == names
+            assert qba.algebra_from_dict(d).names == names
+            return
+        message = f"^name '{refused}' is other names joined by ','$"
+        for build, arg in ((qba.load_algebra, text), (qba.algebra_from_dict, d)):
+            with pytest.raises(AlgebraSemanticError, match=message):
+                build(arg)
+
     def test_comments_and_blank_lines_ignored(self, fx):
         text = "# header\n\n" + qba.dump_algebra(fx["4"]) + "\n# trailing comment\n"
         assert qba.load_algebra(text) == fx["4"]

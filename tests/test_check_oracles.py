@@ -27,8 +27,9 @@ import time
 from collections import Counter
 from dataclasses import replace
 from functools import cache
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, groupby, islice, permutations, product
 from math import factorial, prod
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 import pytest
@@ -45,6 +46,7 @@ from qba.congruences import (MAX_EXHAUSTIVE, CongruenceDecomposition,
                              subalgebra, subalgebras)
 from qba.enumeration import (STRUCTURE_CLAIMS, EnumerationReport,
                              _cloud_classes, _collect_violations, _labeled,
+                             _star_test, _table_facts,
                              dedupe_up_to_iso, enumerate_all, enumerate_flat,
                              involution_count, labeled_count, verify_structure)
 from qba.errors import (AlgebraSemanticError, DecompositionConditionError,
@@ -396,8 +398,9 @@ class TestVerifyStructure:
         assert [(label, id(a)) for label, a in _collect_violations(mix)] == failing
 
     def test_collect_violations_per_family_as_by_scan(self, fx):
-        # The table facts are derived once per (join, meet, zero, one)
-        # object key; the violations must be what a per-algebra scan finds.
+        # The table facts and the star test are derived once per run of
+        # equal (join, meet, zero, one); the violations must be what a
+        # per-algebra scan finds.
         mix = shuffled_mix(fx)
         expected = [(label, id(a)) for a in mix
                     for label, ok in verify_structure_by_scan(a) if not ok]
@@ -414,6 +417,89 @@ class TestVerifyStructure:
         got = [(label, tables(a))
                for label, a in _collect_violations(fresh_flat_stream(5, 200))]
         assert got == expected and len(expected) == 600
+
+    def test_family_star_test_hides_no_failure(self):
+        # Every family of _labeled up to 8 elements, with star-only
+        # mutants that share its tables: the violations are the
+        # per-algebra scan's, and the family's star test passes no star
+        # with a false claim.
+        mix = []
+        for n in range(1, 9):
+            for k in range(n.bit_length()):
+                for _, family in groupby(_labeled(n, k), attrgetter("join")):
+                    family = list(family)
+                    mix += family
+                    mix += family[0]._with_stars(family_mutants(family[0]))
+        expected = list(map(verify_structure_by_scan, mix))
+        failing = [(label, id(a)) for a, claims in zip(mix, expected)
+                   for label, ok in claims if not ok]
+        assert [(label, id(a)) for label, a in _collect_violations(mix)] == failing
+        # Each condition of the test is the only one that refuses some
+        # star with a false claim.
+        alone = Counter()
+        for a, claims in zip(mix, expected):
+            test = _star_test(a, _table_facts(a))
+            if test is None or all(ok for _, ok in claims):
+                continue
+            assert not test(a.star), (a.join, a.star)
+            star, rep = a.star, [row[x] for x, row in enumerate(a.join)]
+            refusing = [
+                name for name, refuses in (
+                    ("involution", any(star[star[x]] != x for x in a.elements())),
+                    ("clouds", any(rep[star[x]] != star[rep[x]]
+                                   for x in a.elements())),
+                    ("fixed point", any(star[x] == x for x in a.elements())))
+                if refuses and (name == "involution" or not is_flat(a))]
+            if len(refusing) == 1:
+                alone[refusing[0]] += 1
+        assert len(failing) > 10_000
+        assert alone.keys() == {"involution", "clouds", "fixed point"}
+        assert min(alone.values()) > 100, alone
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_star_test_at_and_past_256_elements(self, n):
+        # bytes hold entries below 256, so past 256 elements every star
+        # takes _star_claims.
+        a = make_flat(n, 2)
+        cycle = (0, 2, 3, 1, *range(4, n))
+        mix = [a, *a._with_stars([tuple(range(n)), cycle, (0, *range(n - 1, 0, -1))])]
+        expected = [(label, id(b)) for b in mix
+                    for label, ok in verify_structure_by_scan(b) if not ok]
+        assert expected == [("flat-size-parity", id(mix[2]))]
+        assert [(label, id(b)) for label, b in _collect_violations(mix)] == expected
+
+
+def family_mutants(a: FiniteAlgebra) -> Iterator[tuple[int, ...]]:
+    """Stars for copies of a that share its tables: the images of the
+    last three elements rotated (a 3-cycle composed with the star), the
+    images of zero and the next element swapped, and for a non-flat a,
+    the star conjugated by the swap of the first two elements whose
+    clouds are neither equal nor complementary, the star with the
+    clouds of zero and one fixed pointwise, and the star with its first
+    irregular sent where its cloud's regular element is sent."""
+    star, n = list(a.star), a.size
+    rep = [row[x] for x, row in enumerate(a.join)]
+    if n >= 3:
+        s = star[:]
+        s[n - 3:] = star[n - 2], star[n - 1], star[n - 3]
+        yield tuple(s)
+    if n >= 2:
+        yield (star[1], star[0], *star[2:])
+    if is_flat(a):
+        return
+    for x, y in combinations(range(n), 2):
+        if rep[y] not in (rep[x], rep[star[x]]):
+            swap = list(range(n))
+            swap[x], swap[y] = y, x
+            yield tuple(swap[star[swap[v]]] for v in range(n))
+            break
+    yield tuple(v if rep[v] in (a.zero, a.one) else star[v] for v in range(n))
+    for x in range(n):
+        if rep[x] != x:
+            s = star[:]
+            s[x] = star[rep[x]]
+            yield tuple(s)
+            break
 
 
 def star_mutants(a):

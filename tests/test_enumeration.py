@@ -329,6 +329,22 @@ def test_flat_classes_derive_their_table_facts_once(n, monkeypatch):
     assert len({id(t) for a in report.iso_classes for t in (a.join, a.meet)}) == 1
 
 
+@pytest.mark.parametrize("n,flat_only,irreducible", [(9, True, 0), (6, False, 60)])
+def test_star_claims_run_on_irreducible_algebras_only(n, flat_only, irreducible,
+                                                      monkeypatch):
+    # Every other star passes its family's byte test; the irreducible
+    # ones of even size keep the isomorphism certificate of _star_claims.
+    calls = []
+    real = qba.enumeration._star_claims
+    monkeypatch.setattr(qba.enumeration, "_star_claims",
+                        lambda a, f: calls.append(a) or real(a, f))
+    report = (enumerate_flat if flat_only else enumerate_all)(n, False)
+    want = [a for a in report.iso_classes
+            if not qba.is_flat(a) and qba.is_irreducible(a)]
+    assert calls == want and len(want) == irreducible
+    assert report.violations == ()
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_product_target_has_the_odd_flat_form_tables(k):
     # This equality lets one isomorphism answer both the
