@@ -6,7 +6,9 @@ to clouds (complementary clouds of equal size), and a star mapping each
 cloud bijectively onto the complementary one. The binary tables follow
 from x v y = (x v x) v (y v y). Flat algebras are the case k = 0, where
 the star is an involution of the one cloud. The construction yields only
-valid algebras, so no axiom check runs here; the tests check that.
+valid algebras, so no axiom check runs here; the tests check that. The
+structure claims run the mask test of the tables (_mask_lattice) once
+per family of irreducible algebras, as the product form reads it.
 
 Up to isomorphism nothing labeled is built: a class is fixed by the
 star's fixed-point count (flat) or by the cloud sizes over the subsets of
@@ -17,19 +19,17 @@ by a closed form, labeled_count, which also guards labeled output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import (chain, combinations, groupby, islice, permutations,
                        product, repeat)
 from math import factorial
-from operator import attrgetter, eq, itemgetter
+from operator import attrgetter, eq
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import (FiniteAlgebra, _tables, atom_masks, cloud_map, is_flat,
-                      regular_elements, translation_table)
+from .algebra import (FiniteAlgebra, _mask_lattice, _tables, atom_masks,
+                      cloud_map, is_flat, regular_elements, translation_table)
 from .errors import TooLarge
-from .quotients import (atom_relabelings, boolean_algebra, direct_product,
-                        flat_star, generic_names, is_homomorphism,
-                        is_irreducible, isomorphism_candidate, make_flat)
+from .quotients import (atom_relabelings, flat_star, generic_names,
+                        is_irreducible, make_flat)
 
 MAX_SIZE = 16  # any enumeration
 MAX_LABELED = 10 ** 6  # labeled algebras one call may build
@@ -335,67 +335,47 @@ class _TableFacts(NamedTuple):
     so algebras that share those objects derive it once."""
 
     flat: bool
-    cloud_at: list[frozenset[int]]
-    clouds: list[tuple[int, Callable[[tuple[int, ...]], tuple[int, ...]],
-                       frozenset[int]]]
+    reps: list[int]
+    clouds: dict[int, frozenset[int]]
     claims: list[tuple[str, bool | None]]
     tables_hold: bool
-    irreducible_even: bool
 
 
 def _table_facts(a: FiniteAlgebra) -> _TableFacts:
-    """The class {y : y v y = x v x} of each x, each regular with a
-    getter of the images of its cloud and the cloud, and every claim that
-    applies, in STRUCTURE_CLAIMS order: with its value where it reads the
-    tables alone, with None where it reads the star."""
+    """x v x for each x, the class {y : y v y = r} of each such r, and
+    every claim that applies, in STRUCTURE_CLAIMS order: with its value
+    where it reads the tables alone, with None where it reads the star.
+    The irreducible claims read the star only when the mask test holds."""
     regs = regular_elements(a)
     reps = [a.join[x][x] for x in a.elements()]
-    by_rep = cloud_map(a)
+    clouds = cloud_map(a)
     # Once every x v x is regular, the clouds of the regulars are the
-    # classes of by_rep, so they cover the carrier disjointly.
+    # classes of cloud_map, so they cover the carrier disjointly.
     claims = [("cloud-partition", regs.issuperset(reps)),
               ("star-cloud-image", None), ("star-cloud-size", None)]
     flat = is_flat(a)
-    irreducible_even = not flat and a.size % 2 == 0 and is_irreducible(a)
     if not flat:
         claims += [("nonflat-star-free", None),
                    ("nonflat-complement-clouds-disjoint", None),
                    ("nonflat-regular-even", len(regs) % 2 == 0),
                    ("nonflat-order-even", a.size % 2 == 0)]
-        if irreducible_even:
-            claims.append(("irreducible-product-form", None))
+        if a.size % 2 == 0 and is_irreducible(a):
+            product = None if _mask_lattice(a) else False
+            claims.append(("irreducible-product-form", product))
             if a.size % 4 == 2:
-                claims.append(("irreducible-odd-flat-form", None))
+                claims.append(("irreducible-odd-flat-form", product))
     else:
         zero_row = (a.zero,) * a.size
         claims += [
             ("flat-regulars-trivial", regs == frozenset((a.zero,))),
-            ("flat-cloud-zero-whole",
-             by_rep[reps[a.zero]] == frozenset(a.elements())),
+            ("flat-cloud-zero-whole", len(clouds) == 1),
             ("flat-ops-zero",
              all(tuple(row) == zero_row for row in a.join)
              and all(tuple(row) == zero_row for row in a.meet)),
             ("flat-size-parity", None),
         ]
-    # A getter of the star's entries at the cloud's members, as a tuple:
-    # a slice for a single member (itemgetter of one index gives no tuple).
-    images = [(r, itemgetter(*cloud) if len(cloud) > 1
-               else itemgetter(slice(r, r + 1)), cloud)
-              for r, cloud in ((r, by_rep[r]) for r in regs)]
-    return _TableFacts(flat, list(map(by_rep.__getitem__, reps)), images,
-                       claims, all(ok is not False for _, ok in claims),
-                       irreducible_even)
-
-
-@cache
-def _product_target(n: int) -> FiniteAlgebra:
-    """2 x the flat algebra of size n/2 with one star fixed point if n/2
-    is odd, else two: the form of an irreducible algebra of even size n.
-    At n = 4k + 2 its join, meet, star, zero and one are those of
-    make_irreducible(k). Built once per size."""
-    half = n // 2
-    return direct_product(boolean_algebra(1),
-                          make_flat(half, 1 if half % 2 else 2))
+    return _TableFacts(flat, reps, clouds, claims,
+                       all(ok is not False for _, ok in claims))
 
 
 def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
@@ -405,62 +385,68 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     Claims cover the cloud partition (every element in the cloud of a
     regular one, star maps clouds to clouds bijectively), the non-flat parity
     facts, the flat collapse facts, and the classification of irreducible
-    algebras as products of 2 with a flat algebra of half the size. The
-    4k+2 shape with an odd flat factor applies exactly when the size is
-    2 mod 4; sizes 0 mod 4 pair 2 with an even flat factor instead. At
-    4k+2 the two forms have the same tables, so one map decides both: the
-    isomorphism_candidate, which counts only if is_homomorphism certifies it.
+    algebras of even size 2h as 2 x make_flat(h, f). These products are
+    isomorphic for all admissible f, so the form with f = 1, which applies
+    exactly when the size is 2 mod 4, has the same answer.
+
+    A non-flat algebra of size 2h with regulars 0 and 1 has that form
+    exactly when join and meet pass the mask test and the star is an
+    involution with 0* = 1 that maps the cloud of 0 onto that of 1. Only
+    if: the product has these, and an isomorphism keeps them. If: the test
+    makes 1 the one atom and 0 of the empty mask, so the two clouds halve
+    the carrier; with c_i the i-th member of the cloud of 0 (c_0 = 0) and
+    s the star of make_flat(h, f), c_i -> (0, i) and c_i* -> (1, s(i)) is
+    a bijection that keeps 0, 1, the star and the masks, which are all
+    that join and meet read on either side.
+
+    The claims are not a validity test: boolean_algebra(2) with the star
+    (1, 3, 0, 2) passes every claim and fails validate.
     """
-    f = _table_facts(a)
-    return _claims(f, _star_claims(a, f))
+    return _claims(a, _table_facts(a))
 
 
-def _claims(f: _TableFacts, stars: tuple[bool, ...]) -> list[tuple[str, bool]]:
-    """The claims of f, each None filled in order from stars."""
-    stars = iter(stars)
-    return [(label, next(stars) if ok is None else ok)
-            for label, ok in f.claims]
-
-
-def _star_claims(a: FiniteAlgebra, f: _TableFacts) -> tuple[bool, ...]:
-    """The claims that read the star, one bool per None of f.claims,
-    from one pass over the clouds. The irreducible claims share one
-    certified candidate map onto _product_target(n)."""
+def _claims(a: FiniteAlgebra, f: _TableFacts) -> list[tuple[str, bool]]:
+    """The claims of f, each None filled by its label from one pass over
+    the clouds of the regulars and the star."""
     star = a.star
     n = len(star)  # a.size, as the star was checked to have
-    image = size = True
-    apart = not f.flat  # read on non-flat algebras only
-    for r, images, cloud in f.clouds:
-        dst = f.cloud_at[star[r]]
-        image = image and frozenset(images(star)) == dst
-        size = size and len(cloud) == len(dst)
-        apart = apart and not cloud & dst
+    image = size = apart = True
+    for r, cloud in f.clouds.items():
+        if f.reps[r] == r:  # a regular and its cloud
+            dst = f.clouds[f.reps[star[r]]]
+            image = image and frozenset(map(star.__getitem__, cloud)) == dst
+            size = size and len(cloud) == len(dst)
+            apart = apart and not cloud & dst
     fixed = sum(map(eq, star, range(n)))
-    if f.flat:
-        return image, size, (n - fixed) % 2 == 0
-    claims = (image, size, fixed == 0, apart)
-    if f.irreducible_even:
-        target = _product_target(n)
-        g = isomorphism_candidate(a, target)
-        iso = g is not None and g.is_bijective and is_homomorphism(a, target, g)
-        claims += (iso, iso) if n % 4 == 2 else (iso,)
-    return claims
+    # Where the product form reads the star, the regulars are 0 and 1 and
+    # their clouds cover the carrier: the star maps the cloud of 0 onto
+    # that of 1 exactly when image holds and 0* = 1.
+    product = (image and star[a.zero] == a.one
+               and all(map(eq, map(star.__getitem__, star), range(n))))
+    read = {"star-cloud-image": image, "star-cloud-size": size,
+            "nonflat-star-free": fixed == 0,
+            "nonflat-complement-clouds-disjoint": apart,
+            "irreducible-product-form": product,
+            "irreducible-odd-flat-form": product,
+            "flat-size-parity": (n - fixed) % 2 == 0}
+    return [(label, read[label] if ok is None else ok) for label, ok in f.claims]
 
 
 def _star_test(a: FiniteAlgebra, f: _TableFacts
                ) -> Callable[[tuple[int, ...]], bool] | None:
     """A test for the stars of a's family (its join, meet, zero and one,
     with table facts f) that passes only stars on which every star claim
-    holds, or None where each star takes _star_claims: when a table claim
-    fails, on irreducible algebras of even size, whose certificate reads
-    the whole star, and past 256 elements, as bytes hold entries below
-    256. A flat star passes if it is an involution: a bijection of the
-    one cloud whose moved points pair up. A non-flat star passes if it is
-    an involution without fixed points that commutes with x -> x v x: it
+    holds, or None where each star takes _claims: when a table claim
+    fails, and past 256 elements, as bytes hold entries below 256. A flat
+    star passes if it is an involution: a bijection of the one cloud
+    whose moved points pair up. A non-flat star passes if it is an
+    involution without fixed points that commutes with x -> x v x: it
     then maps the cloud of each regular r into the cloud of r*, another
-    one, and that cloud back, so onto it, and the two have equal sizes."""
+    one, and that cloud back, so onto it, and the two have equal sizes.
+    On an irreducible family r* is the other regular, so 0* = 1 and the
+    product form holds too."""
     n = a.size
-    if not f.tables_hold or f.irreducible_even or n > 256:
+    if not f.tables_hold or n > 256:
         return None
     ident = bytes(range(n))
     if f.flat:
@@ -468,7 +454,7 @@ def _star_test(a: FiniteAlgebra, f: _TableFacts
             s = bytes(star)
             return s.translate(translation_table(s)) == ident
         return involutive
-    reps = bytes(row[x] for x, row in enumerate(a.join))
+    reps = bytes(f.reps)
     rep_of = translation_table(reps)
 
     def paired(star: tuple[int, ...]) -> bool:
@@ -485,17 +471,13 @@ def _collect_violations(algebras) -> tuple[tuple[str, FiniteAlgebra], ...]:
     algebras with equal join, meet, zero and one form a family, which
     derives its table facts and its _star_test once. A star that passes
     the test has every claim hold and costs no more; any other takes
-    _star_claims, and the claim list only where a claim fails."""
+    _claims."""
     out = []
     for _, family in groupby(algebras, attrgetter("join", "meet", "zero", "one")):
         a = next(family)
         f = _table_facts(a)
         passes = _star_test(a, f)
         for a in chain((a,), family):
-            if passes and passes(a.star):
-                continue
-            stars = _star_claims(a, f)
-            if f.tables_hold and all(stars):
-                continue
-            out.extend((label, a) for label, ok in _claims(f, stars) if not ok)
+            if not (passes and passes(a.star)):
+                out.extend((label, a) for label, ok in _claims(a, f) if not ok)
     return tuple(out)

@@ -184,19 +184,28 @@ def parse_part(a: FiniteAlgebra, text: str, part: Sequence[int]) -> Partition:
 
 
 def parse_names(a: FiniteAlgebra, text: str, part: Sequence[int]) -> list[int]:
-    """Positions in part, a sorted sequence of elements, of the
-    ','-separated names in text; an empty name is refused. A name may
-    hold ',' itself, as direct_product's '(x,y)' do: each name is the
-    longest run of pieces that names an element, else one piece."""
+    """Positions in part, a sorted sequence of elements, of the names in
+    text, read by its one split into names at ','; a name may hold ','
+    itself, as direct_product's '(x,y)' do. Without a split, the first
+    piece that no split gets past is an unknown name (an empty one too);
+    two splits are refused, naming both."""
     pieces = [nm.strip() for nm in text.split(",")]
-    width = 1 + max(nm.count(",") for nm in a.names)
-    out = []
-    while pieces:
-        runs = (",".join(pieces[:j]) for j in range(width, 0, -1))
-        name = next((nm for nm in runs if nm in a.names), pieces[0])
-        out.append(position_in_part(a, name, part))
-        del pieces[:name.count(",") + 1]
-    return out
+    known = frozenset(a.names)
+    width = 1 + max(nm.count(",") for nm in known)
+    reads = [[()]]  # reads[j]: up to two splits of pieces[:j] into names
+    for j in range(1, len(pieces) + 1):
+        found = []
+        for i in range(max(0, j - width), j):
+            if reads[i] and (nm := ",".join(pieces[i:j])) in known:
+                found += [(*r, nm) for r in reads[i]]
+        reads.append(found[:2])
+    if not reads[-1]:
+        stuck = max(j for j, r in enumerate(reads) if r)
+        raise AlgebraSemanticError(f"unknown element name {pieces[stuck]!r}")
+    if len(reads[-1]) > 1:
+        first, second = (" | ".join(r) for r in reads[-1])
+        raise AlgebraSemanticError(f"names {text!r} read two ways: {first} and {second}")
+    return [position_in_part(a, name, part) for name in reads[-1][0]]
 
 
 def position_in_part(a: FiniteAlgebra, name: str, part: Sequence[int]) -> int:

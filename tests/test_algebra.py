@@ -230,8 +230,8 @@ class TestLoading:
         (("0", "a,b", "b", "1"), None),
     ])
     def test_a_name_joined_from_others_is_refused(self, fx, names, refused):
-        # parse_names reads the longest run of ','-pieces that names an
-        # element, so a name joined from other names would hide them.
+        # parse_names reads a text by its splits into names, so a name
+        # joined from other names would make every text of it ambiguous.
         a = fx["4"]
         new = dict(zip(a.names, names))
 

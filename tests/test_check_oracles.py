@@ -4,15 +4,18 @@ facts in _collect_violations, the structure-built labeled generator and
 its stars, the block-of-columns equation check, the
 congruences built by the split lemma, the generated congruences built by
 the split lemma, the isomorphism-class key, the isomorphisms built from
-the clouds, the congruence check against the least element of each block
+the clouds, the irreducible product form read from the clouds (the mask
+test and the star) in place of a certified isomorphism onto the product
+target, the congruence check against the least element of each block
 and the whole-row axiom scan of validate against the code they replaced. The per-tuple axiom scan stays in qba.algebra, as the path for
-carriers past 256 elements, and is imported from there.
+tables that fail the mask test, and is imported from there.
 
 The old scans, generators (the recursive star generators among them),
 the per-assignment check, the two-prune search,
 the union-find closure of generated congruences, the pairwise
 congruence check, the backtracking
-isomorphism search and the search-based dedupe are kept
+isomorphism search, which decides the product form against
+product_target, and the search-based dedupe are kept
 here verbatim as oracles: every input must give the same exception type
 and message, the same (claim, bool) list, the same labeled algebras, the
 same verdict, witness included, the same congruences, the same
@@ -158,6 +161,16 @@ def find_isomorphism_by_search(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap
     return f
 
 
+def product_target(n: int, f: int | None = None) -> FiniteAlgebra:
+    """2 x make_flat(n/2, f), by default with one star fixed point if n/2
+    is odd, else two: the product form of an irreducible algebra of even
+    size n, as the certified isomorphism checked it."""
+    half = n // 2
+    if f is None:
+        f = 1 if half % 2 else 2
+    return direct_product(boolean_algebra(1), make_flat(half, f))
+
+
 def verify_structure_by_scan(a):
     """verify_structure as it was, with cloud_of rescanning per call."""
     results = []
@@ -188,12 +201,9 @@ def verify_structure_by_scan(a):
         results.append(("nonflat-regular-even", len(regs) % 2 == 0))
         results.append(("nonflat-order-even", a.size % 2 == 0))
         if is_irreducible(a) and a.size % 2 == 0:
-            half = a.size // 2
-            flat_factor = make_flat(half, 1 if half % 2 else 2)
-            two = boolean_algebra(1)
             results.append((
                 "irreducible-product-form",
-                find_isomorphism_by_search(a, direct_product(two, flat_factor))
+                find_isomorphism_by_search(a, product_target(a.size))
                 is not None))
             if a.size % 4 == 2:
                 results.append((
@@ -396,6 +406,44 @@ class TestVerifyStructure:
                    for label, ok in claims if not ok]
         assert len({a for _, a in failing}) > 48
         assert [(label, id(a)) for label, a in _collect_violations(mix)] == failing
+
+    def test_irreducible_claims_from_the_clouds_as_by_search(self):
+        # The irreducible labeled algebras with one atom up to 8 elements
+        # and make_irreducible up to 10, each with 20 seeded single-cell
+        # mutants of join, meet or star: the claims read from the mask
+        # test and the star equal the backtracking search's.
+        bases = [*(a for n in (2, 4, 6) for a in _labeled(n, 1)),
+                 *islice(_labeled(8, 1), 100),
+                 *map(make_irreducible, range(3))]
+        mix = bases + [m for seed, a in enumerate(bases)
+                       for m in seeded_mutants(a, seed, 20)]
+        expected = list(map(verify_structure_by_scan, mix))
+        assert list(map(verify_structure, mix)) == expected
+        # Inputs with a false irreducible claim, and those among them
+        # whose tables pass the mask test, so that the star decides.
+        false = [a for a, claims in zip(mix, expected)
+                 if any(not ok for label, ok in claims
+                        if label.startswith("irreducible"))]
+        assert len(mix) == 3570 and len(false) == 3330
+        assert sum(map(_mask_lattice, false)) == 1102
+
+    @pytest.mark.parametrize("h", range(1, 7))
+    def test_every_flat_factor_gives_the_product_form(self, h):
+        # The lemma behind the claims: 2 x make_flat(h, f) is isomorphic
+        # to the product target for each admissible f.
+        target = product_target(2 * h)
+        for f in range(2 - h % 2, h + 1, 2):
+            a = product_target(2 * h, f)
+            assert find_isomorphism_by_search(a, target) is not None, f
+            assert all(ok for _, ok in verify_structure(a)), f
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_product_target_has_the_odd_flat_form_tables(self, k):
+        # At 4k+2 the two irreducible claims compare with algebras of the
+        # same tables, so one answer holds for both.
+        target, odd = product_target(4 * k + 2), make_irreducible(k)
+        for field in ("join", "meet", "star", "zero", "one"):
+            assert getattr(target, field) == getattr(odd, field), field
 
     def test_collect_violations_per_family_as_by_scan(self, fx):
         # The table facts and the star test are derived once per run of

@@ -98,8 +98,8 @@ class TestTextFormat:
         assert qba.parse_partition(a, ";0,1;;a; ;") == qba.parse_partition(a, "0,1")
 
     def test_product_names_read_back(self, fx):
-        # direct_product names its elements (x,y); a name is the longest
-        # run of ','-pieces that names an element.
+        # direct_product names its elements (x,y); the text is read by
+        # its one split into names.
         # all_congruences refuses 12 elements, so on (2xF3)x2 the
         # congruences are those generated by at most two pairs.
         two_f3 = qba.direct_product(fx["2"], fx["F3"])
@@ -117,6 +117,28 @@ class TestTextFormat:
             qba.parse_partition(two_f3, "(0,0),(0")
         with pytest.raises(AlgebraSemanticError, match="^unknown element name ''$"):
             qba.parse_partition(two_f3, "(0,0),,(0,c)")
+
+    @staticmethod
+    def renamed(a, names):
+        return qba.FiniteAlgebra(names, a.join, a.meet, a.star, a.zero, a.one)
+
+    def test_a_text_with_two_readings_is_refused(self, fx):
+        # a | b,c and a,b | c are both splits of 'a,b,c' into names.
+        a = self.renamed(fx["A"], ("0", "a", "a,b", "b,c", "c", "1"))
+        message = r"^names 'a,b,c' read two ways: a \| b,c and a,b \| c$"
+        for text in ("a,b,c", "0;a,b,c"):
+            with pytest.raises(AlgebraSemanticError, match=message):
+                qba.parse_partition(a, text)
+        assert qba.parse_partition(a, "a,b,0;c,1").blocks == ((0, 2), (1,), (3,), (4, 5))
+
+    def test_the_one_reading_is_found(self, fx):
+        # The longest name at the start, x,y, leaves z, which is no name;
+        # x | y,z is the only split.
+        a = self.renamed(fx["A"], ("0", "x", "x,y", "y,z", "q", "1"))
+        assert qba.parse_partition(a, "x,y,z").blocks == ((0,), (1, 3), (2,), (4,), (5,))
+        assert qba.parse_partition(a, "x,y,q").blocks == ((0,), (1,), (2, 4), (3,), (5,))
+        with pytest.raises(AlgebraSemanticError, match="^unknown element name 'z'$"):
+            qba.parse_partition(a, "x,y,z,z")
 
     def test_part_is_indexed_by_position(self, fx):
         a = fx["6"]  # irregular part a, e, f, b
