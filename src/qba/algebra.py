@@ -328,19 +328,26 @@ def _tables(img, rep) -> tuple[tuple, tuple]:
     return tuple(joins[s] for s in rep), tuple(meets[s] for s in rep)
 
 
-def _mask_lattice(a: FiniteAlgebra) -> bool:
-    """Whether join and meet are the union and intersection of atom
-    masks: with m the masks of atom_masks and img[s] a regular element of
-    mask s, one for each of the 2^k masks, x v y = img[m(x) | m(y)] and
+def _mask_structure(a: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
+    """atom_masks(a) when join and meet are the union and intersection of
+    atom masks, else None: with m the masks and img[s] a regular element
+    of mask s, one for each of the 2^k masks, x v y = img[m(x) | m(y)] and
     x ^ y = img[m(x) & m(y)]. As m(img[s]) = s, QL1-QL5 and DIST then
     reduce to Boolean identities on masks, however the masks were chosen;
     by the structure theorem every valid algebra passes."""
     atoms, masks = atom_masks(a)
     img = {masks[x]: x for x, row in enumerate(a.join) if row[x] == x}
     if len(img) != 1 << len(atoms):
-        return False
-    return (tuple(map(tuple, a.join)), tuple(map(tuple, a.meet))) == _tables(
-        [img[s] for s in range(len(img))], masks)
+        return None
+    if (tuple(map(tuple, a.join)), tuple(map(tuple, a.meet))) != _tables(
+            [img[s] for s in range(len(img))], masks):
+        return None
+    return atoms, masks
+
+
+def _mask_lattice(a: FiniteAlgebra) -> bool:
+    """The mask test: whether _mask_structure finds the masks."""
+    return _mask_structure(a) is not None
 
 
 # The unary bound and complement laws: all that is left to scan once the
@@ -361,6 +368,18 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
     mutants of a 144-element product (Python 3.11, 2 vCPUs).
     """
     return _validate_by_tuples(a, _UNARY_QB if _mask_lattice(a) else AXIOMS)
+
+
+def _accepted_masks(a: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
+    """The accept test validate runs first, with what it found: the atoms
+    and masks of _mask_structure when the mask test holds and QB2-QB5
+    pass, else None. It never scans QL1-QL5 or DIST, so a table that fails
+    it costs O(n^2), not validate's per-tuple scan. By the structure
+    theorem it holds exactly when validate passes."""
+    structure = _mask_structure(a)
+    if structure is None or _validate_by_tuples(a, _UNARY_QB).violations:
+        return None
+    return structure
 
 
 def _validate_by_tuples(a: FiniteAlgebra, axioms=AXIOMS) -> ValidationReport:

@@ -18,37 +18,62 @@ recursion limit. Deeper input is an EquationParseError.
 An equation holds in an algebra when both sides evaluate equally under
 every assignment; it holds in a whole variety exactly when it holds in the
 variety's small generating algebra (4, F3 and 2 respectively), which is
-what `decide` exploits.
+what `decide` exploits. The witness of an equation that fails is the first
+failing assignment in lexicographic order, the k variables sorted by name
+and the elements by index. More than MAX_ASSIGNMENTS assignments (n^k)
+raise TooLarge before any work, which the CLI reports with exit code 2.
 
-`holds_in` scans all n^k assignments of the k variables (sorted by name)
-a block at a time: the innermost variables, as many as keep n^m within
-BLOCK assignments, are columns holding all their values in lexicographic
-order, and the outer ones run through their values one by one. A subterm
-that depends on no inner variable is one element per block; the others
-are columns. When n*n <= 256 a column is bytes, one element index per
-byte, and each operation on it is a single bytes.translate: star through
-the star, element op column through a table row, column op element
-through a table column, and column op column through the flattened table
-at the pair index l*n + r, computed for all entries at once as
-int.from_bytes(l) * n + int.from_bytes(r) (no entry carries into the
-next, as l*n + r < n*n <= 256). Larger algebras keep columns as lists
-mapped through the table rows entry by entry. The witness is the first
-failing assignment in lexicographic order, as in a scan one assignment at
-a time; with bytes its index is the highest nonzero byte of the XOR of the
-two sides read as big-endian integers. More than MAX_ASSIGNMENTS
-assignments raise TooLarge before any evaluation, which the CLI reports
-with exit code 2.
+`holds_in` takes one of two paths, which give the same verdict and
+witness.
+
+Through the subdirect factors, when 3 <= k, 2^k <= BLOCK and the algebra
+passes the accept test that `validate` runs first (the mask test of
+`algebra._mask_structure`, then QB2-QB5; it never scans QL1-QL5 or DIST).
+By the structure theorem such an algebra A is a subdirect product of one
+2 per atom of its Boolean part and one F2 or F3 per star orbit of its
+irregular elements, so an assignment fails in A exactly when it fails in
+one of these factors. In 2 both sides are evaluated once over the 2^k
+assignments as byte columns. In F2 and F3 every join, meet and constant
+is 0, so a term is 0 unless it is a variable under stars, and its value is
+fixed by that variable and the parity of the stars; the parity counts
+only in F3, which occurs when the star moves some irregular element. The
+witness is then found variable by variable in name order: each takes the
+least element that still has a failing completion. A completion fails in
+A exactly when it fails in a factor, and the factors are images of A, so
+that search finds the scan's first failing assignment. In 2 a failing
+completion is a nonzero byte in the slice of the columns under the
+prefix's bits; in the flat factors it is a difference of the flat forms
+that the fixed values leave possible. With k <= 2 the scan of n^k
+assignments costs about what the accept test does, and past BLOCK the
+columns over 2 would not fit one block, so both keep the scan.
+
+By scan, in every other case: all n^k assignments a block at a time. The
+innermost variables, as many as keep n^m within BLOCK assignments, are
+columns holding all their values in lexicographic order, and the outer
+ones run through their values one by one. A subterm that depends on no
+inner variable is one element per block; the others are columns. When
+n*n <= 256 a column is bytes, one element index per byte, and each
+operation on it is a single bytes.translate: star through the star,
+element op column through a table row, column op element through a table
+column, and column op column through the flattened table at the pair
+index l*n + r, computed for all entries at once as int.from_bytes(l) * n +
+int.from_bytes(r) (no entry carries into the next, as l*n + r < n*n <=
+256). Larger algebras keep columns as lists mapped through the table rows
+entry by entry. With bytes the index of the first failing assignment of a
+block is the highest nonzero byte of the XOR of the two sides read as
+big-endian integers.
 """
 from __future__ import annotations
 
 import random
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from operator import getitem
 from typing import Mapping, Union
 
-from .algebra import FiniteAlgebra, translation_table
+from .algebra import FiniteAlgebra, _accepted_masks, check_elements, translation_table
 from .errors import (EquationParseError, InvariantViolation,
                      PreconditionViolated, TooLarge, UnboundVariable)
 from .fixtures import fixture
@@ -295,9 +320,20 @@ def eval_term(a: FiniteAlgebra, t: Term,
     or to columns of one common length and type, one entry per assignment:
     lists of element indices, or bytes when n*n <= 256. The value is an
     element when t depends on no column, else the column of its values; a
-    subterm free of columns is computed once, not once per entry."""
+    subterm free of columns is computed once, not once per entry. A value
+    that is no element index, or a column with an entry that is none,
+    raises ValueError, as do columns of two types or lengths."""
+    columns = [v for v in env.values() if isinstance(v, (bytes, list))]
+    check_elements(a.size, [v for v in env.values()
+                            if not isinstance(v, (bytes, list))], "eval_term")
+    for column in columns:
+        # The entries of bytes are ints, so the largest settles the range.
+        check_elements(a.size, [max(column)] if isinstance(column, bytes) and column
+                       else column, "eval_term")
+    if len({(type(c), len(c)) for c in columns}) > 1:
+        raise ValueError("eval_term takes columns of one type and length")
     tables = None
-    if any(isinstance(v, bytes) for v in env.values()):
+    if columns and isinstance(columns[0], bytes):
         tables = _byte_tables(a)
         if tables is None:
             raise PreconditionViolated(
@@ -348,15 +384,49 @@ BLOCK = 4096
 
 
 def holds_in(a: FiniteAlgebra, eq: Equation) -> Verdict:
-    """Exhaustive check over all assignments; the first counterexample in
-    lexicographic order (variables sorted by name) becomes the witness.
-    The scan runs a block of assignments at a time (see the module
-    docstring); more than MAX_ASSIGNMENTS raise TooLarge up front."""
+    """Whether eq holds under every assignment of its variables, sorted by
+    name; if not, the witness is the first failing assignment in
+    lexicographic order. More than MAX_ASSIGNMENTS assignments (n^k) raise
+    TooLarge before any work.
+
+    With 3 <= k and 2^k <= BLOCK, an algebra that passes the accept test
+    (algebra._accepted_masks) is decided through its subdirect factors
+    (_holds_by_factors); every other case scans all n^k assignments
+    (_holds_by_scan). Both give the same verdict and witness."""
     names = sorted(variables(eq.lhs) | variables(eq.rhs))
     n, k = a.size, len(names)
     if n ** k > MAX_ASSIGNMENTS:
         raise TooLarge(f"{k} variables over {n} elements give {n ** k:,} "
                        f"assignments, above the guard of {MAX_ASSIGNMENTS:,}")
+    if 3 <= k and 1 << k <= BLOCK:
+        structure = _accepted_masks(a)
+        if structure is not None:
+            return _holds_by_factors(a, eq, names, *structure)
+    return _holds_by_scan(a, eq, names)
+
+
+def _columns(n: int, m: int, column) -> list:
+    """The columns of m variables over n elements: entry i of each holds
+    the i-th assignment in lexicographic order, so variable j repeats each
+    value n^(m-1-j) times."""
+    return [column([v for v in range(n) for _ in range(n ** (m - 1 - j))] * n ** j)
+            for j in range(m)]
+
+
+def _witness(a: FiniteAlgebra, names: list[str], values, lv: int, rv: int) -> Verdict:
+    """The verdict of a failing assignment and its two sides' values."""
+    return Verdict(valid=False, witness=Witness(
+        assignment=tuple((nm, a.names[v]) for nm, v in zip(names, values)),
+        lhs_value=a.names[lv],
+        rhs_value=a.names[rv],
+        algebra=a.label or f"{a.size}-element algebra",
+    ))
+
+
+def _holds_by_scan(a: FiniteAlgebra, eq: Equation, names: list[str]) -> Verdict:
+    """holds_in by evaluating all n^k assignments, a block at a time (see
+    the module docstring)."""
+    n, k = a.size, len(names)
     m = 0
     while m < k and n ** (m + 1) <= BLOCK:
         m += 1
@@ -364,10 +434,7 @@ def holds_in(a: FiniteAlgebra, eq: Equation) -> Verdict:
     size = n ** m
     tables = _byte_tables(a)
     column = list if tables is None else bytes
-    # Entry i of a column holds the i-th assignment of the inner variables
-    # in lexicographic order: variable j repeats each value n^(m-1-j) times.
-    columns = {nm: column([v for v in range(n) for _ in range(n ** (m - 1 - j))] * n ** j)
-               for j, nm in enumerate(inner)}
+    columns = dict(zip(inner, _columns(n, m, column)))
     for values in product(range(n), repeat=k - m):
         env = dict(zip(outer, values), **columns)
         lv = _eval(a, tables, eq.lhs, env)
@@ -381,13 +448,90 @@ def holds_in(a: FiniteAlgebra, eq: Equation) -> Verdict:
         else:
             i = next(i for i, pair in enumerate(zip(lv, rv)) if pair[0] != pair[1])
         values += tuple(c[i] for c in columns.values())
-        return Verdict(valid=False, witness=Witness(
-            assignment=tuple((nm, a.names[v]) for nm, v in zip(names, values)),
-            lhs_value=a.names[lv[i]],
-            rhs_value=a.names[rv[i]],
-            algebra=a.label or f"{a.size}-element algebra",
-        ))
+        return _witness(a, names, values, lv[i], rv[i])
     return Verdict(valid=True)
+
+
+def _flat_form(t: Term) -> tuple[str, int] | None:
+    """The value of t in a flat algebra, where every join, meet and
+    constant is 0: (variable, number of stars mod 2) when t is a variable
+    under stars, else None for 0."""
+    stars = 0
+    while isinstance(t, Star):
+        t, stars = t.inner, stars ^ 1
+    return (t.name, stars) if isinstance(t, Var) else None
+
+
+@cache
+def _boolean_columns(k: int) -> tuple[FiniteAlgebra, dict, tuple[bytes, ...]]:
+    """The fixture 2, its byte tables and the byte columns of k variables
+    over its 2^k assignments. Its zero is element 0 and its one element
+    1, so bit i of a mask is the image of an element in the i-th factor."""
+    two = fixture("2")
+    return two, _byte_tables(two), tuple(_columns(2, k, bytes))
+
+
+def _holds_by_factors(a: FiniteAlgebra, eq: Equation, names: list[str],
+                      atoms: list[int], masks: list[int]) -> Verdict:
+    """holds_in on an algebra that passes the accept test, with the atoms
+    and masks it found (see the module docstring). The factor 2 of atom i
+    maps x to bit i of its mask. The flat factors are taken together as
+    A/tau, which keeps each irregular element and collapses the regular
+    ones to 0: a flat algebra, the subdirect product of the F2 and F3 of
+    the star orbits, in which a term takes the value of its _flat_form."""
+    n, k = a.size, len(names)
+    diff = bytes(1 << k)
+    if atoms:
+        two, tables, columns = _boolean_columns(k)
+        env = dict(zip(names, columns))
+        lv, rv = (_eval(two, tables, t, env) for t in (eq.lhs, eq.rhs))
+        lv, rv = (bytes([v]) * (1 << k) if isinstance(v, int) else v for v in (lv, rv))
+        diff = (int.from_bytes(lv, "big") ^ int.from_bytes(rv, "big")).to_bytes(1 << k, "big")
+
+    star = a.star
+    irregular = [x for x, row in enumerate(a.join) if row[x] != x]
+    forms = _flat_form(eq.lhs), _flat_form(eq.rhs)
+    flat_differs = bool(irregular) and forms[0] != forms[1]
+    if flat_differs and None not in forms and forms[0][0] == forms[1][0]:
+        # One variable under stars of both parities: the sides differ only
+        # at an irregular element that the star moves, that is in an F3.
+        flat_differs = any(star[x] != x for x in irregular)
+
+    def flat_value(form, fixed):
+        if form is None:
+            return None
+        x = fixed[form[0]]
+        if a.join[x][x] == x:  # regular: the 0 of A/tau
+            return None
+        return star[x] if form[1] else x
+
+    def fails(values: list[int]) -> bool:
+        """Whether some completion of the assignment prefix fails."""
+        width = 1 << (k - len(values))
+        for i in range(len(atoms)):
+            b = 0
+            for x in values:
+                b = b << 1 | masks[x] >> i & 1
+            if any(diff[b * width:(b + 1) * width]):
+                return True
+        if not flat_differs:
+            return False
+        fixed = dict(zip(names, values))
+        if any(form is not None and form[0] not in fixed for form in forms):
+            # Free, it can take 0 against an irregular value of the other
+            # side, or else an irregular element (one the star moves, when
+            # the forms differ only in parity).
+            return True
+        return flat_value(forms[0], fixed) != flat_value(forms[1], fixed)
+
+    if not fails([]):
+        return Verdict(valid=True)
+    values = []
+    for _ in names:
+        values.append(next(e for e in range(n) if fails(values + [e])))
+    env = dict(zip(names, values))
+    return _witness(a, names, values, _eval(a, None, eq.lhs, env),
+                    _eval(a, None, eq.rhs, env))
 
 
 _GENERATORS = {"qb": "4", "fqb": "F3", "b": "2"}
@@ -397,7 +541,9 @@ VARIETIES = tuple(_GENERATORS)
 
 def decide(variety: str, eq: Equation) -> Verdict:
     """Validity in a whole variety via its generating algebra: 4 for all
-    QB-algebras, F3 for the flat ones, 2 for Boolean algebras."""
+    QB-algebras, F3 for the flat ones, 2 for Boolean algebras. holds_in
+    decides it there, through the generator's factors from three
+    variables on."""
     key = variety.lower()
     if key not in _GENERATORS:
         raise ValueError(f"unknown variety {variety!r}; expected one of {VARIETIES}")

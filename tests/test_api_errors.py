@@ -20,6 +20,7 @@ from qba.errors import (AlgebraSemanticError, EquationParseError,
 SIX, F5 = qba.fixture("6"), qba.fixture("F5")  # 6: regulars 0, 5
 CHI6 = qba.decompose(SIX, qba.chi(SIX))  # two theta_r and two theta_ir blocks
 THREE = Partition.singletons(3)
+X, X_STAR, X_JOIN_Y = map(qba.parse_term, ("x", "x'", "x \\/ y"))
 
 
 def row(call, name):
@@ -76,6 +77,15 @@ def guard(call, error, message):
     row(lambda: qba.quasi_leq(SIX, 0, 6), "quasi-leq-n"),
     row(lambda: qba.quasi_leq(SIX, -1, 0), "quasi-leq--1"),
     row(lambda: qba.cloud_of(SIX, 6), "cloud-of-n"),
+    row(lambda: qba.eval_term(SIX, X, {"x": 7}), "eval-term-n"),
+    row(lambda: qba.eval_term(SIX, X_STAR, {"x": 7}), "eval-term-star-n"),
+    row(lambda: qba.eval_term(SIX, X, {"x": -1}), "eval-term--1"),
+    row(lambda: qba.eval_term(SIX, X, {"x": 1.0}), "eval-term-float"),
+    row(lambda: qba.eval_term(SIX, X_STAR, {"x": b"\x00\x06"}), "eval-term-bytes-n"),
+    row(lambda: qba.eval_term(SIX, X_STAR, {"x": [0, -1]}), "eval-term-list--1"),
+    row(lambda: qba.eval_term(SIX, X_JOIN_Y, {"x": b"\x00\x01", "y": b"\x00"}),
+        "eval-term-lengths"),
+    row(lambda: qba.eval_term(SIX, X_JOIN_Y, {"x": b"\x00", "y": [0]}), "eval-term-types"),
 ])
 def test_out_of_range_index_is_refused(call):
     with pytest.raises((QbaError, ValueError)):

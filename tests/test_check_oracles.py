@@ -1,7 +1,8 @@
 """The whole-row well-formedness checks in FiniteAlgebra and its star-only
 copies, the one-pass cloud map in verify_structure and its once-per-table
 facts in _collect_violations, the structure-built labeled generator and
-its stars, the block-of-columns equation check, the
+its stars, the block-of-columns equation check and the check through
+the subdirect factors 2, F2 and F3, the
 congruences built by the split lemma, the generated congruences built by
 the split lemma, the isomorphism-class key, the isomorphisms built from
 the clouds, the irreducible product form read from the clouds (the mask
@@ -38,8 +39,8 @@ from typing import Iterator, Mapping
 import pytest
 
 import qba
-from qba.algebra import (AXIOM_LABELS, FiniteAlgebra, _mask_lattice,
-                         _validate_by_tuples, axiom_holds_at, cloud_map,
+from qba.algebra import (AXIOM_LABELS, AXIOMS, FiniteAlgebra, _accepted_masks,
+                         _mask_lattice, _validate_by_tuples, axiom_holds_at, cloud_map,
                          cloud_of, is_flat, regular_elements, validate)
 from qba.congruences import (MAX_EXHAUSTIVE, CongruenceDecomposition,
                              all_congruences, compose_flat, compose_nonflat,
@@ -1043,6 +1044,162 @@ class TestHoldsIn:
             eqs += [parse_equation(f"{meet} = 0"), parse_equation(f"({meet})' = 1")]
         assert_same_verdicts(a, eqs)
         assert all(holds_in(a, eq).witness.assignment[0][1] != "0" for eq in eqs)
+
+
+# holds_in decides an equation of 3 <= k variables, 2^k <= BLOCK, on an
+# algebra that passes the accept test through its subdirect factors 2, F2
+# and F3 (_holds_by_factors), and scans all n^k assignments otherwise
+# (_holds_by_scan). holds_in_by_walk is the oracle of both paths: the same
+# verdict, witness included. Each test below notes the path that ran, so
+# that the oracle checks both.
+
+def record_paths(monkeypatch) -> list[str]:
+    """Note, in order, which path each holds_in call takes."""
+    taken = []
+    for path in ("_holds_by_factors", "_holds_by_scan"):
+        def note(*args, path=path, run=getattr(qba.terms, path)):
+            taken.append(path)
+            return run(*args)
+        monkeypatch.setattr(qba.terms, path, note)
+    return taken
+
+
+# 264 equations of up to four variables: 88 each over x, y, z; w, x, y, z
+# (depth 4); and u, v, x, y (depth 3).
+FACTOR_CORPUS = (equation_corpus(88, seed=31, max_depth=4)
+                 + equation_corpus(88, seed=41, max_depth=4, names=("w", "x", "y", "z"))
+                 + equation_corpus(88, seed=51, max_depth=3, names=("u", "v", "x", "y")))
+
+
+def factor_corpus_algebras(fx) -> list[FiniteAlgebra]:
+    """The fixtures, every isomorphism class with n <= 10, 2xF5, 4xF3 and
+    AxF3."""
+    return [*fx.values(),
+            *(a for n in range(1, 11) for a in enumerate_all(n, True).iso_classes),
+            direct_product(fx["2"], fx["F5"]), direct_product(fx["4"], fx["F3"]),
+            direct_product(fx["A"], fx["F3"])]
+
+
+def desk_equations() -> list[Equation]:
+    """The check ladders of the desk workload: for k = 1..6 the join and
+    the meet of k variables against the reverse chain (QL5 and QB5 at
+    k = 1), and the late witnesses, the meet of k = 2..6 variables against
+    0 and its star against 1."""
+    eqs = [parse_equation("x01 \\/ x01 = x01 /\\ x01"), parse_equation("x01'' = x01")]
+    for k in range(2, 7):
+        for op in (JOIN, MEET):
+            eqs.append(parse_equation(f"{chain(op, k)} = " + f" {op} ".join(
+                f"x{i:02}" for i in reversed(range(k)))))
+        meet = chain(MEET, k)
+        eqs += [parse_equation(f"{meet} = 0"), parse_equation(f"({meet})' = 1")]
+    return eqs
+
+
+class TestHoldsInByFactors:
+    @staticmethod
+    def assert_agree_on_both_paths(algebras, equations, taken):
+        for a in algebras:
+            assert_same_verdicts(a, equations)
+        # Both paths ran, so the oracle checked each of them.
+        assert set(taken) == {"_holds_by_factors", "_holds_by_scan"}
+
+    @pytest.mark.parametrize("part", range(4))
+    def test_corpus_on_fixtures_classes_and_products(self, fx, part, monkeypatch):
+        taken = record_paths(monkeypatch)
+        algebras = factor_corpus_algebras(fx)
+        self.assert_agree_on_both_paths(algebras[part::4], FACTOR_CORPUS, taken)
+
+    def test_corpus_on_relabelings(self, fx, monkeypatch):
+        # Relabelings that move zero off index 0, so no path may read the
+        # constants or the Boolean part from the element order.
+        taken = record_paths(monkeypatch)
+        bases = [a for a in factor_corpus_algebras(fx) if a.size > 1]
+        moved = list(islice((b for b in (relabeled(bases[seed % len(bases)], seed)
+                                         for seed in range(1000)) if b.zero != 0), 78))
+        assert len(moved) == 78
+        self.assert_agree_on_both_paths(moved, FACTOR_CORPUS[::3], taken)
+
+    def test_factors_on_fewer_variables(self, fx):
+        # holds_in scans below three variables, where both sides can be
+        # variables under stars; the factor rule covers them too, and there
+        # the parity of the stars counts in F3.
+        eqs = [parse_equation(t) for t in (
+            "x' = x", "x'' = x", "x''' = x'", "x' = y", "x = y''", "x' = 0",
+            "1 = x''", "0 = 1", "x /\\ y = y'", "x \\/ x' = 1")]
+        eqs += [eq for eq in FACTOR_CORPUS if len(variables(eq.lhs) | variables(eq.rhs)) < 3]
+        for a in factor_corpus_algebras(fx):
+            for eq in eqs:
+                names = sorted(variables(eq.lhs) | variables(eq.rhs))
+                got = qba.terms._holds_by_factors(a, eq, names, *_accepted_masks(a))
+                assert got == holds_in_by_walk(a, eq), qba.format_equation(eq)
+
+    @pytest.mark.parametrize("name", ["6", "A"])
+    def test_desk_ladders_and_late_witnesses(self, fx, name, monkeypatch):
+        taken = record_paths(monkeypatch)
+        self.assert_agree_on_both_paths([fx[name]], desk_equations(), taken)
+
+
+class TestHoldsInPaths:
+    """Which path holds_in takes. The accept test that picks it never
+    scans QL1-QL5 or DIST."""
+
+    def test_join_and_star_mutants_keep_the_scan(self, fx, monkeypatch):
+        taken = record_paths(monkeypatch)
+        scanned = []
+
+        def scan(a, axioms=AXIOMS):
+            scanned.append({label for label, _, _ in axioms})
+            return _validate_by_tuples(a, axioms)
+
+        monkeypatch.setattr(qba.algebra, "_validate_by_tuples", scan)
+        eqs = LAWS + [eq for eq in equation_corpus(30, seed=61, max_depth=4)
+                      if len(variables(eq.lhs) | variables(eq.rhs)) == 3]
+        mutants = []
+        for name in ("4", "6"):
+            a = fx[name]
+            mutants += [replace(a, join=with_cell(a.join, i, j, v))
+                        for i, j in ((1, 2), (a.size - 1, 0)) for v in a.elements()
+                        if v != a.join[i][j]]
+            mutants += list(star_mutants(a))
+        for m in mutants:
+            taken.clear()
+            assert_same_verdicts(m, eqs)
+            assert set(taken) == {"_holds_by_scan"}
+        assert scanned and all(labels <= {"QB2", "QB3", "QB4", "QB5"}
+                               for labels in scanned)
+
+    def test_two_variables_take_the_scan(self, fx, monkeypatch):
+        taken = record_paths(monkeypatch)
+        eqs = [parse_equation(t) for t in ("0 = 1", "x'' = x", "x \\/ y = y \\/ x",
+                                           "x /\\ y = 0")]
+        for a in fx.values():
+            assert_same_verdicts(a, eqs)
+        assert set(taken) == {"_holds_by_scan"}
+
+    @pytest.mark.parametrize("k, path", [(12, "_holds_by_factors"), (13, "_holds_by_scan")])
+    def test_block_bounds_the_factors(self, fx, k, path, monkeypatch):
+        # The 2^k assignments over 2 fill one block at k = 12.
+        taken = record_paths(monkeypatch)
+        assert_same_verdicts(fx["2"], [parse_equation(f"{chain(op, k)} = {side}")
+                                       for op in (MEET, JOIN) for side in ("0", "x00")])
+        assert set(taken) == {path}
+        (one,) = enumerate_all(1, True).iso_classes
+        taken.clear()
+        assert holds_in(one, parse_equation(chain(JOIN, 20) + " = 0")).valid
+        assert taken == ["_holds_by_scan"]
+
+    def test_guard_comes_before_either_path(self, monkeypatch):
+        taken = record_paths(monkeypatch)
+        with pytest.raises(TooLarge):
+            holds_in(make_flat(16, 2), parse_equation(chain(JOIN, 6) + " = 0"))
+        assert taken == []
+
+    def test_three_variables_on_144_elements_in_under_half_a_second(self, fx):
+        a = direct_product(fx["6"], direct_product(fx["6"], fx["4"]))
+        assert a.size == 144
+        start = time.perf_counter()
+        assert all(holds_in(a, eq).valid for eq in LAWS)
+        assert time.perf_counter() - start < 0.5
 
 
 # The congruence search as it was, with a second prune on the pairs

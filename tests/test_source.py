@@ -53,6 +53,17 @@ def test_algebra_imports_only_stdlib_and_errors():
     assert imported_roots(tree) <= sys.stdlib_module_names
 
 
+def test_terms_imports_only_stdlib_algebra_errors_fixtures():
+    # holds_in decides through the subdirect factors read off the tables;
+    # importing quotients or congruences would add their import time to
+    # every command that parses an equation.
+    tree = ast.parse((ROOT / "src" / "qba" / "terms.py").read_text("utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"algebra", "errors", "fixtures"}
+    assert imported_roots(tree) <= sys.stdlib_module_names
+
+
 def test_import_guard_sees_third_party_imports():
     tree = ast.parse("import numpy as np\nfrom hypothesis import given\n"
                      "from . import terms\nfrom qba.terms import holds_in\n"
