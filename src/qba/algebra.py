@@ -159,6 +159,35 @@ class FiniteAlgebra:
         (relabelled or star-only) are new objects and start without it."""
         return validate(self)
 
+    @cached_property
+    def structure(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The mask test, run on first use and kept on this object: the
+        atoms of the Boolean part and, for each x, the bitmask of the atoms
+        below x v x (bit i for atoms[i]) when join and meet are the union
+        and intersection of these masks, else None. With m the masks and
+        img[s] a regular element of mask s, one for each of the 2^k masks,
+        x v y = img[m(x) | m(y)] and x ^ y = img[m(x) & m(y)]. As
+        m(img[s]) = s, QL1-QL5 and DIST then reduce to Boolean identities
+        on masks, however the masks were chosen; by the structure theorem
+        every valid algebra passes, and in it a mask is a cloud and x* has
+        the complement mask. It reads join, meet and zero, never the star,
+        so every star-only copy gets the same value, each on first use."""
+        join, meet, zero = self.join, self.meet, self.zero
+        reps = [row[x] for x, row in enumerate(join)]
+        regs = sorted(set(reps))
+        atoms = tuple(r for r in regs if r != zero
+                      and {meet[r][s] for s in regs} <= {zero, r})
+        below = {r: sum([1 << i for i, t in enumerate(atoms) if meet[t][r] == t])
+                 for r in regs}
+        masks = tuple(map(below.__getitem__, reps))
+        img = {masks[x]: x for x, row in enumerate(join) if row[x] == x}
+        if len(img) != 1 << len(atoms):
+            return None
+        if (tuple(map(tuple, join)), tuple(map(tuple, meet))) != _tables(
+                [img[s] for s in range(len(img))], masks):
+            return None
+        return atoms, masks
+
     def _with_stars(self, stars: Iterable[bytes],
                     labels: Iterable[str] | None = None
                     ) -> Iterator["FiniteAlgebra"]:
@@ -304,19 +333,6 @@ def translation_table(values) -> bytes:
     return bytes(values).ljust(256, b"\0")
 
 
-def atom_masks(a: FiniteAlgebra) -> tuple[list[int], list[int]]:
-    """The atoms of the Boolean part of a, and for each x the bitmask of
-    the atoms below x v x, bit i for atoms[i]. In a valid algebra a mask is
-    a cloud, the tables read only masks, and x* has the complement mask."""
-    reps = [row[x] for x, row in enumerate(a.join)]
-    regs = sorted(set(reps))
-    atoms = [r for r in regs if r != a.zero
-             and {a.meet[r][s] for s in regs} <= {a.zero, r}]
-    below = {r: sum([1 << i for i, t in enumerate(atoms) if a.meet[t][r] == t])
-             for r in regs}
-    return atoms, list(map(below.__getitem__, reps))
-
-
 def _tables(img, rep) -> tuple[tuple, tuple]:
     """join and meet of the algebra whose element x lies in the cloud
     over the atom set rep[x], where img[s] is the regular element of the
@@ -326,28 +342,6 @@ def _tables(img, rep) -> tuple[tuple, tuple]:
     joins = [tuple(img[s | t] for t in rep) for s in sets]
     meets = [tuple(img[s & t] for t in rep) for s in sets]
     return tuple(joins[s] for s in rep), tuple(meets[s] for s in rep)
-
-
-def _mask_structure(a: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
-    """atom_masks(a) when join and meet are the union and intersection of
-    atom masks, else None: with m the masks and img[s] a regular element
-    of mask s, one for each of the 2^k masks, x v y = img[m(x) | m(y)] and
-    x ^ y = img[m(x) & m(y)]. As m(img[s]) = s, QL1-QL5 and DIST then
-    reduce to Boolean identities on masks, however the masks were chosen;
-    by the structure theorem every valid algebra passes."""
-    atoms, masks = atom_masks(a)
-    img = {masks[x]: x for x, row in enumerate(a.join) if row[x] == x}
-    if len(img) != 1 << len(atoms):
-        return None
-    if (tuple(map(tuple, a.join)), tuple(map(tuple, a.meet))) != _tables(
-            [img[s] for s in range(len(img))], masks):
-        return None
-    return atoms, masks
-
-
-def _mask_lattice(a: FiniteAlgebra) -> bool:
-    """The mask test: whether _mask_structure finds the masks."""
-    return _mask_structure(a) is not None
 
 
 # The unary bound and complement laws: all that is left to scan once the
@@ -360,26 +354,14 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
 
     Collects one witness per failed axiom, the first failing tuple in
     product order, instead of failing fast, which makes mutation
-    diagnostics readable. When _mask_lattice holds, so do the q-lattice
-    laws and DIST, and only QB2-QB5 are scanned, in O(n); otherwise all
+    diagnostics readable. When a.structure is found, the q-lattice laws
+    and DIST hold, and only QB2-QB5 are scanned, in O(n); otherwise all
     ten are scanned one tuple at a time. The report is the full scan's.
     A table whose join or meet fails the mask test pays that scan, about
     2·n^3 predicate calls for QL2 and DIST: up to 2.4 s on seeded join
     mutants of a 144-element product (Python 3.11, 2 vCPUs).
     """
-    return _validate_by_tuples(a, _UNARY_QB if _mask_lattice(a) else AXIOMS)
-
-
-def _accepted_masks(a: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
-    """The accept test validate runs first, with what it found: the atoms
-    and masks of _mask_structure when the mask test holds and QB2-QB5
-    pass, else None. It never scans QL1-QL5 or DIST, so a table that fails
-    it costs O(n^2), not validate's per-tuple scan. By the structure
-    theorem it holds exactly when validate passes."""
-    structure = _mask_structure(a)
-    if structure is None or _validate_by_tuples(a, _UNARY_QB).violations:
-        return None
-    return structure
+    return _validate_by_tuples(a, AXIOMS if a.structure is None else _UNARY_QB)
 
 
 def _validate_by_tuples(a: FiniteAlgebra, axioms=AXIOMS) -> ValidationReport:

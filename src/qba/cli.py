@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .algebra import (FiniteAlgebra, ValidationReport, algebra_to_dict,
                       dump_algebra, is_flat, load_algebra, regular_elements,
-                      require_valid, validate)
+                      require_valid)
 from .congruences import (CongruenceDecomposition, all_congruences,
                           compose_flat, compose_nonflat, cross_pairs,
                           decompose, extend_from_subalgebra,
@@ -110,14 +110,14 @@ def _validation_output(a: FiniteAlgebra, report: ValidationReport,
 
 def _cmd_validate(args) -> CommandResult:
     a = _load(args.algebra)
-    report = validate(a)
+    report = a.validation
     return CommandResult(0 if report.passed else 1,
                          _validation_output(a, report, args.json))
 
 
 def _cmd_info(args) -> CommandResult:
     a = _load(args.algebra)
-    report = validate(a)
+    report = a.validation
     regs, _ = regular_split(a)
     clouds = chi(a).blocks
     irreducible = None if is_flat(a) else is_irreducible(a)

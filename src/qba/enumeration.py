@@ -7,8 +7,8 @@ cloud bijectively onto the complementary one. The binary tables follow
 from x v y = (x v x) v (y v y). Flat algebras are the case k = 0, where
 the star is an involution of the one cloud. The construction yields only
 valid algebras, so no axiom check runs here; the tests check that. The
-structure claims run the mask test of the tables (_mask_lattice) once
-per family of irreducible algebras, as the product form reads it.
+structure claims read the mask test of the tables (FiniteAlgebra.structure)
+once per family of irreducible algebras, as the product form reads it.
 
 Up to isomorphism nothing labeled is built: a class is fixed by the
 star's fixed-point count (flat) or by the cloud sizes over the subsets of
@@ -25,8 +25,8 @@ from math import factorial
 from operator import attrgetter, eq
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import (FiniteAlgebra, _mask_lattice, _tables, atom_masks,
-                      cloud_map, is_flat, regular_elements, translation_table)
+from .algebra import (FiniteAlgebra, _tables, cloud_map, is_flat,
+                      regular_elements, translation_table)
 from .errors import TooLarge
 from .quotients import (atom_relabelings, flat_star, generic_names,
                         is_irreducible, make_flat)
@@ -240,9 +240,9 @@ def _enumerate(n: int, up_to_iso: bool, flat_only: bool) -> EnumerationReport:
 def iso_class_key(a: FiniteAlgebra) -> tuple:
     """A key that two valid algebras share exactly when they are
     isomorphic: the number of star fixed points, which fixes a flat
-    algebra, and the cloud sizes over the atom sets of atom_masks, least
+    algebra, and the cloud sizes over the atom sets of a.structure, least
     over the orders of the atoms, which fix a non-flat one."""
-    atoms, masks = atom_masks(a)
+    atoms, masks = a.structure
     fixed = sum(1 for x in a.elements() if a.star[x] == x)
     return fixed, min(sizes for _, sizes in atom_relabelings(masks, len(atoms)))
 
@@ -360,7 +360,7 @@ def _table_facts(a: FiniteAlgebra) -> _TableFacts:
                    ("nonflat-regular-even", len(regs) % 2 == 0),
                    ("nonflat-order-even", a.size % 2 == 0)]
         if a.size % 2 == 0 and is_irreducible(a):
-            product = None if _mask_lattice(a) else False
+            product = None if a.structure is not None else False
             claims.append(("irreducible-product-form", product))
             if a.size % 4 == 2:
                 claims.append(("irreducible-odd-flat-form", product))

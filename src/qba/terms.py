@@ -27,12 +27,13 @@ raise TooLarge before any work, which the CLI reports with exit code 2.
 witness.
 
 Through the subdirect factors, when 3 <= k, 2^k <= BLOCK and the algebra
-passes the accept test that `validate` runs first (the mask test of
-`algebra._mask_structure`, then QB2-QB5; it never scans QL1-QL5 or DIST).
-By the structure theorem such an algebra A is a subdirect product of one
-2 per atom of its Boolean part and one F2 or F3 per star orbit of its
-irregular elements, so an assignment fails in A exactly when it fails in
-one of these factors. In 2 both sides are evaluated once over the 2^k
+passes the accept test: its `structure` is found (the mask test) and its
+`validation` passes, which then scans only QB2-QB5, never QL1-QL5 or
+DIST. Both are kept on the algebra object, so a repeated check on it
+reuses them. By the structure theorem such an algebra A is a subdirect
+product of one 2 per atom of its Boolean part and one F2 or F3 per star
+orbit of its irregular elements, so an assignment fails in A exactly
+when it fails in one of these factors. In 2 both sides are evaluated once over the 2^k
 assignments as byte columns. In F2 and F3 every join, meet and constant
 is 0, so a term is 0 unless it is a variable under stars, and its value is
 fixed by that variable and the parity of the stars; the parity counts
@@ -73,7 +74,7 @@ from itertools import product
 from operator import getitem
 from typing import Mapping, Union
 
-from .algebra import FiniteAlgebra, _accepted_masks, check_elements, translation_table
+from .algebra import FiniteAlgebra, check_elements, translation_table
 from .errors import (EquationParseError, InvariantViolation,
                      PreconditionViolated, TooLarge, UnboundVariable)
 from .fixtures import fixture
@@ -389,8 +390,8 @@ def holds_in(a: FiniteAlgebra, eq: Equation) -> Verdict:
     lexicographic order. More than MAX_ASSIGNMENTS assignments (n^k) raise
     TooLarge before any work.
 
-    With 3 <= k and 2^k <= BLOCK, an algebra that passes the accept test
-    (algebra._accepted_masks) is decided through its subdirect factors
+    With 3 <= k and 2^k <= BLOCK, an algebra whose structure is found
+    and whose validation passes is decided through its subdirect factors
     (_holds_by_factors); every other case scans all n^k assignments
     (_holds_by_scan). Both give the same verdict and witness."""
     names = sorted(variables(eq.lhs) | variables(eq.rhs))
@@ -398,10 +399,8 @@ def holds_in(a: FiniteAlgebra, eq: Equation) -> Verdict:
     if n ** k > MAX_ASSIGNMENTS:
         raise TooLarge(f"{k} variables over {n} elements give {n ** k:,} "
                        f"assignments, above the guard of {MAX_ASSIGNMENTS:,}")
-    if 3 <= k and 1 << k <= BLOCK:
-        structure = _accepted_masks(a)
-        if structure is not None:
-            return _holds_by_factors(a, eq, names, *structure)
+    if 3 <= k and 1 << k <= BLOCK and a.structure is not None and a.validation.passed:
+        return _holds_by_factors(a, eq, names)
     return _holds_by_scan(a, eq, names)
 
 
@@ -471,15 +470,16 @@ def _boolean_columns(k: int) -> tuple[FiniteAlgebra, dict, tuple[bytes, ...]]:
     return two, _byte_tables(two), tuple(_columns(2, k, bytes))
 
 
-def _holds_by_factors(a: FiniteAlgebra, eq: Equation, names: list[str],
-                      atoms: list[int], masks: list[int]) -> Verdict:
-    """holds_in on an algebra that passes the accept test, with the atoms
-    and masks it found (see the module docstring). The factor 2 of atom i
-    maps x to bit i of its mask. The flat factors are taken together as
-    A/tau, which keeps each irregular element and collapses the regular
-    ones to 0: a flat algebra, the subdirect product of the F2 and F3 of
-    the star orbits, in which a term takes the value of its _flat_form."""
+def _holds_by_factors(a: FiniteAlgebra, eq: Equation, names: list[str]) -> Verdict:
+    """holds_in on an algebra that passes the accept test, through the
+    atoms and masks of a.structure (see the module docstring). The factor
+    2 of atom i maps x to bit i of its mask. The flat factors are taken
+    together as A/tau, which keeps each irregular element and collapses
+    the regular ones to 0: a flat algebra, the subdirect product of the F2
+    and F3 of the star orbits, in which a term takes the value of its
+    _flat_form."""
     n, k = a.size, len(names)
+    atoms, masks = a.structure
     diff = bytes(1 << k)
     if atoms:
         two, tables, columns = _boolean_columns(k)

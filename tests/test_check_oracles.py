@@ -39,9 +39,9 @@ from typing import Iterator, Mapping
 import pytest
 
 import qba
-from qba.algebra import (AXIOM_LABELS, AXIOMS, FiniteAlgebra, _accepted_masks,
-                         _mask_lattice, _validate_by_tuples, axiom_holds_at, cloud_map,
-                         cloud_of, is_flat, regular_elements, validate)
+from qba.algebra import (AXIOM_LABELS, AXIOMS, FiniteAlgebra, _validate_by_tuples,
+                         axiom_holds_at, cloud_map, cloud_of, dump_algebra, is_flat,
+                         load_algebra, regular_elements, validate)
 from qba.congruences import (MAX_EXHAUSTIVE, CongruenceDecomposition,
                              all_congruences, compose_flat, compose_nonflat,
                              cross_pairs, decompose, extend_from_subalgebra,
@@ -426,7 +426,7 @@ class TestVerifyStructure:
                  if any(not ok for label, ok in claims
                         if label.startswith("irreducible"))]
         assert len(mix) == 3570 and len(false) == 3330
-        assert sum(map(_mask_lattice, false)) == 1102
+        assert sum(a.structure is not None for a in false) == 1102
 
     @pytest.mark.parametrize("h", range(1, 7))
     def test_every_flat_factor_gives_the_product_form(self, h):
@@ -1130,7 +1130,7 @@ class TestHoldsInByFactors:
         for a in factor_corpus_algebras(fx):
             for eq in eqs:
                 names = sorted(variables(eq.lhs) | variables(eq.rhs))
-                got = qba.terms._holds_by_factors(a, eq, names, *_accepted_masks(a))
+                got = qba.terms._holds_by_factors(a, eq, names)
                 assert got == holds_in_by_walk(a, eq), qba.format_equation(eq)
 
     @pytest.mark.parametrize("name", ["6", "A"])
@@ -1193,6 +1193,26 @@ class TestHoldsInPaths:
         with pytest.raises(TooLarge):
             holds_in(make_flat(16, 2), parse_equation(chain(JOIN, 6) + " = 0"))
         assert taken == []
+
+    def test_repeated_checks_scan_the_unary_laws_once(self, fx, monkeypatch):
+        # The accept test reads a.structure and a.validation, both kept on
+        # the algebra object, so a second check on it scans no axiom.
+        scanned = []
+
+        def scan(a, axioms=AXIOMS):
+            scanned.append(tuple(label for label, _, _ in axioms))
+            return _validate_by_tuples(a, axioms)
+
+        monkeypatch.setattr(qba.algebra, "_validate_by_tuples", scan)
+        taken = record_paths(monkeypatch)
+        a = load_algebra(dump_algebra(fx["6"]))  # a new object, nothing kept yet
+        eqs = [parse_equation("x \\/ (y /\\ z) = (x \\/ y) /\\ (x \\/ z)"),
+               parse_equation("x /\\ y = z")]
+        verdicts = [holds_in(a, eq) for eq in eqs]
+        assert scanned == [("QB2", "QB3", "QB4", "QB5")]
+        assert taken == ["_holds_by_factors"] * 2
+        assert verdicts == [holds_in_by_walk(a, eq) for eq in eqs]
+        assert verdicts[0].valid and not verdicts[1].valid
 
     def test_three_variables_on_144_elements_in_under_half_a_second(self, fx):
         a = direct_product(fx["6"], direct_product(fx["6"], fx["4"]))
@@ -1880,8 +1900,8 @@ class TestTheoremRechecks:
                     assert ext.restrict(subset) == theta0
 
 
-# validate settles QL1-QL5 and DIST by the mask test (_mask_lattice: join
-# and meet are the union and intersection of atom masks) and scans only
+# validate settles QL1-QL5 and DIST by the mask test (FiniteAlgebra.structure:
+# join and meet are the union and intersection of atom masks) and scans only
 # QB2-QB5 when it holds; otherwise it scans all ten axioms.
 # _validate_by_tuples over all ten is the oracle. Both must give the same
 # ValidationReport, witnesses included.
@@ -1913,7 +1933,7 @@ class TestValidateByTables:
         for a in algebras:
             report = _validate_by_tuples(a)
             assert validate(a) == report, (a.join, a.meet, a.star)
-            lattice = _mask_lattice(a)
+            lattice = a.structure is not None
             if lattice:
                 assert all(label.startswith("QB") for label, _ in report.violations)
             else:
@@ -1921,7 +1941,7 @@ class TestValidateByTables:
             listed = FiniteAlgebra(a.names, list(map(list, a.join)),
                                    list(map(list, a.meet)), list(a.star),
                                    a.zero, a.one)
-            assert _mask_lattice(listed) == lattice
+            assert (listed.structure is not None) == lattice
             assert validate(listed) == report
             failed.update(label for label, _ in report.violations)
         return failed
@@ -1986,7 +2006,7 @@ class TestValidateByTables:
         # entry leaves it to the scan of QB2-QB5.
         a = fx[name]
         for m in single_cell_mutants(a):
-            assert _mask_lattice(m) == (m.join == a.join and m.meet == a.meet)
+            assert (m.structure is not None) == (m.join == a.join and m.meet == a.meet)
 
     def test_288_elements_in_under_a_second(self, fx):
         six, four, two = fx["6"], fx["4"], fx["2"]

@@ -78,6 +78,31 @@ def test_star_only_copies_stay_in_enumeration():
     assert users == {"algebra.py", "enumeration.py"}
 
 
+def private_names_from_algebra(tree: ast.AST) -> set[str]:
+    """The names starting with '_' that a module imports from qba.algebra,
+    by a relative or an absolute import."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in ((1, "algebra"), (0, "qba.algebra"))
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_mask_test_stays_in_algebra():
+    # The mask test is decided once, as FiniteAlgebra.structure; other
+    # modules read that and import no private helper of algebra.py, except
+    # _tables, from which the enumeration builds its tables.
+    private = {p.name: sorted(names) for p in SOURCES if p.name != "algebra.py"
+               if (names := private_names_from_algebra(
+                   ast.parse(p.read_text("utf-8"))) - {"_tables"})}
+    assert not private, f"private names of algebra.py imported: {private}"
+
+
+def test_private_import_check_sees_both_forms():
+    tree = ast.parse("from .algebra import FiniteAlgebra, _tables, _scan\n"
+                     "from qba.algebra import _masks\nfrom .terms import _eval\n")
+    assert private_names_from_algebra(tree) == {"_tables", "_scan", "_masks"}
+
+
 def unused_imports(tree: ast.AST) -> set[str]:
     """The names a module's imports bind that it never reads; `import a.b`
     binds a, and `from __future__` binds nothing."""
