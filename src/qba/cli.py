@@ -2,11 +2,10 @@
 
 Exit codes: 0 success, 1 negative-but-valid result (an INVALID equation, a
 failed validation, no isomorphism), 2 usage or input errors. The
-subcommands whose results rest on the paper's theorems (quotient, iso,
-congruences, generate, extend, split, decompose, compose) refuse an
-algebra that fails the axioms with exit 1 and the output of validate.
-Every subcommand takes --json for a machine-readable form of the same
-result.
+subcommands whose results rest on the paper's theorems, the gated rows of
+_COMMANDS, refuse an algebra that fails the axioms with exit 1 and the
+output of validate. Every subcommand takes --json for a machine-readable
+form of the same result.
 All element references on the command line use names, never indices.
 """
 from __future__ import annotations
@@ -54,13 +53,6 @@ def _load(path: str) -> FiniteAlgebra:
     return load_algebra(text, label=p.stem)
 
 
-def _load_valid(path: str) -> FiniteAlgebra:
-    """_load, then refuse an algebra that fails the axioms (exit 1)."""
-    a = _load(path)
-    require_valid(a)
-    return a
-
-
 def _write(path: Path, text: str, *, make_parent: bool = False) -> None:
     """Write text to path, first making its directory when asked. An
     unwritable path is an input error (exit 2), like an unreadable one."""
@@ -70,10 +62,6 @@ def _write(path: Path, text: str, *, make_parent: bool = False) -> None:
         path.write_text(text, "utf-8")
     except OSError as exc:
         raise QbaError(f"cannot write {path}: {exc}") from None
-
-
-def _emit(payload: dict, human: str, as_json: bool) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) if as_json else human
 
 
 def _verdict_lines(v: Verdict) -> tuple[dict, str]:
@@ -89,8 +77,8 @@ def _verdict_lines(v: Verdict) -> tuple[dict, str]:
     return payload, human
 
 
-def _validation_output(a: FiniteAlgebra, report: ValidationReport,
-                       as_json: bool) -> str:
+def _validation_lines(a: FiniteAlgebra,
+                      report: ValidationReport) -> tuple[dict, str]:
     """What validate prints, also for a refused algebra."""
     kind = "flat" if is_flat(a) else "non-flat"
     if report.passed:
@@ -105,18 +93,15 @@ def _validation_output(a: FiniteAlgebra, report: ValidationReport,
                "violations": [{"axiom": label,
                                "witness": [a.names[i] for i in w]}
                               for label, w in report.violations]}
-    return _emit(payload, human, as_json)
+    return payload, human
 
 
-def _cmd_validate(args) -> CommandResult:
-    a = _load(args.algebra)
+def _cmd_validate(args, a):
     report = a.validation
-    return CommandResult(0 if report.passed else 1,
-                         _validation_output(a, report, args.json))
+    return (0 if report.passed else 1, *_validation_lines(a, report))
 
 
-def _cmd_info(args) -> CommandResult:
-    a = _load(args.algebra)
+def _cmd_info(args, a):
     report = a.validation
     regs, _ = regular_split(a)
     clouds = chi(a).blocks
@@ -143,11 +128,10 @@ def _cmd_info(args) -> CommandResult:
                "clouds": [[a.names[x] for x in c] for c in clouds],
                "irreducible": irreducible,
                "trivial": a.size == 1}
-    return CommandResult(0, _emit(payload, "\n".join(lines), args.json))
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_quotient(args) -> CommandResult:
-    a = _load_valid(args.algebra)
+def _cmd_quotient(args, a):
     rel = chi(a) if args.rel == "chi" else tau(a)
     q, proj = quotient(a, rel)
     q = q.relabel(f"{a.label}/{args.rel}")
@@ -156,51 +140,44 @@ def _cmd_quotient(args) -> CommandResult:
     payload = {"relation": args.rel, "algebra": algebra_to_dict(q),
                "projection": {a.names[x]: q.names[proj(x)]
                               for x in a.elements()}}
-    return CommandResult(0, _emit(payload, human, args.json))
+    return 0, payload, human
 
 
-def _cmd_product(args) -> CommandResult:
-    a, b = _load(args.left), _load(args.right)
+def _cmd_product(args, a, b):
     p = direct_product(a, b)
     if args.out:
         _write(Path(args.out), dump_algebra(p))
     payload = {"algebra": algebra_to_dict(p)}
-    return CommandResult(0, _emit(payload, dump_algebra(p).rstrip("\n"), args.json))
+    return 0, payload, dump_algebra(p).rstrip("\n")
 
 
-def _cmd_iso(args) -> CommandResult:
-    a, b = _load_valid(args.left), _load_valid(args.right)
+def _cmd_iso(args, a, b):
     f = find_isomorphism(a, b)
     if f is None:
-        return CommandResult(1, _emit({"isomorphic": False}, "NOT ISOMORPHIC",
-                                      args.json))
+        return 1, {"isomorphic": False}, "NOT ISOMORPHIC"
     human = "isomorphic: " + " ".join(
         f"{a.names[x]}->{b.names[f(x)]}" for x in a.elements())
     payload = {"isomorphic": True,
                "map": {a.names[x]: b.names[f(x)] for x in a.elements()}}
-    return CommandResult(0, _emit(payload, human, args.json))
+    return 0, payload, human
 
 
-def _cmd_check(args) -> CommandResult:
-    a = _load(args.algebra)
+def _cmd_check(args, a):
     v = holds_in(a, parse_equation(args.equation))
-    payload, human = _verdict_lines(v)
-    return CommandResult(0 if v.valid else 1, _emit(payload, human, args.json))
+    return (0 if v.valid else 1, *_verdict_lines(v))
 
 
-def _cmd_decide(args) -> CommandResult:
+def _cmd_decide(args):
     v = decide(args.variety, parse_equation(args.equation))
     payload, human = _verdict_lines(v)
     payload["variety"] = args.variety
-    return CommandResult(0 if v.valid else 1, _emit(payload, human, args.json))
+    return 0 if v.valid else 1, payload, human
 
 
-def _cmd_congruences(args) -> CommandResult:
-    a = _load_valid(args.algebra)
+def _cmd_congruences(args, a):
     cons = all_congruences(a)
     strings = [format_partition(a, p) for p in cons]
-    return CommandResult(0, _emit({"congruences": strings},
-                                  "\n".join(strings), args.json))
+    return 0, {"congruences": strings}, "\n".join(strings)
 
 
 def _name_pairs(text: str, sep: str, kind: str, form: str):
@@ -216,8 +193,7 @@ def _name_pairs(text: str, sep: str, kind: str, form: str):
         yield left.strip(), right.strip()
 
 
-def _cmd_generate(args) -> CommandResult:
-    a = _load_valid(args.algebra)
+def _cmd_generate(args, a):
     if (args.seed is None) == (args.pairs is None):
         raise QbaError("exactly one of --seed and --pairs is required")
     note = None
@@ -235,33 +211,28 @@ def _cmd_generate(args) -> CommandResult:
     result = generated_congruence(a, seed)
     text = format_partition(a, result)
     human = text if note is None else f"{text}\nnote: {note}"
-    payload = {"congruence": text, "note": note}
-    return CommandResult(0, _emit(payload, human, args.json))
+    return 0, {"congruence": text, "note": note}, human
 
 
-def _cmd_extend(args) -> CommandResult:
-    a = _load_valid(args.algebra)
+def _cmd_extend(args, a):
     subset = sorted(parse_names(a, args.sub, a.elements()))
     sub_alg = subalgebra(a, subset)
     theta0 = parse_partition(sub_alg, args.cong)
     ext = extend_from_subalgebra(a, subset, theta0)
     text = format_partition(a, ext)
-    return CommandResult(0, _emit({"congruence": text}, text, args.json))
+    return 0, {"congruence": text}, text
 
 
-def _cmd_split(args) -> CommandResult:
-    a = _load_valid(args.algebra)
+def _cmd_split(args, a):
     theta = parse_partition(a, args.cong)
     t1, t2 = split_congruence(a, theta)
     s1 = format_blocks(class_names(a, chi(a)), t1.blocks)
     s2 = format_blocks(class_names(a, tau(a)), t2.blocks)
     human = f"theta1 on {a.label}/chi: {s1}\ntheta2 on {a.label}/tau: {s2}"
-    return CommandResult(0, _emit({"theta1": s1, "theta2": s2}, human,
-                                  args.json))
+    return 0, {"theta1": s1, "theta2": s2}, human
 
 
-def _cmd_decompose(args) -> CommandResult:
-    a = _load_valid(args.algebra)
+def _cmd_decompose(args, a):
     theta = parse_partition(a, args.cong)
     d = decompose(a, theta)
     regs, irs = regular_split(a)
@@ -283,11 +254,10 @@ def _cmd_decompose(args) -> CommandResult:
     ])
     payload = {"theta_r": fmt_r, "theta_ir": fmt_ir, "linked": linked,
                "f": fmap, "cross": cross}
-    return CommandResult(0, _emit(payload, human, args.json))
+    return 0, payload, human
 
 
-def _cmd_compose(args) -> CommandResult:
-    a = _load_valid(args.algebra)
+def _cmd_compose(args, a):
     regs, irs = regular_split(a)
     if is_flat(a):
         if args.theta_ir is None:
@@ -311,10 +281,10 @@ def _cmd_compose(args) -> CommandResult:
             cross=cross_pairs(a, theta_r, theta_ir, f.items()))
         result = compose_nonflat(a, d)
     text = format_partition(a, result)
-    return CommandResult(0, _emit({"congruence": text}, text, args.json))
+    return 0, {"congruence": text}, text
 
 
-def _cmd_enumerate(args) -> CommandResult:
+def _cmd_enumerate(args):
     if args.size < 1:
         raise QbaError("--size must be positive")
     report = (enumerate_flat(args.size, args.up_to_iso) if args.flat
@@ -341,7 +311,55 @@ def _cmd_enumerate(args) -> CommandResult:
                "total_labeled": report.total_labeled,
                "emitted": len(report.iso_classes),
                "violations": [lbl for lbl, _ in report.violations]}
-    return CommandResult(0, _emit(payload, "\n".join(lines), args.json))
+    return 0, payload, "\n".join(lines)
+
+
+_ALGEBRA, _PAIR = ("algebra",), ("left", "right")
+_CONG = ((("--cong",), {"required": True}),)
+
+# One row per subcommand, in the order of `qba --help`: name, help,
+# handler, the algebra files it reads, whether it refuses a file that
+# fails the axioms, and its other arguments as (flags, options) for
+# add_argument. run() reads the files and renders the result; a handler
+# takes the parsed arguments and the algebras, in file order, and returns
+# (exit code, JSON payload, human text).
+_COMMANDS = (
+    ("validate", "check every axiom of an algebra file", _cmd_validate,
+     _ALGEBRA, False, ()),
+    ("info", "summarize an algebra", _cmd_info, _ALGEBRA, False, ()),
+    ("quotient", "quotient by a canonical congruence", _cmd_quotient,
+     _ALGEBRA, True, ((("--rel",), {"choices": ("chi", "tau"), "required": True}),)),
+    ("product", "direct product of two algebras", _cmd_product, _PAIR, False,
+     ((("-o", "--out"), {"help": "also write the result to a file"}),)),
+    ("iso", "search for an isomorphism", _cmd_iso, _PAIR, True, ()),
+    ("check", "check an equation in one algebra", _cmd_check, _ALGEBRA, False,
+     ((("equation",), {}),)),
+    ("decide", "decide an equation in a variety", _cmd_decide, (), False,
+     ((("--variety",), {"choices": VARIETIES, "required": True}),
+      (("equation",), {}))),
+    ("congruences", "list all congruences", _cmd_congruences, _ALGEBRA, True, ()),
+    ("generate", "least congruence containing the seed", _cmd_generate,
+     _ALGEBRA, True,
+     ((("--seed",), {"help": "partition whose blocks are pre-merged"}),
+      (("--pairs",), {"help": "explicit pairs, e.g. 'a=b;c=d'"}))),
+    ("extend", "extend a subalgebra congruence", _cmd_extend, _ALGEBRA, True,
+     ((("--sub",), {"required": True, "help": "subalgebra elements, e.g. 0,a,b,1"}),
+      (("--cong",), {"required": True, "help": "congruence on the subalgebra"}))),
+    ("split", "project a congruence through chi and tau", _cmd_split,
+     _ALGEBRA, True, _CONG),
+    ("decompose", "split a congruence into regular/irregular/cross parts",
+     _cmd_decompose, _ALGEBRA, True, _CONG),
+    ("compose", "reassemble a congruence from its parts", _cmd_compose,
+     _ALGEBRA, True,
+     ((("--theta-r",), {"help": "partition of the regular elements"}),
+      (("--theta-ir",), {"help": "partition of the irregular elements"}),
+      (("--link",), {"help": "block map, e.g. '0>a;1>b'"}))),
+    ("enumerate", "enumerate small algebras", _cmd_enumerate, (), False,
+     ((("--size",), {"type": int, "required": True}),
+      (("--flat",), {"action": "store_true"}),
+      (("--up-to-iso",), {"action": "store_true"}),
+      (("--emit",), {"help": "write each emitted algebra to this directory"}))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,57 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qba", description="finite quasi-Boolean algebra workbench")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_, *, algebra=True):
+    for name, help_, fn, files, gated, arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, files=files, gated=gated)
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        if algebra:
-            p.add_argument("algebra", help="algebra file")
-        return p
-
-    add("validate", _cmd_validate, "check every axiom of an algebra file")
-    add("info", _cmd_info, "summarize an algebra")
-    p = add("quotient", _cmd_quotient, "quotient by a canonical congruence")
-    p.add_argument("--rel", choices=("chi", "tau"), required=True)
-    p = add("product", _cmd_product, "direct product of two algebras",
-            algebra=False)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("-o", "--out", help="also write the result to a file")
-    p = add("iso", _cmd_iso, "search for an isomorphism", algebra=False)
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("check", _cmd_check, "check an equation in one algebra")
-    p.add_argument("equation")
-    p = add("decide", _cmd_decide, "decide an equation in a variety",
-            algebra=False)
-    p.add_argument("--variety", choices=VARIETIES, required=True)
-    p.add_argument("equation")
-    add("congruences", _cmd_congruences, "list all congruences")
-    p = add("generate", _cmd_generate, "least congruence containing the seed")
-    p.add_argument("--seed", help="partition whose blocks are pre-merged")
-    p.add_argument("--pairs", help="explicit pairs, e.g. 'a=b;c=d'")
-    p = add("extend", _cmd_extend, "extend a subalgebra congruence")
-    p.add_argument("--sub", required=True, help="subalgebra elements, e.g. 0,a,b,1")
-    p.add_argument("--cong", required=True, help="congruence on the subalgebra")
-    p = add("split", _cmd_split, "project a congruence through chi and tau")
-    p.add_argument("--cong", required=True)
-    p = add("decompose", _cmd_decompose,
-            "split a congruence into regular/irregular/cross parts")
-    p.add_argument("--cong", required=True)
-    p = add("compose", _cmd_compose,
-            "reassemble a congruence from its parts")
-    p.add_argument("--theta-r", help="partition of the regular elements")
-    p.add_argument("--theta-ir", help="partition of the irregular elements")
-    p.add_argument("--link", help="block map, e.g. '0>a;1>b'")
-    p = add("enumerate", _cmd_enumerate, "enumerate small algebras",
-            algebra=False)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--flat", action="store_true")
-    p.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--emit", help="write each emitted algebra to this directory")
+        for dest in files:
+            p.add_argument(dest, help="algebra file" if dest == "algebra" else None)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -415,12 +391,20 @@ def run(argv: list[str] | None = None) -> CommandResult:
     except SystemExit as exc:
         return CommandResult(int(exc.code or 0), "")
     try:
-        return args.fn(args)
+        algebras = []
+        for dest in args.files:
+            # Each file is gated as soon as it is read, so a refused first
+            # file wins over an unreadable second one.
+            algebras.append(_load(getattr(args, dest)))
+            if args.gated:
+                require_valid(algebras[-1])
+        code, payload, human = args.fn(args, *algebras)
     except NotAQBAlgebra as exc:
-        return CommandResult(1, _validation_output(exc.algebra, exc.report,
-                                                   args.json))
+        code, (payload, human) = 1, _validation_lines(exc.algebra, exc.report)
     except QbaError as exc:
         return CommandResult(2, f"error: {exc}")
+    return CommandResult(code, json.dumps(payload, indent=2, sort_keys=True)
+                         if args.json else human)
 
 
 def main(argv: list[str] | None = None) -> int:

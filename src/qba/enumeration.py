@@ -27,7 +27,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .algebra import (FiniteAlgebra, _tables, cloud_map, is_flat,
                       regular_elements, translation_table)
-from .errors import TooLarge
+from .errors import PreconditionViolated, TooLarge
 from .quotients import (atom_relabelings, flat_star, generic_names,
                         is_irreducible, make_flat)
 
@@ -241,7 +241,11 @@ def iso_class_key(a: FiniteAlgebra) -> tuple:
     """A key that two valid algebras share exactly when they are
     isomorphic: the number of star fixed points, which fixes a flat
     algebra, and the cloud sizes over the atom sets of a.structure, least
-    over the orders of the atoms, which fix a non-flat one."""
+    over the orders of the atoms, which fix a non-flat one. A table that
+    fails the mask test raises PreconditionViolated."""
+    if a.structure is None:
+        raise PreconditionViolated(
+            "join and meet are not unions and intersections of atom masks")
     atoms, masks = a.structure
     fixed = sum(1 for x in a.elements() if a.star[x] == x)
     return fixed, min(sizes for _, sizes in atom_relabelings(masks, len(atoms)))

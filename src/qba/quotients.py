@@ -168,12 +168,15 @@ def atom_relabelings(masks: list[int], k: int) -> Iterator[tuple[list[int], tupl
 def isomorphism_candidate(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
     """The least isomorphism from a onto b in the order of image tuples, or
     None, if both algebras are valid. Both must pass the mask test (their
-    structure is not None); on one that fails QB2-QB5 the map is a
-    candidate to certify. Each x not yet mapped as the star of an earlier
-    one takes the least unused y, regular and star-fixed exactly when x
-    is, with y* unused and some remaining atom permutation that carries
-    a's cloud sizes onto b's sending x's mask to y's; only those
-    permutations remain."""
+    structure is not None), else PreconditionViolated; on one that fails
+    QB2-QB5 the map is a candidate to certify. Each x not yet mapped as
+    the star of an earlier one takes the least unused y, regular and
+    star-fixed exactly when x is, with y* unused and some remaining atom
+    permutation that carries a's cloud sizes onto b's sending x's mask to
+    y's; only those permutations remain."""
+    if a.structure is None or b.structure is None:
+        raise PreconditionViolated(
+            "join and meet are not unions and intersections of atom masks")
     (atoms, mask_a), (atoms_b, mask_b) = a.structure, b.structure
     n, k = a.size, len(atoms)
     if n != b.size or k != len(atoms_b):

@@ -13,9 +13,11 @@ import pytest
 import qba
 from qba import ElementMap, FiniteAlgebra, Partition
 from qba.congruences import cross_pairs
-from qba.enumeration import involution_count
+from qba.enumeration import involution_count, iso_class_key
 from qba.errors import (AlgebraSemanticError, EquationParseError,
-                        NotACongruence, QbaError, TooLarge)
+                        NotACongruence, PreconditionViolated, QbaError,
+                        TooLarge)
+from qba.quotients import isomorphism_candidate
 
 SIX, F5 = qba.fixture("6"), qba.fixture("F5")  # 6: regulars 0, 5
 CHI6 = qba.decompose(SIX, qba.chi(SIX))  # two theta_r and two theta_ir blocks
@@ -96,6 +98,11 @@ def test_out_of_range_index_is_refused(call):
 # algebra 0, a, b, 1 at local indices 0..3.
 NOT_CON_A = Partition(4, ((0, 1), (2,), (3,)))
 
+# 4 with its first join row set to (0, 2, 2, 1): it fails the mask test.
+FOUR = qba.fixture("4")
+NO_MASKS = replace(FOUR, join=((0, 2, 2, 1),) + FOUR.join[1:])
+NOT_MASKS = "join and meet are not unions and intersections of atom masks"
+
 
 @pytest.mark.parametrize("call, error, message", [
     guard(lambda: FiniteAlgebra((), (), (), (), 0, 0),
@@ -139,6 +146,11 @@ NOT_CON_A = Partition(4, ((0, 1), (2,), (3,)))
           EquationParseError, "unexpected end of input (at position 3)"),
     guard(lambda: qba.parse_term("x y"),
           EquationParseError, "unexpected token 'y' (at position 2)"),
+    pytest.param(lambda: iso_class_key(NO_MASKS), PreconditionViolated,
+                 NOT_MASKS, id="iso_class_key-no-masks"),
+    pytest.param(lambda: isomorphism_candidate(FOUR, NO_MASKS),
+                 PreconditionViolated, NOT_MASKS,
+                 id="isomorphism_candidate-no-masks"),
 ])
 def test_guard(call, error, message):
     with pytest.raises(error) as info:

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output shapes, JSON round trips."""
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -267,6 +269,30 @@ class TestGate:
         for argv in self.GATED:
             assert run(argv[:1] + [fpath("6")] + argv[1:]).exit_code == 0, argv
 
+    def qb3_mutant(self, tmp_path):
+        # 4 with 1* set to 1: fails QB3, QB4 and QB5.
+        text = qba.dump_algebra(qba.fixture("4")).replace("star\n1 b a 0", "star\n1 b a 1")
+        path = tmp_path / "4qb3.alg"
+        path.write_text(text)
+        return str(path)
+
+    def test_each_file_is_gated_before_the_next_is_read(self, tmp_path):
+        bad, missing = self.qb3_mutant(tmp_path), str(tmp_path / "missing.alg")
+        for flags in ([], ["--json"]):
+            expected = run(["validate", bad] + flags)
+            assert expected.exit_code == 1
+            assert run(["iso", bad, missing] + flags) == expected
+            result = run(["iso", missing, bad] + flags)
+            assert result.exit_code == 2
+            assert result.output.startswith(f"error: cannot read {missing}: ")
+
+    def test_ungated_commands_read_a_failing_file(self, tmp_path):
+        bad = self.qb3_mutant(tmp_path)
+        for argv, code in ((["validate", bad], 1), (["info", bad], 0),
+                           (["check", bad, "x = x"], 0),
+                           (["product", bad, fpath("2")], 0)):
+            assert run(argv).exit_code == code, argv
+
 
 class TestDocumentedExamples:
     def test_extend(self):
@@ -423,6 +449,53 @@ class TestEverySubcommandEmitsJson:
             result = run(argv + ["--json"])
             assert result.exit_code == 0, argv
             json.loads(result.output)
+
+
+class TestCommandTable:
+    # The usage lines at 80 columns; they fix the order of every argument.
+    USAGE = {
+        None: "usage: qba [-h] [--version]\n"
+              "           {validate,info,quotient,product,iso,check,decide,"
+              "congruences,generate,extend,split,decompose,compose,enumerate}\n"
+              "           ...\n",
+        "validate": "usage: qba validate [-h] [--json] algebra\n",
+        "info": "usage: qba info [-h] [--json] algebra\n",
+        "quotient": "usage: qba quotient [-h] [--json] --rel {chi,tau} algebra\n",
+        "product": "usage: qba product [-h] [--json] [-o OUT] left right\n",
+        "iso": "usage: qba iso [-h] [--json] left right\n",
+        "check": "usage: qba check [-h] [--json] algebra equation\n",
+        "decide": "usage: qba decide [-h] [--json] --variety {qb,fqb,b} equation\n",
+        "congruences": "usage: qba congruences [-h] [--json] algebra\n",
+        "generate": "usage: qba generate [-h] [--json] [--seed SEED] [--pairs PAIRS] "
+                    "algebra\n",
+        "extend": "usage: qba extend [-h] [--json] --sub SUB --cong CONG algebra\n",
+        "split": "usage: qba split [-h] [--json] --cong CONG algebra\n",
+        "decompose": "usage: qba decompose [-h] [--json] --cong CONG algebra\n",
+        "compose": "usage: qba compose [-h] [--json] [--theta-r THETA_R] "
+                   "[--theta-ir THETA_IR]\n"
+                   "                   [--link LINK]\n"
+                   "                   algebra\n",
+        "enumerate": "usage: qba enumerate [-h] [--json] --size SIZE [--flat] "
+                     "[--up-to-iso]\n"
+                     "                     [--emit EMIT]\n",
+    }
+
+    def test_usage_lines(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = cli.build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        usage = {None: parser.format_usage()}
+        usage |= {name: p.format_usage() for name, p in sub.choices.items()}
+        assert usage == self.USAGE
+
+    def test_readme_lists_the_gated_rows(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = " ".join(readme.read_text("utf-8").split())
+        listed = text.split("hold only by the paper's theorems, ", 1)[1]
+        listed = listed.split(" first check the axioms", 1)[0]
+        gated = [row[0] for row in cli._COMMANDS if row[4]]
+        assert re.findall(r"`(\w+)`", listed) == gated
 
 
 class TestSharedParser:

@@ -158,3 +158,40 @@ def test_benchmark_fixtures_match_the_package():
 
     package = files("src/qba/data")
     assert package and files("perfbench/data") == package
+
+
+def handler_contract_breaks(tree: ast.AST) -> list[str]:
+    """What breaks the contract of the cli handlers: a _cmd_* function
+    that loads, gates or renders (run() does that from the row), or one
+    that is the handler of no row or of several rows of _COMMANDS."""
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    table = next((node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "_COMMANDS"), ast.Tuple(elts=[]))
+    rows = [row.elts[2].id for row in table.elts]
+    breaks = [f"{fn.name} is the handler of {rows.count(fn.name)} rows"
+              for fn in handlers if rows.count(fn.name) != 1]
+    for fn in handlers:
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            if name in ("_load", "require_valid", "json.dumps"):
+                breaks.append(f"{fn.name} calls {name}")
+    return breaks
+
+
+def test_cli_handlers_leave_files_and_output_to_run():
+    tree = ast.parse((ROOT / "src" / "qba" / "cli.py").read_text("utf-8"))
+    assert handler_contract_breaks(tree) == []
+
+
+def test_handler_check_sees_breaks():
+    tree = ast.parse("def _cmd_a(args):\n    return json.dumps(_load(args.x))\n"
+                     "def _cmd_b(args, a):\n    require_valid(a)\n"
+                     "def _cmd_c(args):\n    pass\n"
+                     "_COMMANDS = (('a', '', _cmd_a), ('b', '', _cmd_b), "
+                     "('b2', '', _cmd_b))\n")
+    assert handler_contract_breaks(tree) == [
+        "_cmd_b is the handler of 2 rows", "_cmd_c is the handler of 0 rows",
+        "_cmd_a calls json.dumps", "_cmd_a calls _load", "_cmd_b calls require_valid"]
