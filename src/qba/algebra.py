@@ -447,73 +447,68 @@ def cloud_map(a: FiniteAlgebra) -> dict[int, frozenset[int]]:
 _SECTIONS = (("zero", 0), ("one", 0), ("join", 2), ("meet", 2), ("star", 1))
 
 
-def _logical_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+def _keyword(lines: list[tuple[int, list[str]]], pos: int, key: str,
+             form: str, width: int | None) -> tuple[int, list[str]]:
+    """lines[pos], which must be key followed by width - 1 tokens (any
+    number when width is None)."""
+    if pos == len(lines):
+        raise AlgebraParseError(f"unexpected end of file, expected {form}")
+    lineno, toks = lines[pos]
+    if toks[0] != key or width is not None and len(toks) != width:
+        raise AlgebraParseError(f"line {lineno}: expected {form}")
+    return lineno, toks
 
 
 def load_algebra(text: str, label: str = "") -> FiniteAlgebra:
     """Parse the text format. Resolves names to indices; does not validate
     the axioms."""
-    lines = _logical_lines(text)
+    # The lines that hold tokens once comments are cut, with their numbers.
+    lines = [(lineno, toks) for lineno, raw in enumerate(text.splitlines(), 1)
+             if (toks := raw.split("#", 1)[0].split())]
 
-    def line(what: str) -> tuple[int, list[str]]:
-        entry = next(lines, None)
-        if entry is None:
-            raise AlgebraParseError(f"unexpected end of file, expected {what}")
-        return entry
-
-    def keyword(key: str, form: str, width: int | None) -> tuple[int, list[str]]:
-        """The next line, which must be key followed by width - 1 tokens
-        (any number when width is None)."""
-        lineno, toks = line(form)
-        if toks[0] != key or width is not None and len(toks) != width:
-            raise AlgebraParseError(f"line {lineno}: expected {form}")
-        return lineno, toks
-
-    def row(lineno: int, toks: list[str]) -> tuple[int, ...]:
-        try:
-            return tuple(map(index.__getitem__, toks))
-        except KeyError as unknown:
-            raise AlgebraSemanticError(
-                f"line {lineno}: unknown name {unknown.args[0]!r}") from None
-
-    lineno, toks = keyword("size", "'size N'", 2)
+    lineno, toks = _keyword(lines, 0, "size", "'size N'", 2)
     if not (toks[1].isascii() and toks[1].isdigit()):  # int() takes "+4", "0_4"
         raise AlgebraParseError(f"line {lineno}: size is not an integer")
     n = int(toks[1])
     if n < 1:
         raise AlgebraSemanticError("size must be positive")
 
-    lineno, toks = keyword("names", "'names ...'", None)
+    lineno, toks = _keyword(lines, 1, "names", "'names ...'", None)
     names = tuple(toks[1:])
     if len(names) != n:
         raise AlgebraSemanticError(
             f"line {lineno}: expected {n} names, got {len(names)}")
     if len(set(names)) != n:
         raise AlgebraSemanticError(f"line {lineno}: duplicate names")
-    index = {nm: i for i, nm in enumerate(names)}
+    index_of = {nm: i for i, nm in enumerate(names)}.__getitem__
 
-    fields = {}
-    for key, depth in _SECTIONS:
-        if not depth:
-            lineno, toks = keyword(key, f"'{key} NAME'", 2)
-            fields[key] = row(lineno, toks[1:])[0]
-            continue
-        keyword(key, f"'{key}'", 1)
-        table = []
-        for _ in range(n if depth == 2 else 1):
-            lineno, toks = line(f"a {key} row")
-            if len(toks) != n:
-                raise AlgebraSemanticError(
-                    f"line {lineno}: wrong table dimensions for {key}: "
-                    f"expected {n} entries, got {len(toks)}")
-            table.append(row(lineno, toks))
-        fields[key] = tuple(table) if depth == 2 else table[0]
-    for lineno, _ in lines:  # the first line after the last section
-        raise AlgebraParseError(f"line {lineno}: trailing content")
+    fields, pos = {}, 2
+    try:
+        for key, depth in _SECTIONS:
+            if not depth:
+                lineno, toks = _keyword(lines, pos, key, f"'{key} NAME'", 2)
+                fields[key] = index_of(toks[1])
+                pos += 1
+                continue
+            _keyword(lines, pos, key, f"'{key}'", 1)
+            count = n if depth == 2 else 1
+            table = []
+            for lineno, toks in lines[pos + 1:pos + 1 + count]:
+                if len(toks) != n:
+                    raise AlgebraSemanticError(
+                        f"line {lineno}: wrong table dimensions for {key}: "
+                        f"expected {n} entries, got {len(toks)}")
+                table.append(tuple(map(index_of, toks)))
+            if len(table) < count:
+                raise AlgebraParseError(
+                    f"unexpected end of file, expected a {key} row")
+            fields[key] = tuple(table) if depth == 2 else table[0]
+            pos += 1 + count
+    except KeyError as unknown:  # lineno is the line that holds it
+        raise AlgebraSemanticError(
+            f"line {lineno}: unknown name {unknown.args[0]!r}") from None
+    if pos < len(lines):
+        raise AlgebraParseError(f"line {lines[pos][0]}: trailing content")
     return FiniteAlgebra(names=names, label=label, **fields)
 
 

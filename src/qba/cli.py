@@ -45,10 +45,14 @@ class CommandResult:
 
 
 def _load(path: str) -> FiniteAlgebra:
+    """The algebra in a file. Path normalises the spelling, so an error
+    names 'x.alg' for './x.alg', and 'x.alg/' reads the file. A file that
+    cannot be read or is not UTF-8 is an input error (exit 2)."""
     p = Path(path)
     try:
-        text = p.read_text("utf-8")
-    except OSError as exc:
+        with open(p, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise QbaError(f"cannot read {path}: {exc}") from None
     return load_algebra(text, label=p.stem)
 
@@ -385,9 +389,30 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """The parsed argv. When it starts with a known subcommand, that
+    subcommand's parser reads the rest alone, as the main parser would
+    hand it every later argument anyway. Any other argv goes through the
+    main parser, and so does one holding '--=...', which the main parser
+    refuses as an ambiguous option before the subcommand sees it."""
+    parser = _shared_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    if (not argv or argv[0] not in sub.choices
+            or any(arg.startswith("--=") for arg in argv)):
+        return parser.parse_args(argv)
+    args, extras = sub.choices[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def run(argv: list[str] | None = None) -> CommandResult:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return CommandResult(int(exc.code or 0), "")
     try:

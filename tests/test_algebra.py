@@ -6,7 +6,7 @@ import pytest
 import qba
 from qba.algebra import AXIOM_LABELS, axiom_holds_at
 from qba.errors import (AlgebraParseError, AlgebraSemanticError,
-                        PreconditionViolated)
+                        PreconditionViolated, QbaError)
 
 TRIVIAL = """
 size 1
@@ -156,6 +156,63 @@ class TestLoading:
         with pytest.raises(AlgebraParseError) as info:
             qba.load_algebra(text)
         assert str(info.value) == "line 19: trailing content"
+
+    def test_line_endings_tabs_and_form_feeds(self, fx):
+        # splitlines() ends a line at "\r\n", a lone "\r" and "\f" alike,
+        # and split() cuts at tabs.
+        text = qba.dump_algebra(fx["6"])
+        for variant in (text.replace("\n", "\r\n"), text.replace("\n", "\r"),
+                        text.replace("\n", "\f"), text.replace("\n", "\r\n\r"),
+                        text.replace(" ", "\t"), text.replace(" ", " \t ")):
+            assert qba.load_algebra(variant) == fx["6"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("size\f4", "line 1: expected 'size N'"),
+        ("\ufeffsize 4", "line 1: expected 'size N'"),
+        ("\ufeff\nsize 4", "line 1: expected 'size N'"),
+        ("size 4\r\nnames 0 a b\r1", "line 2: expected 4 names, got 3"),
+        ("size 4\r\n\r\n# c\rnames 0 a\fb 1", "line 4: expected 4 names, got 2"),
+    ])
+    def test_breaks_and_a_bom_in_the_header(self, text, message):
+        # A byte-order mark is not whitespace: it starts the first token.
+        with pytest.raises(QbaError) as info:
+            qba.load_algebra(text)
+        assert str(info.value) == message
+
+    def test_comments_and_blank_lines_between_rows(self, fx):
+        lines = qba.dump_algebra(fx["4"]).splitlines()
+        spaced = "\r\n".join(line + "\r\n# note\r\n\r\n" for line in lines)
+        assert qba.load_algebra(spaced) == fx["4"]
+
+    @pytest.mark.parametrize("section, line", [
+        ("zero", 7), ("one", 10), ("join", 25), ("meet", 40), ("star", 46)])
+    def test_unknown_name_counts_every_line(self, fx, section, line):
+        # Each line of dump_algebra(4) is followed by a comment and a blank
+        # line, so its k-th line is line 3k - 2; the name replaced is the
+        # section's last.
+        lines = qba.dump_algebra(fx["4"]).splitlines()
+        last = self.SECTION_LINES[section][1]
+        lines[last - 1] = lines[last - 1].rsplit(" ", 1)[0] + " q"
+        text = "".join(f"{line}\n# note\n\n" for line in lines)
+        with pytest.raises(AlgebraSemanticError) as info:
+            qba.load_algebra(text)
+        assert str(info.value) == f"line {line}: unknown name 'q'"
+
+    @pytest.mark.parametrize("rows, message", [
+        # An unknown name in a row wins over a later short row and over
+        # the end of the file; a short row wins over its own unknown name.
+        (["0 a b q", "a a 1"], "line 6: unknown name 'q'"),
+        (["0 a b q"], "line 6: unknown name 'q'"),
+        (["0 a q"], "line 6: wrong table dimensions for join: expected 4 entries, got 3"),
+        (["0 a b 1", "q a"], "line 7: wrong table dimensions for join: expected 4 entries, got 2"),
+        (["0 a b 1", "0 a b 1", "0 a b 1", "0 a b 1", "0 a b"],
+         "line 10: expected 'meet'"),
+    ])
+    def test_the_first_fault_in_a_table_wins(self, rows, message):
+        head = "size 4\nnames 0 a b 1\nzero 0\none 1\njoin\n"
+        with pytest.raises(QbaError) as info:
+            qba.load_algebra(head + "\n".join(rows))
+        assert str(info.value) == message
 
     def test_dict_names_the_first_missing_table(self, fx):
         # Tables are read before constants, so join is named, not zero.

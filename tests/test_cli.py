@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output shapes, JSON round trips."""
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,12 +9,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 import qba
 from qba import cli
 from qba.cli import CommandResult, run
+from test_cli_fuzz import argv as fuzz_argv
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src" / "qba" / "data"
 
@@ -512,6 +517,153 @@ class TestSharedParser:
         fresh = [run(argv) for argv in argvs]
         assert shared == fresh
         assert shared_streams == capsys.readouterr()
+
+
+def full_parse(argv):
+    """The reference parse: the main parser, on every argv."""
+    return cli._shared_parser().parse_args(argv)
+
+
+def outcome(argv):
+    """run(argv) with what argparse wrote to stdout and stderr, at 80
+    columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = run(list(argv))
+    return result, out.getvalue(), err.getvalue()
+
+
+def full_outcome(argv):
+    with mock.patch.object(cli, "_parse", full_parse):
+        return outcome(argv)
+
+
+class TestSubcommandParse:
+    """run() parses an argv that starts with a known subcommand with that
+    subcommand's parser alone; every result, usage and error text is what
+    the main parser gives."""
+
+    ARGS = {name: argv[1:] for argv in TestEverySubcommandEmitsJson.COMMANDS
+            for name in argv[:1]}
+
+    def corpus(self):
+        argvs = [[], ["frobnicate"], ["frobnicate", fpath("4")], ["valid", fpath("4")],
+                 ["-h"], ["--help"], ["--version"], ["--vers"], ["--ver", "validate"],
+                 ["-h", "validate"], ["--version", "validate", fpath("4")],
+                 ["--json", "validate", fpath("4")], ["--js", "validate", fpath("4")],
+                 ["--", "validate", fpath("4")], ["--=x"], ["--bogus"]]
+        for name, args in self.ARGS.items():
+            full = [name] + args
+            argvs += [[name], [name, "-h"], [name, "--help"], [name, "--json"],
+                      full, full + ["--json"], [name, "--json"] + args,
+                      full + ["--js"], full + ["--version"], full + ["--vers"],
+                      [name, "--version"], full + ["extra"], full + ["extra", "more"],
+                      full + ["--bogus"], full + ["--bogus=1", "-x"], full + ["--"],
+                      [name, "--"] + args, full + ["--", "--json"], full + ["--=x"],
+                      full + ["--json=1"], full + ["-h"]]
+        argvs += [["compose", fpath("6"), "--theta", "0;1"],
+                  ["enumerate", "--si", "3"], ["quotient", fpath("4"), "--r", "chi"],
+                  ["generate", fpath("4"), "--se", "a,b"],
+                  ["check", fpath("4"), "--", "x = x"],
+                  ["decide", "--variety", "qb", "-x = x"],
+                  ["validate", "--", "--json"], ["iso", fpath("4")]]
+        return argvs
+
+    def test_corpus_matches_the_main_parser(self):
+        corpus = self.corpus()
+        assert len(corpus) == 16 + 21 * 14 + 8
+        for argv in corpus:
+            assert outcome(argv) == full_outcome(argv), argv
+
+    @settings(max_examples=100, deadline=None)
+    @given(fuzz_argv())
+    def test_fuzzed_argv_matches_the_main_parser(self, argv):
+        assert outcome(argv) == full_outcome(argv)
+
+    def test_a_known_subcommand_skips_the_main_parse(self, monkeypatch):
+        parser, calls = cli._shared_parser(), []
+
+        def counted(method):
+            parse = getattr(parser, method)
+
+            def counting(*args, **kwargs):
+                calls.append(method)
+                return parse(*args, **kwargs)
+            return counting
+
+        for method in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(parser, method, counted(method))
+        for argv in self.corpus():
+            if argv and argv[0] in self.ARGS and not any(
+                    arg.startswith("--=") for arg in argv):
+                run(argv)
+        assert calls == []
+        for argv in ([], ["--version"], ["frobnicate"], ["validate", fpath("4"), "--=x"]):
+            run(argv)
+        assert len(calls) == 8  # parse_args and the parse_known_args it calls
+
+
+class TestFileReading:
+    def latin1(self, tmp_path):
+        """Fixture 4 with a saved in Latin-1, which is not UTF-8."""
+        a = qba.fixture("4")
+        path = tmp_path / "latin1.alg"
+        path.write_bytes(qba.dump_algebra(qba.FiniteAlgebra(
+            ("0", "\xe9", "b", "1"), a.join, a.meet, a.star, a.zero, a.one)).encode("latin-1"))
+        return str(path)
+
+    def test_undecodable_file_exits_2(self, tmp_path):
+        bad = self.latin1(tmp_path)
+        message = (f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9 "
+                   "in position 15: invalid continuation byte")
+        for argv in (["validate", bad], ["info", bad, "--json"], ["congruences", bad],
+                     ["iso", fpath("4"), bad], ["product", bad, fpath("2")],
+                     ["check", bad, "x = x"]):
+            assert run(argv) == CommandResult(2, message), argv
+
+    def test_undecodable_file_through_main(self, tmp_path, capsys):
+        bad = self.latin1(tmp_path)
+        assert cli.main(["validate", bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9 "
+                       "in position 15: invalid continuation byte\n")
+
+    def test_path_spellings(self, tmp_path, monkeypatch):
+        # Path normalises the spelling: it picks the file that opens and
+        # the name an error gives.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        text = qba.dump_algebra(qba.fixture("4"))
+        (tmp_path / "x.alg").write_text(text, "utf-8")
+        (tmp_path / "d" / "x.alg").write_text(text, "utf-8")
+        for spelling in ("./x.alg", "d//x.alg", "x.alg/", "d/./x.alg", "./d/x.alg"):
+            a = cli._load(spelling)
+            assert a == qba.fixture("4") and a.label == "x", spelling
+        for spelling, message in (
+                ("./missing.alg", "[Errno 2] No such file or directory: 'missing.alg'"),
+                ("d//missing.alg", "[Errno 2] No such file or directory: 'd/missing.alg'"),
+                ("missing.alg/", "[Errno 2] No such file or directory: 'missing.alg'"),
+                ("d", "[Errno 21] Is a directory: 'd'"),
+                ("d/", "[Errno 21] Is a directory: 'd'"),
+                ("", "[Errno 21] Is a directory: '.'")):
+            with pytest.raises(qba.errors.QbaError) as info:
+                cli._load(spelling)
+            assert str(info.value) == f"cannot read {spelling}: {message}"
+
+    def test_line_endings_and_a_bom_through_a_file(self, tmp_path):
+        text = qba.dump_algebra(qba.fixture("6"))
+        for name, data in (("crlf", text.replace("\n", "\r\n")),
+                           ("cr", text.replace("\n", "\r"))):
+            path = tmp_path / f"{name}.alg"
+            path.write_bytes(data.encode("utf-8"))
+            assert run(["validate", str(path)]) == CommandResult(
+                0, "VALID QB-algebra (non-flat, 6 elements)")
+        path = tmp_path / "bom.alg"
+        path.write_bytes("\ufeff".encode("utf-8") + text.encode("utf-8"))
+        assert run(["validate", str(path)]) == CommandResult(
+            2, "error: line 1: expected 'size N'")
 
 
 class TestFileOutputs:

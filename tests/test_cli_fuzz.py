@@ -1,16 +1,17 @@
 """Fuzzing qba.cli.run: any argv drawn from the subcommands, the bundled
-fixtures (six elements or fewer), single-cell mutants of them and random
-equation and partition text ends in exit code 0, 1 or 2, never in an
-exception.
+fixtures (six elements or fewer), single-cell mutants of them, a file that
+is not UTF-8, odd spellings of a path and random equation and partition
+text ends in exit code 0, 1 or 2, never in an exception.
 
 The options that write files (-o/--out, --emit) are never drawn, and no
 drawn text contains '-', so argparse cannot expand a prefix into one.
 """
+import os
 import random
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qba
@@ -54,10 +55,27 @@ def write_mutants() -> dict[str, tuple[str, ...]]:
     return out
 
 
-MUTANTS = write_mutants()
-NAMES = {**FIXTURES, **MUTANTS}
+def write_undecodable() -> str:
+    """Fixture 4 with a saved in Latin-1: the bytes are not UTF-8."""
+    a = qba.fixture("4")
+    p = Path(MUTANT_DIR.name) / "latin1.alg"
+    p.write_bytes(qba.dump_algebra(qba.FiniteAlgebra(
+        ("0", "\xe9", "b", "1"), a.join, a.meet, a.star, a.zero, a.one)).encode("latin-1"))
+    return str(p)
 
-path = st.sampled_from(sorted(FIXTURES) + sorted(MUTANTS) + [MISSING])
+
+MUTANTS = write_mutants()
+UNDECODABLE = write_undecodable()
+# Spellings that Path normalises: a '.' part, a doubled or trailing '/',
+# a path relative to the working directory, and a directory.
+FOUR = str(FIXDIR / "4.alg")
+SPELLINGS = {f"{FIXDIR}/./4.alg": FIXTURES[FOUR], f"{FIXDIR}//4.alg": FIXTURES[FOUR],
+             FOUR + "/": FIXTURES[FOUR], "./" + os.path.relpath(FOUR): FIXTURES[FOUR],
+             str(FIXDIR): ()}
+NAMES = {**FIXTURES, **MUTANTS, **SPELLINGS}
+
+path = st.sampled_from(sorted(FIXTURES) + sorted(MUTANTS) + [MISSING, UNDECODABLE]
+                       + sorted(SPELLINGS))
 term = st.recursive(
     st.sampled_from([Var("x"), Var("y"), Var("z"), Const(0), Const(1)]),
     lambda inner: st.one_of(st.builds(Join, inner, inner), st.builds(Meet, inner, inner),
@@ -171,6 +189,8 @@ def argv(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(argv())
+@example(["validate", UNDECODABLE])
+@example(["iso", FOUR, UNDECODABLE])
 def test_run_never_raises(args):
     assert run(args).exit_code in (0, 1, 2)
 
