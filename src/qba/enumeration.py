@@ -456,7 +456,7 @@ def _star_test(a: FiniteAlgebra, f: _TableFacts
     if f.flat:
         def involutive(star: tuple[int, ...]) -> bool:
             s = bytes(star)
-            return s.translate(translation_table(s)) == ident
+            return s.translate(s.ljust(256, b"\0")) == ident
         return involutive
     reps = bytes(f.reps)
     rep_of = translation_table(reps)

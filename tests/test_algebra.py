@@ -168,13 +168,14 @@ class TestLoading:
 
     @pytest.mark.parametrize("text, message", [
         ("size\f4", "line 1: expected 'size N'"),
-        ("\ufeffsize 4", "line 1: expected 'size N'"),
-        ("\ufeff\nsize 4", "line 1: expected 'size N'"),
+        ("\ufeffsize 4", "line 1: byte-order mark (U+FEFF) before 'size N'"),
+        ("\ufeff\nsize 4", "line 1: byte-order mark (U+FEFF) before 'size N'"),
         ("size 4\r\nnames 0 a b\r1", "line 2: expected 4 names, got 3"),
         ("size 4\r\n\r\n# c\rnames 0 a\fb 1", "line 4: expected 4 names, got 2"),
     ])
     def test_breaks_and_a_bom_in_the_header(self, text, message):
-        # A byte-order mark is not whitespace: it starts the first token.
+        # A leading byte-order mark is refused by name, on a line of its own
+        # or not.
         with pytest.raises(QbaError) as info:
             qba.load_algebra(text)
         assert str(info.value) == message

@@ -663,7 +663,7 @@ class TestFileReading:
         path = tmp_path / "bom.alg"
         path.write_bytes("\ufeff".encode("utf-8") + text.encode("utf-8"))
         assert run(["validate", str(path)]) == CommandResult(
-            2, "error: line 1: expected 'size N'")
+            2, "error: line 1: byte-order mark (U+FEFF) before 'size N'")
 
 
 class TestFileOutputs:

@@ -1,4 +1,8 @@
 """Exhaustive generation of small algebras and the structure claims."""
+import copy
+import pickle
+import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -345,3 +349,38 @@ def test_valid_stars_take_no_claims_and_no_isomorphism(n, flat_only,
     assert calls == [] and report.violations == ()
     assert flat_only or any(not qba.is_flat(a) and qba.is_irreducible(a)
                             for a in report.iso_classes)
+
+
+@pytest.mark.parametrize("build, nonflat", [
+    (lambda: enumerate_flat(7, up_to_iso=False), False),  # labeled flat
+    (lambda: enumerate_all(8), False),  # the flat classes of _classes
+    (lambda: enumerate_all(6, up_to_iso=False), True),  # general families
+], ids=["flat_labeled", "classes", "families"])
+def test_star_only_copies_behave_as_constructed(build, nonflat, monkeypatch):
+    copies = []
+    real = qba.FiniteAlgebra._with_stars
+
+    def recorded(a, *args):
+        for twin in real(a, *args):
+            copies.append(twin)
+            yield twin
+
+    monkeypatch.setattr(qba.FiniteAlgebra, "_with_stars", recorded)
+    build()
+    assert len(copies) >= 4
+    assert any(not qba.is_flat(c) for c in copies) == nonflat
+    for c in copies:
+        made = qba.FiniteAlgebra(c.names, c.join, c.meet, c.star, c.zero,
+                                 c.one, c.label)
+        # A copy's dict shares the class's keys, as a constructed one does,
+        # so the two have one size; a dict filled by dict.update holds keys
+        # of its own and is larger.
+        assert sys.getsizeof(c.__dict__) == sys.getsizeof(made.__dict__)
+        for twin in (c, replace(c), copy.copy(c), pickle.loads(pickle.dumps(c))):
+            assert twin == made and hash(twin) == hash(made)
+            assert repr(twin) == repr(made) and twin.label == made.label
+        with pytest.raises(FrozenInstanceError):
+            c.star = made.star
+        assert c.validation is c.validation and c.validation == made.validation
+        assert c.structure is c.structure and c.structure == made.structure
+        assert {"validation", "structure"} <= c.__dict__.keys()

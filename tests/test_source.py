@@ -78,6 +78,45 @@ def test_star_only_copies_stay_in_enumeration():
     assert users == {"algebra.py", "enumeration.py"}
 
 
+def instance_dict_uses(tree: ast.AST) -> set[str]:
+    """The functions, by name ('<module>' for code outside any), that
+    reach an object's attribute dict: x.__dict__, getattr(x, '__dict__')
+    or vars(x)."""
+    uses = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                or isinstance(node, ast.Constant) and node.value == "__dict__"
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "vars"):
+            uses.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return uses
+
+
+def test_instance_dict_stays_in_with_stars():
+    # Writing an instance dict gets round the frozen dataclass and all of
+    # its checks; the one place that does so is the star-only copy.
+    uses = {(p.name, fn) for p in SOURCES
+            for fn in instance_dict_uses(ast.parse(p.read_text("utf-8")))}
+    assert uses == {("algebra.py", "_with_stars")}
+
+
+def test_instance_dict_check_sees_every_form():
+    tree = ast.parse("class A:\n    def f(self):\n        return self.__dict__\n"
+                     "    def g(self):\n        return vars(self)['x']\n"
+                     "def h(a):\n    'Not a.__dict__.'\n"
+                     "    return getattr(a, '__dict__')\n"
+                     "def k(a):\n    return a.__doc__, a.vars\n"
+                     "d = A().__dict__\n")
+    assert instance_dict_uses(tree) == {"f", "g", "h", "<module>"}
+
+
 def private_names_from_algebra(tree: ast.AST) -> set[str]:
     """The names starting with '_' that a module imports from qba.algebra,
     by a relative or an absolute import."""
