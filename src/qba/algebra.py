@@ -10,10 +10,10 @@ Elements are dense indices 0..n-1; names are display metadata only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (AlgebraParseError, AlgebraSemanticError, NotAQBAlgebra,
                      PreconditionViolated)
@@ -38,40 +38,73 @@ def check_elements(n: int, values, what: str) -> None:
 _SEPARATORS = frozenset(";=>")
 
 
-def _check_star(star, n: int) -> None:
-    """The star's part of the well-formedness check: n integer entries in
-    range."""
-    try:
-        shaped = len(star) == n
-    except TypeError:  # a star without a length
-        shaped = False
-    if not shaped:
-        raise AlgebraSemanticError("wrong table dimensions for star")
-    if not _all_ints(star):
-        raise AlgebraSemanticError("star entry is not an integer")
-    if min(star) < 0 or max(star) >= n:
-        raise AlgebraSemanticError("star entry out of range")
+def name_readings(pieces: list[str], known, width: int) -> list[list[tuple]]:
+    """readings[j]: up to two readings of pieces[:j] as a run of names in
+    known, each name 1 to width consecutive pieces joined by ','. A reading
+    is a tuple of names; at each j, those whose last name starts earlier
+    come first."""
+    readings = [[()]]
+    for j in range(1, len(pieces) + 1):
+        found = []
+        for i in range(max(0, j - width), j):
+            if readings[i] and (nm := ",".join(pieces[i:j])) in known:
+                found += [(*r, nm) for r in readings[i]]
+        readings.append(found[:2])
+    return readings
 
 
 def _refuse_joined_names(names: tuple[str, ...]) -> None:
     """Refuse a name that is two or more of the other names joined by
     ',': parse_names would find two readings of it, so it could not be
-    listed there."""
+    listed there. Read with their count as the width, a name's own pieces
+    have the name itself as their first reading; a second joins others."""
     known = frozenset(names)
     heads = tuple(nm + "," for nm in names)  # how such a name starts
     for nm in names:
-        if not nm.startswith(heads):
-            continue
-        pieces = nm.split(",")
-        whole = len(pieces)
-        # split[j]: pieces[:j] is a run of names, the whole name excluded.
-        split = [True] + [False] * whole
-        for j in range(1, whole + 1):
-            split[j] = any(split[i] and ",".join(pieces[i:j]) in known
-                           for i in range(j) if j - i < whole)
-        if split[whole]:
-            raise AlgebraSemanticError(
-                f"name {nm!r} is other names joined by ','")
+        if nm.startswith(heads):
+            pieces = nm.split(",")
+            if len(name_readings(pieces, known, len(pieces))[-1]) > 1:
+                raise AlgebraSemanticError(
+                    f"name {nm!r} is other names joined by ','")
+
+
+# The fields after names, with their nesting: 0 is one element, on the
+# keyword's line in the text format ("zero NAME"); 1 is a row of n elements,
+# on the line after the keyword; 2 is n such rows. The text format has a
+# section for each, in this order, and algebra_to_dict a key.
+_SECTIONS = (("zero", 0), ("one", 0), ("join", 2), ("meet", 2), ("star", 1))
+
+# The order in which the constructor checks the fields and algebra_from_dict
+# resolves them, so that a table's fault is named before a constant's.
+_DEEPEST_FIRST = tuple(sorted(_SECTIONS, key=lambda s: -s[1]))
+
+
+def _check_field(value, n: int, key: str, depth: int) -> None:
+    """The well-formedness check of one field of _SECTIONS: an integer in
+    range(n) at depth 0, else a row (depth 1) or n rows (depth 2) of n
+    integer entries in range."""
+    if not depth:
+        if not isinstance(value, int):
+            raise AlgebraSemanticError(f"{key} is not an integer")
+        if not (0 <= value < n):
+            raise AlgebraSemanticError(f"{key} out of range")
+        return
+    try:
+        shaped = len(value) == n and (depth == 1 or set(map(len, value)) == {n})
+    except TypeError:  # a field or a row without a length
+        shaped = False
+    if not shaped:
+        raise AlgebraSemanticError(f"wrong table dimensions for {key}")
+    # Each distinct entry of a table is type- and range-checked once;
+    # enumerated algebras share rows, so the union is small.
+    try:
+        entries = set().union(*value) if depth == 2 else value
+    except TypeError:  # an unhashable entry
+        raise AlgebraSemanticError(f"{key} entry is not an integer") from None
+    if not _all_ints(entries):
+        raise AlgebraSemanticError(f"{key} entry is not an integer")
+    if min(entries) < 0 or max(entries) >= n:
+        raise AlgebraSemanticError(f"{key} entry out of range")
 
 
 @dataclass(frozen=True)
@@ -115,30 +148,8 @@ class FiniteAlgebra:
             raise AlgebraSemanticError("names must not contain ';', '=' or '>'")
         if "," in joined:
             _refuse_joined_names(self.names)
-        for table, what in ((self.join, "join"), (self.meet, "meet")):
-            try:
-                shaped = len(table) == n and set(map(len, table)) == {n}
-            except TypeError:  # a table or a row without a length
-                shaped = False
-            if not shaped:
-                raise AlgebraSemanticError(f"wrong table dimensions for {what}")
-            # Each distinct entry is type- and range-checked once;
-            # enumerated algebras share rows, so the union is small.
-            try:
-                entries = set().union(*table)
-            except TypeError:  # an unhashable entry
-                raise AlgebraSemanticError(
-                    f"{what} entry is not an integer") from None
-            if not _all_ints(entries):
-                raise AlgebraSemanticError(f"{what} entry is not an integer")
-            if min(entries) < 0 or max(entries) >= n:
-                raise AlgebraSemanticError(f"{what} entry out of range")
-        _check_star(self.star, n)
-        for c, what in ((self.zero, "zero"), (self.one, "one")):
-            if not isinstance(c, int):
-                raise AlgebraSemanticError(f"{what} is not an integer")
-            if not (0 <= c < n):
-                raise AlgebraSemanticError(f"{what} out of range")
+        for key, depth in _DEEPEST_FIRST:
+            _check_field(getattr(self, key), n, key, depth)
 
     @property
     def size(self) -> int:
@@ -194,8 +205,8 @@ class FiniteAlgebra:
         """A copy per star, for generators that vary only the star of an
         algebra they built through the constructor. Each star comes as
         bytes, whose entries are integers, so its check is its length and
-        its largest entry; a star that fails them gets the error
-        _check_star gives. Names, tables and constants are this
+        its largest entry; a star that fails them gets the error the
+        constructor gives. Names, tables and constants are this
         algebra's, checked when it was made; the label too, unless labels
         gives one per star.
 
@@ -214,7 +225,7 @@ class FiniteAlgebra:
         for star, label in zip(stars, repeat(self.label) if labels is None
                                else labels):
             if len(star) != n or max(star) >= n:
-                _check_star(star, n)
+                _check_field(star, n, "star", 1)
             twin = new(FiniteAlgebra)
             fields = twin.__dict__
             fields["names"] = names
@@ -227,12 +238,28 @@ class FiniteAlgebra:
             yield twin
 
     def relabel(self, label: str) -> "FiniteAlgebra":
-        return FiniteAlgebra(self.names, self.join, self.meet, self.star,
-                             self.zero, self.one, label)
+        return replace(self, label=label)
 
     def __repr__(self) -> str:
         tag = self.label or f"{self.size} elements"
         return f"FiniteAlgebra({tag})"
+
+
+def induced_fields(a: FiniteAlgebra, elements: Sequence[int], image) -> dict:
+    """The fields of _SECTIONS of the algebra that a induces on elements,
+    with every entry and constant x mapped to image[x], as keyword
+    arguments for FiniteAlgebra beside names and label. The identity
+    image over a.elements() gives a's own fields."""
+    get = image.__getitem__
+
+    def induced(value, depth: int):
+        if depth == 2:
+            return tuple(induced(value[x], 1) for x in elements)
+        if depth:
+            return tuple(map(get, map(value.__getitem__, elements)))
+        return get(value)
+
+    return {key: induced(getattr(a, key), depth) for key, depth in _SECTIONS}
 
 
 @dataclass(frozen=True)
@@ -448,12 +475,6 @@ def cloud_map(a: FiniteAlgebra) -> dict[int, frozenset[int]]:
 # and entries are element names, never indices.
 # ---------------------------------------------------------------------------
 
-# The sections after the header, with their nesting: 0 is one name on the
-# keyword's line ("zero NAME"), 1 is a row of N names on the line after the
-# keyword, 2 is N such rows. algebra_to_dict keys them the same way.
-_SECTIONS = (("zero", 0), ("one", 0), ("join", 2), ("meet", 2), ("star", 1))
-
-
 def _keyword(lines: list[tuple[int, list[str]]], pos: int, key: str,
              form: str, width: int | None) -> tuple[int, list[str]]:
     """lines[pos], which must be key followed by width - 1 tokens (any
@@ -569,8 +590,7 @@ def algebra_from_dict(d: dict) -> FiniteAlgebra:
     try:
         fields[key] = listed(d[key])
         index = {nm: i for i, nm in enumerate(fields[key])}
-        # Deepest first, so a table is named before a constant.
-        for key, depth in sorted(_SECTIONS, key=lambda s: -s[1]):
+        for key, depth in _DEEPEST_FIRST:
             fields[key] = resolve(d[key], depth)
     except KeyError:
         raise AlgebraSemanticError(f"missing key {key!r}") from None

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (FiniteAlgebra, check_elements, is_flat,
-                      regular_elements, require_valid)
+from .algebra import (FiniteAlgebra, check_elements, induced_fields,
+                      is_flat, regular_elements, require_valid)
 from .errors import (ConditionC1Violated, ConditionC2Violated,
                      ConditionC3Violated, FlatInput, NotACongruence,
                      NotASubalgebra, NotFlat, PreconditionViolated,
@@ -138,15 +138,9 @@ def subalgebra(a: FiniteAlgebra, indices) -> FiniteAlgebra:
     if not _is_closed(a, sset):
         raise NotASubalgebra("index set is not closed under the operations")
     local = {g: i for i, g in enumerate(subset)}
-    return FiniteAlgebra(
-        names=tuple(a.names[g] for g in subset),
-        join=tuple(tuple(local[a.join[x][y]] for y in subset) for x in subset),
-        meet=tuple(tuple(local[a.meet[x][y]] for y in subset) for x in subset),
-        star=tuple(local[a.star[x]] for x in subset),
-        zero=local[a.zero],
-        one=local[a.one],
-        label=f"{a.label}|{len(subset)}" if a.label else "",
-    )
+    return FiniteAlgebra(names=tuple(a.names[g] for g in subset),
+                         label=f"{a.label}|{len(subset)}" if a.label else "",
+                         **induced_fields(a, subset, local))
 
 
 def extend_from_subalgebra(a: FiniteAlgebra, q0, theta0: Partition) -> Partition:

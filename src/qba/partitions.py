@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .algebra import FiniteAlgebra, check_elements
+from .algebra import FiniteAlgebra, check_elements, name_readings
 from .errors import AlgebraSemanticError
 
 
@@ -94,7 +94,7 @@ class Partition:
     @classmethod
     def whole(cls, size: int) -> "Partition":
         _check_size(size)
-        return cls(size, (tuple(range(size)),))
+        return cls(size, (tuple(range(size)),) if size else ())
 
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
@@ -191,14 +191,7 @@ def parse_names(a: FiniteAlgebra, text: str, part: Sequence[int]) -> list[int]:
     two splits are refused, naming both."""
     pieces = [nm.strip() for nm in text.split(",")]
     known = frozenset(a.names)
-    width = 1 + max(nm.count(",") for nm in known)
-    reads = [[()]]  # reads[j]: up to two splits of pieces[:j] into names
-    for j in range(1, len(pieces) + 1):
-        found = []
-        for i in range(max(0, j - width), j):
-            if reads[i] and (nm := ",".join(pieces[i:j])) in known:
-                found += [(*r, nm) for r in reads[i]]
-        reads.append(found[:2])
+    reads = name_readings(pieces, known, 1 + max(nm.count(",") for nm in known))
     if not reads[-1]:
         stuck = max(j for j, r in enumerate(reads) if r)
         raise AlgebraSemanticError(f"unknown element name {pieces[stuck]!r}")

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .algebra import FiniteAlgebra, is_flat, regular_elements, require_valid
+from .algebra import (FiniteAlgebra, induced_fields, is_flat, regular_elements,
+                      require_valid)
 from .errors import (FlatInput, InvalidShape, InvariantViolation,
                      NotACongruence, PreconditionViolated)
 from .partitions import Partition, classes, is_congruence
@@ -83,19 +84,9 @@ def quotient(a: FiniteAlgebra, theta: Partition) -> tuple[FiniteAlgebra, Element
         raise NotACongruence("quotient requires a congruence")
     cls = theta._member
     reps = [block[0] for block in theta.blocks]
-
-    def induced(table) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(cls[table[x][y]] for y in reps) for x in reps)
-
-    q = FiniteAlgebra(
-        names=class_names(a, theta),
-        join=induced(a.join),
-        meet=induced(a.meet),
-        star=tuple(cls[a.star[x]] for x in reps),
-        zero=cls[a.zero],
-        one=cls[a.one],
-        label=f"{a.label}/~" if a.label else "",
-    )
+    q = FiniteAlgebra(names=class_names(a, theta),
+                      label=f"{a.label}/~" if a.label else "",
+                      **induced_fields(a, reps, cls))
     return q, ElementMap(a.size, len(reps), cls)
 
 

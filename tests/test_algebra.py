@@ -4,7 +4,7 @@ import json
 import pytest
 
 import qba
-from qba.algebra import AXIOM_LABELS, axiom_holds_at
+from qba.algebra import AXIOM_LABELS, axiom_holds_at, induced_fields
 from qba.errors import (AlgebraParseError, AlgebraSemanticError,
                         PreconditionViolated, QbaError)
 
@@ -371,6 +371,41 @@ class TestMalformedShapes:
     def test_names_not_a_sequence_of_hashables(self, names):
         with pytest.raises(AlgebraSemanticError, match="^names must be strings$"):
             qba.FiniteAlgebra(**{**self.ONE, "names": names})
+
+
+class TestInducedFields:
+    def test_identity_rebuilds_every_fixture(self, fx):
+        for a in fx.values():
+            fields = induced_fields(a, a.elements(), a.elements())
+            assert qba.FiniteAlgebra(a.names, **fields) == a
+
+    @staticmethod
+    def by_hand(a, elements, image):
+        """The induced fields written out one by one."""
+        return {"join": tuple(tuple(image[a.join[x][y]] for y in elements)
+                              for x in elements),
+                "meet": tuple(tuple(image[a.meet[x][y]] for y in elements)
+                              for x in elements),
+                "star": tuple(image[a.star[x]] for x in elements),
+                "zero": image[a.zero], "one": image[a.one]}
+
+    def test_subset_gives_the_subalgebra(self, fx):
+        for a in fx.values():
+            for s in qba.subalgebras(a):
+                local = {g: i for i, g in enumerate(s)}
+                fields = induced_fields(a, s, local)
+                assert fields == self.by_hand(a, s, local)
+                sub = qba.subalgebra(a, s)
+                assert fields == {key: getattr(sub, key) for key in fields}
+
+    def test_class_map_gives_the_quotient(self, fx):
+        for a in fx.values():
+            for theta in qba.all_congruences(a):
+                q, f = qba.quotient(a, theta)
+                reps = [block[0] for block in theta.blocks]
+                fields = induced_fields(a, reps, f.mapping)
+                assert fields == self.by_hand(a, reps, f.mapping)
+                assert fields == {key: getattr(q, key) for key in fields}
 
 
 class TestValidate:

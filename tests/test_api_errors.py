@@ -174,6 +174,7 @@ def test_partition_sizes_zero_and_bool_are_ints():
     # restrict([]) gives size 0 on a Boolean algebra's irregular part.
     assert Partition(0, ()).blocks == ()
     assert Partition.singletons(3).restrict([]) == Partition(0, ())
+    assert Partition.whole(0) == Partition(0, ())
     assert Partition(True, ((0,),)).blocks == ((0,),)
 
 

@@ -458,11 +458,14 @@ class TestEverySubcommandEmitsJson:
 
 class TestCommandTable:
     # The usage lines at 80 columns; they fix the order of every argument.
+    # The top-level one is wrapped in one of two ways: Python 3.11 and 3.12
+    # put the ' ...' after the subcommand choices on a line of its own,
+    # 3.13 puts it on the choices' line.
+    CHOICES = ("usage: qba [-h] [--version]\n"
+               "           {validate,info,quotient,product,iso,check,decide,"
+               "congruences,generate,extend,split,decompose,compose,enumerate}")
+    TOP = (CHOICES + "\n           ...\n", CHOICES + " ...\n")
     USAGE = {
-        None: "usage: qba [-h] [--version]\n"
-              "           {validate,info,quotient,product,iso,check,decide,"
-              "congruences,generate,extend,split,decompose,compose,enumerate}\n"
-              "           ...\n",
         "validate": "usage: qba validate [-h] [--json] algebra\n",
         "info": "usage: qba info [-h] [--json] algebra\n",
         "quotient": "usage: qba quotient [-h] [--json] --rel {chi,tau} algebra\n",
@@ -490,8 +493,8 @@ class TestCommandTable:
         parser = cli.build_parser()
         sub = next(action for action in parser._actions
                    if isinstance(action, argparse._SubParsersAction))
-        usage = {None: parser.format_usage()}
-        usage |= {name: p.format_usage() for name, p in sub.choices.items()}
+        assert parser.format_usage() in self.TOP
+        usage = {name: p.format_usage() for name, p in sub.choices.items()}
         assert usage == self.USAGE
 
     def test_readme_lists_the_gated_rows(self):

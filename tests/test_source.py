@@ -2,12 +2,15 @@
 so they still run under python -O; and the package has no runtime
 dependencies: it imports only the standard library and itself."""
 import ast
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
 from types import ModuleType
 
 import pytest
+
+from qba.algebra import _SECTIONS, FiniteAlgebra
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "qba").glob("*.py"))
@@ -134,6 +137,14 @@ def test_mask_test_stays_in_algebra():
                if (names := private_names_from_algebra(
                    ast.parse(p.read_text("utf-8"))) - {"_tables"})}
     assert not private, f"private names of algebra.py imported: {private}"
+
+
+def test_sections_list_every_field():
+    # The constructor checks, the loader reads and induced_fields derives
+    # the fields of _SECTIONS; a field missing there would skip all three.
+    keys = [key for key, _ in _SECTIONS]
+    assert sorted(keys + ["names", "label"]) == sorted(
+        f.name for f in dataclasses.fields(FiniteAlgebra))
 
 
 def test_private_import_check_sees_both_forms():
