@@ -150,6 +150,14 @@ class FiniteAlgebra:
             _refuse_joined_names(self.names)
         for key, depth in _DEEPEST_FIRST:
             _check_field(getattr(self, key), n, key, depth)
+        # Kept as tuples, so that equal fields compare and hash equal however
+        # they were given; tuples (rows too) are kept as the same objects.
+        for key, depth in (("names", 1), *_SECTIONS):
+            value = getattr(self, key)
+            if depth == 2 and not all(map(tuple.__instancecheck__, value)):
+                object.__setattr__(self, key, tuple(map(tuple, value)))
+            elif depth and not isinstance(value, tuple):
+                object.__setattr__(self, key, tuple(value))
 
     @property
     def size(self) -> int:
@@ -194,8 +202,7 @@ class FiniteAlgebra:
         img = {masks[x]: x for x, row in enumerate(join) if row[x] == x}
         if len(img) != 1 << len(atoms):
             return None
-        if (tuple(map(tuple, join)), tuple(map(tuple, meet))) != _tables(
-                [img[s] for s in range(len(img))], masks):
+        if (join, meet) != _tables([img[s] for s in range(len(img))], masks):
             return None
         return atoms, masks
 
@@ -429,6 +436,12 @@ def regular_elements(a: FiniteAlgebra) -> frozenset[int]:
     return frozenset(x for x in a.elements() if a.join[x][x] == x)
 
 
+def regular_split(a: FiniteAlgebra) -> tuple[list[int], list[int]]:
+    """The regular and the irregular elements, each sorted."""
+    regs = regular_elements(a)
+    return (sorted(regs), [x for x in a.elements() if x not in regs])
+
+
 def quasi_leq(a: FiniteAlgebra, x: int, y: int) -> bool:
     """The quasi-order: x <= y iff x v y = y v y (iff x ^ y = x ^ x).
 
@@ -451,8 +464,7 @@ def cloud_of(a: FiniteAlgebra, x: int) -> frozenset[int]:
     namely x v x.
     """
     check_elements(a.size, (x,), "cloud_of")
-    r = a.join[x][x]
-    return frozenset(y for y in a.elements() if a.join[y][y] == r)
+    return cloud_map(a)[a.join[x][x]]
 
 
 def cloud_map(a: FiniteAlgebra) -> dict[int, frozenset[int]]:

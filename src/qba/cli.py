@@ -22,12 +22,11 @@ from pathlib import Path
 from . import __version__
 from .algebra import (FiniteAlgebra, ValidationReport, algebra_to_dict,
                       dump_algebra, is_flat, load_algebra, regular_elements,
-                      require_valid)
+                      regular_split, require_valid)
 from .congruences import (CongruenceDecomposition, all_congruences,
                           compose_flat, compose_nonflat, cross_pairs,
                           decompose, extend_from_subalgebra,
-                          generated_congruence, regular_split,
-                          split_congruence, subalgebra)
+                          generated_congruence, split_congruence, subalgebra)
 from .enumeration import enumerate_all, enumerate_flat
 from .errors import NotAQBAlgebra, QbaError
 from .partitions import (format_blocks, format_partition, pair_closure_gaps,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (FiniteAlgebra, check_elements, induced_fields,
-                      is_flat, regular_elements, require_valid)
+                      is_flat, regular_split, require_valid)
 from .errors import (ConditionC1Violated, ConditionC2Violated,
                      ConditionC3Violated, FlatInput, NotACongruence,
                      NotASubalgebra, NotFlat, PreconditionViolated,
@@ -29,53 +29,54 @@ def generated_congruence(a: FiniteAlgebra, seed) -> Partition:
 
     Con(a) is the set of the ker_c ∩ π of all_congruences, and ker_c ∩
     ker_d = ker_{c v d}. So c* is the join of the regulars c with
-    x ^ c = y ^ c on every seed pair, and π_S is the least star partition
-    merging tau(x) with tau(y) on every seed pair.
+    x ^ c = y ^ c on every seed pair: its mask keeps the atoms on which
+    no seed pair's masks differ. π_S is the least star partition merging
+    tau(x) with tau(y) on every seed pair.
     """
     require_valid(a)
     seed = list(seed)
     check_elements(a.size, [v for pair in seed for v in pair], "a seed pair")
-    regs, lift, star_t = _tau_frame(a)
-    cstar = a.zero
-    for r in regs:
-        if all(a.meet[x][r] == a.meet[y][r] for x, y in seed):
-            cstar = a.join[cstar][r]
+    lift, star_t = _tau_frame(a)
+    _, masks = a.structure
+    keep = -1  # the mask of c*, with every bit above the atoms set
+    for x, y in seed:
+        keep &= ~(masks[x] ^ masks[y])
     uf = UnionFind(len(star_t))
     work = [(lift[x], lift[y]) for x, y in seed]
     while work:  # each merge also merges the star images
         p, q = work.pop()
         if uf.union(p, q):
             work.append((star_t[p], star_t[q]))
-    return Partition(a.size, classes([(row[cstar], uf.find(lift[x]))
-                                      for x, row in enumerate(a.meet)]))
+    return Partition(a.size, classes([(m & keep, uf.find(b))
+                                      for m, b in zip(masks, lift)]))
 
 
 def all_congruences(a: FiniteAlgebra) -> list[Partition]:
     """Every congruence, in canonical order, built by the split lemma: a
     congruence is ker_c ∩ π for a regular c, ker_c the kernel of x -> x ^ c
-    (its image on the Boolean a/chi), and a star partition π of the
-    tau-blocks, one that the star maps onto blocks (its image on the flat
-    a/tau). Every such intersection is a congruence, so none is checked;
-    one Partition is built per distinct one.
+    (its image on the Boolean a/chi: x ^ c = y ^ c iff m(x) & m(c) =
+    m(y) & m(c), m the masks of a.structure), and a star partition π of
+    the tau-blocks, one that the star maps onto blocks (its image on the
+    flat a/tau). Every such intersection is a congruence, so none is
+    checked; one Partition is built per distinct one.
     """
     require_valid(a)
     n = a.size
     if n > MAX_EXHAUSTIVE:
         raise TooLarge(f"carrier of {n} exceeds the guard of {MAX_EXHAUSTIVE}")
-    regs, lift, star_t = _tau_frame(a)
-    ideals = [[row[c] for row in a.meet] for c in regs]
-    found = {classes(zip(ideal, [assign[b] for b in lift]))
-             for assign in _star_partitions(star_t) for ideal in ideals}
+    lift, star_t = _tau_frame(a)
+    atoms, masks = a.structure
+    kernels = [[m & c for m in masks] for c in range(1 << len(atoms))]
+    found = {classes(zip(kernel, [assign[b] for b in lift]))
+             for assign in _star_partitions(star_t) for kernel in kernels}
     return [Partition(n, blocks) for blocks in sorted(found)]
 
 
 def _tau_frame(a: FiniteAlgebra):
-    """The regulars, the tau-block of each element (the regulars are block
-    0, each irregular a block of its own) and the star on the blocks."""
-    regs, irs = regular_split(a)
-    block = {x: b for b, x in enumerate(irs, 1)}
-    lift = [block.get(x, 0) for x in a.elements()]
-    return regs, lift, [0] + [lift[a.star[x]] for x in irs]
+    """The tau-block of each element and the star on the blocks."""
+    t = tau(a)
+    lift = t._member
+    return lift, [lift[a.star[b[0]]] for b in t.blocks]
 
 
 def _star_partitions(star):
@@ -182,12 +183,6 @@ def split_congruence(a: FiniteAlgebra, theta: Partition
             (cls[b[0]], cls[x]) for b in theta.blocks for x in b[1:]])
 
     return project(chi(a)), project(tau(a))
-
-
-def regular_split(a: FiniteAlgebra) -> tuple[list[int], list[int]]:
-    """The regular and the irregular elements, each sorted."""
-    regs = regular_elements(a)
-    return (sorted(regs), [x for x in a.elements() if x not in regs])
 
 
 def principal_congruence_nonflat(a: FiniteAlgebra, theta_r: Partition,

@@ -374,8 +374,8 @@ def _table_facts(a: FiniteAlgebra) -> _TableFacts:
             ("flat-regulars-trivial", regs == frozenset((a.zero,))),
             ("flat-cloud-zero-whole", len(clouds) == 1),
             ("flat-ops-zero",
-             all(tuple(row) == zero_row for row in a.join)
-             and all(tuple(row) == zero_row for row in a.meet)),
+             all(row == zero_row for row in a.join)
+             and all(row == zero_row for row in a.meet)),
             ("flat-size-parity", None),
         ]
     return _TableFacts(flat, reps, clouds, claims,

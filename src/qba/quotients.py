@@ -14,7 +14,7 @@ from typing import Iterator
 from .algebra import (FiniteAlgebra, induced_fields, is_flat, regular_elements,
                       require_valid)
 from .errors import (FlatInput, InvalidShape, InvariantViolation,
-                     NotACongruence, PreconditionViolated)
+                     NotACongruence, PreconditionViolated, TooLarge)
 from .partitions import Partition, classes, is_congruence
 
 
@@ -145,9 +145,15 @@ def embed_into_product(a: FiniteAlgebra) -> ElementMap:
     return ElementMap(a.size, len(c.blocks) * nt, mapping)
 
 
+MAX_ATOMS = 8  # k! atom permutations: about 4 s at k = 8
+
+
 def atom_relabelings(masks: list[int], k: int) -> Iterator[tuple[list[int], tuple]]:
     """Per permutation p of the k atoms, identity first: the map m it
-    induces on masks, bit i to bit p[i], and sizes[m[s]] = #{x : masks[x] = s}."""
+    induces on masks, bit i to bit p[i], and sizes[m[s]] = #{x : masks[x] = s}.
+    Past MAX_ATOMS atoms the first next() raises TooLarge."""
+    if k > MAX_ATOMS:
+        raise TooLarge(f"{k} atoms exceed the guard of {MAX_ATOMS} ({k}! permutations)")
     counts = [masks.count(s) for s in range(1 << k)]
     for p in permutations(range(k)):
         m = [0]

@@ -74,7 +74,7 @@ from itertools import product
 from operator import getitem
 from typing import Mapping, Union
 
-from .algebra import FiniteAlgebra, check_elements, translation_table
+from .algebra import FiniteAlgebra, check_elements, regular_split, translation_table
 from .errors import (EquationParseError, InvariantViolation,
                      PreconditionViolated, TooLarge, UnboundVariable)
 from .fixtures import fixture
@@ -489,7 +489,7 @@ def _holds_by_factors(a: FiniteAlgebra, eq: Equation, names: list[str]) -> Verdi
         diff = (int.from_bytes(lv, "big") ^ int.from_bytes(rv, "big")).to_bytes(1 << k, "big")
 
     star = a.star
-    irregular = [x for x, row in enumerate(a.join) if row[x] != x]
+    _, irregular = regular_split(a)
     forms = _flat_form(eq.lhs), _flat_form(eq.rhs)
     flat_differs = bool(irregular) and forms[0] != forms[1]
     if flat_differs and None not in forms and forms[0][0] == forms[1][0]:

@@ -1,12 +1,15 @@
 """Tables, axiom validation and the basic structure queries."""
 import json
+from itertools import product
 
 import pytest
 
 import qba
-from qba.algebra import AXIOM_LABELS, axiom_holds_at, induced_fields
+from qba.algebra import AXIOM_LABELS, axiom_holds_at, induced_fields, regular_split
 from qba.errors import (AlgebraParseError, AlgebraSemanticError,
                         PreconditionViolated, QbaError)
+from qba.partitions import Partition
+from test_check_oracles import single_cell_mutants
 
 TRIVIAL = """
 size 1
@@ -320,6 +323,20 @@ class TestLoading:
         for a in fx.values():
             assert qba.algebra_from_dict(qba.algebra_to_dict(a)) == a
 
+    def test_fields_given_as_lists_are_kept_as_tuples(self, fx):
+        for a in fx.values():
+            listed = qba.FiniteAlgebra(
+                list(a.names), [list(row) for row in a.join], list(map(list, a.meet)),
+                list(a.star), a.zero, a.one)
+            assert hash(listed) == hash(a) and listed == a
+            assert qba.load_algebra(qba.dump_algebra(listed)) == listed
+            assert qba.algebra_from_dict(qba.algebra_to_dict(listed)) == listed
+            assert all(type(row) is tuple for row in listed.join + listed.meet)
+            # Tuple input is kept as the very object.
+            keys = ("names", "join", "meet", "star")
+            again = qba.FiniteAlgebra(*(getattr(listed, key) for key in keys), a.zero, a.one)
+            assert all(getattr(again, key) is getattr(listed, key) for key in keys)
+
     def test_trivial_algebra_accepted(self):
         a = qba.load_algebra(TRIVIAL)
         assert a.size == 1
@@ -505,6 +522,23 @@ class TestQueries:
         assert names_of(a6, qba.cloud_of(a6, a6.index_of("e"))) == ["0", "a", "e"]
         for x in f3.elements():
             assert qba.cloud_of(f3, x) == frozenset(f3.elements())
+
+    def test_diagonal_helpers_on_tables_that_fail_the_axioms(self, fx):
+        # These helpers read only the diagonal x v x, so they keep their
+        # meaning on any table; each is written out here by its definition.
+        for a in (m for f in fx.values() for m in single_cell_mutants(f)):
+            n, diag = a.size, [a.join[x][x] for x in a.elements()]
+            regs = frozenset(x for x in range(n) if diag[x] == x)
+            clouds = {diag[x]: frozenset(y for y in range(n) if diag[y] == diag[x])
+                      for x in range(n)}
+            assert qba.regular_elements(a) == regs
+            assert regular_split(a) == (sorted(regs), [x for x in range(n) if diag[x] != x])
+            assert [qba.cloud_of(a, x) for x in range(n)] == [clouds[d] for d in diag]
+            assert list(qba.cloud_map(a).items()) == list(clouds.items())
+            assert qba.chi(a) == Partition.from_pairs(n, [
+                (x, y) for x, y in product(range(n), repeat=2) if diag[x] == diag[y]])
+            assert qba.tau(a) == Partition.from_pairs(n, [
+                (x, y) for x, y in product(regs, repeat=2)])
 
 
 class TestStructuralInvariants:

@@ -211,6 +211,15 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert result.output == "NOT ISOMORPHIC"
 
+    def test_iso_past_eight_atoms_exits_2(self, tmp_path):
+        b512 = tmp_path / "b512.alg"
+        b512.write_text(qba.dump_algebra(qba.boolean_algebra(9)))
+        start = time.perf_counter()
+        result = run(["iso", str(b512), str(b512)])
+        assert time.perf_counter() - start < 5
+        assert result == CommandResult(
+            2, "error: 9 atoms exceed the guard of 8 (9! permutations)")
+
     def test_iso_found_exits_0(self):
         result = run(["iso", fpath("4"), fpath("4bar")])
         assert result.exit_code == 0

@@ -1,6 +1,9 @@
 """Congruence enumeration, generation, extension, splitting and the
 regular/irregular decomposition."""
+import random
 import warnings
+from functools import cache
+from itertools import count, islice
 
 import pytest
 
@@ -13,7 +16,7 @@ from qba.errors import (ConditionC1Violated, ConditionC2Violated,
                         PreconditionViolated, NotStarClosed, TooLarge)
 from qba.partitions import Partition
 from test_check_oracles import (all_congruences_two_prunes,
-                                generated_congruence_by_closure)
+                                generated_congruence_by_closure, relabeled)
 
 
 def part(a, text):
@@ -105,6 +108,58 @@ class TestGeneratedCongruence:
                 seed = [(b[0], x) for b in seed_target.blocks for x in b[1:]]
                 got = qba.generated_congruence(a, seed)
                 assert got == seed_target  # congruences regenerate themselves
+
+
+@cache
+def irregular_zero_copies() -> tuple:
+    """(algebra, copy, place): seeded relabelings with an irregular element
+    0, three of each fixture, small product and class of
+    enumerate_all(n <= 6, True) that has irregulars; element x of the
+    algebra is element place[x] of the copy. Every other congruence test
+    keeps 0 at index 0, so the tau-block of the regulars comes first."""
+    fx = qba.all_fixtures()
+    sources = [*fx.values(), qba.direct_product(fx["2"], fx["F3"]),
+               qba.direct_product(fx["4"], fx["2"])]
+    for n in range(1, 7):
+        sources += qba.enumerate_all(n, True).iso_classes
+    found = []
+    for i, a in enumerate(sources):
+        if len(qba.regular_elements(a)) < a.size:
+            copies = (relabeled(a, seed) for seed in count(1000 * i))
+            found += [(a, copy, [copy.index_of(nm) for nm in a.names])
+                      for copy in islice((c for c in copies if c.join[0][0] != 0), 3)]
+    return tuple(found)
+
+
+def moved(p: Partition, place) -> Partition:
+    return Partition.from_blocks(p.size, [[place[x] for x in b] for b in p.blocks])
+
+
+class TestIrregularZero:
+    """all_congruences and generated_congruence commute with relabeling,
+    on copies whose element 0 is irregular."""
+
+    def test_corpus_size(self):
+        copies = irregular_zero_copies()
+        assert len(copies) >= 50
+        assert all(copy.join[0][0] != 0 for _, copy, _ in copies)
+
+    def test_all_congruences(self):
+        for a, copy, place in irregular_zero_copies():
+            expected = sorted((moved(p, place) for p in qba.all_congruences(a)),
+                              key=Partition.sort_key)
+            assert qba.all_congruences(copy) == expected, a
+
+    def test_generated_congruence(self):
+        for a, copy, place in irregular_zero_copies():
+            rng = random.Random(a.size)
+            pairs = [(x, y) for x in a.elements() for y in a.elements()]
+            seeds = [[]] + [[pair] for pair in pairs] + [
+                rng.sample(pairs, rng.randint(2, 3)) for _ in range(20)]
+            for seed in seeds:
+                got = qba.generated_congruence(copy, [(place[x], place[y])
+                                                      for x, y in seed])
+                assert got == moved(qba.generated_congruence(a, seed), place), seed
 
 
 class TestSubalgebras:

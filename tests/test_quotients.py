@@ -5,8 +5,8 @@ import pytest
 
 import qba
 from qba.errors import (FlatInput, InvalidShape, InvariantViolation,
-                        NotACongruence, PreconditionViolated)
-from qba.quotients import ElementMap, boolean_algebra
+                        NotACongruence, PreconditionViolated, TooLarge)
+from qba.quotients import ElementMap, atom_relabelings, boolean_algebra
 from test_check_oracles import relabeled
 
 
@@ -189,6 +189,17 @@ class TestFindIsomorphism:
         f = qba.find_isomorphism(cube, twin)
         assert f is not None and f.is_bijective
         assert qba.is_homomorphism(cube, twin, f)
+
+    def test_atom_permutations_are_guarded_past_eight_atoms(self):
+        # 9! permutations of the atoms of B512; the guard is met at the
+        # first next(), before any permutation is listed.
+        relabelings = atom_relabelings([0] * 512, 9)
+        with pytest.raises(TooLarge, match="9 atoms exceed the guard of 8"):
+            next(relabelings)
+        b512 = boolean_algebra(9)
+        with pytest.raises(TooLarge):
+            qba.find_isomorphism(b512, b512)
+        assert len(next(atom_relabelings([0, 1, 2], 8))[1]) == 256
 
     def test_non_bijective_result_is_typed_error(self, fx, monkeypatch):
         monkeypatch.setattr(ElementMap, "is_bijective", property(lambda self: False))

@@ -139,6 +139,39 @@ def test_mask_test_stays_in_algebra():
     assert not private, f"private names of algebra.py imported: {private}"
 
 
+def definitions(tree: ast.Module) -> set[str]:
+    """The names a module defines: by def or class at any depth, or by
+    assignment at module level. Imports and local variables bind names
+    without defining them."""
+    defined = {node.name for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            defined.update(n.id for n in ast.walk(node)
+                           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return defined
+
+
+# Each is derived in one module and imported everywhere else, so that a
+# second derivation cannot drift from the first.
+ONE_DEFINITION = {"regular_split": "algebra.py", "classes": "partitions.py"}
+
+
+def test_one_definition_each():
+    defined = {p.name: definitions(ast.parse(p.read_text("utf-8"))) for p in SOURCES}
+    owners = {name: [module for module, names in defined.items() if name in names]
+              for name in ONE_DEFINITION}
+    assert owners == {name: [module] for name, module in ONE_DEFINITION.items()}
+
+
+def test_definition_check_sees_every_form():
+    tree = ast.parse("from .partitions import classes\nregular_split = len\n"
+                     "class A:\n    def f(self):\n        def classes(keys): pass\n"
+                     "def g():\n    chi = 1\n    return chi\n"
+                     "tau: int = 0\n")
+    assert definitions(tree) == {"regular_split", "A", "f", "classes", "g", "tau"}
+
+
 def test_sections_list_every_field():
     # The constructor checks, the loader reads and induced_fields derives
     # the fields of _SECTIONS; a field missing there would skip all three.
