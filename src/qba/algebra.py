@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (AlgebraParseError, AlgebraSemanticError, NotAQBAlgebra,
@@ -77,6 +77,12 @@ _SECTIONS = (("zero", 0), ("one", 0), ("join", 2), ("meet", 2), ("star", 1))
 # The order in which the constructor checks the fields and algebra_from_dict
 # resolves them, so that a table's fault is named before a constant's.
 _DEEPEST_FIRST = tuple(sorted(_SECTIONS, key=lambda s: -s[1]))
+
+
+# The most stars FiniteAlgebra._with_stars holds at once, and the bytes
+# whose first n are the carrier of n elements.
+_STAR_BATCH = 512
+_BYTES = bytes(range(256))
 
 
 def _check_field(value, n: int, key: str, depth: int) -> None:
@@ -210,12 +216,18 @@ class FiniteAlgebra:
                     labels: Iterable[str] | None = None
                     ) -> Iterator["FiniteAlgebra"]:
         """A copy per star, for generators that vary only the star of an
-        algebra they built through the constructor. Each star comes as
-        bytes, whose entries are integers, so its check is its length and
-        its largest entry; a star that fails them gets the error the
-        constructor gives. Names, tables and constants are this
-        algebra's, checked when it was made; the label too, unless labels
-        gives one per star.
+        algebra they built through the constructor. Names, tables and
+        constants are this algebra's, checked when it was made; the label
+        too, unless labels gives one per star.
+
+        The stars are taken in batches of at most _STAR_BATCH, so a long
+        family is never held whole. A batch is checked by two C-level
+        passes before its copies are made: every length is n, and deleting
+        the carrier's bytes from the batch, joined, leaves nothing. A batch
+        that fails them, or whose stars are not bytes (tuples past 256
+        elements, say), has each star checked as the constructor checks
+        it, in order, so the first bad one gets the constructor's error.
+        The checked stars become tuples by one map.
 
         The fields go in as item stores into the copy's __dict__, one by
         one in field order, as __init__ sets them. Such stores keep the
@@ -229,20 +241,29 @@ class FiniteAlgebra:
         zero, one = self.zero, self.one
         n = len(names)
         new = object.__new__
-        for star, label in zip(stars, repeat(self.label) if labels is None
-                               else labels):
-            if len(star) != n or max(star) >= n:
-                _check_field(star, n, "star", 1)
-            twin = new(FiniteAlgebra)
-            fields = twin.__dict__
-            fields["names"] = names
-            fields["join"] = join
-            fields["meet"] = meet
-            fields["star"] = tuple(star)
-            fields["zero"] = zero
-            fields["one"] = one
-            fields["label"] = label
-            yield twin
+        labels = repeat(self.label) if labels is None else iter(labels)
+        stars = iter(stars)
+        for head in stars:
+            batch = [head, *islice(stars, _STAR_BATCH - 1)]
+            try:
+                fit = ({n}.issuperset(map(len, batch))
+                       and not b"".join(batch).translate(None, _BYTES[:n]))
+            except TypeError:  # a star without a length, or not bytes
+                fit = False
+            if not fit:
+                for star in batch:
+                    _check_field(star, n, "star", 1)
+            for star, label in zip(map(tuple, batch), labels):
+                twin = new(FiniteAlgebra)
+                fields = twin.__dict__
+                fields["names"] = names
+                fields["join"] = join
+                fields["meet"] = meet
+                fields["star"] = star
+                fields["zero"] = zero
+                fields["one"] = one
+                fields["label"] = label
+                yield twin
 
     def relabel(self, label: str) -> "FiniteAlgebra":
         return replace(self, label=label)

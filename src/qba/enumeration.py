@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import (chain, combinations, groupby, islice, permutations,
-                       product, repeat)
+                       product)
 from math import factorial
 from operator import attrgetter, eq
 from typing import Callable, Iterator, NamedTuple
@@ -28,8 +28,8 @@ from typing import Callable, Iterator, NamedTuple
 from .algebra import (FiniteAlgebra, _tables, cloud_map, is_flat,
                       regular_elements, translation_table)
 from .errors import PreconditionViolated, TooLarge
-from .quotients import (atom_relabelings, flat_star, generic_names,
-                        is_irreducible, make_flat)
+from .quotients import (_flat_algebra, atom_relabelings, flat_star,
+                        generic_names, is_irreducible)
 
 MAX_SIZE = 16  # any enumeration
 MAX_LABELED = 10 ** 6  # labeled algebras one call may build
@@ -91,16 +91,19 @@ def _check_size(n) -> None:
 
 def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
     """Every algebra on {0..n-1} with zero at index 0 and 2^k regular
-    elements, each once. For k = 0 (the flat case): a star-only copy of
-    make_flat(n, n) per involution of 1..n-1. Otherwise n is even,
+    elements, each once. For k = 0 (the flat case): one algebra per
+    involution of 1..n-1, the first through the constructor and the rest
+    star-only copies of it. Otherwise n is even,
     img[i] is the regular element for the subset i of the k atoms, and
     the atoms img[1], img[2], img[4], ... increase, which keeps one
     labeling per permutation of the atoms. Each irregular x gets a cloud
     rep[x], clouds s and s ^ top have equal sizes, the tables come from
     _tables and the stars from _cloud_stars."""
     if k == 0:
-        stars = (b"\0" + inv for inv in _involutions(bytes(range(1, n))))
-        yield from make_flat(n, n)._with_stars(stars, repeat(""))
+        stars = map(b"\0".__add__, _involutions(bytes(range(1, n))))
+        first = _flat_algebra(n, next(stars))
+        yield first
+        yield from first._with_stars(stars)
         return
     if n % 2:  # non-flat algebras have even order
         return
@@ -266,7 +269,8 @@ def _classes(n: int, flat_only: bool) -> tuple[FiniteAlgebra, ...]:
     number k of star fixed points, labeled F{n}k{k}. Otherwise labeled
     qba{n}_i in (one, join, meet, star) order: the flat classes by
     falling number of star fixed points, then the non-flat ones. The flat
-    classes are one checked make_flat and star-only copies of it."""
+    classes are star-only copies of one checked flat algebra, whose
+    identity star is valid for every n."""
     if flat_only:
         fixed = range(2 - n % 2, n + 1, 2)
         tables, labels = [], [f"F{n}k{k}" for k in fixed]
@@ -274,8 +278,11 @@ def _classes(n: int, flat_only: bool) -> tuple[FiniteAlgebra, ...]:
         fixed = range(n, 0, -2)
         tables = sorted(map(_cloud_tables, _cloud_classes(n)))
         labels = [f"qba{n}_{i}" for i in range(len(fixed) + len(tables))]
-    first = make_flat(n, n)
-    flat = first._with_stars((bytes(flat_star(n, f)) for f in fixed), labels)
+    # The star with f fixed points is the identity below f and, from f
+    # on, that of the class with the fewest (n - f is even).
+    ident, fewest = bytes(range(n)), bytes(flat_star(n, 2 - n % 2))
+    first = _flat_algebra(n, ident)
+    flat = first._with_stars((ident[:f] + fewest[f:] for f in fixed), labels)
     return (*flat, *(FiniteAlgebra(first.names, *t, 0, 1, label)
                      for t, label in zip(tables, labels[len(fixed):])))
 
@@ -470,6 +477,10 @@ def _star_test(a: FiniteAlgebra, f: _TableFacts
     return paired
 
 
+# The family key of _collect_violations, made once, not once per call.
+_FAMILY = attrgetter("join", "meet", "zero", "one")
+
+
 def _collect_violations(algebras) -> tuple[tuple[str, FiniteAlgebra], ...]:
     """(claim, algebra) for every failing claim, in order. Consecutive
     algebras with equal join, meet, zero and one form a family, which
@@ -477,7 +488,7 @@ def _collect_violations(algebras) -> tuple[tuple[str, FiniteAlgebra], ...]:
     the test has every claim hold and costs no more; any other takes
     _claims."""
     out = []
-    for _, family in groupby(algebras, attrgetter("join", "meet", "zero", "one")):
+    for _, family in groupby(algebras, _FAMILY):
         a = next(family)
         f = _table_facts(a)
         passes = _star_test(a, f)

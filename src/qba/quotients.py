@@ -7,6 +7,7 @@ of the two quotients via x -> (x/chi, x/tau).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
@@ -162,6 +163,12 @@ def atom_relabelings(masks: list[int], k: int) -> Iterator[tuple[list[int], tupl
         yield m, tuple(c for _, c in sorted(zip(m, counts)))
 
 
+def _profile(masks) -> list[tuple[int, int]]:
+    """The sorted pairs (atoms in the mask, cloud size), one per mask that
+    some element has; every permutation of the atoms keeps them."""
+    return sorted((s.bit_count(), size) for s, size in Counter(masks).items())
+
+
 def isomorphism_candidate(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
     """The least isomorphism from a onto b in the order of image tuples, or
     None, if both algebras are valid. Both must pass the mask test (their
@@ -170,13 +177,16 @@ def isomorphism_candidate(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | No
     the star of an earlier one takes the least unused y, regular and
     star-fixed exactly when x is, with y* unused and some remaining atom
     permutation that carries a's cloud sizes onto b's sending x's mask to
-    y's; only those permutations remain."""
+    y's; only those permutations remain. A permutation of the atoms keeps
+    how many atoms a mask holds, so algebras whose multisets of (atoms in
+    the mask, cloud size) differ get None before any permutation is
+    listed, past MAX_ATOMS too."""
     if a.structure is None or b.structure is None:
         raise PreconditionViolated(
             "join and meet are not unions and intersections of atom masks")
     (atoms, mask_a), (atoms_b, mask_b) = a.structure, b.structure
     n, k = a.size, len(atoms)
-    if n != b.size or k != len(atoms_b):
+    if n != b.size or k != len(atoms_b) or _profile(mask_a) != _profile(mask_b):
         return None
     _, sizes_b = next(atom_relabelings(mask_b, k))
     maps = [m for m, sizes in atom_relabelings(mask_a, k) if sizes == sizes_b]
@@ -229,10 +239,13 @@ def make_flat(n: int, k: int) -> FiniteAlgebra:
     """
     if not (1 <= k <= n) or (n - k) % 2 != 0:
         raise InvalidShape(f"no flat algebra of size {n} with {k} star fixed points")
+    return _flat_algebra(n, flat_star(n, k), f"F{n}k{k}")
+
+
+def _flat_algebra(n: int, star, label: str = "") -> FiniteAlgebra:
+    """The flat algebra of size n with this star, through the constructor."""
     zeros = ((0,) * n,) * n
-    return FiniteAlgebra(names=generic_names(n), join=zeros, meet=zeros,
-                         star=flat_star(n, k), zero=0, one=0,
-                         label=f"F{n}k{k}")
+    return FiniteAlgebra(generic_names(n), zeros, zeros, tuple(star), 0, 0, label)
 
 
 def generic_names(n: int) -> tuple[str, ...]:

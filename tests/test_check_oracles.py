@@ -320,10 +320,10 @@ class TestWellFormedness:
                 assert_same_outcome(args)
 
     def test_malformed_stars_same_error_through_with_stars(self, fx):
-        # The family copy checks a star given as bytes by its length and
-        # largest entry; a star too short, too long or with an entry past
-        # the carrier fails as the constructor fails on it, and a good one
-        # gives what the constructor gives.
+        # The family copies check stars given as bytes by their lengths and
+        # one translate over the batch; a star too short, too long or with
+        # an entry past the carrier fails as the constructor fails on it,
+        # and a good one gives what the constructor gives.
         checked = 0
         for a in fx.values():
             base = fields(a)
@@ -337,6 +337,45 @@ class TestWellFormedness:
                 checked += outcome(FiniteAlgebra, *args) is not None
             assert tables(next(a._with_stars([good]))) == tables(a)
         assert checked == 5 * len(fx)
+
+    def test_malformed_star_anywhere_in_a_batch_same_error(self, fx):
+        # The copies check their stars a batch at a time, by lengths and by
+        # one translate over the joined batch. A bad star first, in the
+        # middle or last among good ones, or past the first batch, fails
+        # as the constructor fails on it; so do a short and a long star
+        # whose lengths add up to two good ones.
+        checked = 0
+        for a in fx.values():
+            base = fields(a)
+            good = bytes(a.star)
+            for bad in (good[:-1], good + b"\0", b"", good[:-1] + bytes([a.size]),
+                        bytes([255]) * a.size):
+                expected = outcome(FiniteAlgebra, *base[:3], tuple(bad), *base[4:])
+                assert expected is not None
+                for at in (0, 3, 6, 600):
+                    stars = [good] * max(at, 6)
+                    stars.insert(at, bad)
+                    assert outcome(lambda s: list(a._with_stars(s)), stars) == expected
+                    checked += 1
+            if a.size > 1:
+                pair = [good, good[:-1], good + b"\0", good]
+                assert (outcome(lambda s: list(a._with_stars(s)), pair)
+                        == outcome(FiniteAlgebra, *base[:3], pair[1], *base[4:]))
+        assert checked == 20 * len(fx)
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_tuple_stars_at_and_past_256_elements(self, n):
+        # Stars given as tuples, as bytes cannot hold entries past 255, are
+        # checked one by one as the constructor checks them.
+        a = make_flat(n, 2)
+        stars = [tuple(range(n)), (0, *range(n - 1, 0, -1)),
+                 bytes(range(256)) + bytes(n - 256)]
+        assert [c.star for c in a._with_stars(stars)] == [tuple(s) for s in stars]
+        for bad in ((*range(n - 1), n), tuple(range(n - 1)), (*range(n - 1), -1)):
+            args = fields(a)[:3] + [bad] + fields(a)[4:]
+            assert outcome(FiniteAlgebra, *args) is not None
+            assert (outcome(lambda s: list(a._with_stars(s)), [stars[0], bad])
+                    == outcome(FiniteAlgebra, *args))
 
     def test_no_other_code_point_is_whitespace_to_split(self):
         # One name holding every code point for which isspace() is false
@@ -504,6 +543,22 @@ class TestVerifyStructure:
         assert len(failing) > 10_000
         assert alone.keys() == {"involution", "clouds", "fixed point"}
         assert min(alone.values()) > 100, alone
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_labeled_flat_family_with_mutants_as_by_scan(self, n):
+        # The labeled flat algebras of size n are one family (764 or 2,620
+        # algebras), and the star-only mutants of every seventh follow it
+        # there: the violations are the per-algebra scan's, in order.
+        mix = []
+        for i, a in enumerate(_labeled(n, 0)):
+            mix.append(a)
+            if i % 7 == 0:
+                mix += a._with_stars(map(bytes, family_mutants(a)))
+        assert len({(id(a.join), id(a.meet)) for a in mix}) == 1
+        expected = [(label, id(a)) for a in mix
+                    for label, ok in verify_structure_by_scan(a) if not ok]
+        assert [(label, id(a)) for label, a in _collect_violations(mix)] == expected
+        assert len({a for _, a in expected}) > len(mix) // 20
 
     @pytest.mark.parametrize("n", [256, 300])
     def test_star_test_at_and_past_256_elements(self, n):

@@ -18,6 +18,7 @@ import qba
 from qba import cli
 from qba.cli import CommandResult, run
 from test_cli_fuzz import argv as fuzz_argv
+from test_quotients import nine_atom_pair
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src" / "qba" / "data"
 
@@ -219,6 +220,13 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5
         assert result == CommandResult(
             2, "error: 9 atoms exceed the guard of 8 (9! permutations)")
+
+    def test_iso_past_eight_atoms_with_different_clouds_exits_1(self, tmp_path):
+        paths = []
+        for i, a in enumerate(nine_atom_pair()):
+            paths.append(tmp_path / f"p{i}.alg")
+            paths[-1].write_text(qba.dump_algebra(a))
+        assert run(["iso", *map(str, paths)]) == CommandResult(1, "NOT ISOMORPHIC")
 
     def test_iso_found_exits_0(self):
         result = run(["iso", fpath("4"), fpath("4bar")])

@@ -121,15 +121,16 @@ class TestEnumerateFlat:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 10])
     def test_labeled_are_star_only_copies_of_make_flat(self, n, monkeypatch):
-        # The one constructed algebra is make_flat(n, n), whose identity
-        # star is valid for every n; the output is unlabeled copies of it.
+        # The one constructed algebra is the first output: make_flat(n, n),
+        # whose identity star is valid for every n, unlabeled; the rest of
+        # the output is copies of it.
         built = []
         real = qba.FiniteAlgebra.__post_init__
         monkeypatch.setattr(qba.FiniteAlgebra, "__post_init__",
                             lambda a: built.append(a) or real(a))
         labeled = enumerate_flat(n, up_to_iso=False).iso_classes
-        assert len(built) == 1 and built[0].label == f"F{n}k{n}"
-        assert built[0].star == tuple(range(n))
+        assert len(built) == 1 and built[0] is labeled[0]
+        assert built[0] == make_flat(n, n) and built[0].star == tuple(range(n))
         assert len(labeled) == involution_count(n - 1)
         assert {a.label for a in labeled} == {""}
         assert all(a.join is built[0].join for a in labeled)

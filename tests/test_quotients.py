@@ -1,4 +1,6 @@
 """Canonical quotients, products, homomorphisms and isomorphisms."""
+from collections import Counter
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -8,6 +10,15 @@ from qba.errors import (FlatInput, InvalidShape, InvariantViolation,
                         NotACongruence, PreconditionViolated, TooLarge)
 from qba.quotients import ElementMap, atom_relabelings, boolean_algebra
 from test_check_oracles import relabeled
+
+
+@cache
+def nine_atom_pair():
+    """B128 x qba6_4 and B128 x qba6_5: 768 elements and 9 atoms each."""
+    classes = {a.label: a for a in qba.enumerate_all(6).iso_classes}
+    b128 = boolean_algebra(7)
+    return tuple(qba.direct_product(b128, classes[label])
+                 for label in ("qba6_4", "qba6_5"))
 
 
 def blocks_by_name(a, p):
@@ -200,6 +211,19 @@ class TestFindIsomorphism:
         with pytest.raises(TooLarge):
             qba.find_isomorphism(b512, b512)
         assert len(next(atom_relabelings([0, 1, 2], 8))[1]) == 256
+
+    def test_different_clouds_past_eight_atoms_are_not_isomorphic(self):
+        # The two 6-element classes with two atoms have the same sorted
+        # cloud sizes, {1, 1, 2, 2}, and so do their products with B128
+        # (9 atoms), but not the same pairs (atoms in the mask, cloud
+        # size): no permutation of the atoms can match them, so the answer
+        # comes before the guard on 9! permutations.
+        a, b = nine_atom_pair()
+        sizes = [sorted(Counter(x.structure[1]).values()) for x in (a, b)]
+        assert len(a.structure[0]) == 9 and sizes[0] == sizes[1]
+        assert qba.find_isomorphism(a, b) is None
+        with pytest.raises(TooLarge):
+            qba.find_isomorphism(a, a)
 
     def test_non_bijective_result_is_typed_error(self, fx, monkeypatch):
         monkeypatch.setattr(ElementMap, "is_bijective", property(lambda self: False))

@@ -4,6 +4,7 @@ dependencies: it imports only the standard library and itself."""
 import ast
 import dataclasses
 import importlib
+import re
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -25,6 +26,30 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text("utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def oldest_python() -> tuple[int, int]:
+    """The (major, minor) of pyproject.toml's requires-python = ">=X.Y"."""
+    text = (ROOT / "pyproject.toml").read_text("utf-8")
+    major, minor = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_as_the_oldest_python(path):
+    # The grammar of the oldest supported Python, as far as ast can check
+    # it from a newer one (syntax such as except* or type parameters, not
+    # newer library calls).
+    ast.parse(path.read_text("utf-8"), filename=str(path),
+              feature_version=oldest_python())
+
+
+def test_oldest_python_check_sees_newer_syntax():
+    assert oldest_python() == (3, 10)
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(newer, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=oldest_python())
 
 
 def imported_roots(tree: ast.AST) -> set[str]:
