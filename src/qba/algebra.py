@@ -215,8 +215,8 @@ class FiniteAlgebra:
     def _with_stars(self, stars: Iterable[bytes],
                     labels: Iterable[str] | None = None
                     ) -> Iterator["FiniteAlgebra"]:
-        """A copy per star, for generators that vary only the star of an
-        algebra they built through the constructor. Names, tables and
+        """A copy per star, for the enumeration, which varies only the star
+        of an algebra it built through the constructor. Names, tables and
         constants are this algebra's, checked when it was made; the label
         too, unless labels gives one per star.
 

@@ -6,9 +6,10 @@ to clouds (complementary clouds of equal size), and a star mapping each
 cloud bijectively onto the complementary one. The binary tables follow
 from x v y = (x v x) v (y v y). Flat algebras are the case k = 0, where
 the star is an involution of the one cloud. The construction yields only
-valid algebras, so no axiom check runs here; the tests check that. The
-structure claims read the mask test of the tables (FiniteAlgebra.structure)
-once per family of irreducible algebras, as the product form reads it.
+valid algebras, so no axiom check runs here; the tests check that. A
+family shares names and tables and varies the star; one loop makes its
+star-only copies of a constructed first and checks the structure claims,
+reading the tables and their mask test (FiniteAlgebra.structure) once.
 
 Up to isomorphism nothing labeled is built: a class is fixed by the
 star's fixed-point count (flat) or by the cloud sizes over the subsets of
@@ -19,17 +20,16 @@ by a closed form, labeled_count, which also guards labeled output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import (chain, combinations, groupby, islice, permutations,
-                       product)
+from itertools import chain, combinations, islice, permutations, product
 from math import factorial
-from operator import attrgetter, eq
-from typing import Callable, Iterator, NamedTuple
+from operator import eq
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .algebra import (FiniteAlgebra, _tables, cloud_map, is_flat,
                       regular_elements, translation_table)
 from .errors import PreconditionViolated, TooLarge
 from .quotients import (_flat_algebra, atom_relabelings, flat_star,
-                        generic_names, is_irreducible)
+                        generic_names)
 
 MAX_SIZE = 16  # any enumeration
 MAX_LABELED = 10 ** 6  # labeled algebras one call may build
@@ -89,21 +89,20 @@ def _check_size(n) -> None:
         raise ValueError("size must be a positive integer")
 
 
-def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
+def _labeled(n: int, k: int) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
     """Every algebra on {0..n-1} with zero at index 0 and 2^k regular
-    elements, each once. For k = 0 (the flat case): one algebra per
-    involution of 1..n-1, the first through the constructor and the rest
-    star-only copies of it. Otherwise n is even,
-    img[i] is the regular element for the subset i of the k atoms, and
-    the atoms img[1], img[2], img[4], ... increase, which keeps one
-    labeling per permutation of the atoms. Each irregular x gets a cloud
-    rep[x], clouds s and s ^ top have equal sizes, the tables come from
-    _tables and the stars from _cloud_stars."""
+    elements, each once, by families (first, stars): first is built
+    through the constructor, and each star (bytes) gives a copy of it.
+    For k = 0 (the flat case): one family, a star per involution of
+    1..n-1 in lexicographic order. Otherwise n is even, img[i] is the
+    regular element for the subset i of the k atoms, the atoms img[1],
+    img[2], img[4], ... increase (one labeling per permutation of the
+    atoms), each irregular x gets a cloud rep[x], clouds s and s ^ top
+    have equal sizes, and each such assignment is a family: tables from
+    _tables and the stars of _cloud_stars sorted, first with the least."""
     if k == 0:
         stars = map(b"\0".__add__, _involutions(bytes(range(1, n))))
-        first = _flat_algebra(n, next(stars))
-        yield first
-        yield from first._with_stars(stars)
+        yield _flat_algebra(n, next(stars)), stars
         return
     if n % 2:  # non-flat algebras have even order
         return
@@ -125,13 +124,9 @@ def _labeled(n: int, k: int) -> Iterator[FiniteAlgebra]:
         for clouds in assignments:
             for x, s in zip(irregulars, clouds):
                 rep[x] = s
-            # The family of this cloud assignment shares names and tables;
-            # its first algebra checks them, the others only their star.
-            stars = _cloud_stars(img, rep)
-            first = FiniteAlgebra(names, *_tables(img, rep),
-                                  tuple(next(stars)), 0, img[top])
-            yield first
-            yield from first._with_stars(stars)
+            stars = iter(sorted(_cloud_stars(img, rep)))
+            yield (FiniteAlgebra(names, *_tables(img, rep), tuple(next(stars)),
+                                 0, img[top]), stars)
 
 
 def _cloud_stars(img, rep) -> Iterator[bytes]:
@@ -218,7 +213,8 @@ def enumerate_all(n: int, up_to_iso: bool = True) -> EnumerationReport:
 
 def _enumerate(n: int, up_to_iso: bool, flat_only: bool) -> EnumerationReport:
     """The body of both enumerators. Sizes past MAX_SIZE, and labeled
-    output of more than MAX_LABELED algebras, are refused before work."""
+    output of more than MAX_LABELED algebras, are refused before work.
+    Labeled families sort by the (one, join, meet) of their first ones."""
     _check_size(n)
     kind = "flat" if flat_only else "general"
     if n > MAX_SIZE:
@@ -228,16 +224,17 @@ def _enumerate(n: int, up_to_iso: bool, flat_only: bool) -> EnumerationReport:
         raise TooLarge(f"labeled {kind} enumeration of size {n} would build "
                        f"{total} algebras; it is guarded at {MAX_LABELED}")
     if up_to_iso:
-        algebras = _classes(n, flat_only)
+        families = _classes(n, flat_only)
     elif flat_only:
-        algebras = tuple(_labeled(n, 0))
+        families = _labeled(n, 0)
     else:
-        algebras = tuple(sorted(
-            (a for k in range(n.bit_length()) for a in _labeled(n, k)),
-            key=lambda a: (a.one, a.join, a.meet, a.star)))
+        families = sorted(
+            (f for k in range(n.bit_length()) for f in _labeled(n, k)),
+            key=lambda f: (f[0].one, f[0].join, f[0].meet))
+    algebras, violations = _made_and_checked(families)
     return EnumerationReport(size=n, flat_only=flat_only, up_to_iso=up_to_iso,
                              total_labeled=total, iso_classes=algebras,
-                             violations=_collect_violations(algebras))
+                             violations=violations)
 
 
 def iso_class_key(a: FiniteAlgebra) -> tuple:
@@ -264,13 +261,13 @@ def dedupe_up_to_iso(algebras) -> list[FiniteAlgebra]:
     return list(reps.values())
 
 
-def _classes(n: int, flat_only: bool) -> tuple[FiniteAlgebra, ...]:
-    """One algebra per isomorphism class of size n. Flat only: by rising
-    number k of star fixed points, labeled F{n}k{k}. Otherwise labeled
-    qba{n}_i in (one, join, meet, star) order: the flat classes by
-    falling number of star fixed points, then the non-flat ones. The flat
-    classes are star-only copies of one checked flat algebra, whose
-    identity star is valid for every n."""
+def _classes(n: int, flat_only: bool) -> Iterator[tuple]:
+    """One algebra per isomorphism class of size n, by families (first,
+    stars, labels) as _labeled gives them, with a label per star. Flat
+    only: one family, by rising number k of star fixed points, labeled
+    F{n}k{k}. Otherwise labeled qba{n}_i in (one, join, meet, star) order:
+    the flat classes, one family by falling number of star fixed points,
+    then the non-flat ones, a family of one each."""
     if flat_only:
         fixed = range(2 - n % 2, n + 1, 2)
         tables, labels = [], [f"F{n}k{k}" for k in fixed]
@@ -281,10 +278,11 @@ def _classes(n: int, flat_only: bool) -> tuple[FiniteAlgebra, ...]:
     # The star with f fixed points is the identity below f and, from f
     # on, that of the class with the fewest (n - f is even).
     ident, fewest = bytes(range(n)), bytes(flat_star(n, 2 - n % 2))
-    first = _flat_algebra(n, ident)
-    flat = first._with_stars((ident[:f] + fewest[f:] for f in fixed), labels)
-    return (*flat, *(FiniteAlgebra(first.names, *t, 0, 1, label)
-                     for t, label in zip(tables, labels[len(fixed):])))
+    stars = (ident[:f] + fewest[f:] for f in fixed)
+    first = _flat_algebra(n, next(stars), labels[0])
+    yield first, stars, labels[1:len(fixed)]
+    for t, label in zip(tables, labels[len(fixed):]):
+        yield FiniteAlgebra(first.names, *t, 0, 1, label), (), ()
 
 
 def _cloud_classes(n: int) -> Iterator[tuple[int, ...]]:
@@ -328,6 +326,7 @@ STRUCTURE_CLAIMS = (
     "cloud-partition",
     "star-cloud-image",
     "star-cloud-size",
+    "star-involution",
     "nonflat-star-free",
     "nonflat-complement-clouds-disjoint",
     "nonflat-regular-even",
@@ -363,14 +362,15 @@ def _table_facts(a: FiniteAlgebra) -> _TableFacts:
     # Once every x v x is regular, the clouds of the regulars are the
     # classes of cloud_map, so they cover the carrier disjointly.
     claims = [("cloud-partition", regs.issuperset(reps)),
-              ("star-cloud-image", None), ("star-cloud-size", None)]
+              ("star-cloud-image", None), ("star-cloud-size", None),
+              ("star-involution", None)]
     flat = is_flat(a)
     if not flat:
         claims += [("nonflat-star-free", None),
                    ("nonflat-complement-clouds-disjoint", None),
                    ("nonflat-regular-even", len(regs) % 2 == 0),
                    ("nonflat-order-even", a.size % 2 == 0)]
-        if a.size % 2 == 0 and is_irreducible(a):
+        if a.size % 2 == 0 and regs == {a.zero, a.one}:  # irreducible
             product = None if a.structure is not None else False
             claims.append(("irreducible-product-form", product))
             if a.size % 4 == 2:
@@ -394,11 +394,12 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     STRUCTURE_CLAIMS order.
 
     Claims cover the cloud partition (every element in the cloud of a
-    regular one, star maps clouds to clouds bijectively), the non-flat parity
-    facts, the flat collapse facts, and the classification of irreducible
-    algebras of even size 2h as 2 x make_flat(h, f). These products are
-    isomorphic for all admissible f, so the form with f = 1, which applies
-    exactly when the size is 2 mod 4, has the same answer.
+    regular one, star maps clouds to clouds bijectively), the star as an
+    involution (x** = x), the non-flat parity facts, the flat collapse
+    facts, and the classification of irreducible algebras of even size 2h
+    as 2 x make_flat(h, f). These products are isomorphic for all
+    admissible f, so the form with f = 1, which applies exactly when the
+    size is 2 mod 4, has the same answer.
 
     A non-flat algebra of size 2h with regulars 0 and 1 has that form
     exactly when join and meet pass the mask test and the star is an
@@ -411,7 +412,7 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
     that join and meet read on either side.
 
     The claims are not a validity test: boolean_algebra(2) with the star
-    (1, 3, 0, 2) passes every claim and fails validate.
+    (1, 0, 3, 2) passes every claim and fails validate.
     """
     return _claims(a, _table_facts(a))
 
@@ -429,13 +430,13 @@ def _claims(a: FiniteAlgebra, f: _TableFacts) -> list[tuple[str, bool]]:
             size = size and len(cloud) == len(dst)
             apart = apart and not cloud & dst
     fixed = sum(map(eq, star, range(n)))
+    involution = all(map(eq, map(star.__getitem__, star), range(n)))
     # Where the product form reads the star, the regulars are 0 and 1 and
     # their clouds cover the carrier: the star maps the cloud of 0 onto
     # that of 1 exactly when image holds and 0* = 1.
-    product = (image and star[a.zero] == a.one
-               and all(map(eq, map(star.__getitem__, star), range(n))))
+    product = image and star[a.zero] == a.one and involution
     read = {"star-cloud-image": image, "star-cloud-size": size,
-            "nonflat-star-free": fixed == 0,
+            "star-involution": involution, "nonflat-star-free": fixed == 0,
             "nonflat-complement-clouds-disjoint": apart,
             "irreducible-product-form": product,
             "irreducible-odd-flat-form": product,
@@ -477,22 +478,18 @@ def _star_test(a: FiniteAlgebra, f: _TableFacts
     return paired
 
 
-# The family key of _collect_violations, made once, not once per call.
-_FAMILY = attrgetter("join", "meet", "zero", "one")
-
-
-def _collect_violations(algebras) -> tuple[tuple[str, FiniteAlgebra], ...]:
-    """(claim, algebra) for every failing claim, in order. Consecutive
-    algebras with equal join, meet, zero and one form a family, which
-    derives its table facts and its _star_test once. A star that passes
-    the test has every claim hold and costs no more; any other takes
-    _claims."""
-    out = []
-    for _, family in groupby(algebras, _FAMILY):
-        a = next(family)
-        f = _table_facts(a)
-        passes = _star_test(a, f)
-        for a in chain((a,), family):
+def _made_and_checked(families) -> tuple[tuple, tuple]:
+    """The algebras of families (first, stars[, labels]) in order, first
+    and then a star-only copy per star, and (claim, algebra) for every
+    failing claim. The table facts and the _star_test of a family come
+    from first, whose tables the copies made here share. A star that
+    passes the test has every claim hold; any other takes _claims."""
+    algebras, violations = [], []
+    for first, stars, *labels in families:
+        f = _table_facts(first)
+        passes = _star_test(first, f)
+        for a in chain((first,), first._with_stars(stars, *labels)):
+            algebras.append(a)
             if not (passes and passes(a.star)):
-                out.extend((label, a) for label, ok in _claims(a, f) if not ok)
-    return tuple(out)
+                violations += [(label, a) for label, ok in _claims(a, f) if not ok]
+    return tuple(algebras), tuple(violations)

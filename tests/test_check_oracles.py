@@ -1,6 +1,6 @@
 """The whole-row well-formedness checks in FiniteAlgebra and its star-only
-copies, the one-pass cloud map in verify_structure and its once-per-table
-facts in _collect_violations, the structure-built labeled generator and
+copies, the one-pass cloud map in verify_structure and its once-per-family
+facts in _made_and_checked, the structure-built labeled generator and
 its stars, the block-of-columns equation check and the check through
 the subdirect factors 2, F2 and F3, the
 congruences built by the split lemma, the generated congruences built by
@@ -49,7 +49,7 @@ from qba.congruences import (MAX_EXHAUSTIVE, CongruenceDecomposition,
                              principal_congruence_nonflat, split_congruence,
                              subalgebra, subalgebras)
 from qba.enumeration import (STRUCTURE_CLAIMS, EnumerationReport,
-                             _cloud_classes, _collect_violations, _labeled,
+                             _cloud_classes, _labeled, _made_and_checked,
                              _star_test, _table_facts,
                              dedupe_up_to_iso, enumerate_all, enumerate_flat,
                              involution_count, labeled_count, verify_structure)
@@ -192,6 +192,8 @@ def verify_structure_by_scan(a):
     results.append(("star-cloud-size",
                     all(len(clouds[r]) == len(cloud_of(a, a.star[r]))
                         for r in regs)))
+    results.append(("star-involution",
+                    all(a.star[a.star[x]] == x for x in a.elements())))
 
     if not is_flat(a):
         results.append(("nonflat-star-free",
@@ -436,24 +438,28 @@ class TestVerifyStructure:
     @pytest.mark.parametrize("n", [8, 10])
     def test_irreducible_sizes_beyond_enumeration(self, n):
         # Sizes 0 and 2 mod 4 past the labeled sizes checked above, where
-        # the product targets of _collect_violations may be built for the
-        # first time.
-        algebras = list(islice(_labeled(n, 1), 48))
-        mix = algebras + [m for a in algebras for m in star_mutants(a)]
+        # the product targets may be built for the first time. Each of 48
+        # labeled algebras heads a family of its star mutants.
+        algebras = labeled(n, 1, 48)[:48]
+        mix, violations = _made_and_checked(
+            (a, [m.star for m in star_mutants(a)]) for a in algebras)
+        assert len(mix) == 4 * 48 and mix[::4] == algebras
         expected = list(map(verify_structure_by_scan, mix))
         assert list(map(verify_structure, mix)) == expected
         failing = [(label, id(a)) for a, claims in zip(mix, expected)
                    for label, ok in claims if not ok]
         assert len({a for _, a in failing}) > 48
-        assert [(label, id(a)) for label, a in _collect_violations(mix)] == failing
+        assert [(label, id(a)) for label, a in violations] == failing
 
     def test_irreducible_claims_from_the_clouds_as_by_search(self):
         # The irreducible labeled algebras with one atom up to 8 elements
         # and make_irreducible up to 10, each with 20 seeded single-cell
         # mutants of join, meet or star: the claims read from the mask
-        # test and the star equal the backtracking search's.
-        bases = [*(a for n in (2, 4, 6) for a in _labeled(n, 1)),
-                 *islice(_labeled(8, 1), 100),
+        # test and the star equal the backtracking search's. The first 100
+        # of size 8 are taken in the order of the recursion, which sorts no
+        # family's stars.
+        bases = [*(a for n in (2, 4, 6) for a in labeled(n, 1)),
+                 *islice(_labeled_by_recursion(8, 1), 100),
                  *map(make_irreducible, range(3))]
         mix = bases + [m for seed, a in enumerate(bases)
                        for m in seeded_mutants(a, seed, 20)]
@@ -485,43 +491,40 @@ class TestVerifyStructure:
         for field in ("join", "meet", "star", "zero", "one"):
             assert getattr(target, field) == getattr(odd, field), field
 
-    def test_collect_violations_per_family_as_by_scan(self, fx):
-        # The table facts and the star test are derived once per run of
-        # equal (join, meet, zero, one); the violations must be what a
-        # per-algebra scan finds.
-        mix = shuffled_mix(fx)
+    def test_families_as_by_scan(self, fx):
+        # The table facts and the star test are derived once per family;
+        # the violations must be what a per-algebra scan finds.
+        families = shuffled_families(fx)
+        mix, violations = _made_and_checked(families)
         expected = [(label, id(a)) for a in mix
                     for label, ok in verify_structure_by_scan(a) if not ok]
-        got = [(label, id(a)) for label, a in _collect_violations(mix)]
-        assert got == expected
-        keys = {(id(a.join), id(a.meet), a.zero, a.one) for a in mix}
-        assert len(mix) - len(keys) > 1000  # algebras whose facts are reused
+        assert [(label, id(a)) for label, a in violations] == expected
+        assert len(mix) - len(families) > 1000  # algebras whose facts are reused
         assert len(expected) > 1000
         assert {label for label, _ in expected} == set(STRUCTURE_CLAIMS)
 
-    def test_collect_violations_on_a_stream_of_fresh_tables(self):
+    def test_families_of_one_with_fresh_tables(self):
         expected = [(label, tables(a)) for a in fresh_flat_stream(5, 200)
                     for label, ok in verify_structure_by_scan(a) if not ok]
-        got = [(label, tables(a))
-               for label, a in _collect_violations(fresh_flat_stream(5, 200))]
-        assert got == expected and len(expected) == 600
+        mix, violations = _made_and_checked(
+            (a, ()) for a in fresh_flat_stream(5, 200))
+        assert list(map(tables, mix)) == list(map(tables, fresh_flat_stream(5, 200)))
+        assert [(label, tables(a)) for label, a in violations] == expected
+        assert len(expected) == 600
 
     def test_family_star_test_hides_no_failure(self):
         # Every family of _labeled up to 8 elements, with star-only
-        # mutants that share its tables: the violations are the
+        # mutants of its first among its stars: the violations are the
         # per-algebra scan's, and the family's star test passes no star
         # with a false claim.
-        mix = []
-        for n in range(1, 9):
-            for k in range(n.bit_length()):
-                for _, family in groupby(_labeled(n, k), attrgetter("join")):
-                    family = list(family)
-                    mix += family
-                    mix += family[0]._with_stars(family_mutants(family[0]))
+        mix, violations = _made_and_checked(
+            (first, [*stars, *family_mutants(first)])
+            for n in range(1, 9) for k in range(n.bit_length())
+            for first, stars in _labeled(n, k))
         expected = list(map(verify_structure_by_scan, mix))
         failing = [(label, id(a)) for a, claims in zip(mix, expected)
                    for label, ok in claims if not ok]
-        assert [(label, id(a)) for label, a in _collect_violations(mix)] == failing
+        assert [(label, id(a)) for label, a in violations] == failing
         # Each condition of the test is the only one that refuses some
         # star with a false claim.
         alone = Counter()
@@ -549,28 +552,33 @@ class TestVerifyStructure:
         # The labeled flat algebras of size n are one family (764 or 2,620
         # algebras), and the star-only mutants of every seventh follow it
         # there: the violations are the per-algebra scan's, in order.
-        mix = []
-        for i, a in enumerate(_labeled(n, 0)):
-            mix.append(a)
+        algebras, stars = labeled(n, 0), []
+        for i, a in enumerate(algebras):
+            if i:
+                stars.append(bytes(a.star))
             if i % 7 == 0:
-                mix += a._with_stars(map(bytes, family_mutants(a)))
+                stars += map(bytes, family_mutants(a))
+        mix, violations = _made_and_checked([(algebras[0], stars)])
+        assert len(mix) == len(stars) + 1 > len(algebras)
         assert len({(id(a.join), id(a.meet)) for a in mix}) == 1
         expected = [(label, id(a)) for a in mix
                     for label, ok in verify_structure_by_scan(a) if not ok]
-        assert [(label, id(a)) for label, a in _collect_violations(mix)] == expected
+        assert [(label, id(a)) for label, a in violations] == expected
         assert len({a for _, a in expected}) > len(mix) // 20
 
     @pytest.mark.parametrize("n", [256, 300])
     def test_star_test_at_and_past_256_elements(self, n):
         # bytes hold entries below 256, so past 256 elements every star
-        # takes _star_claims.
+        # takes _claims.
         a = make_flat(n, 2)
         cycle = (0, 2, 3, 1, *range(4, n))
-        mix = [a, *a._with_stars([tuple(range(n)), cycle, (0, *range(n - 1, 0, -1))])]
+        mix, violations = _made_and_checked(
+            [(a, [tuple(range(n)), cycle, (0, *range(n - 1, 0, -1))])])
         expected = [(label, id(b)) for b in mix
                     for label, ok in verify_structure_by_scan(b) if not ok]
-        assert expected == [("flat-size-parity", id(mix[2]))]
-        assert [(label, id(b)) for label, b in _collect_violations(mix)] == expected
+        assert expected == [("star-involution", id(mix[2])),
+                            ("flat-size-parity", id(mix[2]))]
+        assert [(label, id(b)) for label, b in violations] == expected
 
 
 def family_mutants(a: FiniteAlgebra) -> Iterator[tuple[int, ...]]:
@@ -617,25 +625,33 @@ def star_mutants(a):
     yield replace(a, star=with_entry(a.star, a.one, a.star[a.one + 1 - a.size]))
 
 
-def shuffled_mix(fx):
-    """Algebras in an order where table families interleave: enumerated
-    siblings sharing table objects, copies with equal tables in new
-    objects, the same tables under another one, star mutants that share
-    their original's tables, and the fixtures' table mutants."""
-    mix = [a for n in (4, 5, 6) for k in range(n.bit_length())
-           for a in _labeled(n, k)]
-    for a in list(fx.values()) + mix[::7]:
-        mix.append(a)
-        mix.append(FiniteAlgebra(a.names, tuple(map(tuple, a.join)),
-                                 tuple(map(tuple, a.meet)), a.star, a.zero, a.one))
-        mix.extend(FiniteAlgebra(a.names, a.join, a.meet, a.star, a.zero, one)
-                   for one in a.elements() if one != a.one)
-        mix.extend(m for m in single_cell_mutants(a) if m.join is a.join
-                   and m.meet is a.meet)
+def shuffled_families(fx):
+    """Families (first, stars) in shuffled order: the labeled families,
+    and for each fixture and every seventh labeled algebra, a family of
+    its single-cell star mutants, families of one with its tables in new
+    objects or under another one, and of the fixtures' table mutants."""
+    families = [(first, list(stars)) for n in (4, 5, 6)
+                for k in range(n.bit_length()) for first, stars in _labeled(n, k)]
+    for a in list(fx.values()) + list(_made_and_checked(families)[0][::7]):
+        families.append((a, [m.star for m in single_cell_mutants(a)
+                             if m.join is a.join and m.meet is a.meet]))
+        families.append((FiniteAlgebra(a.names, tuple(map(tuple, a.join)),
+                                       tuple(map(tuple, a.meet)), a.star,
+                                       a.zero, a.one), ()))
+        families.extend((FiniteAlgebra(a.names, a.join, a.meet, a.star, a.zero,
+                                       one), ()) for one in a.elements()
+                        if one != a.one)
     for a in fx.values():
-        mix.extend(m for m in single_cell_mutants(a) if m.star is a.star)
-    random.Random(0).shuffle(mix)
-    return mix
+        families.extend((m, ()) for m in single_cell_mutants(a)
+                        if m.star is a.star)
+    random.Random(0).shuffle(families)
+    return families
+
+
+def labeled(n: int, k: int, families: int | None = None) -> tuple[FiniteAlgebra, ...]:
+    """The algebras of the first families of _labeled(n, k), all by
+    default, in order, as the enumeration makes them."""
+    return _made_and_checked(islice(_labeled(n, k), families))[0]
 
 
 def fresh_flat_stream(n: int, rounds: int) -> Iterator[FiniteAlgebra]:
@@ -873,20 +889,29 @@ class TestLabeledGenerator:
     def test_same_algebras_as_old_generators(self, n):
         old = [a for a in _flat_labeled(n) if validate(a).passed]
         old.extend(_nonflat_labeled(n))
-        new = [a for k in range(n.bit_length()) for a in _labeled(n, k)]
+        new = [a for k in range(n.bit_length()) for a in labeled(n, k)]
         assert sorted(map(tables, new)) == sorted(map(tables, old))
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_flat_order_as_old_generator(self, n):
-        assert (list(map(tables, _labeled(n, 0)))
+        assert (list(map(tables, labeled(n, 0)))
                 == list(map(tables, _flat_labeled(n))))
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 9)
                                      for k in range(n.bit_length())]
                              + [(10, 1)])
     def test_tables_and_order_as_recursion(self, n, k):
-        assert (list(map(tables, _labeled(n, k)))
-                == list(map(tables, _labeled_by_recursion(n, k))))
+        # The families of _labeled are the recursion's runs of equal join,
+        # in its order, each with its stars sorted.
+        runs = [list(run) for _, run in groupby(_labeled_by_recursion(n, k),
+                                                attrgetter("join"))]
+        made = [_made_and_checked([family])[0] for family in _labeled(n, k)]
+        assert ([list(map(tables, family)) for family in made]
+                == [sorted(map(tables, run)) for run in runs])
+        # The sort is needed: with one atom, from 8 elements on, some runs
+        # are out of order.
+        unsorted = sum(run != sorted(run, key=attrgetter("star")) for run in runs)
+        assert (unsorted > 0) == (n >= 8 and k == 1), unsorted
 
     @pytest.mark.parametrize("m", range(13))
     def test_involutions_as_recursion(self, m):
@@ -915,7 +940,7 @@ class TestLabeledGenerator:
                              + [(n, [0]) for n in (8, 9, 10, 11)])
     def test_star_only_copies_equal_constructed(self, n, ks):
         for k in ks:
-            for a in _labeled(n, k):
+            for a in labeled(n, k):
                 b = FiniteAlgebra(*tables(a))
                 assert a == b and a.label == b.label and hash(a) == hash(b)
                 assert tables(a) == tables(b) and type(a.star) is tuple
@@ -923,7 +948,7 @@ class TestLabeledGenerator:
     def test_three_atoms_beyond_the_oracle(self):
         # One labeling per Boolean algebra on 8 points with zero at 0:
         # 7! placements of the nonzero elements over 3! atom orders.
-        algebras = list(_labeled(8, 3))
+        algebras = labeled(8, 3)
         assert len(algebras) == 840
         assert len(set(map(tables, algebras))) == 840
         assert all(validate(a).passed for a in algebras)
@@ -1486,9 +1511,9 @@ class TestDedupe:
 # relabeled.
 
 def labeled_sorted(n: int) -> list[FiniteAlgebra]:
-    labeled = [a for k in range(n.bit_length()) for a in _labeled(n, k)]
-    labeled.sort(key=lambda a: (a.one, a.join, a.meet, a.star))
-    return labeled
+    algebras = [a for k in range(n.bit_length()) for a in labeled(n, k)]
+    algebras.sort(key=lambda a: (a.one, a.join, a.meet, a.star))
+    return algebras
 
 
 def enumerate_all_by_dedupe(n: int) -> EnumerationReport:
@@ -1497,7 +1522,7 @@ def enumerate_all_by_dedupe(n: int) -> EnumerationReport:
     algebras = tuple(a.relabel(f"qba{n}_{i}") for i, a in enumerate(reps))
     return EnumerationReport(size=n, flat_only=False, up_to_iso=True,
                              total_labeled=len(labeled), iso_classes=algebras,
-                             violations=_collect_violations(algebras))
+                             violations=_made_and_checked((a, ()) for a in algebras)[1])
 
 
 # The orbit-stabilizer count that labeled_count replaced: (n - 1)!/|Aut|
@@ -1577,7 +1602,7 @@ class TestIsoFromClasses:
         # the number of algebras _labeled(n, k) builds, and so is the
         # closed form.
         counts = orbit_stabilizer_counts(n)
-        assert counts == Counter({k: sum(1 for _ in _labeled(n, k))
+        assert counts == Counter({k: len(labeled(n, k))
                                   for k in range(n.bit_length())})
         assert labeled_count(n) == sum(counts.values())
 

@@ -3,6 +3,7 @@ import copy
 import pickle
 import sys
 from dataclasses import FrozenInstanceError, replace
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -113,8 +114,10 @@ class TestEnumerateFlat:
         real = qba.FiniteAlgebra.__post_init__
         monkeypatch.setattr(qba.FiniteAlgebra, "__post_init__",
                             lambda a: built.append(a) or real(a))
+        # The one constructed algebra is the first class, the one with the
+        # fewest star fixed points; the others are star-only copies of it.
         classes = enumerate_flat(n).iso_classes
-        assert len(built) == 1 and built[0].star == tuple(range(n))
+        assert len(built) == 1 and built[0] is classes[0]
         fixed = range(2 - n % 2, n + 1, 2)
         want = [make_flat(n, k) for k in fixed]
         assert [(a.label, a) for a in classes] == [(a.label, a) for a in want]
@@ -319,6 +322,35 @@ class TestVerifyStructure:
         for name, a in fx.items():
             assert all(ok for _, ok in verify_structure(a)), name
 
+    def test_star_involution(self):
+        # A 4-cycle through the regulars of boolean_algebra(2) maps each
+        # cloud onto a disjoint cloud of its size; only x** = x fails.
+        b = boolean_algebra(2)
+        cycle = replace(b, star=(1, 3, 0, 2))
+        assert [label for label, ok in verify_structure(cycle) if not ok] == [
+            "star-involution"]
+        # The claims are not a validity test: this star passes them all.
+        swap = replace(b, star=(1, 0, 3, 2))
+        assert all(ok for _, ok in verify_structure(swap))
+        assert not qba.validate(cycle).passed and not qba.validate(swap).passed
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_labeled_general_order(n):
+    # The labeled algebras come in (one, join, meet, star) order, and the
+    # ones that share a join object, a family, come together.
+    algebras = enumerate_all(n, up_to_iso=False).iso_classes
+    assert list(algebras) == sorted(
+        algebras, key=lambda a: (a.one, a.join, a.meet, a.star))
+    runs = [join for join, _ in groupby(map(id, (a.join for a in algebras)))]
+    assert len(runs) == len(set(runs))
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_involutions_in_lexicographic_order(m):
+    stars = list(qba.enumeration._involutions(bytes(range(1, m + 1))))
+    assert stars == sorted(stars) and len(stars) == involution_count(m)
+
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
 def test_flat_classes_derive_their_table_facts_once(n, monkeypatch):
@@ -354,7 +386,7 @@ def test_valid_stars_take_no_claims_and_no_isomorphism(n, flat_only,
 
 @pytest.mark.parametrize("build, nonflat", [
     (lambda: enumerate_flat(7, up_to_iso=False), False),  # labeled flat
-    (lambda: enumerate_all(8), False),  # the flat classes of _classes
+    (lambda: enumerate_all(10), False),  # the flat classes of _classes
     (lambda: enumerate_all(6, up_to_iso=False), True),  # general families
 ], ids=["flat_labeled", "classes", "families"])
 def test_star_only_copies_behave_as_constructed(build, nonflat, monkeypatch):

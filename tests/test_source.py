@@ -100,31 +100,61 @@ def test_import_guard_sees_third_party_imports():
 
 
 def test_star_only_copies_stay_in_enumeration():
-    # FiniteAlgebra._with_stars checks only the stars; it is for generators
-    # that built the rest through the constructor, never for user input.
+    # FiniteAlgebra._with_stars checks only the stars; it is for the
+    # enumeration, which built the rest through the constructor, never for
+    # user input.
     users = {p.name for p in SOURCES if "_with_star" in p.read_text("utf-8")}
     assert users == {"algebra.py", "enumeration.py"}
+
+
+def owners(tree: ast.AST, matches) -> list[str]:
+    """The function, by name ('<module>' for code outside any), of each
+    node of tree that matches, in order."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if matches(node):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def method_uses(tree: ast.AST, method: str) -> list[str]:
+    """The owner of each place that reads the attribute method, a call
+    or not."""
+    return owners(tree, lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == method)
+
+
+def test_star_only_copies_made_in_the_family_loop():
+    # The loop that checks a family makes its copies, so they share the
+    # tables its checks were derived from; no generator makes its own.
+    tree = ast.parse((ROOT / "src" / "qba" / "enumeration.py").read_text("utf-8"))
+    assert method_uses(tree, "_with_stars") == ["_made_and_checked"]
+
+
+def test_method_use_check_sees_every_site():
+    tree = ast.parse("def f(a, s):\n    return a._with_stars(s)\n"
+                     "def g(a):\n    yield from a.b._with_stars([], ['x'])\n"
+                     "def h(a):\n    return a.with_stars(), '_with_stars'\n"
+                     "copy = FiniteAlgebra._with_stars\n")
+    assert method_uses(tree, "_with_stars") == ["f", "g", "<module>"]
 
 
 def instance_dict_uses(tree: ast.AST) -> set[str]:
     """The functions, by name ('<module>' for code outside any), that
     reach an object's attribute dict: x.__dict__, getattr(x, '__dict__')
     or vars(x)."""
-    uses = set()
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "__dict__"
-                or isinstance(node, ast.Constant) and node.value == "__dict__"
-                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "vars"):
-            uses.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(tree, "<module>")
-    return uses
+    return set(owners(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "__dict__"
+        or isinstance(node, ast.Constant) and node.value == "__dict__"
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "vars")))
 
 
 def test_instance_dict_stays_in_with_stars():
