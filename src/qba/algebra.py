@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice, product, repeat
+from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (AlgebraParseError, AlgebraSemanticError, NotAQBAlgebra,
@@ -79,9 +79,7 @@ _SECTIONS = (("zero", 0), ("one", 0), ("join", 2), ("meet", 2), ("star", 1))
 _DEEPEST_FIRST = tuple(sorted(_SECTIONS, key=lambda s: -s[1]))
 
 
-# The most stars FiniteAlgebra._with_stars holds at once, and the bytes
-# whose first n are the carrier of n elements.
-_STAR_BATCH = 512
+# The bytes whose first n are the carrier of n elements.
 _BYTES = bytes(range(256))
 
 
@@ -212,22 +210,24 @@ class FiniteAlgebra:
             return None
         return atoms, masks
 
-    def _with_stars(self, stars: Iterable[bytes],
+    def _with_stars(self, stars: Iterable[bytes | Sequence[int]],
                     labels: Iterable[str] | None = None
                     ) -> Iterator["FiniteAlgebra"]:
         """A copy per star, for the enumeration, which varies only the star
         of an algebra it built through the constructor. Names, tables and
         constants are this algebra's, checked when it was made; the label
-        too, unless labels gives one per star.
+        too, unless labels gives one per star. Labels that run short, or
+        are left over, raise PreconditionViolated.
 
-        The stars are taken in batches of at most _STAR_BATCH, so a long
-        family is never held whole. A batch is checked by two C-level
-        passes before its copies are made: every length is n, and deleting
-        the carrier's bytes from the batch, joined, leaves nothing. A batch
-        that fails them, or whose stars are not bytes (tuples past 256
-        elements, say), has each star checked as the constructor checks
-        it, in order, so the first bad one gets the constructor's error.
-        The checked stars become tuples by one map.
+        The stars come as buffers: each bytes item holds n-byte rows back
+        to back, one star per row, so a single star is a one-row buffer. A
+        buffer is checked by two C-level passes before its copies are
+        made: its length is a multiple of n, and deleting the carrier's
+        bytes from it leaves nothing. A buffer that fails them has each row
+        checked as the constructor checks a star, in order, so the first
+        bad one gets the constructor's error. Any other item is one star
+        (a tuple past 256 elements, say, which bytes cannot hold) and is
+        checked alone. A buffer's rows become tuples by one zip.
 
         The fields go in as item stores into the copy's __dict__, one by
         one in field order, as __init__ sets them. Such stores keep the
@@ -241,19 +241,27 @@ class FiniteAlgebra:
         zero, one = self.zero, self.one
         n = len(names)
         new = object.__new__
-        labels = repeat(self.label) if labels is None else iter(labels)
-        stars = iter(stars)
-        for head in stars:
-            batch = [head, *islice(stars, _STAR_BATCH - 1)]
-            try:
-                fit = ({n}.issuperset(map(len, batch))
-                       and not b"".join(batch).translate(None, _BYTES[:n]))
-            except TypeError:  # a star without a length, or not bytes
-                fit = False
-            if not fit:
-                for star in batch:
-                    _check_field(star, n, "star", 1)
-            for star, label in zip(map(tuple, batch), labels):
+        tags = repeat(self.label)
+        given = None if labels is None else tuple(labels)
+        made = 0
+        for buf in stars:
+            if isinstance(buf, bytes):
+                if not buf:
+                    continue
+                if len(buf) % n or buf.translate(None, _BYTES[:n]):
+                    for i in range(0, len(buf), n):
+                        _check_field(buf[i:i + n], n, "star", 1)
+                rows, count = zip(*[iter(buf)] * n), len(buf) // n
+            else:
+                _check_field(buf, n, "star", 1)
+                rows, count = (tuple(buf),), 1
+            if given is not None:
+                tags = given[made:made + count]
+                made += count
+                if len(tags) < count:
+                    raise PreconditionViolated(
+                        f"{len(given)} labels for more stars")
+            for star, label in zip(rows, tags):
                 twin = new(FiniteAlgebra)
                 fields = twin.__dict__
                 fields["names"] = names
@@ -264,6 +272,8 @@ class FiniteAlgebra:
                 fields["one"] = one
                 fields["label"] = label
                 yield twin
+        if given is not None and made < len(given):
+            raise PreconditionViolated(f"{len(given)} labels for {made} stars")
 
     def relabel(self, label: str) -> "FiniteAlgebra":
         return replace(self, label=label)

@@ -10,24 +10,29 @@ valid algebras, so no axiom check runs here; the tests check that. A
 family shares names and tables and varies the star; one loop makes its
 star-only copies of a constructed first and checks the structure claims,
 reading the tables and their mask test (FiniteAlgebra.structure) once.
+The stars travel as bytes buffers of n-byte rows, one star per row: the
+labeled flat stars are made level by level, a buffer at a time, and each
+large flat buffer is checked whole, column by column.
 
 Up to isomorphism nothing labeled is built: a class is fixed by the
 star's fixed-point count (flat) or by the cloud sizes over the subsets of
 the atoms, up to a permutation of the atoms (non-flat). One algebra per
 class is built from that description. The labeled algebras are counted
-by a closed form, labeled_count, which also guards labeled output.
+by a closed form, labeled_count, which also guards labeled output and
+checks its length.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, islice, permutations, product
 from math import factorial
-from operator import eq
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .algebra import (FiniteAlgebra, _tables, cloud_map, is_flat,
                       regular_elements, translation_table)
-from .errors import PreconditionViolated, TooLarge
+from .errors import InvariantViolation, PreconditionViolated, TooLarge
 from .quotients import (_flat_algebra, atom_relabelings, flat_star,
                         generic_names)
 
@@ -92,17 +97,20 @@ def _check_size(n) -> None:
 def _labeled(n: int, k: int) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
     """Every algebra on {0..n-1} with zero at index 0 and 2^k regular
     elements, each once, by families (first, stars): first is built
-    through the constructor, and each star (bytes) gives a copy of it.
-    For k = 0 (the flat case): one family, a star per involution of
-    1..n-1 in lexicographic order. Otherwise n is even, img[i] is the
-    regular element for the subset i of the k atoms, the atoms img[1],
+    through the constructor, and each row of the buffers of stars (see
+    FiniteAlgebra._with_stars) gives a copy of it. For k = 0 (the flat
+    case): one family, a star per involution of 1..n-1 in lexicographic
+    order, in the buffers of _involutions. Otherwise n is even, img[i] is
+    the regular element for the subset i of the k atoms, the atoms img[1],
     img[2], img[4], ... increase (one labeling per permutation of the
     atoms), each irregular x gets a cloud rep[x], clouds s and s ^ top
     have equal sizes, and each such assignment is a family: tables from
-    _tables and the stars of _cloud_stars sorted, first with the least."""
+    _tables and the stars of _cloud_stars sorted, first with the least
+    and each other a one-row buffer."""
     if k == 0:
-        stars = map(b"\0".__add__, _involutions(bytes(range(1, n))))
-        yield _flat_algebra(n, next(stars)), stars
+        stars = _involutions(n)
+        head = next(stars)
+        yield _flat_algebra(n, head[:n]), chain((head[n:],), stars)
         return
     if n % 2:  # non-flat algebras have even order
         return
@@ -124,8 +132,8 @@ def _labeled(n: int, k: int) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
         for clouds in assignments:
             for x, s in zip(irregulars, clouds):
                 rep[x] = s
-            stars = iter(sorted(_cloud_stars(img, rep)))
-            yield (FiniteAlgebra(names, *_tables(img, rep), tuple(next(stars)),
+            least, *stars = sorted(_cloud_stars(img, rep))
+            yield (FiniteAlgebra(names, *_tables(img, rep), tuple(least),
                                  0, img[top]), stars)
 
 
@@ -159,40 +167,64 @@ def _cloud_stars(img, rep) -> Iterator[bytes]:
         yield bytes(star)
 
 
-def _involution_level(older: list[bytes], old: list[bytes],
-                      values: bytes) -> Iterator[bytes]:
-    """The involutions of m = len(values) points, each as the bytes of
-    the images of points 0..m-1 through values: point 0 fixed over each
-    involution of points 1..m-1 (old, over range(m - 1)), then 0 paired
-    with each later point y in turn over each involution of the points
-    left (older, over range(m - 2)). This is the order in which a
-    recursion that fixes or pairs the first point lists them."""
-    head, rest = values[:1], values[1:]
-    fixed = translation_table(rest)
-    for t in old:
-        yield head + t.translate(fixed)
-    for i in range(len(rest)):
-        # Point y = i + 1 is paired with 0; the points left are 1..m-1
-        # without y, so y's image sits between their first i and the rest.
-        left, mate = translation_table(rest[:i] + rest[i + 1:]), rest[i:i + 1]
-        for t in older:
-            v = t.translate(left)
-            yield mate + v[:i] + head + v[i:]
+# v -> v + 1 as a translate table.
+_SHIFT = translation_table(range(1, 256))
 
 
-def _involutions(members: bytes) -> Iterator[bytes]:
-    """Every involution of a cloud, as the images of its members in the
-    order of members. The involutions of range(m) are built level by
-    level, each from the two before it. The last level, mapped onto the
-    members, and the one below it, which it reads once, are streamed;
-    only the two levels below those are kept."""
-    if len(members) < 2:
-        return iter((members,))  # the identity is the only one
-    older, old = [], [b""]  # levels -1 (none) and 0 (the empty one)
-    for m in range(1, len(members) - 1):
-        older, old = old, list(_involution_level(older, old, bytes(range(m))))
-    below = _involution_level(older, old, bytes(range(len(members) - 1)))
-    return _involution_level(old, below, members)
+def _involution_chunks(m: int) -> Iterator[bytes]:
+    """Level m >= 2 of the involutions: the row (0, s(1), ..., s(m)) for
+    each involution s of 1..m, in lexicographic order, built from levels
+    m - 1 and m - 2. It comes as one buffer of rows per image y of 1: 1
+    fixed over each row of level m - 1, whose points 1..m-1 become 2..m,
+    then 1 paired with y = 2..m in turn over each row of level m - 2,
+    whose points become those left, in order. A buffer takes one
+    translate of the level below and a strided store per column; the
+    zero column is the bytearray's own zeros."""
+    w = m + 1
+    below = _involution_level(m - 1)
+    rows = len(below) // m
+    out = bytearray(rows * w)
+    out[1::w] = b"\1" * rows
+    below = below.translate(_SHIFT)
+    for x in range(2, w):
+        out[x::w] = below[x - 1::m]
+    yield bytes(out)
+    older = _involution_level(m - 2)
+    rows = len(older) // (m - 1)
+    # Points 1.. of level m - 2 become 2..m without y, in order: v -> v + 2
+    # from v = y - 1 on, v -> v + 1 below it.
+    left = bytearray(_SHIFT[1:] + b"\0")
+    for y in range(2, w):
+        left[y - 2] = y - 1
+        below = older.translate(left)
+        out = bytearray(rows * w)
+        out[1::w] = bytes((y,)) * rows
+        out[y::w] = b"\1" * rows
+        for x in range(2, y):
+            out[x::w] = below[x - 1::m - 1]
+        for x in range(y + 1, w):
+            out[x::w] = below[x - 2::m - 1]
+        yield bytes(out)
+
+
+@cache
+def _involution_level(m: int) -> bytes:
+    """Level m of the involutions (see _involution_chunks) as one buffer;
+    levels 0 and 1 have one row each. Each level is built once and kept
+    for the life of the process, as every labeled flat call of a larger
+    size reads it again: levels 0-12, the most a labeled call reads, take
+    2.4 MB."""
+    if m < 2:
+        return b"\0\1"[:m + 1]
+    return b"".join(_involution_chunks(m))
+
+
+def _involutions(n: int) -> Iterator[bytes]:
+    """The stars of the labeled flat algebras of size n: 0 fixed and an
+    involution of 1..n-1, in lexicographic order, as buffers of n-byte
+    rows. They are level n - 1 of the involutions, streamed a buffer per
+    image of 1 over the levels below; the last level is never kept."""
+    return _involution_chunks(n - 1) if n > 2 else iter((_involution_level(n - 1),))
 
 
 def enumerate_flat(n: int, up_to_iso: bool = True) -> EnumerationReport:
@@ -213,8 +245,10 @@ def enumerate_all(n: int, up_to_iso: bool = True) -> EnumerationReport:
 
 def _enumerate(n: int, up_to_iso: bool, flat_only: bool) -> EnumerationReport:
     """The body of both enumerators. Sizes past MAX_SIZE, and labeled
-    output of more than MAX_LABELED algebras, are refused before work.
-    Labeled families sort by the (one, join, meet) of their first ones."""
+    output of more than MAX_LABELED algebras, are refused before work;
+    labeled output of other than labeled_count algebras raises
+    InvariantViolation. Labeled families sort by the (one, join, meet) of
+    their first ones."""
     _check_size(n)
     kind = "flat" if flat_only else "general"
     if n > MAX_SIZE:
@@ -232,6 +266,9 @@ def _enumerate(n: int, up_to_iso: bool, flat_only: bool) -> EnumerationReport:
             (f for k in range(n.bit_length()) for f in _labeled(n, k)),
             key=lambda f: (f[0].one, f[0].join, f[0].meet))
     algebras, violations = _made_and_checked(families)
+    if not up_to_iso and len(algebras) != total:
+        raise InvariantViolation(f"labeled {kind} enumeration of size {n} "
+                                 f"built {len(algebras)} algebras, not {total}")
     return EnumerationReport(size=n, flat_only=flat_only, up_to_iso=up_to_iso,
                              total_labeled=total, iso_classes=algebras,
                              violations=violations)
@@ -278,9 +315,9 @@ def _classes(n: int, flat_only: bool) -> Iterator[tuple]:
     # The star with f fixed points is the identity below f and, from f
     # on, that of the class with the fewest (n - f is even).
     ident, fewest = bytes(range(n)), bytes(flat_star(n, 2 - n % 2))
-    stars = (ident[:f] + fewest[f:] for f in fixed)
-    first = _flat_algebra(n, next(stars), labels[0])
-    yield first, stars, labels[1:len(fixed)]
+    stars = b"".join(ident[:f] + fewest[f:] for f in fixed)
+    first = _flat_algebra(n, stars[:n], labels[0])
+    yield first, (stars[n:],), labels[1:len(fixed)]
     for t, label in zip(tables, labels[len(fixed):]):
         yield FiniteAlgebra(first.names, *t, 0, 1, label), (), ()
 
@@ -381,12 +418,11 @@ def _table_facts(a: FiniteAlgebra) -> _TableFacts:
             ("flat-regulars-trivial", regs == frozenset((a.zero,))),
             ("flat-cloud-zero-whole", len(clouds) == 1),
             ("flat-ops-zero",
-             all(row == zero_row for row in a.join)
-             and all(row == zero_row for row in a.meet)),
+             a.join.count(zero_row) == a.meet.count(zero_row) == len(reps)),
             ("flat-size-parity", None),
         ]
     return _TableFacts(flat, reps, clouds, claims,
-                       all(ok is not False for _, ok in claims))
+                       False not in map(itemgetter(1), claims))
 
 
 def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
@@ -456,7 +492,8 @@ def _star_test(a: FiniteAlgebra, f: _TableFacts
     then maps the cloud of each regular r into the cloud of r*, another
     one, and that cloud back, so onto it, and the two have equal sizes.
     On an irreducible family r* is the other regular, so 0* = 1 and the
-    product form holds too."""
+    product form holds too. A flat family's buffers of stars are tested
+    a whole buffer at a time by _involutive_rows instead."""
     n = a.size
     if not f.tables_hold or n > 256:
         return None
@@ -478,18 +515,69 @@ def _star_test(a: FiniteAlgebra, f: _TableFacts
     return paired
 
 
+# _IS[v] as a translate table maps the byte v to 1 and every other to 0.
+_IS = tuple(bytes(v) + b"\1" + bytes(255 - v) for v in range(256))
+
+
+def _involutive_rows(buf: bytes, n: int) -> bool:
+    """Whether every n-byte row s of buf, whose entries are below n, is an
+    involution, column by column: for every x < y, the rows where
+    s(x) = y are the rows where s(y) = x. A row that passes has
+    s(s(x)) = x for each x, whether s(x) is x or some y; one that fails
+    has s(x) = y but s(y) != x for some x, y."""
+    cols = [buf[x::n] for x in range(n)]
+    return all(cols[x].translate(_IS[y]) == cols[y].translate(_IS[x])
+               for x in range(n) for y in range(x + 1, n))
+
+
+def _tested_buffers(stars, n: int, tested: list, made: int) -> Iterator:
+    """Each item of stars, flat stars for _with_stars, passed on as it is
+    read. A buffer of more rows than it has pairs of columns is tested
+    whole by _involutive_rows, and if it passes, the range (start, stop)
+    of its copies, counted from made, goes onto tested. A smaller buffer
+    takes fewer steps a star at a time, and so does a star that is not
+    bytes. _with_stars refuses a malformed buffer before any of its copies
+    is checked."""
+    pairs = n * (n - 1) // 2
+    for buf in stars:
+        if not isinstance(buf, bytes):
+            made += 1
+        else:
+            rows = len(buf) // n
+            if rows > pairs and _involutive_rows(buf, n):
+                tested.append((made, made + rows))
+            made += rows
+        yield buf
+
+
+def _skipping(items: list, start: int, skipped: list) -> Iterator:
+    """items from start on, but for those in the ranges (i, j) of
+    skipped, which are in order."""
+    for i, j in skipped:
+        yield from items[start:i]
+        start = j
+    yield from items[start:]
+
+
 def _made_and_checked(families) -> tuple[tuple, tuple]:
     """The algebras of families (first, stars[, labels]) in order, first
     and then a star-only copy per star, and (claim, algebra) for every
     failing claim. The table facts and the _star_test of a family come
-    from first, whose tables the copies made here share. A star that
-    passes the test has every claim hold; any other takes _claims."""
+    from first, whose tables the copies made here share. A flat family
+    has its larger buffers of stars tested whole by _tested_buffers; every
+    other star, first included, takes the _star_test. A star that passes a
+    test has every claim hold; any other takes _claims."""
     algebras, violations = [], []
     for first, stars, *labels in families:
         f = _table_facts(first)
         passes = _star_test(first, f)
-        for a in chain((first,), first._with_stars(stars, *labels)):
-            algebras.append(a)
+        start = len(algebras)
+        algebras.append(first)
+        tested = []
+        if f.flat and passes:
+            stars = _tested_buffers(stars, len(f.reps), tested, start + 1)
+        algebras.extend(first._with_stars(stars, *labels))
+        for a in _skipping(algebras, start, tested) if tested else algebras[start:]:
             if not (passes and passes(a.star)):
                 violations += [(label, a) for label, ok in _claims(a, f) if not ok]
     return tuple(algebras), tuple(violations)

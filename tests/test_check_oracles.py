@@ -49,8 +49,8 @@ from qba.congruences import (MAX_EXHAUSTIVE, CongruenceDecomposition,
                              principal_congruence_nonflat, split_congruence,
                              subalgebra, subalgebras)
 from qba.enumeration import (STRUCTURE_CLAIMS, EnumerationReport,
-                             _cloud_classes, _labeled, _made_and_checked,
-                             _star_test, _table_facts,
+                             _cloud_classes, _involutive_rows,
+                             _labeled, _made_and_checked, _star_test, _table_facts,
                              dedupe_up_to_iso, enumerate_all, enumerate_flat,
                              involution_count, labeled_count, verify_structure)
 from qba.errors import (AlgebraSemanticError, DecompositionConditionError,
@@ -322,48 +322,60 @@ class TestWellFormedness:
                 assert_same_outcome(args)
 
     def test_malformed_stars_same_error_through_with_stars(self, fx):
-        # The family copies check stars given as bytes by their lengths and
-        # one translate over the batch; a star too short, too long or with
-        # an entry past the carrier fails as the constructor fails on it,
-        # and a good one gives what the constructor gives.
+        # The family copies take stars as buffers of n-byte rows and check
+        # a buffer by its length and one translate. A buffer whose length
+        # is not a multiple of n, or with an entry past the carrier, fails
+        # as the constructor fails on its first bad row; a good row gives
+        # what the constructor gives, and an empty buffer no copy.
         checked = 0
         for a in fx.values():
-            base = fields(a)
+            n, base = a.size, fields(a)
             good = bytes(a.star)
-            stars = [good[:-1], good + b"\0", b"", good[:-1] + bytes([a.size]),
-                     bytes([255]) * a.size, good]
-            for star in stars:
-                args = base[:3] + [tuple(star)] + base[4:]
-                assert (outcome(lambda s: next(a._with_stars([s])), star)
-                        == outcome(FiniteAlgebra, *args)), star
-                checked += outcome(FiniteAlgebra, *args) is not None
+            for buf in (good[:-1], good + b"\0", good[:-1] + bytes([n]),
+                        bytes([255]) * n, good + good[1:], bytes([n]) + good[1:] + good):
+                rows = [buf[i:i + n] for i in range(0, len(buf), n)]
+                expected = next(filter(None, (outcome(FiniteAlgebra, *base[:3],
+                                                      tuple(row), *base[4:])
+                                              for row in rows)))
+                assert outcome(lambda b: list(a._with_stars([b])), buf) == expected, buf
+                checked += 1
             assert tables(next(a._with_stars([good]))) == tables(a)
-        assert checked == 5 * len(fx)
+            assert list(map(tables, a._with_stars([good * 3]))) == [tables(a)] * 3
+            assert list(a._with_stars([b""])) == []
+        assert checked == 6 * len(fx)
 
     def test_malformed_star_anywhere_in_a_batch_same_error(self, fx):
-        # The copies check their stars a batch at a time, by lengths and by
-        # one translate over the joined batch. A bad star first, in the
-        # middle or last among good ones, or past the first batch, fails
-        # as the constructor fails on it; so do a short and a long star
-        # whose lengths add up to two good ones.
+        # A bad row first, in the middle or last among good ones in one
+        # buffer, or in a buffer past the first, fails as the constructor
+        # fails on that row, before any copy of its buffer is made; so do
+        # a short and a long buffer whose lengths add up to whole rows.
         checked = 0
         for a in fx.values():
-            base = fields(a)
+            n, base = a.size, fields(a)
             good = bytes(a.star)
-            for bad in (good[:-1], good + b"\0", b"", good[:-1] + bytes([a.size]),
-                        bytes([255]) * a.size):
+            for bad in (good[:-1] + bytes([n]), bytes([255]) * n,
+                        bytes([n - 1]) * (n - 1) + bytes([n + 7])):
                 expected = outcome(FiniteAlgebra, *base[:3], tuple(bad), *base[4:])
                 assert expected is not None
-                for at in (0, 3, 6, 600):
-                    stars = [good] * max(at, 6)
-                    stars.insert(at, bad)
-                    assert outcome(lambda s: list(a._with_stars(s)), stars) == expected
+                for at in (0, 3, 6):
+                    rows = [good] * 6
+                    rows.insert(at, bad)
+                    made = []
+                    assert outcome(lambda s: made.extend(a._with_stars(s)),
+                                   [b"".join(rows)]) == expected
+                    assert made == []
                     checked += 1
-            if a.size > 1:
-                pair = [good, good[:-1], good + b"\0", good]
+                buffers = [good * 600, good * 3 + bad + good, good]
+                made = []
+                assert outcome(lambda s: made.extend(a._with_stars(s)),
+                               buffers) == expected
+                assert len(made) == 600
+                checked += 1
+            if n > 1:
+                pair = [good, good[:-1], good[-1:] + good]
                 assert (outcome(lambda s: list(a._with_stars(s)), pair)
                         == outcome(FiniteAlgebra, *base[:3], pair[1], *base[4:]))
-        assert checked == 20 * len(fx)
+        assert checked == 12 * len(fx)
 
     @pytest.mark.parametrize("n", [256, 300])
     def test_tuple_stars_at_and_past_256_elements(self, n):
@@ -551,20 +563,66 @@ class TestVerifyStructure:
     def test_labeled_flat_family_with_mutants_as_by_scan(self, n):
         # The labeled flat algebras of size n are one family (764 or 2,620
         # algebras), and the star-only mutants of every seventh follow it
-        # there: the violations are the per-algebra scan's, in order.
-        algebras, stars = labeled(n, 0), []
+        # there: the violations are the per-algebra scan's, in order,
+        # whether the stars come one to a buffer, a hundred to a buffer
+        # (each failing the column test), or the valid ones whole and the
+        # mutants apart.
+        algebras, stars, mutants = labeled(n, 0), [], []
         for i, a in enumerate(algebras):
             if i:
                 stars.append(bytes(a.star))
             if i % 7 == 0:
-                stars += map(bytes, family_mutants(a))
-        mix, violations = _made_and_checked([(algebras[0], stars)])
-        assert len(mix) == len(stars) + 1 > len(algebras)
-        assert len({(id(a.join), id(a.meet)) for a in mix}) == 1
-        expected = [(label, id(a)) for a in mix
-                    for label, ok in verify_structure_by_scan(a) if not ok]
-        assert [(label, id(a)) for label, a in violations] == expected
-        assert len({a for _, a in expected}) > len(mix) // 20
+                changed = list(map(bytes, family_mutants(a)))
+                stars += changed
+                mutants += changed
+        good = b"".join(bytes(a.star) for a in algebras[1:])
+        for given in (stars, [b"".join(stars[i:i + 100]) for i in range(0, len(stars), 100)],
+                      [good, b"".join(mutants)]):
+            mix, violations = _made_and_checked([(algebras[0], given)])
+            assert len(mix) == len(stars) + 1 > len(algebras)
+            assert len({(id(a.join), id(a.meet)) for a in mix}) == 1
+            expected = [(label, id(a)) for a in mix
+                        for label, ok in verify_structure_by_scan(a) if not ok]
+            assert [(label, id(a)) for label, a in violations] == expected
+            assert len({a for _, a in expected}) > len(mix) // 20
+
+    def test_column_test_as_per_star_test(self):
+        # _involutive_rows passes a buffer exactly when the flat per-star
+        # test passes each of its rows: on seeded random rows, involutions
+        # with one entry changed or not, for n = 1..16, and on every
+        # single-entry mutant of the labeled flat stars up to 8 elements,
+        # alone and among the other stars.
+        rng = random.Random(36)
+        seen = Counter()
+        for n in range(1, 17):
+            a = make_flat(n, 2 - n % 2)
+            involutive = _star_test(a, _table_facts(a))
+            for _ in range(300):
+                rows = []
+                for _ in range(rng.randint(1, 5)):
+                    star, points = list(range(n)), rng.sample(range(n), n)
+                    for i in range(0, 2 * rng.randint(0, n // 2), 2):
+                        star[points[i]], star[points[i + 1]] = points[i + 1], points[i]
+                    if rng.random() < 0.2:
+                        star[rng.randrange(n)] = rng.randrange(n)
+                    rows.append(bytes(star))
+                passed = all(involutive(tuple(row)) for row in rows)
+                assert _involutive_rows(b"".join(rows), n) == passed, rows
+                seen[passed] += 1
+        assert min(seen.values()) > 1000, seen
+        for n in range(1, 9):
+            a = make_flat(n, 2 - n % 2)
+            involutive = _star_test(a, _table_facts(a))
+            whole = b"".join(qba.enumeration._involutions(n))
+            assert _involutive_rows(whole, n)
+            for at in range(0, len(whole), n):
+                for x in range(n):
+                    for v in range(n):
+                        if v != whole[at + x]:
+                            changed = whole[:at + x] + bytes([v]) + whole[at + x + 1:]
+                            ok = involutive(tuple(changed[at:at + n]))
+                            assert _involutive_rows(changed[at:at + n], n) == ok
+                            assert _involutive_rows(changed, n) == ok
 
     @pytest.mark.parametrize("n", [256, 300])
     def test_star_test_at_and_past_256_elements(self, n):
@@ -915,13 +973,17 @@ class TestLabeledGenerator:
 
     @pytest.mark.parametrize("m", range(13))
     def test_involutions_as_recursion(self, m):
-        # Members spread out, as the irregulars of a cloud are.
-        points = tuple(range(1, 2 * m, 2))
-        star = [None] * (2 * m + 1)
-        expected = [bytes(star[p] for p in points)
-                    for _ in _involutions_into(star, points)]
-        assert list(qba.enumeration._involutions(bytes(points))) == expected
+        # The buffers of _involutions(m + 1), joined, are the rows of the
+        # recursion on 1..m with 0 fixed, in its order; there is one
+        # buffer per image of 1, and its rows all have that image.
+        star = [0] * (m + 1)
+        expected = [bytes(star) for _ in _involutions_into(star, tuple(range(1, m + 1)))]
+        buffers = list(qba.enumeration._involutions(m + 1))
+        assert b"".join(buffers) == b"".join(expected)
         assert len(expected) == involution_count(m)
+        assert len(buffers) == max(m, 1)
+        for y, buf in enumerate(buffers, 1):
+            assert len(buf) % (m + 1) == 0 and set(buf[1::m + 1]) <= {y}
         if m == 11:
             assert len(expected) == 35_696
 

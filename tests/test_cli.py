@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -21,6 +22,19 @@ from test_cli_fuzz import argv as fuzz_argv
 from test_quotients import nine_atom_pair
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src" / "qba" / "data"
+
+
+def python_3_10():
+    """The path of a working python3.10 on PATH, or None. A pyenv shim
+    runs the version PYENV_VERSION names, whatever its global one; any
+    other interpreter ignores it."""
+    path = shutil.which("python3.10")
+    if path is None:
+        return None
+    probe = subprocess.run([path, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
+                           env=dict(os.environ, PYENV_VERSION="3.10"),
+                           capture_output=True, timeout=60)
+    return path if probe.returncode == 0 else None
 
 
 def fpath(name):
@@ -733,6 +747,24 @@ class TestMainEntry:
 
     def test_version(self):
         assert run(["--version"]).exit_code == 0
+
+    def test_same_output_under_python_3_10(self, capsys):
+        # pyproject.toml claims Python 3.10. The same commands, run there in
+        # one process through main, print what they print here.
+        exe = python_3_10()
+        if exe is None:
+            pytest.skip("no working python3.10")
+        argvs = [["enumerate", "--size", "8", "--flat"], ["enumerate", "--size", "6"],
+                 ["congruences", fpath("6")]]
+        assert [cli.main(argv) for argv in argvs] == [0, 0, 0]
+        expected = capsys.readouterr().out
+        script = ("import json, sys\nfrom qba.cli import main\n"
+                  "raise SystemExit(max(map(main, json.loads(sys.argv[1]))))")
+        env = dict(os.environ, PYTHONPATH=str(FIXDIR.parent.parent), PYENV_VERSION="3.10")
+        done = subprocess.run([exe, "-c", script, json.dumps(argvs)], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == b""
+        assert done.stdout == expected.encode()
 
     def test_reader_closing_early_is_not_an_error(self, tmp_path):
         # 21,147 congruences: more text than a pipe buffer holds.

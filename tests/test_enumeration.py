@@ -12,7 +12,7 @@ import qba
 from qba.enumeration import (MAX_LABELED, MAX_SIZE, dedupe_up_to_iso,
                              enumerate_all, enumerate_flat, involution_count,
                              iso_class_key, labeled_count, verify_structure)
-from qba.errors import TooLarge
+from qba.errors import InvariantViolation, PreconditionViolated, TooLarge
 from qba.quotients import boolean_algebra, make_flat
 
 
@@ -348,8 +348,63 @@ def test_labeled_general_order(n):
 
 @pytest.mark.parametrize("m", range(11))
 def test_involutions_in_lexicographic_order(m):
-    stars = list(qba.enumeration._involutions(bytes(range(1, m + 1))))
+    # The rows of the buffers, each a star of size m + 1 that fixes 0.
+    rows = b"".join(qba.enumeration._involutions(m + 1))
+    stars = [rows[i:i + m + 1] for i in range(0, len(rows), m + 1)]
     assert stars == sorted(stars) and len(stars) == involution_count(m)
+    assert all(s[0] == 0 and s.translate(s.ljust(256, b"\0")) == bytes(range(m + 1))
+               for s in stars)
+
+
+def test_copies_refuse_labels_that_do_not_match_the_stars():
+    # A label per star: labels that run short would drop copies, and
+    # labels left over would go unused, so both are refused.
+    a = make_flat(5, 1)
+    stars = [bytes(a.star)] * 3
+    for given, labels in ((stars, ["x"]), ([b"".join(stars)], ["x"]),
+                          (stars, list("wxyz")), ([b"".join(stars)], list("wxyz")),
+                          ([], ["x"])):
+        with pytest.raises(PreconditionViolated):
+            list(a._with_stars(given, labels))
+    for given in (stars, [b"".join(stars)], [stars[0], b"".join(stars[1:])]):
+        assert [c.label for c in a._with_stars(given, "xyz")] == list("xyz")
+    assert [c.label for c in a._with_stars(stars)] == [a.label] * 3
+
+
+@pytest.mark.parametrize("change", ["lose", "repeat"])
+def test_labeled_output_must_have_its_count(change, monkeypatch):
+    # Labeled output is labeled_count algebras; a buffer that lost or
+    # repeated rows makes the call raise rather than answer.
+    real = qba.enumeration._involutions
+
+    def changed(n):
+        *head, last = real(n)
+        last = last[:-n] if change == "lose" else last + last[-n:]
+        return iter([*head, last])
+
+    monkeypatch.setattr(qba.enumeration, "_involutions", changed)
+    for n in (3, 7):
+        with pytest.raises(InvariantViolation):
+            enumerate_flat(n, up_to_iso=False)
+        with pytest.raises(InvariantViolation):
+            enumerate_all(n, up_to_iso=False)
+    assert enumerate_flat(7, up_to_iso=True).total_labeled == involution_count(6)
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_labeled_flat_stars_tested_a_buffer_at_a_time(n, monkeypatch):
+    # A labeled flat family's buffers of more rows than column pairs pass
+    # the column test whole; only first takes the per-star test.
+    calls = []
+    real = qba.enumeration._star_test
+
+    def counted(a, f):
+        test = real(a, f)
+        return lambda star: calls.append(star) or test(star)
+
+    monkeypatch.setattr(qba.enumeration, "_star_test", counted)
+    report = enumerate_flat(n, up_to_iso=False)
+    assert report.violations == () and calls == [tuple(range(n))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
