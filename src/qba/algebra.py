@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (AlgebraParseError, AlgebraSemanticError, NotAQBAlgebra,
                      PreconditionViolated)
@@ -32,6 +32,30 @@ def check_elements(n: int, values, what: str) -> None:
         if not (isinstance(v, int) and 0 <= v < n):
             raise ValueError(f"{what} takes elements of the carrier "
                              f"0..{n - 1}, not {v!r}")
+
+
+def check_pairs(n: int, pairs, what: str) -> list[tuple[int, int]]:
+    """pairs as a list of (x, y), each checked by check_elements; an item
+    that is not two values raises ValueError naming what, before any pair
+    is used."""
+    checked = []
+    for pair in pairs:
+        try:
+            x, y = pair
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{what} takes two elements, not {pair!r}") from None
+        checked.append((x, y))
+    check_elements(n, [v for pair in checked for v in pair], what)
+    return checked
+
+
+def check_natural(value, what: str, least: int = 0) -> None:
+    """Raise ValueError, before any work, unless value is an int of at
+    least least (0 or 1); a bool is not taken for one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "a positive integer" if least else "a natural number"
+        raise ValueError(f"{what} must be {kind}")
 
 
 # Partition, pair and link texts separate element names by these.
@@ -210,24 +234,21 @@ class FiniteAlgebra:
             return None
         return atoms, masks
 
-    def _with_stars(self, stars: Iterable[bytes | Sequence[int]],
-                    labels: Iterable[str] | None = None
+    def _with_stars(self, buf: bytes, labels: Sequence[str] | None = None
                     ) -> Iterator["FiniteAlgebra"]:
         """A copy per star, for the enumeration, which varies only the star
         of an algebra it built through the constructor. Names, tables and
         constants are this algebra's, checked when it was made; the label
-        too, unless labels gives one per star. Labels that run short, or
-        are left over, raise PreconditionViolated.
+        too, unless labels gives one per star. Labels of another count
+        than the stars raise PreconditionViolated.
 
-        The stars come as buffers: each bytes item holds n-byte rows back
-        to back, one star per row, so a single star is a one-row buffer. A
-        buffer is checked by two C-level passes before its copies are
+        The stars come as one buffer of n-byte rows back to back, one star
+        per row. It is checked by two C-level passes before any copy is
         made: its length is a multiple of n, and deleting the carrier's
         bytes from it leaves nothing. A buffer that fails them has each row
         checked as the constructor checks a star, in order, so the first
-        bad one gets the constructor's error. Any other item is one star
-        (a tuple past 256 elements, say, which bytes cannot hold) and is
-        checked alone. A buffer's rows become tuples by one zip.
+        bad one gets the constructor's error. The rows become tuples by one
+        zip.
 
         The fields go in as item stores into the copy's __dict__, one by
         one in field order, as __init__ sets them. Such stores keep the
@@ -240,40 +261,27 @@ class FiniteAlgebra:
         names, join, meet = self.names, self.join, self.meet
         zero, one = self.zero, self.one
         n = len(names)
+        if len(buf) % n or buf.translate(None, _BYTES[:n]):
+            for i in range(0, len(buf), n):
+                _check_field(buf[i:i + n], n, "star", 1)
+        count = len(buf) // n
+        if labels is None:
+            labels = repeat(self.label)
+        elif len(labels) != count:
+            raise PreconditionViolated(
+                f"{len(labels)} labels for {count} stars")
         new = object.__new__
-        tags = repeat(self.label)
-        given = None if labels is None else tuple(labels)
-        made = 0
-        for buf in stars:
-            if isinstance(buf, bytes):
-                if not buf:
-                    continue
-                if len(buf) % n or buf.translate(None, _BYTES[:n]):
-                    for i in range(0, len(buf), n):
-                        _check_field(buf[i:i + n], n, "star", 1)
-                rows, count = zip(*[iter(buf)] * n), len(buf) // n
-            else:
-                _check_field(buf, n, "star", 1)
-                rows, count = (tuple(buf),), 1
-            if given is not None:
-                tags = given[made:made + count]
-                made += count
-                if len(tags) < count:
-                    raise PreconditionViolated(
-                        f"{len(given)} labels for more stars")
-            for star, label in zip(rows, tags):
-                twin = new(FiniteAlgebra)
-                fields = twin.__dict__
-                fields["names"] = names
-                fields["join"] = join
-                fields["meet"] = meet
-                fields["star"] = star
-                fields["zero"] = zero
-                fields["one"] = one
-                fields["label"] = label
-                yield twin
-        if given is not None and made < len(given):
-            raise PreconditionViolated(f"{len(given)} labels for {made} stars")
+        for star, label in zip(zip(*[iter(buf)] * n), labels):
+            twin = new(FiniteAlgebra)
+            fields = twin.__dict__
+            fields["names"] = names
+            fields["join"] = join
+            fields["meet"] = meet
+            fields["star"] = star
+            fields["zero"] = zero
+            fields["one"] = one
+            fields["label"] = label
+            yield twin
 
     def relabel(self, label: str) -> "FiniteAlgebra":
         return replace(self, label=label)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (FiniteAlgebra, check_elements, induced_fields,
-                      is_flat, regular_split, require_valid)
+from .algebra import (FiniteAlgebra, check_elements, check_pairs,
+                      induced_fields, is_flat, regular_split, require_valid)
 from .errors import (ConditionC1Violated, ConditionC2Violated,
                      ConditionC3Violated, FlatInput, NotACongruence,
                      NotASubalgebra, NotFlat, PreconditionViolated,
@@ -34,8 +34,7 @@ def generated_congruence(a: FiniteAlgebra, seed) -> Partition:
     tau(x) with tau(y) on every seed pair.
     """
     require_valid(a)
-    seed = list(seed)
-    check_elements(a.size, [v for pair in seed for v in pair], "a seed pair")
+    seed = check_pairs(a.size, seed, "a seed pair")
     lift, star_t = _tau_frame(a)
     _, masks = a.structure
     keep = -1  # the mask of c*, with every bit above the atoms set

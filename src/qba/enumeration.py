@@ -10,9 +10,12 @@ valid algebras, so no axiom check runs here; the tests check that. A
 family shares names and tables and varies the star; one loop makes its
 star-only copies of a constructed first and checks the structure claims,
 reading the tables and their mask test (FiniteAlgebra.structure) once.
-The stars travel as bytes buffers of n-byte rows, one star per row: the
-labeled flat stars are made level by level, a buffer at a time, and each
-large flat buffer is checked whole, column by column.
+The stars travel as bytes buffers of n-byte rows, one star per row, and
+each buffer, first's star as one of one row, takes one test of the star
+claims as a whole: the labeled flat stars are made level by level, a
+buffer at a time, and checked column by column where a buffer is large;
+the other stars of a non-flat family come as one buffer. Only the
+algebras of a buffer that fails its test have their claims listed.
 
 Up to isomorphism nothing labeled is built: a class is fixed by the
 star's fixed-point count (flat) or by the cloud sizes over the subsets of
@@ -30,8 +33,8 @@ from math import factorial
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .algebra import (FiniteAlgebra, _tables, cloud_map, is_flat,
-                      regular_elements, translation_table)
+from .algebra import (FiniteAlgebra, _tables, check_natural, cloud_map,
+                      is_flat, regular_elements, translation_table)
 from .errors import InvariantViolation, PreconditionViolated, TooLarge
 from .quotients import (_flat_algebra, atom_relabelings, flat_star,
                         generic_names)
@@ -76,7 +79,7 @@ def labeled_count(n: int, flat_only: bool = False) -> int:
     summing orbit-stabilizer over its cloud-size functions gives
     (n-1)! P^(h-P) / (k! (h-P)!) algebras; P <= h, so 2^k <= n.
     """
-    _check_size(n)
+    check_natural(n, "size", 1)
     total = involution_count(n - 1)
     if flat_only or n % 2:
         return total
@@ -85,13 +88,6 @@ def labeled_count(n: int, flat_only: bool = False) -> int:
         q = n // 2 - p
         total += factorial(n - 1) * p ** q // (factorial(k) * factorial(q))
     return total
-
-
-def _check_size(n) -> None:
-    """Refuse, before any work, a size that is not a positive int (a
-    bool is not taken for one)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError("size must be a positive integer")
 
 
 def _labeled(n: int, k: int) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
@@ -106,7 +102,7 @@ def _labeled(n: int, k: int) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
     atoms), each irregular x gets a cloud rep[x], clouds s and s ^ top
     have equal sizes, and each such assignment is a family: tables from
     _tables and the stars of _cloud_stars sorted, first with the least
-    and each other a one-row buffer."""
+    and the others joined into one buffer."""
     if k == 0:
         stars = _involutions(n)
         head = next(stars)
@@ -134,7 +130,7 @@ def _labeled(n: int, k: int) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
                 rep[x] = s
             least, *stars = sorted(_cloud_stars(img, rep))
             yield (FiniteAlgebra(names, *_tables(img, rep), tuple(least),
-                                 0, img[top]), stars)
+                                 0, img[top]), (b"".join(stars),))
 
 
 def _cloud_stars(img, rep) -> Iterator[bytes]:
@@ -249,7 +245,7 @@ def _enumerate(n: int, up_to_iso: bool, flat_only: bool) -> EnumerationReport:
     labeled output of other than labeled_count algebras raises
     InvariantViolation. Labeled families sort by the (one, join, meet) of
     their first ones."""
-    _check_size(n)
+    check_natural(n, "size", 1)
     kind = "flat" if flat_only else "general"
     if n > MAX_SIZE:
         raise TooLarge(f"{kind} enumeration is guarded at {MAX_SIZE}")
@@ -481,38 +477,38 @@ def _claims(a: FiniteAlgebra, f: _TableFacts) -> list[tuple[str, bool]]:
 
 
 def _star_test(a: FiniteAlgebra, f: _TableFacts
-               ) -> Callable[[tuple[int, ...]], bool] | None:
-    """A test for the stars of a's family (its join, meet, zero and one,
-    with table facts f) that passes only stars on which every star claim
-    holds, or None where each star takes _claims: when a table claim
-    fails, and past 256 elements, as bytes hold entries below 256. A flat
-    star passes if it is an involution: a bijection of the one cloud
-    whose moved points pair up. A non-flat star passes if it is an
-    involution without fixed points that commutes with x -> x v x: it
-    then maps the cloud of each regular r into the cloud of r*, another
-    one, and that cloud back, so onto it, and the two have equal sizes.
-    On an irreducible family r* is the other regular, so 0* = 1 and the
-    product form holds too. A flat family's buffers of stars are tested
-    a whole buffer at a time by _involutive_rows instead."""
-    n = a.size
-    if not f.tables_hold or n > 256:
+               ) -> Callable[[bytes], bool] | None:
+    """A test of a buffer of stars (see FiniteAlgebra._with_stars) for
+    a's family, its join, meet, zero and one with table facts f, that
+    passes only if every star claim holds on every row; None, when a
+    table claim fails, leaves each star to _claims. A flat row passes if
+    it is an involution: a bijection of the one cloud whose moved points
+    pair up. A flat buffer of more rows than column pairs is tested by
+    _involutive_rows, a smaller one a row at a time. A non-flat row passes
+    if it is an involution without fixed points that commutes with
+    x -> x v x: it then maps the cloud of each regular r into the cloud
+    of r*, another one, and that cloud back, so onto it, and the two have
+    equal sizes. On an irreducible family r* is the other regular, so
+    0* = 1 and the product form holds too."""
+    if not f.tables_hold:
         return None
-    ident = bytes(range(n))
-    if f.flat:
-        def involutive(star: tuple[int, ...]) -> bool:
-            s = bytes(star)
-            return s.translate(s.ljust(256, b"\0")) == ident
-        return involutive
+    n, flat = a.size, f.flat
+    ident, pairs = bytes(range(n)), n * (n - 1) // 2
     reps = bytes(f.reps)
     rep_of = translation_table(reps)
 
-    def paired(star: tuple[int, ...]) -> bool:
-        s = bytes(star)
-        star_of = translation_table(s)
-        return (s.translate(star_of) == ident
-                and reps.translate(star_of) == s.translate(rep_of)
-                and not any(map(eq, s, ident)))
-    return paired
+    def passes(buf: bytes) -> bool:
+        if flat and len(buf) > pairs * n:
+            return _involutive_rows(buf, n)
+        for i in range(0, len(buf), n):
+            s = buf[i:i + n]
+            star_of = s.ljust(256, b"\0")  # translation_table(s), inlined
+            if s.translate(star_of) != ident or not flat and (
+                    reps.translate(star_of) != s.translate(rep_of)
+                    or any(map(eq, s, ident))):
+                return False
+        return True
+    return passes
 
 
 # _IS[v] as a translate table maps the byte v to 1 and every other to 0.
@@ -530,54 +526,27 @@ def _involutive_rows(buf: bytes, n: int) -> bool:
                for x in range(n) for y in range(x + 1, n))
 
 
-def _tested_buffers(stars, n: int, tested: list, made: int) -> Iterator:
-    """Each item of stars, flat stars for _with_stars, passed on as it is
-    read. A buffer of more rows than it has pairs of columns is tested
-    whole by _involutive_rows, and if it passes, the range (start, stop)
-    of its copies, counted from made, goes onto tested. A smaller buffer
-    takes fewer steps a star at a time, and so does a star that is not
-    bytes. _with_stars refuses a malformed buffer before any of its copies
-    is checked."""
-    pairs = n * (n - 1) // 2
-    for buf in stars:
-        if not isinstance(buf, bytes):
-            made += 1
-        else:
-            rows = len(buf) // n
-            if rows > pairs and _involutive_rows(buf, n):
-                tested.append((made, made + rows))
-            made += rows
-        yield buf
-
-
-def _skipping(items: list, start: int, skipped: list) -> Iterator:
-    """items from start on, but for those in the ranges (i, j) of
-    skipped, which are in order."""
-    for i, j in skipped:
-        yield from items[start:i]
-        start = j
-    yield from items[start:]
-
-
 def _made_and_checked(families) -> tuple[tuple, tuple]:
     """The algebras of families (first, stars[, labels]) in order, first
-    and then a star-only copy per star, and (claim, algebra) for every
-    failing claim. The table facts and the _star_test of a family come
-    from first, whose tables the copies made here share. A flat family
-    has its larger buffers of stars tested whole by _tested_buffers; every
-    other star, first included, takes the _star_test. A star that passes a
-    test has every claim hold; any other takes _claims."""
+    and then a star-only copy per row of each buffer of stars, labeled by
+    labels if given, and (claim, algebra) for every failing claim. The
+    table facts and the _star_test of a family come from first, whose
+    tables the copies made here share. Each buffer, first's star as one
+    of one row, takes the test once, and an empty one is skipped; the
+    algebras of a buffer that passes have every claim hold, and those of
+    any other buffer, or of a family without a test, take _claims one by
+    one."""
     algebras, violations = [], []
     for first, stars, *labels in families:
         f = _table_facts(first)
         passes = _star_test(first, f)
-        start = len(algebras)
-        algebras.append(first)
-        tested = []
-        if f.flat and passes:
-            stars = _tested_buffers(stars, len(f.reps), tested, start + 1)
-        algebras.extend(first._with_stars(stars, *labels))
-        for a in _skipping(algebras, start, tested) if tested else algebras[start:]:
-            if not (passes and passes(a.star)):
-                violations += [(label, a) for label, ok in _claims(a, f) if not ok]
+        buffers = chain([(bytes(first.star), (first,))],
+                        ((buf, first._with_stars(buf, *labels))
+                         for buf in stars if buf))
+        for buf, made in buffers:
+            start = len(algebras)
+            algebras.extend(made)
+            if not (passes and passes(buf)):
+                violations += [(label, a) for a in algebras[start:]
+                               for label, ok in _claims(a, f) if not ok]
     return tuple(algebras), tuple(violations)

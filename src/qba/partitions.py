@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .algebra import FiniteAlgebra, check_elements, name_readings
+from .algebra import FiniteAlgebra, check_elements, check_pairs, name_readings
 from .errors import AlgebraSemanticError
 
 
@@ -101,8 +101,7 @@ class Partition:
         """Least equivalence relation containing the given pairs."""
         _check_size(size)
         uf = UnionFind(size)
-        for a, b in pairs:
-            check_elements(size, (a, b), "a pair")
+        for a, b in check_pairs(size, pairs, "a pair"):
             uf.union(a, b)
         return cls(size, uf.blocks())
 
@@ -220,8 +219,9 @@ def pair_closure_gaps(size: int, pairs: Iterable[tuple[int, int]]
     relation and learn exactly which pairs its closure had to add. Returns
     off-diagonal ordered pairs, sorted.
     """
+    _check_size(size)
     given = set()
-    for a, b in pairs:
+    for a, b in check_pairs(size, pairs, "a pair"):
         given.add((a, b))
         given.add((b, a))
     closure = Partition.from_pairs(size, given)

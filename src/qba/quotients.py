@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .algebra import (FiniteAlgebra, induced_fields, is_flat, regular_elements,
-                      require_valid)
+from .algebra import (FiniteAlgebra, check_natural, induced_fields, is_flat,
+                      regular_elements, require_valid)
 from .errors import (FlatInput, InvalidShape, InvariantViolation,
                      NotACongruence, PreconditionViolated, TooLarge)
 from .partitions import Partition, classes, is_congruence
@@ -237,6 +237,8 @@ def make_flat(n: int, k: int) -> FiniteAlgebra:
     0..k-1, the rest are paired consecutively; any involution with the same
     fixed-point count gives an isomorphic algebra.
     """
+    check_natural(n, "n")
+    check_natural(k, "k")
     if not (1 <= k <= n) or (n - k) % 2 != 0:
         raise InvalidShape(f"no flat algebra of size {n} with {k} star fixed points")
     return _flat_algebra(n, flat_star(n, k), f"F{n}k{k}")
@@ -266,14 +268,14 @@ def flat_star(n: int, k: int) -> tuple[int, ...]:
 def make_irreducible(k: int) -> FiniteAlgebra:
     """The product of the Boolean algebra 2 with the flat algebra of odd
     size 2k+1; size 4k+2, regular elements exactly {0, 1}."""
-    if k < 0:
-        raise ValueError("k must be a natural number")
+    check_natural(k, "k")
     return direct_product(boolean_algebra(1),
                           make_flat(2 * k + 1, 1)).relabel(f"2xF{2 * k + 1}")
 
 
 def boolean_algebra(num_atoms: int) -> FiniteAlgebra:
     """The Boolean algebra of subsets of num_atoms points (size 2^n)."""
+    check_natural(num_atoms, "num_atoms")
     n = 1 << num_atoms
     names = tuple(format(s, f"0{max(num_atoms, 1)}b") for s in range(n))
     join = tuple(tuple(i | j for j in range(n)) for i in range(n))

@@ -3,7 +3,8 @@
 An out-of-range element or block index, or one that is not an int, raises
 a QbaError or a ValueError: never a KeyError, IndexError or TypeError, and
 never a silent answer (so -1 does not wrap to the last block). A bool is an
-int here, as everywhere in Python. The guards that
+int here, as everywhere in Python, but for the sizes and counts that the
+constructors of whole algebras and the enumerators take. The guards that
 refuse malformed input are listed with their error type and message.
 """
 from dataclasses import replace
@@ -176,6 +177,54 @@ def test_partition_sizes_zero_and_bool_are_ints():
     assert Partition.singletons(3).restrict([]) == Partition(0, ())
     assert Partition.whole(0) == Partition(0, ())
     assert Partition(True, ((0,),)).blocks == ((0,),)
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (qba.make_flat, (3, True), "k must be a natural number"),
+    (qba.make_flat, (True, 1), "n must be a natural number"),
+    (qba.make_flat, (3.0, 1), "n must be a natural number"),
+    (qba.make_flat, (-1, 1), "n must be a natural number"),
+    (qba.make_flat, (3, -1), "k must be a natural number"),
+    (qba.boolean_algebra, (True,), "num_atoms must be a natural number"),
+    (qba.boolean_algebra, (-1,), "num_atoms must be a natural number"),
+    (qba.boolean_algebra, ("2",), "num_atoms must be a natural number"),
+    (qba.make_irreducible, (1.5,), "k must be a natural number"),
+    (qba.make_irreducible, (False,), "k must be a natural number"),
+    (qba.make_irreducible, (-1,), "k must be a natural number"),
+])
+def test_constructors_check_their_integers_first(build, args, message,
+                                                 monkeypatch):
+    # Bools, other types and negatives are refused before any table is
+    # built, as the enumerators refuse a size.
+    for name in ("FiniteAlgebra", "_flat_algebra", "direct_product"):
+        monkeypatch.setattr(qba.quotients, name, None)
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    assert info.value.args == (message,)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qba.generated_congruence(SIX, [(0, 1), (0,)]),
+     "a seed pair takes two elements, not (0,)"),
+    (lambda: qba.generated_congruence(SIX, [(0, 1, 2)]),
+     "a seed pair takes two elements, not (0, 1, 2)"),
+    (lambda: qba.generated_congruence(SIX, [3]),
+     "a seed pair takes two elements, not 3"),
+    (lambda: Partition.from_pairs(3, [(0, 1), (0, 1, 2)]),
+     "a pair takes two elements, not (0, 1, 2)"),
+    (lambda: Partition.from_pairs(3, [(0, 1), None]),
+     "a pair takes two elements, not None"),
+    (lambda: qba.pair_closure_gaps(3, [(0, 1), (2,)]),
+     "a pair takes two elements, not (2,)"),
+])
+def test_malformed_pairs_are_refused_first(call, message, monkeypatch):
+    # A pair of other than two values names the pair before any closure
+    # step is taken.
+    monkeypatch.setattr(qba.partitions.UnionFind, "union", None)
+    monkeypatch.setattr(qba.congruences, "_tau_frame", None)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.value.args == (message,)
 
 
 def test_refines_across_sizes_is_false():

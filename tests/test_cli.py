@@ -755,8 +755,10 @@ class TestMainEntry:
         if exe is None:
             pytest.skip("no working python3.10")
         argvs = [["enumerate", "--size", "8", "--flat"], ["enumerate", "--size", "6"],
+                 ["enumerate", "--size", "16", "--flat", "--up-to-iso"],
+                 ["enumerate", "--size", "12", "--up-to-iso"],
                  ["congruences", fpath("6")]]
-        assert [cli.main(argv) for argv in argvs] == [0, 0, 0]
+        assert [cli.main(argv) for argv in argvs] == [0] * len(argvs)
         expected = capsys.readouterr().out
         script = ("import json, sys\nfrom qba.cli import main\n"
                   "raise SystemExit(max(map(main, json.loads(sys.argv[1]))))")

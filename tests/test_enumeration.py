@@ -360,15 +360,13 @@ def test_copies_refuse_labels_that_do_not_match_the_stars():
     # A label per star: labels that run short would drop copies, and
     # labels left over would go unused, so both are refused.
     a = make_flat(5, 1)
-    stars = [bytes(a.star)] * 3
-    for given, labels in ((stars, ["x"]), ([b"".join(stars)], ["x"]),
-                          (stars, list("wxyz")), ([b"".join(stars)], list("wxyz")),
-                          ([], ["x"])):
+    stars = bytes(a.star) * 3
+    for given, labels in ((stars, ["x"]), (stars, list("wxyz")), (b"", ["x"])):
         with pytest.raises(PreconditionViolated):
             list(a._with_stars(given, labels))
-    for given in (stars, [b"".join(stars)], [stars[0], b"".join(stars[1:])]):
-        assert [c.label for c in a._with_stars(given, "xyz")] == list("xyz")
+    assert [c.label for c in a._with_stars(stars, "xyz")] == list("xyz")
     assert [c.label for c in a._with_stars(stars)] == [a.label] * 3
+    assert list(a._with_stars(b"", [])) == []
 
 
 @pytest.mark.parametrize("change", ["lose", "repeat"])
@@ -393,18 +391,21 @@ def test_labeled_output_must_have_its_count(change, monkeypatch):
 
 @pytest.mark.parametrize("n", [9, 11])
 def test_labeled_flat_stars_tested_a_buffer_at_a_time(n, monkeypatch):
-    # A labeled flat family's buffers of more rows than column pairs pass
-    # the column test whole; only first takes the per-star test.
+    # A labeled flat family's star test is called once per buffer: first's
+    # star as a one-row buffer, the rest of the first buffer of
+    # _involutions, and each later buffer whole.
     calls = []
     real = qba.enumeration._star_test
 
     def counted(a, f):
         test = real(a, f)
-        return lambda star: calls.append(star) or test(star)
+        return lambda buf: calls.append(buf) or test(buf)
 
     monkeypatch.setattr(qba.enumeration, "_star_test", counted)
     report = enumerate_flat(n, up_to_iso=False)
-    assert report.violations == () and calls == [tuple(range(n))]
+    head, *rest = qba.enumeration._involutions(n)
+    assert report.violations == ()
+    assert calls == [bytes(range(n)), head[n:], *rest] and len(calls) == n
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
