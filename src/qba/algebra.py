@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product, repeat
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import (AlgebraParseError, AlgebraSemanticError, NotAQBAlgebra,
@@ -135,6 +136,15 @@ def _check_field(value, n: int, key: str, depth: int) -> None:
         raise AlgebraSemanticError(f"{key} entry out of range")
 
 
+def _as_tuples(value, depth: int):
+    """A checked field as the constructor keeps it, so that equal fields
+    compare and hash equal however they were given: a tuple, of tuples at
+    depth 2; tuples (rows too) are kept as the same objects."""
+    if depth == 2 and not all(map(tuple.__instancecheck__, value)):
+        return tuple(map(tuple, value))
+    return value if not depth or isinstance(value, tuple) else tuple(value)
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """Immutable operation tables over the carrier {0, ..., n-1}.
@@ -178,14 +188,10 @@ class FiniteAlgebra:
             _refuse_joined_names(self.names)
         for key, depth in _DEEPEST_FIRST:
             _check_field(getattr(self, key), n, key, depth)
-        # Kept as tuples, so that equal fields compare and hash equal however
-        # they were given; tuples (rows too) are kept as the same objects.
         for key, depth in (("names", 1), *_SECTIONS):
             value = getattr(self, key)
-            if depth == 2 and not all(map(tuple.__instancecheck__, value)):
-                object.__setattr__(self, key, tuple(map(tuple, value)))
-            elif depth and not isinstance(value, tuple):
-                object.__setattr__(self, key, tuple(value))
+            if (kept := _as_tuples(value, depth)) is not value:
+                object.__setattr__(self, key, kept)
 
     @property
     def size(self) -> int:
@@ -230,7 +236,7 @@ class FiniteAlgebra:
         img = {masks[x]: x for x, row in enumerate(join) if row[x] == x}
         if len(img) != 1 << len(atoms):
             return None
-        if (join, meet) != _tables([img[s] for s in range(len(img))], masks):
+        if (join, meet) != _tables([img[s] for s in range(len(img))])(masks):
             return None
         return atoms, masks
 
@@ -282,6 +288,31 @@ class FiniteAlgebra:
             fields["one"] = one
             fields["label"] = label
             yield twin
+
+    def _with_tables(self, join, meet, star, one, label: str | None = None
+                     ) -> "FiniteAlgebra":
+        """A copy with this algebra's names and zero (and label, unless
+        label is given) and the given join, meet, star and one, for the
+        enumeration, which builds one algebra per call through the
+        constructor and every other family's first by this. The new fields
+        are checked and kept as the constructor checks and keeps them, so a
+        malformed one gets its error; only the checks of the names, which
+        this algebra passed, are skipped. Filled as in _with_stars."""
+        n = len(self.names)
+        _check_field(join, n, "join", 2)  # in _DEEPEST_FIRST order
+        _check_field(meet, n, "meet", 2)
+        _check_field(star, n, "star", 1)
+        _check_field(one, n, "one", 0)
+        twin = object.__new__(FiniteAlgebra)
+        fields = twin.__dict__
+        fields["names"] = self.names
+        fields["join"] = _as_tuples(join, 2)
+        fields["meet"] = _as_tuples(meet, 2)
+        fields["star"] = _as_tuples(star, 1)
+        fields["zero"] = self.zero
+        fields["one"] = one
+        fields["label"] = self.label if label is None else label
+        return twin
 
     def relabel(self, label: str) -> "FiniteAlgebra":
         return replace(self, label=label)
@@ -413,15 +444,22 @@ def translation_table(values) -> bytes:
     return bytes(values).ljust(256, b"\0")
 
 
-def _tables(img, rep) -> tuple[tuple, tuple]:
-    """join and meet of the algebra whose element x lies in the cloud
-    over the atom set rep[x], where img[s] is the regular element of the
-    set s: x v y = (x v x) v (y v y) = img[rep[x] | rep[y]], and meet
-    likewise. Elements in one cloud share their rows."""
+def _tables(img) -> Callable[[Sequence[int]], tuple[tuple, tuple]]:
+    """The tables of a Boolean part, img[s] the regular element of the set
+    s of atoms, as a function of rep: the join and meet of the algebra
+    whose element x lies in the cloud over rep[x], x v y = (x v x) v (y v y)
+    = img[rep[x] | rep[y]], and meet likewise. The row maps t -> img[s | t]
+    and t -> img[s & t] are built once; a call reads each at rep and makes
+    two n-tuples of references, so elements in one cloud share rows."""
     sets = range(len(img))
-    joins = [tuple(img[s | t] for t in rep) for s in sets]
-    meets = [tuple(img[s & t] for t in rep) for s in sets]
-    return tuple(joins[s] for s in rep), tuple(meets[s] for s in rep)
+    joins = [[img[s | t] for t in sets] for s in sets]
+    meets = [[img[s & t] for t in sets] for s in sets]
+
+    def tables(rep: Sequence[int]) -> tuple[tuple, tuple]:
+        # itemgetter of one index gives that item, not a tuple of it.
+        get = itemgetter(*rep) if len(rep) > 1 else lambda m: (m[rep[0]],)
+        return get(list(map(get, joins))), get(list(map(get, meets)))
+    return tables
 
 
 # The unary bound and complement laws: all that is left to scan once the

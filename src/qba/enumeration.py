@@ -7,9 +7,11 @@ cloud bijectively onto the complementary one. The binary tables follow
 from x v y = (x v x) v (y v y). Flat algebras are the case k = 0, where
 the star is an involution of the one cloud. The construction yields only
 valid algebras, so no axiom check runs here; the tests check that. A
+call builds one algebra through the constructor, and every other table
+family's first is a checked copy of it (FiniteAlgebra._with_tables). A
 family shares names and tables and varies the star; one loop makes its
-star-only copies of a constructed first and checks the structure claims,
-reading the tables and their mask test (FiniteAlgebra.structure) once.
+star-only copies of its first and checks the structure claims, reading
+the tables and their mask test (FiniteAlgebra.structure) once.
 The stars travel as bytes buffers of n-byte rows, one star per row, and
 each buffer, first's star as one of one row, takes one test of the star
 claims as a whole: the labeled flat stars are made level by level, a
@@ -33,11 +35,11 @@ from math import factorial
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .algebra import (FiniteAlgebra, _tables, check_natural, cloud_map,
-                      is_flat, regular_elements, translation_table)
+from .algebra import (FiniteAlgebra, _tables, check_natural, is_flat,
+                      translation_table)
 from .errors import InvariantViolation, PreconditionViolated, TooLarge
-from .quotients import (_flat_algebra, atom_relabelings, flat_star,
-                        generic_names)
+from .partitions import classes
+from .quotients import _flat_algebra, atom_relabelings, flat_star
 
 MAX_SIZE = 16  # any enumeration
 MAX_LABELED = 10 ** 6  # labeled algebras one call may build
@@ -90,19 +92,21 @@ def labeled_count(n: int, flat_only: bool = False) -> int:
     return total
 
 
-def _labeled(n: int, k: int) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
+def _labeled(n: int, k: int, template: FiniteAlgebra | None = None
+             ) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
     """Every algebra on {0..n-1} with zero at index 0 and 2^k regular
-    elements, each once, by families (first, stars): first is built
-    through the constructor, and each row of the buffers of stars (see
-    FiniteAlgebra._with_stars) gives a copy of it. For k = 0 (the flat
-    case): one family, a star per involution of 1..n-1 in lexicographic
-    order, in the buffers of _involutions. Otherwise n is even, img[i] is
-    the regular element for the subset i of the k atoms, the atoms img[1],
+    elements, each once, by families (first, stars): each row of the
+    buffers of stars (see FiniteAlgebra._with_stars) gives a copy of
+    first. For k = 0 (the flat case): one family, first built through the
+    constructor, a star per involution of 1..n-1 in lexicographic order,
+    in the buffers of _involutions. Otherwise n is even, img[i] is the
+    regular element for the subset i of the k atoms, the atoms img[1],
     img[2], img[4], ... increase (one labeling per permutation of the
     atoms), each irregular x gets a cloud rep[x], clouds s and s ^ top
-    have equal sizes, and each such assignment is a family: tables from
-    _tables and the stars of _cloud_stars sorted, first with the least
-    and the others joined into one buffer."""
+    have equal sizes, and each such assignment is a family: first is a
+    checked copy of template (a flat one is built if none is given) with
+    the tables of _tables(img), built once per labeling, and the least of
+    the stars of _cloud_stars; the others, sorted, come as one buffer."""
     if k == 0:
         stars = _involutions(n)
         head = next(stars)
@@ -110,27 +114,33 @@ def _labeled(n: int, k: int) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
         return
     if n % 2:  # non-flat algebras have even order
         return
-    names = generic_names(n)
+    if template is None:
+        template = _flat_algebra(n, range(n))
     top = (1 << k) - 1
-    # The clouds of the irregulars, in order, that give clouds s and
-    # s ^ top = top - s equal sizes (s -> top - s keeps their multiset):
-    # the same for every choice of img.
-    assignments = [c for c in product(range(top + 1), repeat=n - top - 1)
-                   if sorted(c) == sorted(map(top.__sub__, c))]
+    sets = range(top + 1)
+    # The rep and the stars (the least first) of each assignment that gives
+    # clouds s and top - s equal sizes, over the elements in the order
+    # img + irregulars, as translate tables: the same for every img.
+    shapes = []
+    for c in product(sets, repeat=n - top - 1):
+        if sorted(c) == sorted(map(top.__sub__, c)):
+            rep = (*sets, *c)
+            shapes.append((translation_table(rep), [
+                translation_table(s) for s in _cloud_stars(sets, rep)]))
     for p in permutations(range(1, n), top):
         img = (0,) + p
         if any(img[1 << i] > img[2 << i] for i in range(k - 1)):
             continue
-        rep = [0] * n
-        for s, r in enumerate(img):
-            rep[r] = s
-        irregulars = [x for x in range(n) if x not in img]
-        for clouds in assignments:
-            for x, s in zip(irregulars, clouds):
-                rep[x] = s
-            least, *stars = sorted(_cloud_stars(img, rep))
-            yield (FiniteAlgebra(names, *_tables(img, rep), tuple(least),
-                                 0, img[top]), (b"".join(stars),))
+        tables = _tables(img)
+        at = img + tuple(x for x in range(n) if x not in img)  # at each place
+        place = bytes(sorted(range(n), key=at.__getitem__))  # of each element
+        at = translation_table(at)
+        for rep, stars in shapes:
+            least, *others = [place.translate(s).translate(at) for s in stars]
+            others.sort()
+            yield (template._with_tables(*tables(place.translate(rep)),
+                                         tuple(least), img[top]),
+                   (b"".join(others),) if others else ())
 
 
 def _cloud_stars(img, rep) -> Iterator[bytes]:
@@ -258,9 +268,10 @@ def _enumerate(n: int, up_to_iso: bool, flat_only: bool) -> EnumerationReport:
     elif flat_only:
         families = _labeled(n, 0)
     else:
-        families = sorted(
-            (f for k in range(n.bit_length()) for f in _labeled(n, k)),
-            key=lambda f: (f[0].one, f[0].join, f[0].meet))
+        (flat,) = _labeled(n, 0)
+        families = sorted(chain([flat], *(_labeled(n, k, flat[0])
+                                          for k in range(1, n.bit_length()))),
+                          key=lambda f: (f[0].one, f[0].join, f[0].meet))
     algebras, violations = _made_and_checked(families)
     if not up_to_iso and len(algebras) != total:
         raise InvariantViolation(f"labeled {kind} enumeration of size {n} "
@@ -300,7 +311,8 @@ def _classes(n: int, flat_only: bool) -> Iterator[tuple]:
     only: one family, by rising number k of star fixed points, labeled
     F{n}k{k}. Otherwise labeled qba{n}_i in (one, join, meet, star) order:
     the flat classes, one family by falling number of star fixed points,
-    then the non-flat ones, a family of one each."""
+    then the non-flat ones, a family of one each: checked copies of the
+    first flat class, the one algebra built through the constructor."""
     if flat_only:
         fixed = range(2 - n % 2, n + 1, 2)
         tables, labels = [], [f"F{n}k{k}" for k in fixed]
@@ -315,7 +327,7 @@ def _classes(n: int, flat_only: bool) -> Iterator[tuple]:
     first = _flat_algebra(n, stars[:n], labels[0])
     yield first, (stars[n:],), labels[1:len(fixed)]
     for t, label in zip(tables, labels[len(fixed):]):
-        yield FiniteAlgebra(first.names, *t, 0, 1, label), (), ()
+        yield first._with_tables(*t, 1, label), (), ()
 
 
 def _cloud_classes(n: int) -> Iterator[tuple[int, ...]]:
@@ -352,7 +364,7 @@ def _cloud_tables(c: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
     for s in sorted(range(1, top), key=c.__getitem__, reverse=True):
         img[s] = len(rep)
         rep += [s] * c[s]
-    return (*_tables(img, rep), tuple(next(_cloud_stars(img, rep))))
+    return (*_tables(img)(rep), tuple(next(_cloud_stars(img, rep))))
 
 
 STRUCTURE_CLAIMS = (
@@ -379,22 +391,22 @@ class _TableFacts(NamedTuple):
 
     flat: bool
     reps: list[int]
-    clouds: dict[int, frozenset[int]]
     claims: list[tuple[str, bool | None]]
     tables_hold: bool
 
 
 def _table_facts(a: FiniteAlgebra) -> _TableFacts:
-    """x v x for each x, the class {y : y v y = r} of each such r, and
-    every claim that applies, in STRUCTURE_CLAIMS order: with its value
-    where it reads the tables alone, with None where it reads the star.
+    """x v x for each x, read once, and every claim that applies, in
+    STRUCTURE_CLAIMS order: with its value where it reads the tables
+    alone, with None where it reads the star. The regulars and the clouds
+    {y : y v y = r} come from x v x; only _claims reads their members.
     The irreducible claims read the star only when the mask test holds."""
-    regs = regular_elements(a)
-    reps = [a.join[x][x] for x in a.elements()]
-    clouds = cloud_map(a)
+    reps = [row[x] for x, row in enumerate(a.join)]
+    keys = set(reps)  # one per cloud
+    regs = {r for r in keys if reps[r] == r}
     # Once every x v x is regular, the clouds of the regulars are the
-    # classes of cloud_map, so they cover the carrier disjointly.
-    claims = [("cloud-partition", regs.issuperset(reps)),
+    # classes of x v x, so they cover the carrier disjointly.
+    claims = [("cloud-partition", regs == keys),
               ("star-cloud-image", None), ("star-cloud-size", None),
               ("star-involution", None)]
     flat = is_flat(a)
@@ -411,13 +423,13 @@ def _table_facts(a: FiniteAlgebra) -> _TableFacts:
     else:
         zero_row = (a.zero,) * a.size
         claims += [
-            ("flat-regulars-trivial", regs == frozenset((a.zero,))),
-            ("flat-cloud-zero-whole", len(clouds) == 1),
+            ("flat-regulars-trivial", regs == {a.zero}),
+            ("flat-cloud-zero-whole", len(keys) == 1),
             ("flat-ops-zero",
              a.join.count(zero_row) == a.meet.count(zero_row) == len(reps)),
             ("flat-size-parity", None),
         ]
-    return _TableFacts(flat, reps, clouds, claims,
+    return _TableFacts(flat, reps, claims,
                        False not in map(itemgetter(1), claims))
 
 
@@ -451,13 +463,14 @@ def verify_structure(a: FiniteAlgebra) -> list[tuple[str, bool]]:
 
 def _claims(a: FiniteAlgebra, f: _TableFacts) -> list[tuple[str, bool]]:
     """The claims of f, each None filled by its label from one pass over
-    the clouds of the regulars and the star."""
-    star = a.star
+    the clouds of the regulars, grouped from f.reps, and the star."""
+    star, reps = a.star, f.reps
     n = len(star)  # a.size, as the star was checked to have
+    clouds = {reps[c[0]]: frozenset(c) for c in classes(reps)}
     image = size = apart = True
-    for r, cloud in f.clouds.items():
-        if f.reps[r] == r:  # a regular and its cloud
-            dst = f.clouds[f.reps[star[r]]]
+    for r, cloud in clouds.items():
+        if reps[r] == r:  # a regular and its cloud
+            dst = clouds[reps[star[r]]]
             image = image and frozenset(map(star.__getitem__, cloud)) == dst
             size = size and len(cloud) == len(dst)
             apart = apart and not cloud & dst

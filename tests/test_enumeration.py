@@ -459,17 +459,68 @@ def test_star_only_copies_behave_as_constructed(build, nonflat, monkeypatch):
     assert len(copies) >= 4
     assert any(not qba.is_flat(c) for c in copies) == nonflat
     for c in copies:
-        made = qba.FiniteAlgebra(c.names, c.join, c.meet, c.star, c.zero,
-                                 c.one, c.label)
-        # A copy's dict shares the class's keys, as a constructed one does,
-        # so the two have one size; a dict filled by dict.update holds keys
-        # of its own and is larger.
-        assert sys.getsizeof(c.__dict__) == sys.getsizeof(made.__dict__)
-        for twin in (c, replace(c), copy.copy(c), pickle.loads(pickle.dumps(c))):
-            assert twin == made and hash(twin) == hash(made)
-            assert repr(twin) == repr(made) and twin.label == made.label
-        with pytest.raises(FrozenInstanceError):
-            c.star = made.star
-        assert c.validation is c.validation and c.validation == made.validation
-        assert c.structure is c.structure and c.structure == made.structure
-        assert {"validation", "structure"} <= c.__dict__.keys()
+        assert_behaves_as_constructed(c)
+
+
+def assert_behaves_as_constructed(c):
+    made = qba.FiniteAlgebra(c.names, c.join, c.meet, c.star, c.zero,
+                             c.one, c.label)
+    # A copy's dict shares the class's keys, as a constructed one does,
+    # so the two have one size; a dict filled by dict.update holds keys
+    # of its own and is larger.
+    assert sys.getsizeof(c.__dict__) == sys.getsizeof(made.__dict__)
+    for twin in (c, replace(c), copy.copy(c), pickle.loads(pickle.dumps(c))):
+        assert twin == made and hash(twin) == hash(made)
+        assert repr(twin) == repr(made) and twin.label == made.label
+    with pytest.raises(FrozenInstanceError):
+        c.star = made.star
+    assert c.validation is c.validation and c.validation == made.validation
+    assert c.structure is c.structure and c.structure == made.structure
+    assert {"validation", "structure"} <= c.__dict__.keys()
+
+
+@pytest.mark.parametrize("n,up_to_iso", [(6, False), (8, True), (10, True)])
+def test_checked_copies_behave_as_constructed(n, up_to_iso, monkeypatch):
+    # The first of each non-flat family, labeled or a class, is a checked
+    # copy of the call's flat first, with its own tables, star and one.
+    copies = []
+    real = qba.FiniteAlgebra._with_tables
+    monkeypatch.setattr(qba.FiniteAlgebra, "_with_tables",
+                        lambda a, *args: copies.append(real(a, *args)) or copies[-1])
+    nonflat = [a for a in enumerate_all(n, up_to_iso).iso_classes
+               if not qba.is_flat(a)]
+    if up_to_iso:
+        assert copies == nonflat
+    else:  # 150 families, each with its first and its other stars
+        assert len(copies) == 150 and {*map(id, copies)} <= {*map(id, nonflat)}
+    assert len(copies) >= 3 and all(c.names is copies[0].names for c in copies)
+    for c in copies:
+        assert_behaves_as_constructed(c)
+
+
+@pytest.mark.parametrize("enumerate_, sizes, up_to_iso", [
+    (enumerate_all, range(1, 9), False), (enumerate_all, range(1, 9), True),
+    (enumerate_flat, range(1, 13), False), (enumerate_flat, range(1, 17), True),
+], ids=["all_labeled", "all_classes", "flat_labeled", "flat_classes"])
+def test_one_constructor_run_per_call(enumerate_, sizes, up_to_iso,
+                                      monkeypatch):
+    # Each call builds one algebra through the constructor, its first
+    # output; every other table family's first is a copy of it. A call
+    # without a non-flat family sets up no Boolean part (no table builder,
+    # no cloud stars), and one with a single non-flat algebra sets up one.
+    runs, setups = [], []
+    real = qba.FiniteAlgebra.__post_init__
+    monkeypatch.setattr(qba.FiniteAlgebra, "__post_init__",
+                        lambda a: runs.append(a) or real(a))
+    for name in ("_tables", "_cloud_stars"):
+        monkeypatch.setattr(qba.enumeration, name, lambda *args, name=name,
+                            real=getattr(qba.enumeration, name):
+                            setups.append(name) or real(*args))
+    for n in sizes:
+        runs.clear()
+        setups.clear()
+        algebras = enumerate_(n, up_to_iso).iso_classes
+        assert len(runs) == 1 and runs[0] is algebras[0], n
+        nonflat = sum(not qba.is_flat(a) for a in algebras)
+        if nonflat < 2:
+            assert sorted(setups) == ["_cloud_stars", "_tables"] * nonflat, n

@@ -138,6 +138,16 @@ def test_star_only_copies_made_in_the_family_loop():
     assert method_uses(tree, "_with_stars") == ["_made_and_checked"]
 
 
+def test_checked_copies_made_by_the_generators():
+    # FiniteAlgebra._with_tables skips the name checks, which the algebra it
+    # copies passed; only the enumeration's generators of families call it,
+    # each on the one algebra its call built through the constructor.
+    users = {p.name for p in SOURCES if "_with_tables" in p.read_text("utf-8")}
+    assert users == {"algebra.py", "enumeration.py"}
+    tree = ast.parse((ROOT / "src" / "qba" / "enumeration.py").read_text("utf-8"))
+    assert method_uses(tree, "_with_tables") == ["_labeled", "_classes"]
+
+
 def test_method_use_check_sees_every_site():
     tree = ast.parse("def f(a, s):\n    return a._with_stars(s)\n"
                      "def g(a):\n    yield from a.b._with_stars([], ['x'])\n"
@@ -159,10 +169,11 @@ def instance_dict_uses(tree: ast.AST) -> set[str]:
 
 def test_instance_dict_stays_in_with_stars():
     # Writing an instance dict gets round the frozen dataclass and all of
-    # its checks; the one place that does so is the star-only copy.
+    # its checks; the two places that do so are the enumeration's copies:
+    # the star-only one and the checked one, which checks its new fields.
     uses = {(p.name, fn) for p in SOURCES
             for fn in instance_dict_uses(ast.parse(p.read_text("utf-8")))}
-    assert uses == {("algebra.py", "_with_stars")}
+    assert uses == {("algebra.py", "_with_stars"), ("algebra.py", "_with_tables")}
 
 
 def test_instance_dict_check_sees_every_form():
