@@ -136,15 +136,6 @@ def _check_field(value, n: int, key: str, depth: int) -> None:
         raise AlgebraSemanticError(f"{key} entry out of range")
 
 
-def _as_tuples(value, depth: int):
-    """A checked field as the constructor keeps it, so that equal fields
-    compare and hash equal however they were given: a tuple, of tuples at
-    depth 2; tuples (rows too) are kept as the same objects."""
-    if depth == 2 and not all(map(tuple.__instancecheck__, value)):
-        return tuple(map(tuple, value))
-    return value if not depth or isinstance(value, tuple) else tuple(value)
-
-
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """Immutable operation tables over the carrier {0, ..., n-1}.
@@ -188,10 +179,14 @@ class FiniteAlgebra:
             _refuse_joined_names(self.names)
         for key, depth in _DEEPEST_FIRST:
             _check_field(getattr(self, key), n, key, depth)
+        # Kept as tuples, so that equal fields compare and hash equal however
+        # they were given; tuples (rows too) are kept as the same objects.
         for key, depth in (("names", 1), *_SECTIONS):
             value = getattr(self, key)
-            if (kept := _as_tuples(value, depth)) is not value:
-                object.__setattr__(self, key, kept)
+            if depth == 2 and not all(map(tuple.__instancecheck__, value)):
+                object.__setattr__(self, key, tuple(map(tuple, value)))
+            elif depth and not isinstance(value, tuple):
+                object.__setattr__(self, key, tuple(value))
 
     @property
     def size(self) -> int:
@@ -288,31 +283,6 @@ class FiniteAlgebra:
             fields["one"] = one
             fields["label"] = label
             yield twin
-
-    def _with_tables(self, join, meet, star, one, label: str | None = None
-                     ) -> "FiniteAlgebra":
-        """A copy with this algebra's names and zero (and label, unless
-        label is given) and the given join, meet, star and one, for the
-        enumeration, which builds one algebra per call through the
-        constructor and every other family's first by this. The new fields
-        are checked and kept as the constructor checks and keeps them, so a
-        malformed one gets its error; only the checks of the names, which
-        this algebra passed, are skipped. Filled as in _with_stars."""
-        n = len(self.names)
-        _check_field(join, n, "join", 2)  # in _DEEPEST_FIRST order
-        _check_field(meet, n, "meet", 2)
-        _check_field(star, n, "star", 1)
-        _check_field(one, n, "one", 0)
-        twin = object.__new__(FiniteAlgebra)
-        fields = twin.__dict__
-        fields["names"] = self.names
-        fields["join"] = _as_tuples(join, 2)
-        fields["meet"] = _as_tuples(meet, 2)
-        fields["star"] = _as_tuples(star, 1)
-        fields["zero"] = self.zero
-        fields["one"] = one
-        fields["label"] = self.label if label is None else label
-        return twin
 
     def relabel(self, label: str) -> "FiniteAlgebra":
         return replace(self, label=label)

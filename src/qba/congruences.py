@@ -281,6 +281,18 @@ class CongruenceDecomposition:
     f: tuple[tuple[int, int], ...]
     cross: frozenset[tuple[int, int]]
 
+    def __post_init__(self):
+        # Kept as frozensets and a tuple of pairs, so that equal
+        # decompositions compare and hash equal however they were given.
+        try:
+            kept = (frozenset(self.linked), tuple(map(tuple, self.f)),
+                    frozenset(self.cross))
+        except TypeError:  # not a collection, or an unhashable member
+            raise ValueError("linked and cross must be sets and f a sequence "
+                             "of pairs") from None
+        for key, value in zip(("linked", "f", "cross"), kept):
+            object.__setattr__(self, key, value)
+
     @property
     def f_map(self) -> dict[int, int]:
         return dict(self.f)

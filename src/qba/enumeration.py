@@ -7,11 +7,10 @@ cloud bijectively onto the complementary one. The binary tables follow
 from x v y = (x v x) v (y v y). Flat algebras are the case k = 0, where
 the star is an involution of the one cloud. The construction yields only
 valid algebras, so no axiom check runs here; the tests check that. A
-call builds one algebra through the constructor, and every other table
-family's first is a checked copy of it (FiniteAlgebra._with_tables). A
-family shares names and tables and varies the star; one loop makes its
-star-only copies of its first and checks the structure claims, reading
-the tables and their mask test (FiniteAlgebra.structure) once.
+family shares names and tables and varies the star: its first algebra
+is built through the constructor, and one loop makes its star-only
+copies and checks the structure claims, reading the tables and their
+mask test (FiniteAlgebra.structure) once.
 The stars travel as bytes buffers of n-byte rows, one star per row, and
 each buffer, first's star as one of one row, takes one test of the star
 claims as a whole: the labeled flat stars are made level by level, a
@@ -39,7 +38,7 @@ from .algebra import (FiniteAlgebra, _tables, check_natural, is_flat,
                       translation_table)
 from .errors import InvariantViolation, PreconditionViolated, TooLarge
 from .partitions import classes
-from .quotients import _flat_algebra, atom_relabelings, flat_star
+from .quotients import _flat_algebra, atom_relabelings, flat_star, generic_names
 
 MAX_SIZE = 16  # any enumeration
 MAX_LABELED = 10 ** 6  # labeled algebras one call may build
@@ -92,21 +91,19 @@ def labeled_count(n: int, flat_only: bool = False) -> int:
     return total
 
 
-def _labeled(n: int, k: int, template: FiniteAlgebra | None = None
-             ) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
+def _labeled(n: int, k: int) -> Iterator[tuple[FiniteAlgebra, Iterable[bytes]]]:
     """Every algebra on {0..n-1} with zero at index 0 and 2^k regular
-    elements, each once, by families (first, stars): each row of the
-    buffers of stars (see FiniteAlgebra._with_stars) gives a copy of
-    first. For k = 0 (the flat case): one family, first built through the
-    constructor, a star per involution of 1..n-1 in lexicographic order,
-    in the buffers of _involutions. Otherwise n is even, img[i] is the
-    regular element for the subset i of the k atoms, the atoms img[1],
+    elements, each once, by families (first, stars): first is built
+    through the constructor, and each row of the buffers of stars (see
+    FiniteAlgebra._with_stars) gives a copy of it. For k = 0 (the flat
+    case): one family, a star per involution of 1..n-1 in lexicographic
+    order, in the buffers of _involutions. Otherwise n is even, img[i] is
+    the regular element for the subset i of the k atoms, the atoms img[1],
     img[2], img[4], ... increase (one labeling per permutation of the
     atoms), each irregular x gets a cloud rep[x], clouds s and s ^ top
-    have equal sizes, and each such assignment is a family: first is a
-    checked copy of template (a flat one is built if none is given) with
-    the tables of _tables(img), built once per labeling, and the least of
-    the stars of _cloud_stars; the others, sorted, come as one buffer."""
+    have equal sizes, and each such assignment is a family: the tables of
+    _tables(img), its row maps built once per labeling, and the stars of
+    _cloud_stars, the least on first and the others, sorted, in one buffer."""
     if k == 0:
         stars = _involutions(n)
         head = next(stars)
@@ -114,8 +111,7 @@ def _labeled(n: int, k: int, template: FiniteAlgebra | None = None
         return
     if n % 2:  # non-flat algebras have even order
         return
-    if template is None:
-        template = _flat_algebra(n, range(n))
+    names = generic_names(n)
     top = (1 << k) - 1
     sets = range(top + 1)
     # The rep and the stars (the least first) of each assignment that gives
@@ -138,8 +134,8 @@ def _labeled(n: int, k: int, template: FiniteAlgebra | None = None
         for rep, stars in shapes:
             least, *others = [place.translate(s).translate(at) for s in stars]
             others.sort()
-            yield (template._with_tables(*tables(place.translate(rep)),
-                                         tuple(least), img[top]),
+            yield (FiniteAlgebra(names, *tables(place.translate(rep)),
+                                 tuple(least), 0, img[top]),
                    (b"".join(others),) if others else ())
 
 
@@ -268,10 +264,9 @@ def _enumerate(n: int, up_to_iso: bool, flat_only: bool) -> EnumerationReport:
     elif flat_only:
         families = _labeled(n, 0)
     else:
-        (flat,) = _labeled(n, 0)
-        families = sorted(chain([flat], *(_labeled(n, k, flat[0])
-                                          for k in range(1, n.bit_length()))),
-                          key=lambda f: (f[0].one, f[0].join, f[0].meet))
+        families = sorted(
+            (f for k in range(n.bit_length()) for f in _labeled(n, k)),
+            key=lambda f: (f[0].one, f[0].join, f[0].meet))
     algebras, violations = _made_and_checked(families)
     if not up_to_iso and len(algebras) != total:
         raise InvariantViolation(f"labeled {kind} enumeration of size {n} "
@@ -311,8 +306,8 @@ def _classes(n: int, flat_only: bool) -> Iterator[tuple]:
     only: one family, by rising number k of star fixed points, labeled
     F{n}k{k}. Otherwise labeled qba{n}_i in (one, join, meet, star) order:
     the flat classes, one family by falling number of star fixed points,
-    then the non-flat ones, a family of one each: checked copies of the
-    first flat class, the one algebra built through the constructor."""
+    then the non-flat ones, a family of one each. Every class is built
+    through the constructor but the flat family's star-only copies."""
     if flat_only:
         fixed = range(2 - n % 2, n + 1, 2)
         tables, labels = [], [f"F{n}k{k}" for k in fixed]
@@ -327,7 +322,7 @@ def _classes(n: int, flat_only: bool) -> Iterator[tuple]:
     first = _flat_algebra(n, stars[:n], labels[0])
     yield first, (stars[n:],), labels[1:len(fixed)]
     for t, label in zip(tables, labels[len(fixed):]):
-        yield first._with_tables(*t, 1, label), (), ()
+        yield FiniteAlgebra(first.names, *t, 0, 1, label), (), ()
 
 
 def _cloud_classes(n: int) -> Iterator[tuple[int, ...]]:
@@ -524,8 +519,8 @@ def _star_test(a: FiniteAlgebra, f: _TableFacts
     return passes
 
 
-# _IS[v] as a translate table maps the byte v to 1 and every other to 0.
-_IS = tuple(bytes(v) + b"\1" + bytes(255 - v) for v in range(256))
+# _IS[v], for each star entry v < MAX_SIZE, maps byte v to 1, others to 0.
+_IS = tuple(bytes(v) + b"\1" + bytes(255 - v) for v in range(MAX_SIZE))
 
 
 def _involutive_rows(buf: bytes, n: int) -> bool:

@@ -60,6 +60,19 @@ class Partition:
 
     def __post_init__(self):
         _check_size(self.size)
+        # Kept as a tuple of tuples, tuples as the same objects, so that
+        # equal partitions compare and hash equal; blocks without a length
+        # (an iterator, None) are refused rather than spent.
+        blocks = self.blocks
+        if not (isinstance(blocks, tuple)
+                and all(map(tuple.__instancecheck__, blocks))):
+            try:
+                len(blocks)
+                blocks = tuple(map(tuple, blocks))
+            except TypeError:
+                raise ValueError(
+                    "blocks must be a sequence of blocks of elements") from None
+            object.__setattr__(self, "blocks", blocks)
         seen = [-1] * self.size
         for bi, block in enumerate(self.blocks):
             if not block:

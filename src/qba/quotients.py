@@ -28,6 +28,14 @@ class ElementMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
+        # Kept as a tuple, so that equal maps compare and hash equal
+        # however the mapping was given.
+        if not isinstance(self.mapping, tuple):
+            try:
+                len(self.mapping)
+            except TypeError:  # an iterator, None
+                raise ValueError("mapping must be a sequence of elements") from None
+            object.__setattr__(self, "mapping", tuple(self.mapping))
         if len(self.mapping) != self.source_size:
             raise ValueError("mapping length differs from source size")
         if any(not (isinstance(v, int) and 0 <= v < self.target_size)

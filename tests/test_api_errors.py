@@ -117,6 +117,18 @@ NOT_MASKS = "join and meet are not unions and intersections of atom masks"
     guard(lambda: Partition(-1, ()), ValueError, "size must be an int >= 0, not -1"),
     guard(lambda: Partition(2.0, ((0, 1),)),
           ValueError, "size must be an int >= 0, not 2.0"),
+    guard(lambda: Partition(2, None),
+          ValueError, "blocks must be a sequence of blocks of elements"),
+    guard(lambda: Partition(2, iter([(0,), (1,)])),
+          ValueError, "blocks must be a sequence of blocks of elements"),
+    guard(lambda: ElementMap(2, 2, None),
+          ValueError, "mapping must be a sequence of elements"),
+    guard(lambda: ElementMap(2, 2, iter([0, 1])),
+          ValueError, "mapping must be a sequence of elements"),
+    guard(lambda: replace(CHI6, linked=None),
+          ValueError, "linked and cross must be sets and f a sequence of pairs"),
+    guard(lambda: replace(CHI6, cross=[[0, 1], [1, 0]]),
+          ValueError, "linked and cross must be sets and f a sequence of pairs"),
     guard(lambda: Partition.singletons(-2),
           ValueError, "size must be an int >= 0, not -2"),
     guard(lambda: Partition.from_pairs(-3, []),

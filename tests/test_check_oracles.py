@@ -301,20 +301,6 @@ def malformed_variants(a):
     yield args
 
 
-def non_integer_variants(a):
-    """Argument lists with an entry of join or meet, or the constant one,
-    that is not an integer."""
-    base = fields(a)
-    for bad in (0.5, "0", None, [0]):
-        for k in (1, 2):
-            args = list(base)
-            args[k] = with_cell(base[k], a.size - 1, 0, bad)
-            yield args
-        args = list(base)
-        args[5] = bad
-        yield args
-
-
 class TestWellFormedness:
     def test_fixtures_construct_in_both(self, fx):
         for a in fx.values():
@@ -384,33 +370,6 @@ class TestWellFormedness:
                                (a, buffers)) == expected
                 checked += 1
         assert checked == 12 * len(fx)
-
-    def test_malformed_fields_same_error_through_with_tables(self, fx):
-        # The checked copy takes a new join, meet, star and one beside the
-        # names and zero of the algebra it copies, and checks each as the
-        # constructor does: a wrong shape, a non-integer entry or an entry
-        # out of range in any of them, or two faults at once, fail as the
-        # constructor fails; good fields give what the constructor gives.
-        checked = 0
-        for a in fx.values():
-            base = fields(a)
-            for args in (*malformed_variants(a), *non_integer_variants(a)):
-                if args[0] != base[0] or args[4] != base[4]:
-                    continue  # a name or zero: not a field of the copy
-                expected = outcome(FiniteAlgebra, *args)
-                copy = (args[1], args[2], args[3], args[5])
-                assert outcome(a._with_tables, *copy) == expected, args
-                if expected is None:
-                    assert a._with_tables(*copy) == FiniteAlgebra(*args)
-                else:
-                    checked += 1
-            listed = (list(map(list, a.join)), list(a.meet), list(a.star), a.one)
-            for copy, label in ((a._with_tables(*listed), a.label),
-                                (a._with_tables(*listed, "x"), "x")):
-                assert copy == a and hash(copy) == hash(a) and copy.label == label
-                assert tables(copy) == tables(a) and copy.names is a.names
-                assert type(copy.star) is tuple and type(copy.join[0]) is tuple
-        assert checked > 1000
 
     def test_no_other_code_point_is_whitespace_to_split(self):
         # One name holding every code point for which isspace() is false

@@ -564,6 +564,21 @@ class TestDecompose:
         assert d.theta_ir == Partition.singletons(2)
         assert d.linked == frozenset() and d.cross == frozenset()
 
+    def test_containers_kept_canonical(self, fx):
+        # A decomposition rebuilt from lists and sets is the one decompose
+        # gives: equal, of equal hash, with frozensets and a tuple of pairs.
+        a = fx["6"]
+        d = qba.decompose(a, qba.chi(a))
+        rebuilt = CongruenceDecomposition(
+            theta_r=d.theta_r, theta_ir=d.theta_ir, linked=set(d.linked),
+            f=list(map(list, d.f)), cross=set(d.cross))
+        assert rebuilt == d and hash(rebuilt) == hash(d)
+        assert CongruenceDecomposition(d.theta_r, d.theta_ir, d.linked,
+                                       list(d.f), d.cross) == d
+        assert type(rebuilt.linked) is frozenset is type(rebuilt.cross)
+        assert rebuilt.f == ((0, 0), (1, 1))
+        assert qba.compose_nonflat(a, rebuilt) == qba.chi(a)
+
     def test_roundtrip_on_every_congruence(self, fx, congruence_cache):
         for name, a in fx.items():
             if qba.is_flat(a):

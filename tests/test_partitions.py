@@ -27,6 +27,22 @@ class TestPartition:
             Partition(3, ((1, 0), (2,)))  # unsorted block
         with pytest.raises(ValueError):
             Partition(2, ((0, 5),))  # out of range
+        for blocks in (5, [1], iter([(0,), (1,)])):  # no blocks, or spent
+            with pytest.raises(ValueError, match="^blocks must be a sequence"):
+                Partition(2, blocks)
+
+    def test_blocks_kept_as_tuples(self, fx):
+        # Blocks given as lists compare, hash and search as the same
+        # partition given as tuples; tuples are kept as the same objects.
+        listed = Partition(4, [[0], [1], [2], [3]])
+        assert listed == Partition.singletons(4)
+        assert listed in qba.all_congruences(fx["4"])
+        assert hash(Partition(2, [(0,), (1,)])) == hash(Partition.singletons(2))
+        assert type(listed.blocks) is tuple
+        assert all(type(block) is tuple for block in listed.blocks)
+        blocks = ((0, 2), (1,))
+        kept = Partition(3, blocks)
+        assert kept.blocks is blocks and kept.blocks[0] is blocks[0]
 
     def test_from_pairs_closure(self):
         p = Partition.from_pairs(5, [(0, 1), (1, 2), (3, 4)])

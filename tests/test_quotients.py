@@ -159,6 +159,15 @@ class TestIsHomomorphism:
         with pytest.raises(ValueError):
             qba.is_homomorphism(fx["4"], fx["4"], ElementMap(3, 4, (0, 1, 2)))
 
+    def test_mapping_kept_as_a_tuple(self, fx):
+        listed = ElementMap(2, 2, [0, 1])
+        assert listed == ElementMap(2, 2, (0, 1))
+        assert hash(listed) == hash(ElementMap(2, 2, (0, 1)))
+        assert type(listed.mapping) is tuple
+        mapping = (0, 1, 2, 3)
+        assert ElementMap(4, 4, mapping).mapping is mapping
+        assert qba.is_homomorphism(fx["4"], fx["4"], ElementMap(4, 4, range(4)))
+
     def test_one_not_preserved_is_typed_error(self, fx):
         two = fx["2"]
         # Claims 1 = 0 although 0* is the other element: the identity

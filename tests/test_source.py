@@ -138,16 +138,6 @@ def test_star_only_copies_made_in_the_family_loop():
     assert method_uses(tree, "_with_stars") == ["_made_and_checked"]
 
 
-def test_checked_copies_made_by_the_generators():
-    # FiniteAlgebra._with_tables skips the name checks, which the algebra it
-    # copies passed; only the enumeration's generators of families call it,
-    # each on the one algebra its call built through the constructor.
-    users = {p.name for p in SOURCES if "_with_tables" in p.read_text("utf-8")}
-    assert users == {"algebra.py", "enumeration.py"}
-    tree = ast.parse((ROOT / "src" / "qba" / "enumeration.py").read_text("utf-8"))
-    assert method_uses(tree, "_with_tables") == ["_labeled", "_classes"]
-
-
 def test_method_use_check_sees_every_site():
     tree = ast.parse("def f(a, s):\n    return a._with_stars(s)\n"
                      "def g(a):\n    yield from a.b._with_stars([], ['x'])\n"
@@ -169,11 +159,11 @@ def instance_dict_uses(tree: ast.AST) -> set[str]:
 
 def test_instance_dict_stays_in_with_stars():
     # Writing an instance dict gets round the frozen dataclass and all of
-    # its checks; the two places that do so are the enumeration's copies:
-    # the star-only one and the checked one, which checks its new fields.
+    # its checks; the one place that does so is the enumeration's
+    # star-only copy, which checks the stars it takes.
     uses = {(p.name, fn) for p in SOURCES
             for fn in instance_dict_uses(ast.parse(p.read_text("utf-8")))}
-    assert uses == {("algebra.py", "_with_stars"), ("algebra.py", "_with_tables")}
+    assert uses == {("algebra.py", "_with_stars")}
 
 
 def test_instance_dict_check_sees_every_form():
@@ -184,6 +174,36 @@ def test_instance_dict_check_sees_every_form():
                      "def k(a):\n    return a.__doc__, a.vars\n"
                      "d = A().__dict__\n")
     assert instance_dict_uses(tree) == {"f", "g", "h", "<module>"}
+
+
+def name_uses(tree: ast.AST, name: str) -> list[str]:
+    """The owner of each place that reads name: as a bare name, as an
+    attribute, or in an import."""
+    return owners(tree, lambda node: isinstance(node, ast.Name) and node.id == name
+                  or isinstance(node, ast.Attribute) and node.attr == name
+                  or isinstance(node, ast.alias) and node.name == name)
+
+
+def test_fields_checked_only_by_the_two_ways_in():
+    # An algebra is made by the constructor, or by _with_stars as a
+    # star-only copy of one; they are the only places that check a field.
+    uses = {p.name: name_uses(ast.parse(p.read_text("utf-8")), "_check_field")
+            for p in SOURCES}
+    assert {name: found for name, found in uses.items() if found} == {
+        "algebra.py": ["__post_init__", "_with_stars"]}
+    tree = ast.parse((ROOT / "src" / "qba" / "algebra.py").read_text("utf-8"))
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+              and node.name == "FiniteAlgebra"]
+    assert name_uses(cls, "_check_field") == ["__post_init__", "_with_stars"]
+
+
+def test_name_use_check_sees_every_site():
+    tree = ast.parse("from .algebra import _check_field as check\n"
+                     "class A:\n    def f(self):\n        _check_field(1, 2)\n"
+                     "def g(m):\n    return m._check_field, '_check_field'\n"
+                     "def _check_field():\n    pass\n"
+                     "h = _check_field\n")
+    assert name_uses(tree, "_check_field") == ["<module>", "f", "g", "<module>"]
 
 
 def private_names_from_algebra(tree: ast.AST) -> set[str]:
