@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product, repeat
-from operator import itemgetter
+from itertools import chain, product, repeat
+from operator import is_, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import (AlgebraParseError, AlgebraSemanticError, NotAQBAlgebra,
@@ -124,14 +124,14 @@ def _check_field(value, n: int, key: str, depth: int) -> None:
         shaped = False
     if not shaped:
         raise AlgebraSemanticError(f"wrong table dimensions for {key}")
-    # Each distinct entry of a table is type- and range-checked once;
-    # enumerated algebras share rows, so the union is small.
-    try:
-        entries = set().union(*value) if depth == 2 else value
-    except TypeError:  # an unhashable entry
-        raise AlgebraSemanticError(f"{key} entry is not an integer") from None
-    if not _all_ints(entries):
+    # Every entry is type-checked, since a set of them would hide 1.0
+    # behind an equal 1; each distinct entry is then range-checked once.
+    # A flat table repeats one row object, so that row stands for all.
+    if depth == 2 and value[0] is value[-1] and all(map(is_, value, repeat(value[0]))):
+        value = value[:1]
+    if not _all_ints(chain.from_iterable(value) if depth == 2 else value):
         raise AlgebraSemanticError(f"{key} entry is not an integer")
+    entries = set().union(*value) if depth == 2 else value
     if min(entries) < 0 or max(entries) >= n:
         raise AlgebraSemanticError(f"{key} entry out of range")
 

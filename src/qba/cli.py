@@ -388,21 +388,106 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of a parser from build_parser, by name."""
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def _plain_kind(action: argparse.Action) -> bool:
+    """Whether _plain_parse reads action itself: a store_true flag, or a
+    store of one value."""
+    return (type(action) is argparse._StoreTrueAction
+            or type(action) is argparse._StoreAction and action.nargs is None)
+
+
+@functools.cache
+def _plain_forms() -> dict[str, tuple]:
+    """What _plain_parse reads of each subcommand's parser: the parser, the
+    entries its parse_known_args puts in the namespace before it reads an
+    argument, its positionals in order, its option strings of the plain
+    kinds with their actions, and its required options. A subcommand with
+    a positional of another kind, or a group of exclusive options, is left
+    out."""
+    forms = {}
+    for name, p in _subcommands(_shared_parser()).items():
+        positionals = [a for a in p._actions if not a.option_strings]
+        if p._mutually_exclusive_groups or not all(map(_plain_kind, positionals)):
+            continue
+        start = {"command": name}
+        for a in p._actions:
+            if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+                start.setdefault(a.dest, a.default)
+        for dest, value in p._defaults.items():
+            start.setdefault(dest, value)
+        options = {s: a for a in p._actions if a.option_strings and _plain_kind(a)
+                   for s in a.option_strings}
+        required = {a for a in p._actions if a.option_strings and a.required}
+        forms[name] = p, start, positionals, options, required
+    return forms
+
+
+def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the subcommand's parse_known_args makes of a plainly
+    well-formed argv, read from the tables of _plain_forms; None for any
+    other argv. Plainly well formed: argv starts with a subcommand, every
+    later item that starts with '-' is exactly one of its option strings
+    other than -h and --help, each option that takes a value is followed
+    by one that does not start with '-' and that converts by the option's
+    type into its choices, the positionals are exactly as many as the
+    subcommand declares, and every required option is present."""
+    form = _plain_forms().get(argv[0]) if argv else None
+    if form is None:
+        return None
+    parser, start, positionals, options, required = form
+    values, given, texts, seen = dict(start), [], [], set()
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            texts.append(arg)
+            continue
+        action = options.get(arg)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        text = next(rest, "-")  # a missing value declines as a '-...' one does
+        if text.startswith("-"):
+            return None
+        given.append((action, text))
+    if len(texts) != len(positionals) or not required <= seen:
+        return None
+    try:
+        for action, text in [*given, *zip(positionals, texts)]:
+            values[action.dest] = parser._get_value(action, text)
+            parser._check_value(action, values[action.dest])
+    except argparse.ArgumentError:
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """The parsed argv. When it starts with a known subcommand, that
-    subcommand's parser reads the rest alone, as the main parser would
-    hand it every later argument anyway. Any other argv goes through the
-    main parser, and so does one holding '--=...', which the main parser
-    refuses as an ambiguous option before the subcommand sees it."""
-    parser = _shared_parser()
+    """The parsed argv. A plainly well-formed argv (see _plain_parse) is
+    read without argparse parsing it, into the namespace argparse would
+    give. Any other argv that starts with a known subcommand goes to that
+    subcommand's parser alone, as the main parser would hand it every
+    later argument anyway. The rest go through the main parser, and so
+    does an argv holding '--=...', which the main parser refuses as an
+    ambiguous option before the subcommand sees it. So every usage, help
+    and error text is argparse's."""
     if argv is None:
         argv = sys.argv[1:]
-    sub = next(action for action in parser._actions
-               if isinstance(action, argparse._SubParsersAction))
-    if (not argv or argv[0] not in sub.choices
+    args = _plain_parse(argv)
+    if args is not None:
+        return args
+    parser = _shared_parser()
+    sub = _subcommands(parser)
+    if (not argv or argv[0] not in sub
             or any(arg.startswith("--=") for arg in argv)):
         return parser.parse_args(argv)
-    args, extras = sub.choices[argv[0]].parse_known_args(
+    args, extras = sub[argv[0]].parse_known_args(
         argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .algebra import (FiniteAlgebra, check_natural, induced_fields, is_flat,
-                      regular_elements, require_valid)
+from .algebra import (FiniteAlgebra, check_elements, check_natural, induced_fields,
+                      is_flat, regular_elements, require_valid)
 from .errors import (FlatInput, InvalidShape, InvariantViolation,
                      NotACongruence, PreconditionViolated, TooLarge)
 from .partitions import Partition, classes, is_congruence
@@ -43,6 +43,7 @@ class ElementMap:
             raise ValueError("mapping value out of range")
 
     def __call__(self, x: int) -> int:
+        check_elements(self.source_size, (x,), "ElementMap")
         return self.mapping[x]
 
     @property

@@ -363,6 +363,20 @@ class TestEntryTypes:
                            match=f"^{where}( entry)? is not an integer$"):
             qba.FiniteAlgebra(**args)
 
+    @pytest.mark.parametrize("where, table", [("join", ((0, 1), (1, 1.0))),
+                                              ("meet", ((0, 0), (0.0, 1)))])
+    def test_float_after_an_equal_int(self, where, table):
+        # A set of the entries would keep the int and hide the float.
+        fields = {"join": ((0, 1), (1, 1)), "meet": ((0, 0), (0, 1)), where: table}
+        with pytest.raises(AlgebraSemanticError, match=f"^{where} entry is not an integer$"):
+            qba.FiniteAlgebra(("0", "1"), fields["join"], fields["meet"], (1, 0), 0, 1)
+
+    def test_float_in_a_row_among_repeated_ones(self):
+        # The first and last rows are one object, the middle one is not.
+        z = (0, 0, 0)
+        with pytest.raises(AlgebraSemanticError, match="^meet entry is not an integer$"):
+            qba.FiniteAlgebra(("0", "1", "2"), (z,) * 3, (z, (0, 0.0, 0), z), (0, 1, 2), 0, 0)
+
 
 class TestMalformedShapes:
     """Inputs only the Python API can pass; each was a bare TypeError or

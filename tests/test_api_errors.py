@@ -68,6 +68,8 @@ def guard(call, error, message):
     row(lambda: Partition.from_blocks(2, [[0, 1.0]]), "from-blocks-float"),
     row(lambda: Partition.from_blocks(2, [[0, 'a']]), "from-blocks-str"),
     row(lambda: ElementMap(2, 2, (0, 1.0)), "element-map-float"),
+    row(lambda: ElementMap(3, 3, (0, 2, 1))(-1), "element-map-call--1"),
+    row(lambda: ElementMap(3, 3, (0, 2, 1))(1.0), "element-map-call-float"),
     row(lambda: Partition.from_pairs(3, [(0, 3)]), "from-pairs-n"),
     row(lambda: Partition.from_blocks(3, [[0, 1, 2, 3]]), "from-blocks-n"),
     row(lambda: THREE.relates(0, 3), "relates-n"),

@@ -1,5 +1,4 @@
 """Command-line interface: exit codes, output shapes, JSON round trips."""
-import argparse
 import contextlib
 import io
 import json
@@ -18,22 +17,23 @@ from hypothesis import given, settings
 import qba
 from qba import cli
 from qba.cli import CommandResult, run
+from parse_parity import disagreement
 from test_cli_fuzz import argv as fuzz_argv
 from test_quotients import nine_atom_pair
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src" / "qba" / "data"
 
 
-def python_3_10():
-    """The path of a working python3.10 on PATH, or None. A pyenv shim
-    runs the version PYENV_VERSION names, whatever its global one; any
+def python_version(version):
+    """The path of a working python<version> on PATH, or None. A pyenv
+    shim runs the version PYENV_VERSION names, whatever its global one; any
     other interpreter ignores it."""
-    path = shutil.which("python3.10")
+    path = shutil.which(f"python{version}")
     if path is None:
         return None
-    probe = subprocess.run([path, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
-                           env=dict(os.environ, PYENV_VERSION="3.10"),
-                           capture_output=True, timeout=60)
+    probe = subprocess.run(
+        [path, "-c", f"import sys; assert sys.version_info[:2] == {tuple(map(int, version.split('.')))}"],
+        env=dict(os.environ, PYENV_VERSION=version), capture_output=True, timeout=60)
     return path if probe.returncode == 0 else None
 
 
@@ -522,10 +522,8 @@ class TestCommandTable:
     def test_usage_lines(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         parser = cli.build_parser()
-        sub = next(action for action in parser._actions
-                   if isinstance(action, argparse._SubParsersAction))
         assert parser.format_usage() in self.TOP
-        usage = {name: p.format_usage() for name, p in sub.choices.items()}
+        usage = {name: p.format_usage() for name, p in cli._subcommands(parser).items()}
         assert usage == self.USAGE
 
     def test_readme_lists_the_gated_rows(self):
@@ -574,7 +572,8 @@ def full_outcome(argv):
 
 
 class TestSubcommandParse:
-    """run() parses an argv that starts with a known subcommand with that
+    """run() reads a plainly well-formed argv without argparse, and parses
+    any other argv that starts with a known subcommand with that
     subcommand's parser alone; every result, usage and error text is what
     the main parser gives."""
 
@@ -601,12 +600,13 @@ class TestSubcommandParse:
                   ["generate", fpath("4"), "--se", "a,b"],
                   ["check", fpath("4"), "--", "x = x"],
                   ["decide", "--variety", "qb", "-x = x"],
-                  ["validate", "--", "--json"], ["iso", fpath("4")]]
+                  ["validate", "--", "--json"], ["iso", fpath("4")],
+                  ["split", fpath("6"), "--cong"], ["split", fpath("6"), "--cong", "--json"]]
         return argvs
 
     def test_corpus_matches_the_main_parser(self):
         corpus = self.corpus()
-        assert len(corpus) == 16 + 21 * 14 + 8
+        assert len(corpus) == 16 + 21 * 14 + 10
         for argv in corpus:
             assert outcome(argv) == full_outcome(argv), argv
 
@@ -615,27 +615,63 @@ class TestSubcommandParse:
     def test_fuzzed_argv_matches_the_main_parser(self, argv):
         assert outcome(argv) == full_outcome(argv)
 
+    def test_plain_parse_agrees_with_argparse_on_the_corpus(self):
+        assert [(argv, why) for argv in self.corpus()
+                if (why := disagreement(argv)) is not None] == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(fuzz_argv())
+    def test_plain_parse_agrees_with_argparse_on_fuzzed_argv(self, argv):
+        assert disagreement(argv) is None
+
+    @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+    def test_plain_parse_agrees_under_other_pythons(self, version):
+        # The plain parse reads argparse's internals: the actions, their
+        # classes and the parser defaults.
+        exe = python_version(version)
+        if exe is None:
+            pytest.skip(f"no working python{version}")
+        corpus = self.corpus()
+        script = Path(__file__).resolve().parent / "parse_parity.py"
+        env = dict(os.environ, PYTHONPATH=str(FIXDIR.parent.parent), PYENV_VERSION=version)
+        done = subprocess.run([exe, str(script)], input=json.dumps(corpus).encode(),
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == b""
+        assert json.loads(done.stdout) == {
+            "plain": sum(cli._plain_parse(argv) is not None for argv in corpus),
+            "disagreements": []}
+
     def test_a_known_subcommand_skips_the_main_parse(self, monkeypatch):
         parser, calls = cli._shared_parser(), []
 
-        def counted(method):
-            parse = getattr(parser, method)
+        def counted(p, method):
+            parse = getattr(p, method)
 
             def counting(*args, **kwargs):
-                calls.append(method)
+                calls.append((p.prog, method))
                 return parse(*args, **kwargs)
             return counting
 
-        for method in ("parse_args", "parse_known_args"):
-            monkeypatch.setattr(parser, method, counted(method))
-        for argv in self.corpus():
-            if argv and argv[0] in self.ARGS and not any(
-                    arg.startswith("--=") for arg in argv):
-                run(argv)
+        for p in (parser, *cli._subcommands(parser).values()):
+            for method in ("parse_args", "parse_known_args"):
+                monkeypatch.setattr(p, method, counted(p, method))
+        known = [argv for argv in self.corpus() if argv and argv[0] in self.ARGS
+                 and not any(arg.startswith("--=") for arg in argv)]
+        # Each subcommand's arguments, with --json after them or before.
+        plain = [argv for argv in known if cli._plain_parse(argv) is not None]
+        assert len(plain) == 3 * len(self.ARGS)
+        for argv in plain:
+            run(argv)
         assert calls == []
+        rest = [argv for argv in known if argv not in plain]
+        for argv in rest:
+            run(argv)
+        assert calls == [(f"qba {argv[0]}", "parse_known_args") for argv in rest]
+        calls.clear()
         for argv in ([], ["--version"], ["frobnicate"], ["validate", fpath("4"), "--=x"]):
             run(argv)
-        assert len(calls) == 8  # parse_args and the parse_known_args it calls
+        # parse_args and the parse_known_args it calls
+        assert calls == [("qba", "parse_args"), ("qba", "parse_known_args")] * 4
 
 
 class TestFileReading:
@@ -751,7 +787,7 @@ class TestMainEntry:
     def test_same_output_under_python_3_10(self, capsys):
         # pyproject.toml claims Python 3.10. The same commands, run there in
         # one process through main, print what they print here.
-        exe = python_3_10()
+        exe = python_version("3.10")
         if exe is None:
             pytest.skip("no working python3.10")
         argvs = [["enumerate", "--size", "8", "--flat"], ["enumerate", "--size", "6"],
